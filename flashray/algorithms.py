@@ -504,9 +504,8 @@ def closeness_centrality(graph: Graph, *, landmarks=None, k: int = 8,
     with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
         eng.run(lambda m: m["changed"] == 0, max_iters=max_iters)
         if out_dir is not None:
-            # dump per-partition values, then CLOSE the engine before
-            # read_parquet: its metadata-fetch tasks cannot schedule while
-            # the shard actors hold every CPU (deadlock on small clusters)
+            # dump per-partition values and read them back after close, so
+            # the lazy Dataset returned below outlives the engine
             eng.write_values(out_dir)
         else:
             df = eng.values_pandas()

@@ -47,6 +47,21 @@ in fixed sender-partition order (p = 0..P-1) regardless of how partitions
 are packed onto actors — results are bit-identical across parallelism
 levels, actor counts, and checkpoint/resume.
 
+Actor lifecycle: the reference starts its worker threads once and runs one
+vertex program after another on them. Here shard actors live as long as the
+Ray session. An ``Engine`` takes A idle actors from a per-session pool and
+``load``s its partitions and program onto each, spawning actors only when
+the pool is short; ``close`` drains in-flight rounds, has each actor drop
+its shard data, and returns it to the pool. So a session's first Engine
+pays the actor start-up (a Ray worker process plus this module's imports,
+``ray.data`` included) and later Engines only re-read and re-build their
+CSR shards. Pooled actors reserve no logical CPU (``num_cpus=0``, SPREAD
+scheduling): they outlive every Engine, and CPU shares held by idle actors
+would starve the Dataset tasks that run between queries. Actors pinned to
+a caller's placement group keep their CPU request and are killed at close,
+because the caller removes the group; so are actors given an explicit
+``actor_cpus``.
+
 Why raw actors and not ``Dataset.map_batches`` here: the inner loop mutates
 per-partition vertex state across iterations and must route each
 partition's aggregate back to the *owning* actor. ``map_batches`` actor
@@ -58,6 +73,7 @@ Dataset API.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -83,9 +99,47 @@ class ShardActor:
     """Owns a set of partitions: CSR blocks + per-vertex program state.
 
     Reference analogue: one ``worker_thread`` + its slice of the
-    ``NUMA_graph_index`` vertex-state array (flash-graph/graph_index.h)."""
+    ``NUMA_graph_index`` vertex-state array (flash-graph/graph_index.h).
+    Like the reference thread, the actor outlives a single run: ``load``
+    installs one Engine's partitions and program, ``release`` drops them
+    before the actor goes back to the pool."""
 
-    def __init__(
+    def __init__(self):
+        self.pool = None
+        self.release()
+
+    def release(self) -> bool:
+        """Drop every per-run field (shards, program state, exchange
+        topology, signal memo, thread pool): an idle pooled actor keeps only
+        its process."""
+        if self.pool is not None:
+            self.pool.shutdown()
+        self.pool = None
+        self.parts: list[int] = []
+        self.program: VertexProgram | None = None
+        self.shards: dict[int, csr.ShardData] = {}
+        self.states: dict[int, dict] = {}
+        self.mirror_map: dict[int, np.ndarray] = {}
+        self.split_pos: dict[int, np.ndarray] = {}
+        self.split_idx: dict[int, np.ndarray] = {}
+        # incoming_idx[q][p] = local positions in q's vertex array for the
+        # dst ids announced by sender partition p; incoming_slice[q][p] =
+        # (lo, hi) bounds into sender p's contiguous partial array
+        # (static topology, exchanged once at handshake)
+        self.incoming_idx: dict[int, list[np.ndarray]] = {}
+        self.incoming_slice: dict[int, list[tuple[int, int]]] = {}
+        self.last_messages = 0
+        self.last_exchanged = 0  # partial entries shipped by the last scatter
+        # per-state-version memo of the frontier-masked signal: the scatter
+        # and the split-meta extraction both need it each round — compute
+        # it once per (partition, apply) instead of twice. Reset together
+        # with the version: a stale entry at version 0 would hand the
+        # previous program's signal to the next one
+        self._state_version = 0
+        self._sig_cache: dict[int, tuple[int, np.ndarray]] = {}
+        return True
+
+    def load(
         self,
         graph_path: str,
         parts: list[int],
@@ -95,7 +149,10 @@ class ShardActor:
         N: int,
         split_ids: np.ndarray,
         num_threads: int = 1,
-    ):
+    ) -> bool:
+        """Read and build this actor's CSR shards and initial program state
+        for one Engine run, replacing whatever the last run left."""
+        self.release()
         self.parts = list(parts)
         self.P = P
         self.A = A
@@ -107,17 +164,11 @@ class ShardActor:
         # add/minimum) release the GIL, so one actor drives several cores —
         # fewer actors per node means fewer Ray tasks per superstep, which
         # is the dominant fixed cost (~0.5 ms/task measured)
-        self.pool = None
         if num_threads > 1 and len(self.parts) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             self.pool = ThreadPoolExecutor(max_workers=num_threads)
 
-        self.shards: dict[int, csr.ShardData] = {}
-        self.states: dict[int, dict] = {}
-        self.mirror_map: dict[int, np.ndarray] = {}
-        self.split_pos: dict[int, np.ndarray] = {}
-        self.split_idx: dict[int, np.ndarray] = {}
         for p in self.parts:
             vcols = ["vertex_id", "out_degree", "in_degree"]
             vdir = os.path.join(graph_path, "vertices")
@@ -174,20 +225,7 @@ class ShardActor:
             owned_splits = self.split_ids[self.split_ids % P == p]
             self.split_pos[p] = np.searchsorted(self.split_ids, owned_splits)
             self.split_idx[p] = np.searchsorted(shard.vertex_ids, owned_splits)
-
-        # incoming_idx[q][p] = local positions in q's vertex array for the
-        # dst ids announced by sender partition p; incoming_slice[q][p] =
-        # (lo, hi) bounds into sender p's contiguous partial array
-        # (static topology, exchanged once at handshake)
-        self.incoming_idx: dict[int, list[np.ndarray]] = {}
-        self.incoming_slice: dict[int, list[tuple[int, int]]] = {}
-        self.last_messages = 0
-        self.last_exchanged = 0  # partial entries shipped by the last scatter
-        # per-state-version memo of the frontier-masked signal: the scatter
-        # and the split-meta extraction both need it each round — compute
-        # it once per (partition, apply) instead of twice
-        self._state_version = 0
-        self._sig_cache: dict[int, tuple[int, np.ndarray]] = {}
+        return True
 
     def ready(self) -> bool:
         return True
@@ -609,6 +647,41 @@ class ShardActor:
         return {n: self.states[p].get(n) for n in names}
 
 
+class _ActorPool:
+    """Idle shard actors of the current Ray session, shared by every Engine
+    the process opens.
+
+    Keyed by the caller's (node id, job id): a local ``ray.init`` after
+    ``ray.shutdown`` starts a new node but reuses job id ``01000000``, and a
+    new connection to a long-running cluster gets a new job id. Either way
+    the old session's actors are gone, so its handles are dropped."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._key = None
+        self._idle: list = []
+
+    def _session(self) -> list:
+        ctx = ray.get_runtime_context()
+        key = (ctx.get_node_id(), ctx.get_job_id())
+        if key != self._key:
+            self._key, self._idle = key, []
+        return self._idle
+
+    def take(self):
+        """An idle actor, or None when the pool is empty."""
+        with self._lock:
+            idle = self._session()
+            return idle.pop() if idle else None
+
+    def give(self, actors: list) -> None:
+        with self._lock:
+            self._session().extend(actors)
+
+
+_POOL = _ActorPool()
+
+
 class Engine:
     """Driver-side superstep loop (E1/E2). Algorithms own the iteration
     policy; the engine owns actors, the fused exchange, metrics,
@@ -630,7 +703,14 @@ class Engine:
         node owning an equal slice of the CSR shards. The exchange path is
         bundle-agnostic (object-store refs), so this only constrains
         scheduling (see tools/placement_scaling.py for the two-"node"
-        scaling evidence)."""
+        scaling evidence).
+
+        Without a placement group or an explicit ``actor_cpus`` the actors
+        come from the session's pool (see :meth:`close`) and reserve no
+        logical CPU: they outlive the Engine, and idle actors holding CPU
+        shares would starve every later Dataset task. Actors in a
+        placement group, or with an explicit CPU request, are started for
+        this Engine and killed at close."""
         self.graph = graph
         self.program = program
         P = graph.num_partitions
@@ -649,7 +729,10 @@ class Engine:
             num_actors = max(1, min(P, int(total) // threads_per_actor))
         A = num_actors
         self.A = A
-        if actor_cpus is None:
+        self._pooled = placement_group is None and actor_cpus is None
+        if self._pooled:
+            actor_cpus = 0.0
+        elif actor_cpus is None:
             actor_cpus = max(
                 0.05, min(float(threads_per_actor), total / max(A, 1) * 0.8)
             )
@@ -657,9 +740,10 @@ class Engine:
         self._threads_per_actor = threads_per_actor
         self._pg = placement_group
         self._parts_of = [[p for p in range(P) if p % A == a] for a in range(A)]
-        self.actors = [self._spawn_actor(a) for a in range(A)]
-        ray.get([a.ready.remote() for a in self.actors])
+        self.actors: list = [None] * A
+        self._acquire(range(A))
         self._handshake()
+        self.recoveries = 0  # actor losses recovered from (see recover)
         self.iteration = 0  # supersteps whose metrics have been collected
         self.submitted = 0  # supersteps submitted to the pipeline
         self.lineage: list[dict] = []
@@ -689,7 +773,13 @@ class Engine:
                 placement_group=self._pg,
                 placement_group_bundle_index=a % len(self._pg.bundle_specs),
             )
-        return ShardActor.options(**opts).remote(
+        elif self._pooled:
+            # the default policy packs zero-CPU actors onto one node
+            opts["scheduling_strategy"] = "SPREAD"
+        return ShardActor.options(**opts).remote()
+
+    def _load(self, a: int):
+        return self.actors[a].load.remote(
             self.graph.path,
             self._parts_of[a],
             self.P,
@@ -699,6 +789,29 @@ class Engine:
             self.split_ids,
             num_threads=self._threads_per_actor,
         )
+
+    def _acquire(self, slots) -> None:
+        """Fill each actor slot with a loaded actor: an idle pooled one when
+        there is one, else a new one. A pooled actor that died while idle
+        fails its load with RayActorError and is replaced by a new actor."""
+        spawned = set()
+        for a in slots:
+            h = _POOL.take() if self._pooled else None
+            if h is None:
+                h = self._spawn_actor(a)
+                spawned.add(a)
+            self.actors[a] = h
+        dead = []
+        for a, ref in [(a, self._load(a)) for a in slots]:
+            try:
+                ray.get(ref)
+            except ray.exceptions.RayActorError:
+                if a in spawned:
+                    raise
+                dead.append(a)
+        for a in dead:
+            self.actors[a] = self._spawn_actor(a)
+        ray.get([self._load(a) for a in dead])
 
     def _handshake(self) -> None:
         out_refs = [a.outgoing_ids.remote() for a in self.actors]
@@ -727,13 +840,13 @@ class Engine:
         *state* from the checkpoint; dead actors rebuild both from the
         partitioned parquet graph. Because the combine order is
         deterministic, a recovered run is bit-identical to an
-        uninterrupted one. Returns the iteration resumed from."""
+        uninterrupted one. Returns the iteration resumed from, and counts
+        one more :attr:`recoveries`."""
         from flashray.checkpoint import has_checkpoint
 
-        for i in self._probe_dead():
-            self.actors[i] = self._spawn_actor(i)
-        ray.get([a.ready.remote() for a in self.actors])
+        self._acquire(self._probe_dead())
         self._handshake()
+        self.recoveries += 1
         # in-flight rounds chain through refs owned by the dead actor's
         # tasks — discard the whole pipeline and re-bootstrap
         self._pending = []
@@ -862,7 +975,7 @@ class Engine:
         checkpoint (or the initial state when none exists), and continue —
         see :meth:`recover`. A Ray error with all actors still alive is a
         program bug and re-raises."""
-        recoveries = 0
+        first = self.recoveries
         while True:
             try:
                 return self._run_once(
@@ -873,9 +986,11 @@ class Engine:
                     checkpoint_interval=checkpoint_interval,
                 )
             except ray.exceptions.RayError:
-                if recoveries >= max_recoveries or not self._probe_dead():
+                if (
+                    self.recoveries - first >= max_recoveries
+                    or not self._probe_dead()
+                ):
                     raise
-                recoveries += 1
                 self.recover(checkpoint_dir)
 
     def _run_once(
@@ -1008,18 +1123,40 @@ class Engine:
         return out_dir
 
     def values_dataset(self, out_dir: str):
-        """CAUTION: read_parquet schedules metadata-fetch TASKS — if the
-        shard actors hold every CPU in the cluster (e.g. 4 actors on a
-        4-CPU test session) those tasks never schedule and this deadlocks.
-        Prefer ``write_values`` + ``ray.data.read_parquet`` AFTER the
-        engine is closed when the value Dataset outlives the engine."""
+        """Write the values and return them as a Dataset. Pooled shard
+        actors reserve no CPU, so read_parquet's metadata-fetch tasks
+        schedule while the engine is open. Actors with a CPU reservation
+        (placement group or explicit ``actor_cpus``) can still hold every
+        CPU of a small cluster and deadlock those tasks: then call
+        ``write_values`` and read the directory after :meth:`close`."""
         self.write_values(out_dir)
         return ray.data.read_parquet(out_dir)
 
     def close(self):
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        """Return pooled actors to the session's pool, once their in-flight
+        rounds have drained and they have dropped their shard data. An actor
+        whose drain fails is killed rather than pooled. Actors this Engine
+        started for itself (placement group, explicit ``actor_cpus``) are
+        killed."""
+        actors, self.actors = self.actors, []
+        pending = [refs for refs, _ in self._pending]
+        self._pending = []
+        self._meta_refs = self._partial_refs = self._prev_meta_refs = None
+        if not self._pooled:
+            for a in actors:
+                ray.kill(a)
+            return
+        # release queues behind every round already submitted to the actor
+        released = [a.release.remote() for a in actors]
+        idle = []
+        for i, a in enumerate(actors):
+            try:
+                ray.get([refs[i] for refs in pending] + [released[i]])
+            except ray.exceptions.RayError:
+                ray.kill(a)
+            else:
+                idle.append(a)
+        _POOL.give(idle)
 
     def __enter__(self):
         return self

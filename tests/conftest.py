@@ -2,6 +2,12 @@ import pytest
 import ray
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: spawns fresh Ray sessions in subprocesses"
+    )
+
+
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():
     ray.init(

@@ -61,6 +61,7 @@ def test_recovery_without_checkpoint_restarts(er_graph):
         eng.step()
         ray.kill(eng.actors[0])
         eng.run(lambda m: m["changed"] == 0)
+        assert eng.recoveries == 1
         recovered = (
             eng.values_pandas().sort_values("vertex_id").reset_index(drop=True)
         )
