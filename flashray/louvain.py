@@ -6,9 +6,14 @@ networks*, with the synchronous-update parallelization of Lu/Halappanavar
 Why not the superstep engine (the lpa.py rationale): the local-move
 update — argmax over per-neighbor-community modularity GAINS — needs a
 variable-width per-community partial map, not an elementwise semiring
-combine. The dataflow pays O(1) bucket shuffles per sweep (7: one
-edge-label join, four bounded aggregates/joins, one candidate join, one
-argmax), never per community.
+combine. Each level sorts its edges by source once (ONE sort shuffle;
+every block then holds all the rows of its sources). Below
+``broadcast_threshold`` vertices a sweep is one map over those blocks
+against the broadcast O(V) vertex state — no shuffle per sweep; above
+it a sweep pays 7 bucket shuffles (one edge-label join, four bounded
+aggregates/joins, one candidate join, one argmax), never per community.
+One numpy sweep kernel serves the in-process and broadcast executors,
+one pick rule all three.
 
 Deterministic semantics, per sweep (synchronous — every vertex evaluates
 against the PREVIOUS sweep's labels; all arithmetic is int64, so the SQL
@@ -93,163 +98,148 @@ def _edge_table(edges, src_col, dst_col, weight_col):
     return edges.map_batches(proj, batch_format="pyarrow").materialize()
 
 
-def _init_level(e, num_buckets):
-    """(labels, tm): labels = (vertex_id, label=v, kv) with kv = the
-    weighted out-degree (symmetric input ⇒ the degree), tm = Σw (= 2m)."""
-    deg = bucket_group_agg(
-        e.map_batches(
-            lambda b: pa.table({"vertex_id": b["s"], "w": b["w"]}),
-            batch_format="pyarrow",
-        ),
-        ["vertex_id"],
-        {"kv": ("w", "sum")},
-        num_buckets=num_buckets,
+def _empty(*cols: str) -> pa.Table:
+    return pa.table({c: pa.array([], type=_I64) for c in cols})
+
+
+def _degrees(s, w):
+    """(distinct sources ascending, each row's source index, each
+    source's weighted out-degree — the degree, for symmetric input)."""
+    src, si = np.unique(s, return_inverse=True)
+    k = np.zeros(len(src), dtype=np.int64)
+    np.add.at(k, si, w)  # int64-exact (bincount weights are float64)
+    return src, si, k
+
+
+def _block_degrees(b: pa.Table) -> pa.Table:
+    """(vertex_id, kv) of one source-sorted block, complete because the
+    block holds every row of its sources."""
+    if not b.num_rows:  # the sort may emit empty, schemaless blocks
+        return _empty("vertex_id", "kv")
+    v, _, k = _degrees(
+        b["s"].to_numpy(zero_copy_only=False),
+        b["w"].to_numpy(zero_copy_only=False),
     )
-    labels = deg.map_batches(
-        lambda b: pa.table(
-            {
-                "vertex_id": b["vertex_id"],
-                "label": b["vertex_id"],
-                "kv": b["kv"].cast(_I64),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    tm = int(e.sum("w") or 0)
-    return labels, tm
+    return pa.table({"vertex_id": v, "kv": k})
+
+
+def _pick(v, cl, sc, is_own):
+    """Row indices of the per-vertex argmax, ranked (gain' DESC,
+    C = lab(v) DESC, C ASC): one winner per distinct ``v``, in ascending
+    ``v`` order — the ONE pick rule of every sweep executor."""
+    order = np.lexsort((cl, ~is_own, -sc, v))
+    vo = v[order]
+    first = np.ones(len(vo), dtype=bool)
+    first[1:] = vo[1:] != vo[:-1]
+    return order[first]
+
+
+def _sweep_state(vs, lab, k, tm):
+    """The vertex state one sweep reads: (vs sorted vertex ids, lab
+    their labels, ulab sorted distinct labels, tot = Σtot per ulab,
+    tm = 2m); the degrees ``k`` (aligned with vs) fold into tot."""
+    ulab, linv = np.unique(lab, return_inverse=True)
+    tot = np.zeros(len(ulab), dtype=np.int64)
+    np.add.at(tot, linv, k)
+    return vs, lab, ulab, tot, tm
+
+
+def _sweep_kernel(s, d, w, state):
+    """One synchronous local-move sweep for the distinct sources of
+    ``(s, d, w)``, which must be ALL of those sources' rows (k_v and
+    e_{v→C} come from them). ``state`` is :func:`_sweep_state`. Returns
+    (the distinct sources ascending, their new labels). The local
+    kernel runs it once over every edge, the broadcast path once per
+    source-sorted block."""
+    vs, lv, ulab, tot, tm = state
+    src, si, k = _degrees(s, w)
+    n = len(src)
+    own = np.searchsorted(ulab, lv[np.searchsorted(vs, src)])
+    ns = s != d
+    L = np.int64(len(ulab))
+    key = si[ns] * L + np.searchsorted(ulab, lv[np.searchsorted(vs, d[ns])])
+    uk, kinv = np.unique(key, return_inverse=True)
+    ew = np.zeros(len(uk), dtype=np.int64)
+    np.add.at(ew, kinv, w[ns])
+    # neighbor-community candidates + one synthesized own candidate
+    # (ew = 0) per vertex, so isolated / self-loop-only vertices stay
+    cav = np.concatenate([uk // L, np.arange(n, dtype=np.int64)])
+    cac = np.concatenate([uk % L, own])
+    cew = np.concatenate([ew, np.zeros(n, dtype=np.int64)])
+    is_own = cac == own[cav]
+    sc = tm * cew - k[cav] * (tot[cac] - k[cav] * is_own)
+    # ulab is sorted, so ranking label indices ranks the labels
+    win = _pick(cav, cac, sc, is_own)
+    return src, ulab[cac[win]]
 
 
 def _make_pick(tm):
-    """The per-vertex argmax (gain desc, stay-on-tie, label asc) shared
-    by the join and broadcast sweep paths — ONE rule, two dataflows."""
+    """The per-bucket argmax of the all-join sweep: gains from the
+    joined candidate rows, then :func:`_pick`, the sweep kernel's rule."""
     TM = np.int64(tm)
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
-            return pd.DataFrame(
-                {
-                    "vertex_id": pd.Series(dtype=np.int64),
-                    "label": pd.Series(dtype=np.int64),
-                    "kv": pd.Series(dtype=np.int64),
-                }
-            )
+            return _empty("vertex_id", "label", "kv").to_pandas()
         v = g["v"].to_numpy(dtype=np.int64)
         cl = g["cl"].to_numpy(dtype=np.int64)
-        ewv = g["ew"].to_numpy(dtype=np.int64)
-        tot_cl = g["tot_cl"].to_numpy(dtype=np.int64)
-        own = g["own"].to_numpy(dtype=np.int64)
         kv = g["kv"].to_numpy(dtype=np.int64)
-        is_own = cl == own
-        sc = TM * ewv - kv * (tot_cl - kv * is_own)
-        d = pd.DataFrame(
-            {
-                "vertex_id": v,
-                "label": cl,
-                "kv": kv,
-                "__sc": sc,
-                "__own": is_own.astype(np.int8),
-            }
+        is_own = cl == g["own"].to_numpy(dtype=np.int64)
+        sc = TM * g["ew"].to_numpy(dtype=np.int64) - kv * (
+            g["tot_cl"].to_numpy(dtype=np.int64) - kv * is_own
         )
-        d = d.sort_values(
-            ["vertex_id", "__sc", "__own", "label"],
-            ascending=[True, False, False, True],
-            kind="mergesort",
-        ).drop_duplicates("vertex_id")
-        return d[["vertex_id", "label", "kv"]].reset_index(drop=True)
+        win = _pick(v, cl, sc, is_own)
+        return pd.DataFrame(
+            {"vertex_id": v[win], "label": cl[win], "kv": kv[win]}
+        )
 
     return pick
 
 
-def _one_sweep_broadcast(e, labels, tm, num_buckets):
-    """One synchronous local-move sweep with the per-vertex (label, kv)
-    table BROADCAST via ``ray.put`` instead of joined: every worker
-    reads the O(V) state zero-copy from the object store, so the sweep
-    pays TWO bucket shuffles (the (v, cl) affinity aggregate + the
-    per-vertex argmax) instead of the join path's seven. Candidates and
-    the pick rule are BIT-IDENTICAL to :func:`_one_sweep` (agreement
-    test in tests/test_louvain.py); `louvain_communities` routes here
-    below ``broadcast_threshold`` vertices — the repo-wide 'broadcast
-    the small side, shuffle the big one' policy — and falls back to the
-    all-join dataflow above it (a billion-vertex graph's vertex state
-    no longer fits a broadcast)."""
-    import ray as _ray
+def _sweep_blocks(ref):
+    """The per-block sweep of :func:`_broadcast_sweeps` (a factory, so
+    each sweep's closure holds its own state ref)."""
 
-    lab_pdf = labels.to_pandas()
-    vs = lab_pdf["vertex_id"].to_numpy(dtype=np.int64)
+    def sweep(b: pa.Table) -> pa.Table:
+        if not b.num_rows:
+            return _empty("vertex_id", "label")
+        v, lab = _sweep_kernel(
+            *(b[c].to_numpy(zero_copy_only=False) for c in ("s", "d", "w")),
+            ray.get(ref),
+        )
+        return pa.table({"vertex_id": v, "label": lab})
+
+    return sweep
+
+
+def _broadcast_sweeps(e, deg, sweeps):
+    """``sweeps`` synchronous local-move sweeps over the source-sorted
+    edge table ``e`` with the O(V) vertex state BROADCAST via
+    ``ray.put``: each sweep is ONE ``map_batches`` running
+    :func:`_sweep_kernel` per block (every block holds all the rows of
+    its sources) and no shuffle; the driver gathers the (vertex_id,
+    label) rows between sweeps. Returns (labels Dataset, tm)."""
+    dpdf = deg.to_pandas()
+    vs = dpdf["vertex_id"].to_numpy(dtype=np.int64)
     order = np.argsort(vs, kind="stable")
     vs = vs[order]
-    lv = lab_pdf["label"].to_numpy(dtype=np.int64)[order]
-    kv = lab_pdf["kv"].to_numpy(dtype=np.int64)[order]
-    ulab, linv = np.unique(lv, return_inverse=True)
-    tot = np.zeros(len(ulab), dtype=np.int64)
-    np.add.at(tot, linv, kv)
-    ref = _ray.put((vs, lv, kv, ulab, tot))
-
-    def aff_partial(df: pd.DataFrame) -> pd.DataFrame:
-        vs_, lv_, _kv, _ul, _tot = _ray.get(ref)
-        s = df["s"].to_numpy(dtype=np.int64)
-        d = df["d"].to_numpy(dtype=np.int64)
-        w = df["w"].to_numpy(dtype=np.int64)
-        ns = s != d
-        s, d, w = s[ns], d[ns], w[ns]
-        cl = lv_[np.searchsorted(vs_, d)]
-        return (
-            pd.DataFrame({"v": s, "cl": cl, "ew": w})
-            .groupby(["v", "cl"], as_index=False, sort=False)["ew"]
-            .sum()
-        )
-
-    ew = bucket_group_agg(
-        e.map_batches(aff_partial, batch_format="pandas"),
-        ["v", "cl"],
-        {"ew": ("ew", "sum")},
-        num_buckets=num_buckets,
-    )
-
-    def to_cand(df: pd.DataFrame) -> pd.DataFrame:
-        vs_, lv_, kv_, ulab_, tot_ = _ray.get(ref)
-        v = df["v"].to_numpy(dtype=np.int64)
-        cl = df["cl"].to_numpy(dtype=np.int64)
-        pv = np.searchsorted(vs_, v)
-        own = lv_[pv]
-        return pd.DataFrame(
-            {
-                "v": v,
-                "cl": cl,
-                "ew": df["ew"].to_numpy(dtype=np.int64),
-                "tot_cl": tot_[np.searchsorted(ulab_, cl)],
-                "own": own,
-                "kv": kv_[pv],
-                "tot_own": tot_[np.searchsorted(ulab_, own)],
-            }
-        )
-
-    def own_syn_b(df: pd.DataFrame) -> pd.DataFrame:
-        vs_, lv_, kv_, ulab_, tot_ = _ray.get(ref)
-        v = df["vertex_id"].to_numpy(dtype=np.int64)
-        pv = np.searchsorted(vs_, v)
-        own = lv_[pv]
-        tot_own = tot_[np.searchsorted(ulab_, own)]
-        return pd.DataFrame(
-            {
-                "v": v,
-                "cl": own,
-                "ew": np.zeros(len(v), dtype=np.int64),
-                "tot_cl": tot_own,
-                "own": own,
-                "kv": kv_[pv],
-                "tot_own": tot_own,
-            }
-        )
-
-    cand = ew.map_batches(to_cand, batch_format="pandas").union(
-        labels.map_batches(own_syn_b, batch_format="pandas")
-    )
-    return (
-        _decide_by(cand, _make_pick(tm), "v", num_buckets)
-        .repartition(num_buckets)
-        .materialize()
-    )
+    k = dpdf["kv"].to_numpy(dtype=np.int64)[order]
+    # a source split across two sorted blocks would appear twice
+    assert bool(np.all(vs[1:] > vs[:-1])), "a source spans two blocks"
+    tm = int(k.sum())
+    lab = vs
+    labels = ray.data.from_arrow(pa.table({"vertex_id": vs, "label": vs}))
+    for _ in range(int(sweeps)):
+        ref = ray.put(_sweep_state(vs, lab, k, tm))
+        labels = e.map_batches(
+            _sweep_blocks(ref), batch_format="pyarrow", batch_size=None
+        ).materialize()
+        out = labels.to_pandas()
+        v = out["vertex_id"].to_numpy(dtype=np.int64)
+        lab = out["label"].to_numpy(dtype=np.int64)[
+            np.argsort(v, kind="stable")
+        ]
+    return labels, tm
 
 
 def _one_sweep(e, labels, tm, num_buckets):
@@ -431,34 +421,10 @@ def _local_louvain(
     tm = int(w.sum())
 
     def run_level(s, d, w):
-        verts = np.unique(s)  # symmetric input: every vertex is a src
-        si = np.searchsorted(verts, s)
-        di = np.searchsorted(verts, d)
-        n = len(verts)
-        k = np.zeros(n, dtype=np.int64)
-        np.add.at(k, si, w)  # int64-exact (bincount weights are float64)
-        lab = verts.copy()
-        ns = s != d
+        verts, _, k = _degrees(s, w)  # symmetric: every vertex a src
+        lab = verts
         for _ in range(int(sweeps)):
-            ulab, linv = np.unique(lab, return_inverse=True)
-            L = len(ulab)
-            tot = np.zeros(L, dtype=np.int64)
-            np.add.at(tot, linv, k)
-            key = si[ns] * np.int64(L) + linv[di[ns]]
-            uk, kinv = np.unique(key, return_inverse=True)
-            ew = np.zeros(len(uk), dtype=np.int64)
-            np.add.at(ew, kinv, w[ns])
-            av = (uk // L).astype(np.int64)
-            ac = (uk % L).astype(np.int64)
-            cav = np.concatenate([av, np.arange(n, dtype=np.int64)])
-            cac = np.concatenate([ac, linv])
-            cew = np.concatenate([ew, np.zeros(n, dtype=np.int64)])
-            is_own = cac == linv[cav]
-            sc = tm * cew - k[cav] * (tot[cac] - k[cav] * is_own)
-            order = np.lexsort((ulab[cac], ~is_own, -sc, cav))
-            first = np.r_[True, cav[order][1:] != cav[order][:-1]]
-            win = order[first]
-            lab = ulab[cac[win]]  # cav[order] ascending -> one per vertex
+            lab = _sweep_kernel(s, d, w, _sweep_state(verts, lab, k, tm))[1]
         return verts, lab
 
     verts, lab = run_level(s, d, w)
@@ -510,38 +476,60 @@ def louvain_communities(
     replayable in round-unrolled SQL (driver oracle ``louvain_user``,
     levels=1). Below ``local_threshold`` edge rows the IDENTICAL rule
     runs as one in-process vectorized kernel (the repo-wide hybrid
-    policy — ~7 bucket shuffles per sweep amortize only past it);
-    0/None forces the distributed dataflow. On the distributed path the
-    per-level sweep broadcasts the O(V) vertex state via ``ray.put``
-    while the level has <= ``broadcast_threshold`` vertices (2 bucket
-    shuffles per sweep) and switches to the all-join dataflow (7
-    shuffles, no driver-resident state) above it — the same rule,
-    agreement-tested. ``refine=True`` applies the
+    policy); 0/None forces the distributed dataflow. There each level
+    sorts its edges by source once (one sort shuffle). While the level
+    has <= ``broadcast_threshold`` vertices, each sweep broadcasts the
+    O(V) vertex state via ``ray.put`` and runs the same kernel as one
+    map over the sorted blocks (no shuffle per sweep); above it the
+    sweep switches to the all-join dataflow (7 shuffles per sweep, no
+    driver-resident state) — the same rule, agreement-tested. An
+    empty edge Dataset yields an empty (vertex_id, label) Dataset.
+    ``refine=True`` applies the
     Leiden connectivity refinement (:func:`leiden_refine`) to the final
     labels: each community is split into its intra-community connected
     components, so every returned community is internally connected."""
     e = _edge_table(edges, src_col, dst_col, weight_col)
     e0 = e  # level-0 projection (refine targets the input graph)
-    if local_threshold and e.count() <= local_threshold:
+    n_rows = e.count()
+    if not n_rows:
+        return ray.data.from_arrow(_empty("vertex_id", "label"))
+    if local_threshold and n_rows <= local_threshold:
         out = ray.data.from_pandas(
             _local_louvain(e.to_pandas(), sweeps, levels)
         )
         if refine:
             out = _refine_labels(e, out, num_buckets, local_threshold)
         return out
-    labels, tm = _init_level(e, num_buckets)
+    tm = None
     mapping = None  # original vertex -> current-level community
     lsch = pa.schema([("vertex_id", _I64), ("label", _I64)])
     for lvl in range(int(levels)):
-        # broadcast the O(V) vertex state when it fits (2 shuffles per
-        # sweep); join it when it doesn't (7 shuffles, no driver state)
-        sweep = (
-            _one_sweep_broadcast
-            if broadcast_threshold and labels.count() <= broadcast_threshold
-            else _one_sweep
-        )
-        for _ in range(int(sweeps)):
-            labels = sweep(e, labels, tm, num_buckets)
+        # the level's one sort shuffle: each block now holds all the
+        # rows of its sources, so the degrees are a per-block map
+        e = e.sort("s").materialize()
+        deg = e.map_batches(
+            _block_degrees, batch_format="pyarrow", batch_size=None
+        ).materialize()
+        if broadcast_threshold and deg.count() <= broadcast_threshold:
+            # broadcast the O(V) vertex state: no shuffle per sweep
+            labels, tm_lvl = _broadcast_sweeps(e, deg, sweeps)
+        else:
+            # join it (7 shuffles per sweep, no driver-resident state)
+            tm_lvl = int(deg.sum("kv"))
+            labels = deg.map_batches(
+                lambda b: pa.table(
+                    {
+                        "vertex_id": b["vertex_id"],
+                        "label": b["vertex_id"],
+                        "kv": b["kv"],
+                    }
+                ),
+                batch_format="pyarrow",
+            ).materialize()
+            for _ in range(int(sweeps)):
+                labels = _one_sweep(e, labels, tm_lvl, num_buckets)
+        tm = tm_lvl if tm is None else tm
+        assert tm_lvl == tm, "contraction must preserve 2m exactly"
         flat = labels.map_batches(
             lambda b: b.select(["vertex_id", "label"]),
             batch_format="pyarrow",
@@ -569,8 +557,6 @@ def louvain_communities(
             ).materialize()
         if lvl + 1 < int(levels):
             e = _contract(e, labels, num_buckets)
-            labels, tm2 = _init_level(e, num_buckets)
-            assert tm2 == tm, "contraction must preserve 2m exactly"
     if refine:
         # refine over the ORIGINAL (level-0) edges: the guarantee is
         # about connectivity in the input graph, not the coarse one

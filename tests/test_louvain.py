@@ -328,3 +328,123 @@ def test_leiden_refine_ignores_unlabeled_endpoints():
     )
     assert got["vertex_id"].tolist() == [1, 2]
     assert got["label"].tolist() == [1, 1]
+
+
+_PATHS = {
+    "local": {},
+    "broadcast": {"local_threshold": 0},
+    "join": {"local_threshold": 0, "broadcast_threshold": 0},
+}
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_louvain_empty_and_self_loop_only_inputs(path):
+    kw = _PATHS[path]
+    empty = rd.from_pandas(
+        pd.DataFrame(
+            {
+                "src": np.array([], dtype=np.int64),
+                "dst": np.array([], dtype=np.int64),
+            }
+        )
+    )
+    out = louvain_communities(empty, sweeps=2, num_buckets=4, **kw)
+    sch = out.schema()
+    assert list(sch.names) == ["vertex_id", "label"]
+    assert [str(t) for t in sch.types] == ["int64", "int64"]
+    assert out.count() == 0
+    # self-loops only: no neighbor community, every vertex stays put
+    loops = np.array([3, 5, 9, 12], dtype=np.int64)
+    got = (
+        louvain_communities(
+            rd.from_pandas(pd.DataFrame({"src": loops, "dst": loops})),
+            sweeps=2, num_buckets=4, **kw,
+        )
+        .to_pandas().sort_values("vertex_id").reset_index(drop=True)
+    )
+    assert got["vertex_id"].tolist() == loops.tolist()
+    assert got["label"].tolist() == loops.tolist()
+
+
+def test_louvain_broadcast_path_sorts_once_and_never_groups(monkeypatch):
+    calls = {"sort": 0, "groupby": 0}
+
+    def counted(name):
+        orig = getattr(rd.Dataset, name)
+
+        def wrapper(self, *a, **kw):
+            calls[name] += 1
+            return orig(self, *a, **kw)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rd.Dataset, name, counted(name))
+    rng = np.random.default_rng(37)
+    src = rng.integers(0, 30, 120).astype(np.int64)
+    dst = rng.integers(0, 30, 120).astype(np.int64)
+    got = (
+        louvain_communities(
+            _sym_ds(src, dst), sweeps=3, num_buckets=4, local_threshold=0
+        )
+        .to_pandas().sort_values("vertex_id").reset_index(drop=True)
+    )
+    assert calls == {"sort": 1, "groupby": 0}
+    want = _replay(_sym_rows(src, dst), sweeps=3)
+    assert dict(
+        zip(got["vertex_id"].astype(int), got["label"].astype(int))
+    ) == want
+
+
+def test_louvain_broadcast_hub_larger_than_a_block():
+    from ray.data import DataContext
+
+    rng = np.random.default_rng(41)
+    # hub 0 joined to 1..600, plus a sparse random graph over 1..600
+    src = np.concatenate(
+        [np.zeros(600, dtype=np.int64), rng.integers(1, 601, 300)]
+    ).astype(np.int64)
+    dst = np.concatenate(
+        [np.arange(1, 601, dtype=np.int64), rng.integers(1, 601, 300)]
+    ).astype(np.int64)
+    m = src != dst
+    src, dst = src[m], dst[m]
+    local = (
+        louvain_communities(_sym_ds(src, dst), sweeps=3, num_buckets=4)
+        .to_pandas().sort_values("vertex_id").reset_index(drop=True)
+    )
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 4096  # the hub's 600 rows span ~4 blocks
+    try:
+        def block_sources(b: pd.DataFrame) -> pd.DataFrame:
+            if not len(b):
+                return pd.DataFrame({"src": [], "blk": []}, dtype=np.int64)
+            u = np.unique(b["src"].to_numpy(dtype=np.int64))
+            return pd.DataFrame({"src": u, "blk": np.full(len(u), u[0])})
+
+        blocks = (
+            _sym_ds(src, dst)
+            .map_batches(lambda b: b, batch_format="pandas")
+            .sort("src")
+            .map_batches(block_sources, batch_format="pandas",
+                         batch_size=None)
+            .to_pandas()
+        )
+        # the premise: many blocks, and no source split across two
+        assert blocks["blk"].nunique() > 4
+        assert not blocks["src"].duplicated().any()
+        got = (
+            louvain_communities(
+                _sym_ds(src, dst), sweeps=3, num_buckets=4,
+                local_threshold=0,
+            )
+            .to_pandas().sort_values("vertex_id").reset_index(drop=True)
+        )
+    finally:
+        ctx.target_max_block_size = saved
+    pd.testing.assert_frame_equal(got, local)
+    want = _replay(_sym_rows(src, dst), sweeps=3)
+    assert dict(
+        zip(got["vertex_id"].astype(int), got["label"].astype(int))
+    ) == want
