@@ -1,23 +1,26 @@
 """One-call algorithm API — the rebuild of ``flash-graph/FGlib.h``
 (``compute_pagerank``, ``compute_wcc``, … each returning an ``FG_vector``;
 SURVEY.md §2.2). Each function owns its iteration policy and drives the
-superstep engine; results come back as a pandas DataFrame
-``(vertex_id, value)`` (small) or a partitioned parquet dir (large, via
-``out_dir=``) — the FG_vector analogue (SURVEY.md §2.3 S4).
+superstep engine through :func:`flashray.engine.run_program`; results come
+back as a pandas DataFrame ``(vertex_id, value)`` (small) or a partitioned
+parquet dir (large, via ``out_dir=``) — the FG_vector analogue (SURVEY.md
+§2.3 S4).
 
-All functions accept ``checkpoint_dir``/``checkpoint_interval``/``resume``
-for mid-algorithm resumability (north-rule addition; the reference reruns
-from scratch on failure).
+``pagerank``, ``personalized_pagerank``, ``wcc``, ``label_propagation``,
+``bfs``, ``sssp``, ``dag_levels`` and ``kcore`` accept
+``checkpoint_dir``/``checkpoint_interval``/``resume`` for mid-algorithm
+resumability (north-rule addition; the reference reruns from scratch on
+failure).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import ray
 
-from flashray import checkpoint as ckpt
 from flashray.build import Graph
 from flashray.csr import INT_IDENTITY
-from flashray.engine import Engine
+from flashray.engine import run_program
 from flashray.programs import (
     BFS,
     DeltaPageRank,
@@ -32,24 +35,27 @@ from flashray.programs import (
 )
 
 
-def _finish(eng: Engine, out_dir: str | None, sort: bool = True):
-    if out_dir is not None:
-        eng.write_values(out_dir)
-        return out_dir
-    df = eng.values_pandas()
-    if sort:
-        df = df.sort_values("vertex_id").reset_index(drop=True)
+def _no_change(m) -> bool:
+    return m["changed"] == 0
+
+
+def _unreached_to_minus1(df):
+    df["value"] = np.where(df["value"] == INT_IDENTITY, -1, df["value"])
     return df
 
 
-def _maybe_checkpoint(eng: Engine, checkpoint_dir, interval: int):
-    if checkpoint_dir is not None and eng.iteration % interval == 0:
-        eng.checkpoint(checkpoint_dir)
-
-
-def _maybe_resume(eng: Engine, checkpoint_dir, resume: bool) -> None:
-    if resume and checkpoint_dir is not None and ckpt.has_checkpoint(checkpoint_dir):
-        eng.restore(checkpoint_dir)
+def _warm_start_ref(warm_start, dtype):
+    """Object ref of a prior (vertex_id, value) frame as sorted arrays —
+    a program's ``init_values`` — or None without a warm start."""
+    if warm_start is None:
+        return None
+    ws = warm_start.sort_values("vertex_id")
+    return ray.put(
+        (
+            ws["vertex_id"].to_numpy(dtype=np.int64),
+            ws["value"].to_numpy(dtype=dtype),
+        )
+    )
 
 
 def pagerank(
@@ -79,45 +85,19 @@ def pagerank(
     contraction-convergent from any start). Same-layout restarts should
     use ``checkpoint_dir``/``resume`` instead — warm_start is the
     CROSS-layout path (partition count or vertex set changed)."""
-    if warm_start is not None:
-        if mode != "pull":
-            raise ValueError("warm_start requires mode='pull'")
-        import ray as _ray
-
-        ws = warm_start.sort_values("vertex_id")
-        iv = _ray.put(
-            (
-                ws["vertex_id"].to_numpy(dtype=np.int64),
-                ws["value"].to_numpy(dtype=np.float64),
-            )
-        )
-    else:
-        iv = None
+    if warm_start is not None and mode != "pull":
+        raise ValueError("warm_start requires mode='pull'")
+    iv = _warm_start_ref(warm_start, np.float64)
     prog = (
         PageRank(damping, weighted=weighted, init_values=iv)
         if mode == "pull"
         else DeltaPageRank(damping, tol=eps * 1e-3)
     )
-    import time as _time
-
-    t0 = _time.perf_counter()
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        t_init = _time.perf_counter() - t0
-        _maybe_resume(eng, checkpoint_dir, resume)
-        t1 = _time.perf_counter()
-        eng.run(
-            lambda m: m["delta"] < eps,
-            max_iters=max_iters,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval if checkpoint_dir else 0,
-        )
-        t_steps = _time.perf_counter() - t1
-        if checkpoint_dir is not None:
-            eng.checkpoint(checkpoint_dir)
-        result = _finish(eng, out_dir)
-        lineage = list(eng.lineage)
-    return _with_lineage(
-        result, lineage, engine_init_sec=t_init, superstep_wall_sec=t_steps
+    return run_program(
+        graph, prog, lambda m: m["delta"] < eps, max_iters=max_iters,
+        out_dir=out_dir, checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+        actor_cpus=actor_cpus,
     )
 
 
@@ -136,27 +116,12 @@ def personalized_pagerank(
 ):
     """A1 variant: PageRank with the teleport restricted to ``seeds``
     (random-walk-with-restart relevance to the seed set)."""
-    prog = PersonalizedPageRank(seeds, damping)
-    import time as _time
-
-    t0 = _time.perf_counter()
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        t_init = _time.perf_counter() - t0
-        _maybe_resume(eng, checkpoint_dir, resume)
-        t1 = _time.perf_counter()
-        eng.run(
-            lambda m: m["delta"] < eps,
-            max_iters=max_iters,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval if checkpoint_dir else 0,
-        )
-        t_steps = _time.perf_counter() - t1
-        if checkpoint_dir is not None:
-            eng.checkpoint(checkpoint_dir)
-        result = _finish(eng, out_dir)
-        lineage = list(eng.lineage)
-    return _with_lineage(
-        result, lineage, engine_init_sec=t_init, superstep_wall_sec=t_steps
+    return run_program(
+        graph, PersonalizedPageRank(seeds, damping),
+        lambda m: m["delta"] < eps, max_iters=max_iters, out_dir=out_dir,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+        actor_cpus=actor_cpus,
     )
 
 
@@ -178,13 +143,11 @@ def katz(
     two-phase mirror path on split graphs, so eps=0.0 turns it on (the
     convergence path keeps the cheaper stale-mirror fused rounds — at the
     fixpoint the one-superstep mirror lag is harmless)."""
-    with Engine(graph, Katz(alpha, beta, weighted=weighted,
-                            exact_iterations=(eps == 0.0)),
-                actor_cpus=actor_cpus) as eng:
-        eng.run(lambda m: m["delta"] < eps, max_iters=max_iters)
-        result = _finish(eng, out_dir)
-        lineage = list(eng.lineage)
-    return _with_lineage(result, lineage)
+    prog = Katz(alpha, beta, weighted=weighted, exact_iterations=(eps == 0.0))
+    return run_program(
+        graph, prog, lambda m: m["delta"] < eps, max_iters=max_iters,
+        out_dir=out_dir, actor_cpus=actor_cpus,
+    )
 
 
 def eigenvector_centrality(
@@ -204,15 +167,15 @@ def eigenvector_centrality(
     division is order-independent (exact-integer operands). T must stay
     modest (path counts grow like λ_max^T in float64)."""
     prog = PowerIteration(weighted=weighted, exact_iterations=True)
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        eng.run(lambda m: False, max_iters=int(iters))
-        result = _finish(eng, out_dir)
-        lineage = list(eng.lineage)
+    result = run_program(
+        graph, prog, lambda m: False, max_iters=int(iters), out_dir=out_dir,
+        actor_cpus=actor_cpus,
+    )
     if normalize and out_dir is None:
         mx = float(result["value"].max() or 0.0)
         if mx > 0:
             result["value"] = result["value"] / mx
-    return _with_lineage(result, lineage)
+    return result
 
 
 def mis(
@@ -230,12 +193,11 @@ def mis(
     if not graph.meta.symmetrized:
         raise ValueError("mis() needs a symmetrized graph (build with "
                          "symmetrize=True)")
-    prog = MaxIndependentSet(salt, hash_fn)
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        eng.run(lambda m: m["undecided"] == 0, max_iters=max_iters)
-        result = _finish(eng, out_dir)
-        lineage = list(eng.lineage)
-    return _with_lineage(result, lineage)
+    return run_program(
+        graph, MaxIndependentSet(salt, hash_fn),
+        lambda m: m["undecided"] == 0, max_iters=max_iters, out_dir=out_dir,
+        actor_cpus=actor_cpus,
+    )
 
 
 def greedy_color(
@@ -253,48 +215,9 @@ def greedy_color(
     Requires a symmetrized graph. Result value = color >= 0."""
     if not graph.meta.symmetrized:
         raise ValueError("greedy_color() needs a symmetrized graph")
-    prog = GreedyColor(salt, hash_fn)
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        eng.run(lambda m: m["uncolored"] == 0, max_iters=max_iters)
-        result = _finish(eng, out_dir)
-        lineage = list(eng.lineage)
-    return _with_lineage(result, lineage)
-
-
-def _frontier_loop(
-    graph,
-    prog,
-    *,
-    max_iters,
-    out_dir,
-    checkpoint_dir,
-    checkpoint_interval,
-    resume,
-    actor_cpus,
-    postprocess=None,
-):
-    import time as _time
-
-    t0 = _time.perf_counter()
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        t_init = _time.perf_counter() - t0
-        _maybe_resume(eng, checkpoint_dir, resume)
-        t1 = _time.perf_counter()
-        eng.run(
-            lambda m: m["changed"] == 0,
-            max_iters=max_iters,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval if checkpoint_dir else 0,
-        )
-        t_steps = _time.perf_counter() - t1
-        if checkpoint_dir is not None:
-            eng.checkpoint(checkpoint_dir)
-        result = _finish(eng, out_dir)
-        if postprocess is not None and out_dir is None:
-            result = postprocess(result)
-        lineage = list(eng.lineage)
-    return _with_lineage(
-        result, lineage, engine_init_sec=t_init, superstep_wall_sec=t_steps
+    return run_program(
+        graph, GreedyColor(salt, hash_fn), lambda m: m["uncolored"] == 0,
+        max_iters=max_iters, out_dir=out_dir, actor_cpus=actor_cpus,
     )
 
 
@@ -312,23 +235,12 @@ def wcc(graph: Graph, *, max_iters: int = 200, out_dir=None, checkpoint_dir=None
     identical (prior labels are min-ids of subsets of the merged
     components). Same-layout restarts should use ``checkpoint_dir`` /
     ``resume``; warm_start is the CROSS-layout path."""
-    if warm_start is not None:
-        import ray as _ray
-
-        ws = warm_start.sort_values("vertex_id")
-        iv = _ray.put(
-            (
-                ws["vertex_id"].to_numpy(dtype=np.int64),
-                ws["value"].to_numpy(dtype=np.int64),
-            )
-        )
-    else:
-        iv = None
-    return _frontier_loop(
-        graph, MinLabel(None, init_values=iv), max_iters=max_iters,
-        out_dir=out_dir, checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        resume=resume, actor_cpus=actor_cpus,
+    prog = MinLabel(None, init_values=_warm_start_ref(warm_start, np.int64))
+    return run_program(
+        graph, prog, _no_change, max_iters=max_iters, out_dir=out_dir,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+        actor_cpus=actor_cpus,
     )
 
 
@@ -337,15 +249,12 @@ def label_propagation(graph: Graph, seeds: dict, *, max_iters: int = 200,
                       resume: bool = False, actor_cpus=None):
     """A4: min-semiring label propagation from seed labels; unreached
     vertices keep the INT_IDENTITY sentinel (mapped to -1 in the output)."""
-
-    def clean(df):
-        df["value"] = np.where(df["value"] == INT_IDENTITY, -1, df["value"])
-        return df
-
-    return _frontier_loop(
-        graph, MinLabel(seeds), max_iters=max_iters, out_dir=out_dir,
-        checkpoint_dir=checkpoint_dir, checkpoint_interval=checkpoint_interval,
-        resume=resume, actor_cpus=actor_cpus, postprocess=clean,
+    return run_program(
+        graph, MinLabel(seeds), _no_change, max_iters=max_iters,
+        out_dir=out_dir, postprocess=_unreached_to_minus1,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+        actor_cpus=actor_cpus,
     )
 
 
@@ -353,15 +262,11 @@ def bfs(graph: Graph, seeds, *, max_iters: int = 10_000, out_dir=None,
         checkpoint_dir=None, checkpoint_interval: int = 10, resume: bool = False,
         actor_cpus=None):
     """A10: hop distance from the seed set (-1 = unreachable)."""
-
-    def clean(df):
-        df["value"] = np.where(df["value"] == INT_IDENTITY, -1, df["value"])
-        return df
-
-    return _frontier_loop(
-        graph, BFS(seeds), max_iters=max_iters, out_dir=out_dir,
-        checkpoint_dir=checkpoint_dir, checkpoint_interval=checkpoint_interval,
-        resume=resume, actor_cpus=actor_cpus, postprocess=clean,
+    return run_program(
+        graph, BFS(seeds), _no_change, max_iters=max_iters, out_dir=out_dir,
+        postprocess=_unreached_to_minus1, checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+        actor_cpus=actor_cpus,
     )
 
 
@@ -376,10 +281,11 @@ def sssp(graph: Graph, seeds, *, max_iters: int = 10_000, out_dir=None,
         df["value"] = np.where(np.isinf(df["value"]), -1.0, df["value"])
         return df
 
-    return _frontier_loop(
-        graph, SSSP(seeds), max_iters=max_iters, out_dir=out_dir,
-        checkpoint_dir=checkpoint_dir, checkpoint_interval=checkpoint_interval,
-        resume=resume, actor_cpus=actor_cpus, postprocess=clean,
+    return run_program(
+        graph, SSSP(seeds), _no_change, max_iters=max_iters, out_dir=out_dir,
+        postprocess=clean, checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval, resume=resume,
+        actor_cpus=actor_cpus,
     )
 
 
@@ -397,16 +303,20 @@ def landmark_distances(graph: Graph, landmarks, *, weighted: bool = False,
     from flashray.programs import MultiSourceBFS
 
     prog = MultiSourceBFS(landmarks, weighted=weighted)
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        eng.run(lambda m: m["changed"] == 0, max_iters=max_iters)
-        df = eng.values_pandas()
-    mat = np.stack(df["value"].to_numpy())  # (nv, K) from fixed-size lists
-    out = pd.DataFrame({"vertex_id": df["vertex_id"].astype(np.int64)})
-    for i, s in enumerate(prog.seeds):
-        col = mat[:, i]
-        unreached = np.isinf(col) if weighted else col >= INT_IDENTITY
-        out[f"dist_{int(s)}"] = np.where(unreached, -1, col)
-    return out.sort_values("vertex_id").reset_index(drop=True)
+
+    def widen(df):
+        mat = np.stack(df["value"].to_numpy())  # (nv, K) from fixed-size lists
+        out = pd.DataFrame({"vertex_id": df["vertex_id"].astype(np.int64)})
+        for i, s in enumerate(prog.seeds):
+            col = mat[:, i]
+            unreached = np.isinf(col) if weighted else col >= INT_IDENTITY
+            out[f"dist_{int(s)}"] = np.where(unreached, -1, col)
+        return out
+
+    return run_program(
+        graph, prog, _no_change, max_iters=max_iters, postprocess=widen,
+        actor_cpus=actor_cpus,
+    )
 
 
 def multi_ppr(graph: Graph, seeds, *, damping: float = 0.85,
@@ -425,23 +335,25 @@ def multi_ppr(graph: Graph, seeds, *, damping: float = 0.85,
     from flashray.programs import MultiSourcePPR
 
     prog = MultiSourcePPR(seeds, damping)
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        eng.run(lambda m: m["delta"] < eps, max_iters=max_iters)
-        df = eng.values_pandas()
-        lineage = list(eng.lineage)
-    mat = np.stack(df["value"].to_numpy())  # (nv, K) fixed-size lists
-    vids = df["vertex_id"].to_numpy().astype(np.int64)
-    K = len(prog.seeds)
-    out = pd.DataFrame(
-        {
-            "vertex_id": np.repeat(vids, K),
-            "seed": np.tile(prog.seeds, len(vids)),
-            "rank": mat.reshape(-1),
-        }
+
+    def to_long(df):
+        mat = np.stack(df["value"].to_numpy())  # (nv, K) fixed-size lists
+        vids = df["vertex_id"].to_numpy().astype(np.int64)
+        K = len(prog.seeds)
+        out = pd.DataFrame(
+            {
+                "vertex_id": np.repeat(vids, K),
+                "seed": np.tile(prog.seeds, len(vids)),
+                "rank": mat.reshape(-1),
+            }
+        )
+        out = out[out["rank"] > 0.0]
+        return out.sort_values(["seed", "vertex_id"]).reset_index(drop=True)
+
+    return run_program(
+        graph, prog, lambda m: m["delta"] < eps, max_iters=max_iters,
+        postprocess=to_long, actor_cpus=actor_cpus,
     )
-    out = out[out["rank"] > 0.0]
-    out = out.sort_values(["seed", "vertex_id"]).reset_index(drop=True)
-    return _with_lineage(out, lineage)
 
 
 def closeness_centrality(graph: Graph, *, landmarks=None, k: int = 8,
@@ -463,10 +375,10 @@ def closeness_centrality(graph: Graph, *, landmarks=None, k: int = 8,
     - ``harmonic``  = Σ_{s: d(s,v)>0} 1/d(s,v)
 
     ``landmarks=None`` samples the K smallest vertex ids (deterministic);
-    at 100 TB pass hash-sampled ids instead. ``out_dir=`` streams the fold
-    over the engine's per-partition value dump as a Dataset (scale path);
-    default returns pandas (V × 4 driver rows — explicit small-output
-    collector, same contract as :func:`landmark_distances`)."""
+    at 100 TB pass hash-sampled ids instead. ``out_dir=`` folds each
+    partition's value dump in place and returns the dump as a Dataset
+    (scale path); default returns pandas (V × 4 driver rows — explicit
+    small-output collector, same contract as :func:`landmark_distances`)."""
     import pandas as pd
 
     from flashray.programs import MultiSourceBFS
@@ -482,7 +394,13 @@ def closeness_centrality(graph: Graph, *, landmarks=None, k: int = 8,
         )
     prog = MultiSourceBFS(sorted(landmarks), weighted=weighted)
 
-    def fold(ids: np.ndarray, mat: np.ndarray) -> pd.DataFrame:
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
+        ids = df["vertex_id"].to_numpy()
+        mat = (
+            np.stack(df["value"].to_numpy())
+            if len(df)
+            else np.empty((0, len(prog.seeds)))
+        )
         unre = np.isinf(mat) if weighted else mat >= INT_IDENTITY
         d = mat.astype(np.float64)
         pos = (~unre) & (d > 0)
@@ -501,27 +419,40 @@ def closeness_centrality(graph: Graph, *, landmarks=None, k: int = 8,
             }
         )
 
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        eng.run(lambda m: m["changed"] == 0, max_iters=max_iters)
-        if out_dir is not None:
-            # dump per-partition values and read them back after close, so
-            # the lazy Dataset returned below outlives the engine
-            eng.write_values(out_dir)
-        else:
-            df = eng.values_pandas()
-    if out_dir is not None:
-        import ray.data
+    result = run_program(
+        graph, prog, _no_change, max_iters=max_iters, out_dir=out_dir,
+        postprocess=fold, actor_cpus=actor_cpus,
+    )
+    if out_dir is None:
+        return result
+    import ray.data
 
-        def batch_fold(b):
-            m = np.stack(b["value"].to_numpy())
-            return fold(b["vertex_id"].to_numpy(), m)
+    return ray.data.read_parquet(result)
 
-        return ray.data.read_parquet(out_dir).map_batches(
-            batch_fold, batch_format="pandas"
-        )
-    mat = np.stack(df["value"].to_numpy())
-    out = fold(df["vertex_id"].to_numpy(), mat)
-    return out.sort_values("vertex_id").reset_index(drop=True)
+
+def _peel(eng, max_supersteps: int, checkpoint_dir=None,
+          checkpoint_interval: int = 0) -> None:
+    """The k-core peel schedule (compute_kcore's per-k loop) shared by
+    :func:`kcore` and :func:`onion_layers`: step until the phase
+    stabilizes, then raise k by broadcast event until some vertex peels;
+    stop once nothing is alive anywhere. k is scalar program state, so a
+    run resumed mid-decomposition continues its phase (restarting at k=1
+    against already-decremented residual degrees would corrupt
+    coreness)."""
+    k = int(eng.get_scalar("k", 1))
+    for _ in range(max_supersteps):
+        m = eng.step()
+        eng.checkpoint_if_due(checkpoint_dir, checkpoint_interval)
+        if m["changed"] == 0:
+            alive = m.get("alive", 0)
+            while alive > 0:
+                k += 1
+                ev = eng.broadcast_event({"k": k})
+                alive = ev.get("alive", 0)
+                if ev.get("changed", 0) > 0:
+                    break  # new removals must propagate decrements
+            else:
+                break  # nothing alive anywhere: done
 
 
 def kcore(graph: Graph, *, out_dir=None, checkpoint_dir=None,
@@ -530,32 +461,14 @@ def kcore(graph: Graph, *, out_dir=None, checkpoint_dir=None,
     """A9: full k-core decomposition (coreness per vertex) by iterative
     peeling on a symmetrized graph. The driver raises k when a phase
     stabilizes (broadcast event), mirroring compute_kcore's per-k loop."""
-    with Engine(graph, KCorePeel(), actor_cpus=actor_cpus) as eng:
-        _maybe_resume(eng, checkpoint_dir, resume)
-        # resume mid-decomposition: the phase counter k is scalar state
-        # persisted with the checkpoint (restarting at k=1 against
-        # already-decremented residual degrees would corrupt coreness)
-        k = int(eng.get_scalar("k", 1))
-        steps = 0
-        while steps < max_supersteps:
-            m = eng.step()
-            steps += 1
-            _maybe_checkpoint(eng, checkpoint_dir, checkpoint_interval)
-            if m["changed"] == 0:
-                alive = m.get("alive", 0)
-                while alive > 0:
-                    k += 1
-                    ev = eng.broadcast_event({"k": k})
-                    alive = ev.get("alive", 0)
-                    if ev.get("changed", 0) > 0:
-                        break  # new removals must propagate decrements
-                else:
-                    break  # nothing alive anywhere: done
-        if checkpoint_dir is not None:
-            eng.checkpoint(checkpoint_dir)
-        result = _finish(eng, out_dir)
-        lineage = list(eng.lineage)
-    return _with_lineage(result, lineage)
+    return run_program(
+        graph, KCorePeel(),
+        drive=lambda eng: _peel(
+            eng, max_supersteps, checkpoint_dir, checkpoint_interval
+        ),
+        out_dir=out_dir, checkpoint_dir=checkpoint_dir, resume=resume,
+        actor_cpus=actor_cpus,
+    )
 
 
 def onion_layers(graph: Graph, *, actor_cpus=None,
@@ -572,35 +485,22 @@ def onion_layers(graph: Graph, *, actor_cpus=None,
 
     from flashray.programs import OnionPeel
 
-    with Engine(graph, OnionPeel(), actor_cpus=actor_cpus) as eng:
-        k = 1
-        steps = 0
-        while steps < max_supersteps:
-            m = eng.step()
-            steps += 1
-            if m["changed"] == 0:
-                alive = m.get("alive", 0)
-                while alive > 0:
-                    k += 1
-                    ev = eng.broadcast_event({"k": k})
-                    alive = ev.get("alive", 0)
-                    if ev.get("changed", 0) > 0:
-                        break
-                else:
-                    break
-        result = _finish(eng, None)
-        lineage = list(eng.lineage)
-    enc = result["value"].to_numpy().astype(np.int64)
-    wave = enc & np.int64(0xFFFF_FFFF)
-    uniq, inv = np.unique(wave, return_inverse=True)
-    out = pd.DataFrame(
-        {
-            "vertex_id": result["vertex_id"].to_numpy().astype(np.int64),
-            "coreness": (enc >> np.int64(32)).astype(np.int64),
-            "layer": (inv + 1).astype(np.int64),
-        }
+    def decode(df):
+        enc = df["value"].to_numpy().astype(np.int64)
+        wave = enc & np.int64(0xFFFF_FFFF)
+        uniq, inv = np.unique(wave, return_inverse=True)
+        return pd.DataFrame(
+            {
+                "vertex_id": df["vertex_id"].to_numpy().astype(np.int64),
+                "coreness": (enc >> np.int64(32)).astype(np.int64),
+                "layer": (inv + 1).astype(np.int64),
+            }
+        )
+
+    return run_program(
+        graph, OnionPeel(), drive=lambda eng: _peel(eng, max_supersteps),
+        postprocess=decode, actor_cpus=actor_cpus,
     )
-    return _with_lineage(out, lineage)
 
 
 def attribute_mixing(graph: Graph, attrs, *, attr_col: str = "attr",
@@ -1220,19 +1120,6 @@ def degree_assortativity(
     return float(num / den) if den > 0 else float("nan")
 
 
-def _with_lineage(result, lineage, **timings):
-    """Attach per-superstep lineage metrics + engine timings to a
-    DataFrame result. With the pipelined runner, per-superstep wall_sec
-    values overlap — use ``superstep_wall_sec`` (true elapsed) for
-    throughput."""
-    try:
-        result.attrs["lineage"] = lineage
-        result.attrs.update(timings)
-    except AttributeError:
-        pass
-    return result
-
-
 def powerlaw_alpha(
     edges,
     *,
@@ -1591,20 +1478,24 @@ def dag_levels(graph: Graph, *, max_iters: int = 10_000, out_dir=None,
     than ``max_iters``); condense SCCs first for general graphs."""
     from flashray.programs import DAGLevels
 
-    result = _frontier_loop(
-        graph, DAGLevels(), max_iters=max_iters, out_dir=out_dir,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        resume=resume, actor_cpus=actor_cpus,
-    )
-    lineage = getattr(result, "attrs", {}).get("lineage")
-    if lineage and lineage[-1].get("changed", 0) > 0:
-        raise ValueError(
-            f"dag_levels did not converge in {max_iters} supersteps — "
-            "the graph has a cycle (or a longer path); run "
-            "scc.condensation first"
+    def drive(eng):
+        eng.run(
+            _no_change,
+            max_iters=max_iters,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_interval=checkpoint_interval,
         )
-    return result
+        if eng.lineage and eng.lineage[-1].get("changed", 0) > 0:
+            raise ValueError(
+                f"dag_levels did not converge in {max_iters} supersteps — "
+                "the graph has a cycle (or a longer path); run "
+                "scc.condensation first"
+            )
+
+    return run_program(
+        graph, DAGLevels(), drive=drive, out_dir=out_dir,
+        checkpoint_dir=checkpoint_dir, resume=resume, actor_cpus=actor_cpus,
+    )
 
 
 def local_cluster(graph: Graph, seed: int, *, damping: float = 0.85,

@@ -60,7 +60,7 @@ def egonet_edges(
     The vertex set is ego-local by construction — the broadcast stays
     small even on huge graphs (raise ``hops`` with care)."""
     from flashray.csr import INT_IDENTITY
-    from flashray.engine import Engine
+    from flashray.engine import run_program
     from flashray.programs import MultiSourceBFS
 
     seeds = [int(s) for s in seeds]
@@ -72,13 +72,14 @@ def egonet_edges(
     # path — exactness matters more than the fused-round saving on an
     # ego-local workload
     prog.stale_mirror_safe = False
-    with Engine(graph, prog, actor_cpus=actor_cpus) as eng:
-        # each BFS superstep advances one hop: capping max_iters at
-        # ``hops`` bounds BOTH the work (O(ball), not O(graph)) and the
-        # distances — every reached vertex is within ``hops`` by
-        # construction, so "reached" is the whole membership test
-        eng.run(lambda m: m["changed"] == 0, max_iters=int(hops))
-        df = eng.values_pandas()
+    # each BFS superstep advances one hop: capping max_iters at ``hops``
+    # bounds BOTH the work (O(ball), not O(graph)) and the distances —
+    # every reached vertex is within ``hops`` by construction, so
+    # "reached" is the whole membership test
+    df = run_program(
+        graph, prog, lambda m: m["changed"] == 0, max_iters=int(hops),
+        actor_cpus=actor_cpus,
+    )
     mat = np.stack(df["value"].to_numpy())
     verts = df.loc[(mat < INT_IDENTITY).any(axis=1), "vertex_id"].to_numpy()
     return subgraph_edges(graph, verts)

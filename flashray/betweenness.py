@@ -27,7 +27,7 @@ import numpy as np
 
 from flashray.build import Graph
 from flashray.csr import INT_IDENTITY
-from flashray.engine import Engine
+from flashray.engine import run_program
 from flashray.programs import VertexProgram
 from flashray.scc import BWD, FWD, build_bidirected
 
@@ -300,37 +300,26 @@ def betweenness(
     else:
         src_list = sorted(int(v) for v in sources)
 
+    def drive(eng):
+        width = batch or 1
+        for i in range(0, len(src_list), width):
+            chunk = [int(s) for s in src_list[i : i + width]]
+            srcs = {"sources": chunk} if batch else {"source": chunk[0]}
+            eng.broadcast_event({"phase": "fwd", **srcs})
+            max_dist = 0
+            while eng.step()["changed"] > 0:
+                max_dist += 1
+            if max_dist > 0:
+                # one backward sweep from the DEEPEST source's level:
+                # shallower sources of a batch just carry empty frontiers
+                # until the sweep reaches their depth
+                eng.broadcast_event({"phase": "bwd", "level": max_dist})
+                for _ in range(max_dist):
+                    eng.step()
+            eng.broadcast_event({"phase": "accumulate", **srcs})
+
     prog = BrandesBatchProgram(batch) if batch else BrandesProgram()
-    with Engine(bi, prog, actor_cpus=actor_cpus) as eng:
-        if batch:
-            for i in range(0, len(src_list), batch):
-                chunk = [int(s) for s in src_list[i : i + batch]]
-                eng.broadcast_event({"phase": "fwd", "sources": chunk})
-                max_dist = 0
-                while eng.step()["changed"] > 0:
-                    max_dist += 1
-                if max_dist > 0:
-                    # one backward sweep from the DEEPEST source's level:
-                    # shallower sources just carry empty frontiers until
-                    # the sweep reaches their depth
-                    eng.broadcast_event({"phase": "bwd", "level": max_dist})
-                    for _ in range(max_dist):
-                        eng.step()
-                eng.broadcast_event({"phase": "accumulate", "sources": chunk})
-        else:
-            for s in src_list:
-                eng.broadcast_event({"phase": "fwd", "source": int(s)})
-                max_dist = 0
-                while eng.step()["changed"] > 0:
-                    max_dist += 1
-                if max_dist > 0:
-                    eng.broadcast_event({"phase": "bwd", "level": max_dist})
-                    level = max_dist
-                    while level > 0:
-                        eng.step()
-                        level -= 1
-                eng.broadcast_event({"phase": "accumulate", "source": int(s)})
-        df = eng.values_pandas().sort_values("vertex_id").reset_index(drop=True)
+    df = run_program(bi, prog, drive=drive, actor_cpus=actor_cpus)
     if normalize and not isinstance(sources, list):
         df["value"] = df["value"] * (n_all / max(len(src_list), 1))
     return df

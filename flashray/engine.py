@@ -68,6 +68,9 @@ partition's aggregate back to the *owning* actor. ``map_batches`` actor
 pools do not guarantee batch→actor affinity. Everything around the loop
 (extraction, graph build, triangles, results, datapipe) stays in the
 Dataset API.
+
+Algorithms open, drive, collect and close their Engine through
+:func:`run_program`; no other module of the package constructs one.
 """
 
 from __future__ import annotations
@@ -92,6 +95,28 @@ def _read_part(base: str, part: int, columns: list[str]) -> pa.Table:
     if not os.path.isdir(path):
         return pa.table({c: pa.array([], type=pa.int64()) for c in columns})
     return pq.read_table(path, columns=columns)
+
+
+def _part_file(d: str, part: int) -> str:
+    """One partition's file in a value dump or checkpoint directory."""
+    return os.path.join(d, f"part-{part:05d}.parquet")
+
+
+def _write_atomic(tbl: pa.Table, path: str) -> None:
+    tmp = path + ".tmp"
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, path)
+
+
+def _mirror_array(program: VertexProgram, n: int, metas) -> np.ndarray:
+    """The signals of all ``n`` split vertices, assembled from every
+    actor's ``(split_pos, split_sig)`` meta; identity where none was sent."""
+    d = program.value_dim
+    full = np.full((n, d) if d else n, program.identity, dtype=program.dtype)
+    for m in metas:
+        if len(m["split_pos"]):
+            full[m["split_pos"]] = m["split_sig"]
+    return full
 
 
 @ray.remote
@@ -392,17 +417,7 @@ class ShardActor:
     def _mirror_from_metas(self, metas) -> np.ndarray | None:
         if not len(self.split_ids):
             return None
-        d = self.program.value_dim
-        full = np.full(
-            (len(self.split_ids), d) if d else len(self.split_ids),
-            self.program.identity,
-            dtype=self.program.dtype,
-        )
-        for m in metas:
-            pos, sig = m["split_pos"], m["split_sig"]
-            if len(pos):
-                full[pos] = sig
-        return full
+        return _mirror_array(self.program, len(self.split_ids), metas)
 
     def _combine_apply_all(self, partials_objs) -> dict:
         """Combine incoming partials and run the vertex update (E5/E8) for
@@ -520,8 +535,9 @@ class ShardActor:
         mirror_signals = self._mirror_from_metas(metas)
         return self._scatter_all(mirror_signals)
 
-    def initial_mirror(self):
-        return self._split_meta()
+    def initial_mirror(self) -> dict:
+        pos, sig = self._split_meta()
+        return {"split_pos": pos, "split_sig": sig}
 
     def on_event(self, payload: dict) -> dict:
         self._state_version += 1
@@ -567,10 +583,8 @@ class ShardActor:
         os.makedirs(out_dir, exist_ok=True)
         paths = []
         for p in self.parts:
-            path = os.path.join(out_dir, f"part-{p:05d}.parquet")
-            tmp = path + ".tmp"
-            pq.write_table(self._values_part(p), tmp)
-            os.replace(tmp, path)
+            path = _part_file(out_dir, p)
+            _write_atomic(self._values_part(p), path)
             paths.append(path)
         return paths
 
@@ -605,10 +619,7 @@ class ShardActor:
                 tbl = tbl.replace_schema_metadata(
                     {b"flashray_scalars": json.dumps(scalars).encode()}
                 )
-            path = os.path.join(d, f"part-{p:05d}.parquet")
-            tmp = path + ".tmp"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, path)
+            _write_atomic(tbl, _part_file(d, p))
         return True
 
     def restore(self, ckpt_dir: str, iteration: int) -> bool:
@@ -616,7 +627,7 @@ class ShardActor:
 
         d = os.path.join(ckpt_dir, f"iter_{iteration:06d}")
         for p in self.parts:
-            t = pq.read_table(os.path.join(d, f"part-{p:05d}.parquet"))
+            t = pq.read_table(_part_file(d, p))
             vids = t["vertex_id"].to_numpy(zero_copy_only=False)
             if not np.array_equal(vids, self.shards[p].vertex_ids):
                 raise AssertionError(f"part {p}: checkpoint vertex mismatch")
@@ -842,17 +853,21 @@ class Engine:
         deterministic, a recovered run is bit-identical to an
         uninterrupted one. Returns the iteration resumed from, and counts
         one more :attr:`recoveries`."""
-        from flashray.checkpoint import has_checkpoint
-
         self._acquire(self._probe_dead())
         self._handshake()
         self.recoveries += 1
         # in-flight rounds chain through refs owned by the dead actor's
         # tasks — discard the whole pipeline and re-bootstrap
+        return self._rollback(checkpoint_dir)
+
+    def _rollback(self, checkpoint_dir: str | None = None) -> int:
+        """Drop the pipeline and return every actor to the last complete
+        checkpoint in ``checkpoint_dir``, or to the initial state when
+        there is none. Returns the iteration resumed from."""
+        from flashray.checkpoint import has_checkpoint
+
         self._pending = []
-        self._meta_refs = None
-        self._partial_refs = None
-        self._prev_meta_refs = None
+        self._meta_refs = self._partial_refs = self._prev_meta_refs = None
         self._restore_mirror = None
         if checkpoint_dir is not None and has_checkpoint(checkpoint_dir):
             return self.restore(checkpoint_dir)
@@ -873,22 +888,11 @@ class Engine:
                 mirror = self._restore_mirror
                 self._restore_mirror = None
             else:
-                metas = [
-                    {"split_pos": p, "split_sig": s}
-                    for p, s in ray.get(
-                        [a.initial_mirror.remote() for a in self.actors]
-                    )
-                ]
-                d = self.program.value_dim
-                full = np.full(
-                    (len(self.split_ids), d) if d else len(self.split_ids),
-                    self.program.identity,
-                    dtype=self.program.dtype,
+                mirror = _mirror_array(
+                    self.program,
+                    len(self.split_ids),
+                    ray.get([a.initial_mirror.remote() for a in self.actors]),
                 )
-                for m in metas:
-                    if len(m["split_pos"]):
-                        full[m["split_pos"]] = m["split_sig"]
-                mirror = full
         rounds = [
             a.scatter_only.options(num_returns=2).remote(mirror)
             for a in self.actors
@@ -1016,20 +1020,10 @@ class Engine:
                 streak = streak + 1 if stop(last) else 0
                 if streak >= need:
                     break
-                if (
-                    checkpoint_interval
-                    and checkpoint_dir is not None
-                    and self.iteration % checkpoint_interval == 0
-                ):
-                    self.checkpoint(checkpoint_dir)
+                self.checkpoint_if_due(checkpoint_dir, checkpoint_interval)
         while self._pending:
             last = self._collect_one()
-            if (
-                checkpoint_interval
-                and checkpoint_dir is not None
-                and self.iteration % checkpoint_interval == 0
-            ):
-                self.checkpoint(checkpoint_dir)
+            self.checkpoint_if_due(checkpoint_dir, checkpoint_interval)
         return last
 
     def drain(self) -> None:
@@ -1040,14 +1034,7 @@ class Engine:
         """Drain and reset program state / iteration counters (for
         warmup-then-measure benchmarking)."""
         self.drain()
-        ray.get([a.reset_state.remote() for a in self.actors])
-        self.iteration = 0
-        self.submitted = 0
-        self.lineage = []
-        self._partial_refs = None
-        self._meta_refs = None
-        self._prev_meta_refs = None
-        self._restore_mirror = None
+        self._rollback()
 
     def _rescatter(self) -> None:
         """Refresh outstanding scatter output after a state mutation
@@ -1075,16 +1062,11 @@ class Engine:
         if self._stale_mirrors and self._prev_meta_refs is not None:
             # persist the mirror the in-flight (lost-on-restore) scatter
             # used — metas#(k-1) — so a resumed run replays it exactly
-            metas = ray.get(self._prev_meta_refs)
-            d = self.program.value_dim
-            full = np.full(
-                (len(self.split_ids), d) if d else len(self.split_ids),
-                self.program.identity,
-                dtype=self.program.dtype,
+            full = _mirror_array(
+                self.program,
+                len(self.split_ids),
+                ray.get(self._prev_meta_refs),
             )
-            for m in metas:
-                if len(m["split_pos"]):
-                    full[m["split_pos"]] = m["split_sig"]
             np.save(
                 os.path.join(
                     ckpt_dir, f"iter_{self.iteration:06d}", "mirror.npy"
@@ -1092,6 +1074,12 @@ class Engine:
                 full,
             )
         write_lineage(ckpt_dir, self.iteration, self.lineage)
+
+    def checkpoint_if_due(self, ckpt_dir: str | None, interval: int) -> None:
+        """Checkpoint when ``ckpt_dir`` is set and the collected superstep
+        count is a multiple of ``interval`` (0 = never)."""
+        if interval and ckpt_dir is not None and self.iteration % interval == 0:
+            self.checkpoint(ckpt_dir)
 
     def restore(self, ckpt_dir: str) -> int:
         from flashray.checkpoint import read_lineage
@@ -1163,3 +1151,87 @@ class Engine:
 
     def __exit__(self, *exc):
         self.close()
+
+
+@ray.remote
+def _postprocess_part(path: str, postprocess) -> None:
+    df = postprocess(pq.read_table(path).to_pandas())
+    _write_atomic(pa.Table.from_pandas(df, preserve_index=False), path)
+
+
+def run_program(
+    graph: Graph,
+    program: VertexProgram,
+    stop=None,
+    *,
+    max_iters: int = 10_000,
+    drive=None,
+    postprocess=None,
+    out_dir: str | None = None,
+    checkpoint_dir: str | None = None,
+    checkpoint_interval: int = 0,
+    resume: bool = False,
+    actor_cpus: float | None = None,
+):
+    """Run one vertex program over ``graph``: the lifecycle of an FGlib
+    call (create ``graph_engine`` → ``start`` → ``wait4complete`` → read
+    the ``FG_vector``; SURVEY.md §3 steps 5–8), shared by every superstep
+    algorithm.
+
+    Open an Engine → restore the last checkpoint in ``checkpoint_dir``
+    when ``resume`` → drive → checkpoint once more when ``checkpoint_dir``
+    is set → collect → close. The drive is either the ``stop`` predicate
+    over each superstep's summed metrics, run pipelined for at most
+    ``max_iters`` supersteps with a checkpoint every
+    ``checkpoint_interval``, or ``drive(eng)`` for multi-phase programs
+    that call ``eng.step``/``eng.broadcast_event`` themselves.
+
+    Without ``out_dir`` the result is the (vertex_id, value, ...) frame
+    sorted by vertex_id, passed through ``postprocess`` when given, with
+    ``attrs`` ``lineage`` (per-superstep metrics), ``engine_init_sec`` and
+    ``superstep_wall_sec`` (the drive's elapsed time; per-superstep
+    ``wall_sec`` values overlap in the pipelined runner). With ``out_dir``
+    each partition's values are written to ``out_dir/part-*.parquet``,
+    ``postprocess`` rewrites each file after close (so it must be
+    row-local), and the path is returned."""
+    from flashray.checkpoint import has_checkpoint
+
+    t0 = time.perf_counter()
+    with Engine(graph, program, actor_cpus=actor_cpus) as eng:
+        t_init = time.perf_counter() - t0
+        if resume and checkpoint_dir is not None and has_checkpoint(checkpoint_dir):
+            eng.restore(checkpoint_dir)
+        t1 = time.perf_counter()
+        if drive is None:
+            eng.run(
+                stop,
+                max_iters=max_iters,
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_interval=checkpoint_interval,
+            )
+        else:
+            drive(eng)
+        t_steps = time.perf_counter() - t1
+        if checkpoint_dir is not None:
+            eng.checkpoint(checkpoint_dir)
+        if out_dir is None:
+            result = eng.values_pandas()
+        else:
+            eng.write_values(out_dir)
+        lineage = list(eng.lineage)
+    if out_dir is not None:
+        if postprocess is not None:
+            ray.get(
+                [
+                    _postprocess_part.remote(_part_file(out_dir, p), postprocess)
+                    for p in range(graph.num_partitions)
+                ]
+            )
+        return out_dir
+    result = result.sort_values("vertex_id").reset_index(drop=True)
+    if postprocess is not None:
+        result = postprocess(result)
+    result.attrs.update(
+        lineage=lineage, engine_init_sec=t_init, superstep_wall_sec=t_steps
+    )
+    return result

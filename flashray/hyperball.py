@@ -319,7 +319,7 @@ def hyperball_engine(
     beyond the requested radius."""
     from flashray.build import build_graph
     from flashray.convert import to_edge_schema
-    from flashray.engine import Engine
+    from flashray.engine import run_program
     from flashray.programs import HyperBallProgram
 
     I64 = pa.int64()
@@ -334,19 +334,21 @@ def hyperball_engine(
         scratch_dir,
         num_partitions=num_partitions,
     )
-    with Engine(g, HyperBallProgram(p=p)) as eng:
-        nf = [eng.broadcast_event({"op": "ball_sum"})["ball_sum"]]  # N(0)
+    nf = []
+
+    def drive(eng):
+        nf.append(eng.broadcast_event({"op": "ball_sum"})["ball_sum"])  # N(0)
         for _ in range(max_iters):
             m = eng.step()
             if m["changed"] == 0:
                 break  # this step's ball_sum duplicates the previous one
             nf.append(m["ball_sum"])  # N(t) = Σ_v |B_t(v)|
-        df = eng.values_pandas()
-    df = df.rename(columns={"value": "ball_est"})
-    out = (
-        df[["vertex_id", "ball_est", "harmonic"]]
-        .sort_values("vertex_id")
-        .reset_index(drop=True)
+
+    out = run_program(
+        g, HyperBallProgram(p=p), drive=drive,
+        postprocess=lambda df: df.rename(columns={"value": "ball_est"})[
+            ["vertex_id", "ball_est", "harmonic"]
+        ],
     )
     return (out, nf) if return_nf else out
 

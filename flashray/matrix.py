@@ -334,7 +334,7 @@ def hits_engine(
     vertex, equal to :func:`hits` up to float rounding."""
     import os
 
-    from flashray.engine import Engine
+    from flashray.engine import run_program
     from flashray.programs import VertexProgram
     from flashray.scc import BWD, FWD, build_bidirected
 
@@ -388,19 +388,18 @@ def hits_engine(
 
     bi = _G.load(bi_path)
 
-    with Engine(bi, _Hits(), actor_cpus=actor_cpus) as eng:
-        eng.run(lambda m: False, max_iters=2 * int(iters))
-        df = eng.values_pandas()
-    df = df.rename(columns={"value": "authority"})
-    if normalize:
-        a_max = float(df["authority"].max() or 0.0)
-        h_max = float(df["hub"].max() or 0.0)
-        df["authority"] = df["authority"] / (a_max if a_max > 0 else 1.0)
-        df["hub"] = df["hub"] / (h_max if h_max > 0 else 1.0)
-    return (
-        df[["vertex_id", "authority", "hub"]]
-        .sort_values("vertex_id")
-        .reset_index(drop=True)
+    def finish(df):
+        df = df.rename(columns={"value": "authority"})
+        if normalize:
+            a_max = float(df["authority"].max() or 0.0)
+            h_max = float(df["hub"].max() or 0.0)
+            df["authority"] = df["authority"] / (a_max if a_max > 0 else 1.0)
+            df["hub"] = df["hub"] / (h_max if h_max > 0 else 1.0)
+        return df[["vertex_id", "authority", "hub"]]
+
+    return run_program(
+        bi, _Hits(), lambda m: False, max_iters=2 * int(iters),
+        postprocess=finish, actor_cpus=actor_cpus,
     )
 
 

@@ -36,7 +36,7 @@ import ray.data
 
 from flashray.build import Graph, build_graph
 from flashray.csr import INT_IDENTITY
-from flashray.engine import Engine
+from flashray.engine import run_program
 from flashray.programs import VertexProgram
 
 NEG = np.iinfo(np.int64).min
@@ -213,16 +213,14 @@ def scc(
         build_bidirected(graph, bi_path)
     bi = Graph.load(bi_path)
 
-    with Engine(bi, SCCProgram(), actor_cpus=actor_cpus) as eng:
+    def drive(eng):
         def ev(phase):
             return eng.broadcast_event({"phase": phase})
 
         ev("deg_fwd"); eng.step()
         ev("deg_bwd"); eng.step()
 
-        rounds = 0
-        while rounds < max_rounds:
-            rounds += 1
+        for _ in range(max_rounds):
             # trim until stable
             m = ev("trim_eval")
             while m["changed"] > 0:
@@ -246,11 +244,9 @@ def scc(
             ev("trim_fwd"); eng.step()
             ev("trim_bwd"); eng.step()
 
-        if out_dir is not None:
-            eng.write_values(out_dir)
-            return out_dir
-        df = eng.values_pandas().sort_values("vertex_id").reset_index(drop=True)
-    return df
+    return run_program(
+        bi, SCCProgram(), drive=drive, out_dir=out_dir, actor_cpus=actor_cpus
+    )
 
 
 def condensation(

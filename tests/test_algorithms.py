@@ -1,10 +1,12 @@
 """Algorithm correctness on closed-form fixtures (FIXTURES.md §4)."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from flashray import algorithms, fixtures
+from flashray import algorithms, betweenness, fixtures, hyperball, matrix, scc
 from flashray.build import build_graph_from_arrays
 
 import oracles
@@ -84,9 +86,17 @@ def test_label_propagation_seeds(tmp_graphs):
     assert got == {0: 7, 1: 7, 2: 7, 10: 9, 11: 9}
 
 
-def test_label_propagation_unreached(tmp_graphs):
+@pytest.mark.parametrize("to_disk", [False, True], ids=["memory", "out_dir"])
+def test_label_propagation_unreached(tmp_graphs, tmp_path, to_disk):
+    """Unreached vertices read -1, in memory and in an ``out_dir`` dump."""
     graph, _ = tmp_graphs("two_components", FIXES["two_components"])
-    df = algorithms.label_propagation(graph, {10: 3})
+    if to_disk:
+        out = algorithms.label_propagation(
+            graph, {10: 3}, out_dir=str(tmp_path / "lp")
+        )
+        df = pd.read_parquet(out)
+    else:
+        df = algorithms.label_propagation(graph, {10: 3})
     got = dict(zip(df["vertex_id"].astype(int), df["value"].astype(int)))
     assert got == {0: -1, 1: -1, 2: -1, 10: 3, 11: 3}
 
@@ -140,6 +150,75 @@ def test_lineage_metrics_present(tmp_graphs):
     for rec in lin:
         assert {"delta", "messages", "active", "iteration", "wall_sec"} <= set(rec)
     assert lin[0]["messages"] == graph.meta.num_edges
+
+
+def _er_dag():
+    src, dst = fixtures.er_edges()
+    return src[src < dst], dst[src < dst]
+
+
+@pytest.fixture(scope="module")
+def engine_inputs(tmp_graphs, tmp_path_factory):
+    return {
+        "g": tmp_graphs("er100", FIXES["er100"])[0],
+        "sym": tmp_graphs("er100_sym", FIXES["er100"], symmetrize=True)[0],
+        "dag": tmp_graphs("er100_dag", _er_dag)[0],
+        "scratch": str(tmp_path_factory.mktemp("engine_scratch")),
+    }
+
+
+ENGINE_FRAMES = {
+    "pagerank": lambda x: algorithms.pagerank(x["g"]),
+    "personalized_pagerank": lambda x: algorithms.personalized_pagerank(
+        x["g"], [0]
+    ),
+    "katz": lambda x: algorithms.katz(x["g"]),
+    "eigenvector_centrality": lambda x: algorithms.eigenvector_centrality(
+        x["g"], iters=5
+    ),
+    "mis": lambda x: algorithms.mis(x["sym"]),
+    "greedy_color": lambda x: algorithms.greedy_color(x["sym"]),
+    "wcc": lambda x: algorithms.wcc(x["g"]),
+    "label_propagation": lambda x: algorithms.label_propagation(
+        x["g"], {0: 1}
+    ),
+    "bfs": lambda x: algorithms.bfs(x["g"], [0]),
+    "sssp": lambda x: algorithms.sssp(x["g"], [0]),
+    "dag_levels": lambda x: algorithms.dag_levels(x["dag"]),
+    "landmark_distances": lambda x: algorithms.landmark_distances(
+        x["g"], [0, 7]
+    ),
+    "multi_ppr": lambda x: algorithms.multi_ppr(x["g"], [0, 7]),
+    "closeness_centrality": lambda x: algorithms.closeness_centrality(
+        x["g"], landmarks=[0, 7]
+    ),
+    "kcore": lambda x: algorithms.kcore(x["sym"]),
+    "onion_layers": lambda x: algorithms.onion_layers(x["sym"]),
+    "hits_engine": lambda x: matrix.hits_engine(
+        x["g"], scratch_dir=x["scratch"]
+    ),
+    "scc": lambda x: scc.scc(x["g"], scratch_dir=x["scratch"]),
+    "betweenness": lambda x: betweenness.betweenness(
+        x["g"], scratch_dir=x["scratch"], sources=4
+    ),
+    "hyperball_engine": lambda x: hyperball.hyperball_engine(
+        x["g"].edges_dataset(columns=["src", "dst"]),
+        os.path.join(x["scratch"], "hyperball"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ENGINE_FRAMES))
+def test_engine_frames_carry_lineage_and_timings(engine_inputs, name):
+    """Every engine algorithm returning a DataFrame reports its run: a
+    non-empty lineage with contiguous iterations, plus the engine init
+    and superstep wall times."""
+    df = ENGINE_FRAMES[name](engine_inputs)
+    lin = df.attrs["lineage"]
+    assert len(lin) > 0
+    assert [r["iteration"] for r in lin] == list(range(len(lin)))
+    assert df.attrs["engine_init_sec"] > 0
+    assert df.attrs["superstep_wall_sec"] > 0
 
 
 def test_skew_tier_pipeline(tmp_path):
@@ -853,10 +932,10 @@ def test_dag_levels_matches_longest_path_and_rejects_cycles(tmp_path):
     gc = build_graph_from_arrays(
         c_src, c_dst, str(tmp_path / "cyc"), num_partitions=2
     )
-    import pytest
-
     with pytest.raises(ValueError, match="cycle"):
         algorithms.dag_levels(gc, max_iters=20)
+    with pytest.raises(ValueError, match="cycle"):
+        algorithms.dag_levels(gc, max_iters=20, out_dir=str(tmp_path / "lv"))
 
 
 def _onion_ref(src, dst):

@@ -70,13 +70,27 @@ def test_resume_frontier_program(er_graph, tmp_path):
     assert (full["value"].to_numpy() == resumed["value"].to_numpy()).all()
 
 
-def test_algorithms_api_resume(er_graph, tmp_path):
+RESUMABLE = {
+    "pagerank": lambda g, **kw: algorithms.pagerank(g, eps=1e-10, **kw),
+    "wcc": algorithms.wcc,
+    "bfs": lambda g, **kw: algorithms.bfs(g, [0], **kw),
+}
+
+
+@pytest.mark.parametrize("name", list(RESUMABLE))
+def test_algorithms_api_resume(er_graph, tmp_path, name):
+    """A run cut after 4 supersteps and resumed from its checkpoints ends
+    where the uninterrupted run ends, with one contiguous lineage."""
+    run = RESUMABLE[name]
     ckpt_dir = str(tmp_path / "api_ckpt")
-    full = algorithms.pagerank(er_graph, eps=1e-10)
-    partial = algorithms.pagerank(
-        er_graph, eps=1e-10, max_iters=4, checkpoint_dir=ckpt_dir, checkpoint_interval=1
-    )
-    resumed = algorithms.pagerank(
-        er_graph, eps=1e-10, checkpoint_dir=ckpt_dir, resume=True
-    )
-    assert np.allclose(full["value"], resumed["value"], atol=1e-12)
+    full = run(er_graph)
+    assert len(full.attrs["lineage"]) > 4  # the cut lands mid-run
+    run(er_graph, max_iters=4, checkpoint_dir=ckpt_dir, checkpoint_interval=1)
+    resumed = run(er_graph, checkpoint_dir=ckpt_dir, resume=True)
+    assert (full["vertex_id"].to_numpy() == resumed["vertex_id"].to_numpy()).all()
+    if name == "pagerank":
+        assert np.allclose(full["value"], resumed["value"], atol=1e-12)
+    else:
+        assert (full["value"].to_numpy() == resumed["value"].to_numpy()).all()
+    lin = resumed.attrs["lineage"]
+    assert [r["iteration"] for r in lin] == list(range(len(lin)))
