@@ -1,4 +1,4 @@
-"""Triangle counting + scan statistics as a Ray Data wedge-join dataflow.
+"""Triangle counting + scan statistics as a Ray Data wedge dataflow.
 
 Reference: ``libgraph-algs/undirected_triangle_graph.cpp`` —
 ``compute_undirected_triangles`` (SURVEY.md §2.2 A5): the reference fetches
@@ -8,15 +8,26 @@ neighborhood-intersection is restructured as a join (SURVEY.md §2.1 E9):
 
 1. canonical undirected edges (one row per edge; for a symmetrized graph a
    plain ``src < dst`` filter — no shuffle),
-2. degree-orient each edge low→high by (degree, id) — bounds each vertex's
-   oriented out-degree by the graph degeneracy, so super-hubs do not
-   explode the wedge count (the reference's degree-ordering trick),
-3. wedges: every pair (b1, b2) in a center's oriented adjacency, generated
-   fully vectorized (flashray.joins.pairs_within_groups — no per-group
-   Python),
-4. close wedges against the oriented edge set on the id-canonical pair key;
-   every match is one triangle, counted exactly once (the center is the
+2. degree-orient each edge low→high by (degree, id) (:func:`_orient`) —
+   bounds each vertex's oriented out-degree by the graph degeneracy, so
+   super-hubs do not explode the wedge count (the reference's
+   degree-ordering trick),
+3. one numpy wedge kernel over a sorted out-adjacency (CSR) in compact
+   vertex codes (:func:`_wedge_state`, :func:`_wedges`): each oriented
+   edge (a, b) pairs b with every LATER out-neighbor c of a, so each wedge
+   is listed once, with b < c,
+4. close every wedge against the canonical edge set; every closed wedge
+   is one triangle, counted exactly once (the center is the
    (deg,id)-smallest member).
+
+Three executors run that one kernel. The local one (below
+``LOCAL_EDGE_THRESHOLD`` edges) calls it once over all edges in process;
+the broadcast one (below ``BROADCAST_CSR_EDGE_LIMIT``) ``ray.put``s the
+CSR once and maps the same call over the oriented blocks. Both close
+wedges by a sorted-key probe (:func:`_lookup`). The bucket executor (above
+the limit) runs the kernel per center bucket on that bucket's own CSR and
+closes wedges by a bucketed hash join, since the closing edges are not in
+the bucket. :func:`_closed_wedges` is the one broadcast/bucket choice.
 
 Joins use flashray.joins.bucket_hash_join (single groupby shuffle per join,
 vectorized pandas merge per bucket) — Ray 2.49's Dataset.join aggregator
@@ -29,14 +40,57 @@ the closed 1-hop neighborhood; top-k = sort + limit over the scan vector.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from flashray.build import Graph
-from flashray.joins import bucket_hash_join, pairs_within_groups
+from flashray.joins import (
+    bucket_group_agg,
+    bucket_hash_join,
+    pairs_within_groups,
+)
+
+I64 = pa.int64()
+_EDGES = pa.schema([("lo", I64), ("hi", I64)])
+_DEG = pa.schema([("vertex_id", I64), ("deg", I64)])
+_WEDGES = pa.schema([("w1", I64), ("w2", I64), ("center", I64)])
+_CLOSING = pa.schema([("w1", I64), ("w2", I64)])
+_TRIANGLES = pa.schema([("vertex_id", I64), ("triangles", I64)])
+_SUPPORT = pa.schema([("lo", I64), ("hi", I64), ("support", I64)])
+_CLIQUES = pa.schema([("vertex_id", I64), ("cliques4", I64)])
+
+
+def _typed(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
+    """``ds`` with a known schema even when it has no rows: a shuffle over
+    zero rows yields no blocks and so no schema; one empty block fixes it."""
+    return ds.union(ray.data.from_arrow(schema.empty_table()))
+
+
+def _table_ds(schema: pa.Schema, *cols) -> ray.data.Dataset:
+    """A Dataset of numpy columns, typed by ``schema`` (empty or not)."""
+    return ray.data.from_arrow(
+        pa.table(dict(zip(schema.names, cols)), schema=schema)
+    )
+
+
+def _frame_ds(df: pd.DataFrame, schema: pa.Schema) -> ray.data.Dataset:
+    return ray.data.from_arrow(
+        pa.Table.from_pandas(df, schema=schema, preserve_index=False)
+    )
+
+
+def _columns(ds: ray.data.Dataset, names: list[str]) -> list[np.ndarray]:
+    """Collect int64 columns on the driver. ``to_pandas`` of an empty
+    Dataset has no columns at all, typed or not: read those as empty."""
+    df = ds.to_pandas()
+    return [
+        df[c].to_numpy(dtype=np.int64) if len(df) else np.zeros(0, np.int64)
+        for c in names
+    ]
 
 
 def _canonical_undirected(graph: Graph) -> ray.data.Dataset:
@@ -61,8 +115,6 @@ def _canonical_undirected(graph: Graph) -> ray.data.Dataset:
     # in both branches (symmetrized included). This is a full shuffle, so
     # callers that consume the result twice must materialize it (a lazy
     # Dataset re-executes its whole upstream per consumer).
-    from flashray.joins import bucket_group_agg
-
     return bucket_group_agg(out, ["lo", "hi"], None)
 
 
@@ -78,8 +130,6 @@ def _deg_from_und(und: ray.data.Dataset) -> ray.data.Dataset:
                 "deg": np.ones(2 * len(lo), dtype=np.int64),
             }
         )
-
-    from flashray.joins import bucket_group_agg
 
     return bucket_group_agg(
         und.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True),
@@ -105,15 +155,45 @@ def _degree_table(graph: Graph, und: ray.data.Dataset) -> ray.data.Dataset:
 BROADCAST_VERTEX_LIMIT = 20_000_000  # ~240 MB of (id, deg) arrays
 
 
+def _degree_lookup(deg: ray.data.Dataset):
+    """Broadcast the degree table once as sorted (ids, deg) arrays. The
+    returned ``lookup(*id_arrays) -> degree arrays`` runs inside
+    ``map_batches`` tasks."""
+    vid, d = _columns(deg, ["vertex_id", "deg"])
+    order = np.argsort(vid)
+    ref = ray.put((vid[order], d[order]))
+
+    def lookup(*cols: np.ndarray) -> list[np.ndarray]:
+        ids, dg = ray.get(ref)
+        return [dg[np.searchsorted(ids, c)] for c in cols]
+
+    return lookup
+
+
+def _orient(
+    lo: np.ndarray, hi: np.ndarray, dlo: np.ndarray, dhi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The orientation rule: edge {lo, hi} becomes a -> b with
+    (deg(a), a) < (deg(b), b)."""
+    lo_first = (dlo < dhi) | ((dlo == dhi) & (lo < hi))
+    return np.where(lo_first, lo, hi), np.where(lo_first, hi, lo)
+
+
 def _oriented_edges(graph: Graph, num_buckets: int) -> ray.data.Dataset:
-    """Degree-orient canonical edges: a -> b iff (deg(a), a) < (deg(b), b)."""
+    """Degree-oriented canonical edges (a, b), materialized: they feed
+    both the wedge listing and the closing step, so the canonical-dedup
+    shuffle (+ orientation joins on the huge-graph path) runs once, not
+    once per consumer. Cost: E × 16 B of (a, b) int64 pairs in the object
+    store (spillable) — far cheaper than re-running a full shuffle."""
     und = _canonical_undirected(graph)
     if not graph.meta.symmetrized:
         # the directed branch consumes und twice (degree count + orient):
         # pin the dedup-shuffle output so it executes once
         und = und.materialize()
     deg = _degree_table(graph, und)
-    return _orient_und(und, deg, graph.meta.num_vertices, num_buckets)
+    return _orient_und(
+        und, deg, graph.meta.num_vertices, num_buckets
+    ).materialize()
 
 
 def _orient_und(
@@ -130,37 +210,21 @@ def _orient_und(
     vectorized searchsorted per batch — no join shuffles. The partitioned
     hash-join path remains for vertex tables beyond the broadcast limit."""
     if num_vertices <= BROADCAST_VERTEX_LIMIT:
-        import ray as _ray
-
-        dpd = deg.to_pandas()
-        order = np.argsort(dpd["vertex_id"].to_numpy())
-        ids_ref = _ray.put(dpd["vertex_id"].to_numpy()[order])
-        deg_ref = _ray.put(dpd["deg"].to_numpy()[order])
+        degree = _degree_lookup(deg)
 
         def orient_bcast(b: pa.Table) -> pa.Table:
-            ids = _ray.get(ids_ref)
-            dg = _ray.get(deg_ref)
             lo = b["lo"].to_numpy(zero_copy_only=False)
             hi = b["hi"].to_numpy(zero_copy_only=False)
-            dlo = dg[np.searchsorted(ids, lo)]
-            dhi = dg[np.searchsorted(ids, hi)]
-            lo_first = (dlo < dhi) | ((dlo == dhi) & (lo < hi))
-            return pa.table(
-                {
-                    "a": np.where(lo_first, lo, hi),
-                    "b": np.where(lo_first, hi, lo),
-                }
-            )
+            a, bb = _orient(lo, hi, *degree(lo, hi))
+            return pa.table({"a": a, "b": bb})
 
         return und.map_batches(
             orient_bcast, batch_format="pyarrow", zero_copy_batch=True
         )
 
-    I64 = pa.int64()
     j = bucket_hash_join(
         und, deg, ["lo"], right_on=["vertex_id"], num_buckets=num_buckets,
-        left_schema=pa.schema([("lo", I64), ("hi", I64)]),
-        right_schema=pa.schema([("vertex_id", I64), ("deg", I64)]),
+        left_schema=_EDGES, right_schema=_DEG,
     )
     # columns now: lo, hi, deg  (deg of lo)
     j = j.map_batches(
@@ -172,113 +236,192 @@ def _orient_und(
     j = bucket_hash_join(
         j, deg, ["hi"], right_on=["vertex_id"], num_buckets=num_buckets,
         left_schema=pa.schema([("lo", I64), ("hi", I64), ("deg_lo", I64)]),
-        right_schema=pa.schema([("vertex_id", I64), ("deg", I64)]),
+        right_schema=_DEG,
     )
 
     def orient(b: pa.Table) -> pa.Table:
-        lo = b["lo"].to_numpy(zero_copy_only=False)
-        hi = b["hi"].to_numpy(zero_copy_only=False)
-        dlo = b["deg_lo"].to_numpy(zero_copy_only=False)
-        dhi = b["deg"].to_numpy(zero_copy_only=False)
-        lo_first = (dlo < dhi) | ((dlo == dhi) & (lo < hi))
-        return pa.table(
-            {
-                "a": np.where(lo_first, lo, hi),
-                "b": np.where(lo_first, hi, lo),
-            }
-        )
+        cols = [
+            b[c].to_numpy(zero_copy_only=False)
+            for c in ("lo", "hi", "deg_lo", "deg")
+        ]
+        a, bb = _orient(*cols)
+        return pa.table({"a": a, "b": bb})
 
     return j.map_batches(orient, batch_format="pyarrow")
 
 
-# Hybrid routing (the duplicate_groups/broadcast-orientation pattern):
-# wedge dataflows cost a fixed ~4 all-to-alls regardless of size, pure
-# latency on small graphs; below this edge count the SAME
-# orient/wedge/close rule runs as one vectorized in-process kernel.
+# ---------------------------------------------------------------------------
+# The wedge kernel (shared by the local, broadcast and bucket executors)
+# ---------------------------------------------------------------------------
+
+
+class _WedgeState(NamedTuple):
+    """Sorted out-adjacency (CSR) of a set of oriented edges a -> b, in
+    compact vertex codes so that a pair key ``x * nv + y`` stays inside
+    int64 whatever the vertex ids are."""
+
+    ids: np.ndarray  # code -> vertex id (sorted)
+    indptr: np.ndarray  # out-edges of code x: adj[indptr[x]:indptr[x + 1]]
+    adj: np.ndarray  # b codes, ascending within each a
+    edge_keys: np.ndarray  # a * nv + b in CSR order (ascending)
+    closing_keys: np.ndarray  # sorted min * nv + max of every edge
+    nv: int
+
+
+def _wedge_state(a: np.ndarray, b: np.ndarray) -> _WedgeState:
+    ids = np.unique(np.concatenate([a, b]))
+    nv = len(ids)
+    ca = np.searchsorted(ids, a)
+    cb = np.searchsorted(ids, b)
+    order = np.lexsort((cb, ca))
+    ca, cb = ca[order], cb[order]
+    return _WedgeState(
+        ids,
+        np.searchsorted(ca, np.arange(nv + 1)),
+        cb,
+        ca * nv + cb,
+        np.sort(np.minimum(ca, cb) * nv + np.maximum(ca, cb)),
+        nv,
+    )
+
+
+def _wedges(
+    a: np.ndarray, b: np.ndarray, st: _WedgeState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wedges of oriented edges (a, b) — original ids, any subset of the
+    state's edges: each edge pairs b with every LATER out-neighbor c of a
+    in the CSR, so every wedge of center a is listed exactly once over the
+    whole edge set, with b < c. Returns codes (w1, w2, center)."""
+    ca = np.searchsorted(st.ids, a)
+    cb = np.searchsorted(st.ids, b)
+    start = np.searchsorted(st.edge_keys, ca * st.nv + cb) + 1
+    n = st.indptr[ca + 1] - start
+    edge = np.repeat(np.arange(len(ca)), n)
+    flat = np.arange(len(edge)) - (np.cumsum(n) - n)[edge] + start[edge]
+    return cb[edge], st.adj[flat], ca[edge]
+
+
+def _lookup(keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probe sorted int64 ``keys``: (insert position, present?) per query."""
+    pos = np.searchsorted(keys, q)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == q[hit]
+    return pos, hit
+
+
+def _closed(
+    a: np.ndarray, b: np.ndarray, st: _WedgeState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed wedges (w1, w2, center), original ids, of oriented edges
+    (a, b): the kernel's wedges probed against the state's closing keys."""
+    w1, w2, c = _wedges(a, b, st)
+    _, hit = _lookup(st.closing_keys, w1 * st.nv + w2)
+    return st.ids[w1[hit]], st.ids[w2[hit]], st.ids[c[hit]]
+
+
+def _wedge_table(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> pa.Table:
+    return pa.table({"w1": w1, "w2": w2, "center": c}, schema=_WEDGES)
+
+
+def _member_edges(
+    w1: np.ndarray, w2: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The three canonical edges (lo, hi) of each closed wedge (w1 < w2)."""
+    return (
+        np.concatenate([w1, np.minimum(c, w1), np.minimum(c, w2)]),
+        np.concatenate([w2, np.maximum(c, w1), np.maximum(c, w2)]),
+    )
+
+
+def _pair_keys(ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.searchsorted(ids, x) * len(ids) + np.searchsorted(ids, y)
+
+
+# Hybrid routing (the duplicate_groups/broadcast-orientation pattern): the
+# distributed executors cost a fixed 2–4 all-to-alls regardless of size,
+# pure latency on small graphs; below this edge count the SAME kernel runs
+# once over all edges in process (the local executor).
 # graph.meta.num_edges (>= canonical rows) gates it without extra passes.
 LOCAL_EDGE_THRESHOLD = 200_000
+
+
+def _is_local(graph: Graph, local_threshold: int | None) -> bool:
+    return bool(local_threshold) and graph.meta.num_edges <= local_threshold
 
 
 def _local_closed_wedges(
     lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed wedges of a deduped canonical edge set, vectorized
-    in-process — the exact local mirror of _orient_und +
-    _closed_from_oriented (same degree orientation, same
-    pairs_within_groups wedge enumeration, same closing-edge probe).
+    """The local executor: closed wedges of a deduped canonical edge set,
+    in process — the orientation rule, then the wedge kernel once over all
+    edges (the broadcast executor maps the same call over blocks).
     Returns (w1, w2, center) with w1 < w2, original vertex ids."""
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
-    ne = len(lo)
-    if ne == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    ids = np.unique(np.concatenate([lo, hi]))
-    nv = len(ids)
-    clo = np.searchsorted(ids, lo)
-    chi = np.searchsorted(ids, hi)
-    deg = np.bincount(np.concatenate([clo, chi]), minlength=nv)
-    dlo, dhi = deg[clo], deg[chi]
-    # code comparison == id comparison (searchsorted is monotonic)
-    lo_first = (dlo < dhi) | ((dlo == dhi) & (clo < chi))
-    a = np.where(lo_first, clo, chi)
-    b = np.where(lo_first, chi, clo)
-    order = np.lexsort((b, a))
-    w1, w2, center = pairs_within_groups(a[order], b[order])
-    ekey = np.sort(np.minimum(clo, chi) * nv + np.maximum(clo, chi))
-    wkey = np.minimum(w1, w2) * nv + np.maximum(w1, w2)
-    pos = np.searchsorted(ekey, wkey)
-    closed = (pos < ne) & (ekey[np.minimum(pos, ne - 1)] == wkey)
-    return ids[w1[closed]], ids[w2[closed]], ids[center[closed]]
+    ids, inv = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    deg = np.bincount(inv)
+    a, b = _orient(lo, hi, deg[inv[: len(lo)]], deg[inv[len(lo):]])
+    return _closed(a, b, _wedge_state(a, b))
 
 
-def _local_und_pdf(graph: Graph) -> pd.DataFrame:
-    return _canonical_undirected(graph).to_pandas()
+def _local_und(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi = _columns(_canonical_undirected(graph), ["lo", "hi"])
+    return lo, hi
 
 
-def _local_deg_pdf(graph: Graph, und: pd.DataFrame) -> pd.DataFrame:
+def _local_deg(graph: Graph, lo: np.ndarray, hi: np.ndarray) -> pd.DataFrame:
     """Local mirror of _degree_table (same source columns)."""
     if graph.meta.symmetrized:
-        d = graph.vertices_dataset(
-            columns=["vertex_id", "out_degree"]
-        ).to_pandas()
-        return d.rename(columns={"out_degree": "deg"})
-    vid, cnt = np.unique(
-        np.concatenate([und["lo"].to_numpy(), und["hi"].to_numpy()]),
-        return_counts=True,
-    )
-    return pd.DataFrame({"vertex_id": vid, "deg": cnt.astype(np.int64)})
+        vid, deg = _columns(
+            graph.vertices_dataset(columns=["vertex_id", "out_degree"]),
+            ["vertex_id", "out_degree"],
+        )
+    else:
+        vid, deg = np.unique(np.concatenate([lo, hi]), return_counts=True)
+    return pd.DataFrame({"vertex_id": vid, "deg": deg.astype(np.int64)})
 
 
-def _local_tri_counts(und: pd.DataFrame) -> pd.DataFrame:
-    w1, w2, c = _local_closed_wedges(
-        und["lo"].to_numpy(), und["hi"].to_numpy()
-    )
-    vid, cnt = np.unique(np.concatenate([w1, w2, c]), return_counts=True)
-    return pd.DataFrame(
-        {"vertex_id": vid.astype(np.int64), "triangles": cnt.astype(np.int64)}
-    )
+def _vertex_counts(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex_id, occurrences) over the concatenated id columns."""
+    vid, cnt = np.unique(np.concatenate(cols), return_counts=True)
+    return vid.astype(np.int64), cnt.astype(np.int64)
 
 
-# Below this many EDGES the oriented edge set broadcasts once as sorted
-# arrays (ids, CSR offsets, adjacency, canonical edge keys — ~40 B/edge)
-# and the wedge expansion + closing-edge probe run SHUFFLE-FREE inside
-# map_batches (the walks.py CSR-broadcast idiom): the two all-to-alls of
-# the join dataflow (wedge groupby + closure join) disappear, and the
-# O(Σ deg²)-bounded wedge work stays distributed across the actor pool —
-# unlike LOCAL_EDGE_THRESHOLD's single-threaded kernel. Above the limit
-# the partitioned join dataflow is unchanged.
+def _local_tri_counts(lo: np.ndarray, hi: np.ndarray) -> pd.DataFrame:
+    vid, cnt = _vertex_counts(*_local_closed_wedges(lo, hi))
+    return pd.DataFrame({"vertex_id": vid, "triangles": cnt})
+
+
+def _local_support(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Triangle support of every canonical edge (lo, hi), in process:
+    the local kernel, the member-edge expansion, one count per edge."""
+    mlo, mhi = _member_edges(*_local_closed_wedges(lo, hi))
+    ids = np.unique(np.concatenate([lo, hi]))
+    key = _pair_keys(ids, lo, hi)
+    order = np.argsort(key)
+    pos, _ = _lookup(key[order], _pair_keys(ids, mlo, mhi))
+    support = np.empty(len(lo), dtype=np.int64)
+    support[order] = np.bincount(pos, minlength=len(lo))
+    return support
+
+
+# Below this many EDGES the broadcast executor runs: the wedge state (ids,
+# CSR offsets, adjacency, edge and closing keys — ~40 B/edge) goes out once
+# via ray.put and the kernel maps over the oriented blocks SHUFFLE-FREE
+# (the walks.py CSR-broadcast idiom), keeping the O(Σ deg²)-bounded wedge
+# work distributed across the actor pool — unlike LOCAL_EDGE_THRESHOLD's
+# single-threaded call. Above the limit the bucket executor runs the same
+# kernel per center bucket and closes wedges by join (two all-to-alls).
 BROADCAST_CSR_EDGE_LIMIT = 20_000_000
 
 
-def _closed_wedges(graph: Graph, num_buckets: int) -> ray.data.Dataset:
-    # oriented feeds BOTH the wedge expansion and the closing-edge probe;
-    # materialize so the canonical-dedup shuffle (+ orientation joins on
-    # the huge-graph path) executes once, not once per consumer. Cost:
-    # E × 16 B of (a, b) int64 pairs in the object store (spillable) —
-    # far cheaper than re-running a full shuffle at 100× scale.
-    oriented = _oriented_edges(graph, num_buckets).materialize()
-    if graph.meta.num_edges <= BROADCAST_CSR_EDGE_LIMIT:
+def _closed_wedges(
+    oriented: ray.data.Dataset, num_edges: int, num_buckets: int
+) -> ray.data.Dataset:
+    """Closed wedges (w1, w2, center) of a materialized oriented edge set
+    of ``num_edges`` edges: the broadcast executor up to
+    BROADCAST_CSR_EDGE_LIMIT, the bucket executor above."""
+    if num_edges <= BROADCAST_CSR_EDGE_LIMIT:
         return _closed_from_oriented_broadcast(oriented)
     return _closed_from_oriented(oriented, num_buckets)
 
@@ -286,97 +429,50 @@ def _closed_wedges(graph: Graph, num_buckets: int) -> ray.data.Dataset:
 def _closed_from_oriented_broadcast(
     oriented: ray.data.Dataset,
 ) -> ray.data.Dataset:
-    """Shuffle-free closed-wedge pass: collapse the (already materialized)
-    oriented edge set once, broadcast (sorted-by-(a,b) arrays + canonical
-    edge keys) via ray.put, then map over the SAME oriented blocks — each
-    edge (a, b) pairs b with every LATER out-neighbor c of a (sorted
-    adjacency ⇒ each unordered pair once, w1 < w2 by construction), and
-    the closing probe is one searchsorted into the broadcast key array.
-    Output schema/rows identical to _closed_from_oriented."""
-    opd = oriented.to_pandas()
-    a0 = opd["a"].to_numpy(dtype=np.int64)
-    b0 = opd["b"].to_numpy(dtype=np.int64)
-    if not len(a0):
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "w1": pa.array([], type=pa.int64()),
-                    "w2": pa.array([], type=pa.int64()),
-                    "center": pa.array([], type=pa.int64()),
-                }
-            )
-        )
-    ids = np.unique(np.concatenate([a0, b0]))
-    nv = len(ids)
-    ca = np.searchsorted(ids, a0)
-    cb = np.searchsorted(ids, b0)
-    order = np.lexsort((cb, ca))
-    ca_s, cb_s = ca[order], cb[order]
-    indptr = np.searchsorted(ca_s, np.arange(nv + 1))
-    edge_sorted = ca_s * nv + cb_s  # ascending (lexsort)
-    ekey = np.sort(
-        np.minimum(ca_s, cb_s) * nv + np.maximum(ca_s, cb_s)
-    )
-    ref = ray.put((ids, indptr, cb_s, edge_sorted, ekey, nv))
+    """Shuffle-free closed-wedge pass: collect the oriented edge set once,
+    ``ray.put`` its wedge state, then map the kernel over the SAME
+    oriented blocks."""
+    ref = ray.put(_wedge_state(*_columns(oriented, ["a", "b"])))
 
     def probe(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        ids_, indptr_, adj, es_, ek_, nv_ = _ray.get(ref)
-        aa = np.searchsorted(ids_, batch["a"].to_numpy(zero_copy_only=False))
-        bb = np.searchsorted(ids_, batch["b"].to_numpy(zero_copy_only=False))
-        # this edge's global position in the (a, b)-sorted order; partners
-        # are the strictly-later out-neighbors of a
-        pos = np.searchsorted(es_, aa * nv_ + bb)
-        starts = pos + 1
-        ends = indptr_[aa + 1]
-        n = ends - starts
-        total = int(n.sum())
-        if total == 0:
-            return pa.table(
-                {
-                    "w1": pa.array([], type=pa.int64()),
-                    "w2": pa.array([], type=pa.int64()),
-                    "center": pa.array([], type=pa.int64()),
-                }
-            )
-        gidx = np.repeat(np.arange(len(aa)), n)
-        off = np.concatenate([[0], np.cumsum(n)[:-1]])
-        flat = np.arange(total) - off[gidx] + starts[gidx]
-        w1 = np.repeat(bb, n)  # adj sorted ascending ⇒ w1 < w2
-        w2 = adj[flat]
-        center = np.repeat(aa, n)
-        wkey = w1 * nv_ + w2
-        p = np.searchsorted(ek_, wkey)
-        closed = (p < len(ek_)) & (ek_[np.minimum(p, len(ek_) - 1)] == wkey)
-        return pa.table(
-            {
-                "w1": pa.array(ids_[w1[closed]]),
-                "w2": pa.array(ids_[w2[closed]]),
-                "center": pa.array(ids_[center[closed]]),
-            }
-        )
+        a = batch["a"].to_numpy(zero_copy_only=False)
+        b = batch["b"].to_numpy(zero_copy_only=False)
+        return _wedge_table(*_closed(a, b, ray.get(ref)))
 
     return oriented.map_batches(
         probe, batch_format="pyarrow", zero_copy_batch=True
     )
 
 
+def _closing_keys(oriented: ray.data.Dataset) -> ray.data.Dataset:
+    def okey(b: pa.Table) -> pa.Table:
+        a = b["a"].to_numpy(zero_copy_only=False)
+        bb = b["b"].to_numpy(zero_copy_only=False)
+        return pa.table({"w1": np.minimum(a, bb), "w2": np.maximum(a, bb)})
+
+    return oriented.map_batches(okey, batch_format="pyarrow")
+
+
 def _closed_from_oriented(
     oriented: ray.data.Dataset, num_buckets: int
 ) -> ray.data.Dataset:
+    """The bucket executor: each center bucket lists its wedges with the
+    kernel over its own CSR (every out-edge of a center lands in the
+    center's bucket); wedges close by one bucketed join against the
+    closing keys."""
+
     def bucket_by_center(b: pa.Table) -> pa.Table:
         a = b["a"].to_numpy(zero_copy_only=False)
         return b.append_column(
             "cbucket", pa.array((a % num_buckets).astype(np.int64))
         )
 
-    def wedges_of_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g["b"].to_numpy(), g["a"].to_numpy()))
-        a = g["a"].to_numpy()[order]
-        b = g["b"].to_numpy()[order]
-        w1, w2, center = pairs_within_groups(a, b)
-        return pd.DataFrame({"w1": w1, "w2": w2, "center": center})
+    def wedges_of_bucket(g: pd.DataFrame) -> pa.Table:
+        a = g["a"].to_numpy(dtype=np.int64)
+        b = g["b"].to_numpy(dtype=np.int64)
+        st = _wedge_state(a, b)
+        w1, w2, c = _wedges(a, b, st)
+        return _wedge_table(st.ids[w1], st.ids[w2], st.ids[c])
 
     wedges = (
         oriented.map_batches(
@@ -385,18 +481,9 @@ def _closed_from_oriented(
         .groupby("cbucket")
         .map_groups(wedges_of_bucket, batch_format="pandas")
     )
-
-    def okey(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False)
-        bb = b["b"].to_numpy(zero_copy_only=False)
-        return pa.table({"w1": np.minimum(a, bb), "w2": np.maximum(a, bb)})
-
-    closing = oriented.map_batches(okey, batch_format="pyarrow")
-    I64 = pa.int64()
     return bucket_hash_join(
-        wedges, closing, ["w1", "w2"], num_buckets=num_buckets,
-        left_schema=pa.schema([("w1", I64), ("w2", I64), ("center", I64)]),
-        right_schema=pa.schema([("w1", I64), ("w2", I64)]),
+        wedges, _closing_keys(oriented), ["w1", "w2"],
+        num_buckets=num_buckets, left_schema=_WEDGES, right_schema=_CLOSING,
     )
 
 
@@ -410,10 +497,11 @@ def triangles(
     in no triangle are absent (left-join the vertex table for zeros).
     Below ``local_threshold`` edges the wedge pass runs in-process
     (see LOCAL_EDGE_THRESHOLD); 0/None forces the distributed dataflow."""
-    if local_threshold and graph.meta.num_edges <= local_threshold:
-        return ray.data.from_pandas(_local_tri_counts(_local_und_pdf(graph)))
+    if _is_local(graph, local_threshold):
+        closed = _local_closed_wedges(*_local_und(graph))
+        return _table_ds(_TRIANGLES, *_vertex_counts(*closed))
     B = num_buckets or max(16, graph.num_partitions)
-    closed = _closed_wedges(graph, B)
+    closed = _closed_wedges(_oriented_edges(graph, B), graph.meta.num_edges, B)
 
     def to_members(b: pa.Table) -> pa.Table:
         w1 = b["w1"].to_numpy(zero_copy_only=False)
@@ -426,12 +514,15 @@ def triangles(
             }
         )
 
-    from flashray.joins import bucket_group_agg
-
-    return bucket_group_agg(
-        closed.map_batches(to_members, batch_format="pyarrow", zero_copy_batch=True),
-        ["vertex_id"],
-        {"triangles": ("triangles", "sum")},
+    return _typed(
+        bucket_group_agg(
+            closed.map_batches(
+                to_members, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["vertex_id"],
+            {"triangles": ("triangles", "sum")},
+        ),
+        _TRIANGLES,
     )
 
 
@@ -448,54 +539,29 @@ def edge_support(
     sum. ``include_zero`` left-joins the canonical edge set so
     triangle-free edges appear with support 0. Below ``local_threshold``
     edges the pass runs in-process (see LOCAL_EDGE_THRESHOLD)."""
-    if local_threshold and graph.meta.num_edges <= local_threshold:
-        und = _local_und_pdf(graph)
-        lo = und["lo"].to_numpy()
-        hi = und["hi"].to_numpy()
-        w1, w2, c = _local_closed_wedges(lo, hi)
-        mlo = np.concatenate([w1, np.minimum(c, w1), np.minimum(c, w2)])
-        mhi = np.concatenate([w2, np.maximum(c, w1), np.maximum(c, w2)])
-        sup_df = (
-            pd.DataFrame({"lo": mlo, "hi": mhi})
-            .groupby(["lo", "hi"])
-            .size()
-            .rename("support")
-            .reset_index()
-        )
-        if include_zero:
-            sup_df = und.merge(sup_df, on=["lo", "hi"], how="left")
-            sup_df["support"] = sup_df["support"].fillna(0)
-        return ray.data.from_pandas(
-            sup_df.astype(
-                {"lo": "int64", "hi": "int64", "support": "int64"}
-            )
-        )
+    if _is_local(graph, local_threshold):
+        lo, hi = _local_und(graph)
+        sup = _local_support(lo, hi)
+        keep = slice(None) if include_zero else sup > 0
+        return _table_ds(_SUPPORT, lo[keep], hi[keep], sup[keep])
     B = num_buckets or max(16, graph.num_partitions)
-    closed = _closed_wedges(graph, B)
+    closed = _closed_wedges(_oriented_edges(graph, B), graph.meta.num_edges, B)
     sup = _support_from_closed(closed, B)
-    if not include_zero:
-        return sup
-    return _support_with_zeros(_canonical_undirected(graph), sup, B)
+    if include_zero:
+        sup = _support_with_zeros(_canonical_undirected(graph), sup, B)
+    return _typed(sup, _SUPPORT)
 
 
 def _support_from_closed(
     closed: ray.data.Dataset, num_buckets: int
 ) -> ray.data.Dataset:
     def to_edges(b: pa.Table) -> pa.Table:
-        w1 = b["w1"].to_numpy(zero_copy_only=False)
-        w2 = b["w2"].to_numpy(zero_copy_only=False)
-        c = b["center"].to_numpy(zero_copy_only=False)
-        lo = np.concatenate([w1, np.minimum(c, w1), np.minimum(c, w2)])
-        hi = np.concatenate([w2, np.maximum(c, w1), np.maximum(c, w2)])
-        return pa.table(
-            {
-                "lo": lo,
-                "hi": hi,
-                "support": np.ones(3 * len(c), dtype=np.int64),
-            }
+        lo, hi = _member_edges(
+            *(b[c].to_numpy(zero_copy_only=False) for c in _WEDGES.names)
         )
-
-    from flashray.joins import bucket_group_agg
+        return pa.table(
+            {"lo": lo, "hi": hi, "support": np.ones(len(lo), dtype=np.int64)}
+        )
 
     return bucket_group_agg(
         closed.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True),
@@ -508,11 +574,9 @@ def _support_from_closed(
 def _support_with_zeros(
     und: ray.data.Dataset, sup: ray.data.Dataset, num_buckets: int
 ) -> ray.data.Dataset:
-    I64 = pa.int64()
     j = bucket_hash_join(
         und, sup, ["lo", "hi"], how="left", num_buckets=num_buckets,
-        left_schema=pa.schema([("lo", I64), ("hi", I64)]),
-        right_schema=pa.schema([("lo", I64), ("hi", I64), ("support", I64)]),
+        left_schema=_EDGES, right_schema=_SUPPORT,
     )
 
     def fill(df: pd.DataFrame) -> pd.DataFrame:
@@ -533,48 +597,14 @@ def _support_with_zeros(
 def _k_truss_local(
     lo: np.ndarray, hi: np.ndarray, thr: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized in-process peel — the distributed round's exact local
-    mirror (same orientation rule, same wedge enumeration via
-    pairs_within_groups, same support filter), run to the fixed point.
-    Input: deduped canonical edges (lo < hi). Returns (lo, hi, support)."""
+    """In-process peel to the fixed point; each round is a distributed
+    round's rule: the local kernel, the per-edge support count, then the
+    support filter. Input: deduped canonical edges (lo < hi). Returns
+    (lo, hi, support)."""
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     while True:
-        ne = len(lo)
-        if ne == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z.copy(), z.copy()
-        # compact codes: pair key = c1 * nv + c2 stays within int64
-        ids = np.unique(np.concatenate([lo, hi]))
-        nv = len(ids)
-        clo = np.searchsorted(ids, lo)
-        chi = np.searchsorted(ids, hi)
-        deg = np.bincount(np.concatenate([clo, chi]), minlength=nv)
-        dlo, dhi = deg[clo], deg[chi]
-        lo_first = (dlo < dhi) | ((dlo == dhi) & (clo < chi))
-        a = np.where(lo_first, clo, chi)
-        b = np.where(lo_first, chi, clo)
-        order = np.lexsort((b, a))
-        w1, w2, center = pairs_within_groups(a[order], b[order])
-        ckey = np.minimum(clo, chi) * nv + np.maximum(clo, chi)
-        perm = np.argsort(ckey)
-        ekey = ckey[perm]
-        wkey = np.minimum(w1, w2) * nv + np.maximum(w1, w2)
-        pos = np.searchsorted(ekey, wkey)
-        closed = (pos < ne) & (ekey[np.minimum(pos, ne - 1)] == wkey)
-        cw1, cw2, cc = w1[closed], w2[closed], center[closed]
-        member = np.concatenate(
-            [
-                np.minimum(cw1, cw2) * nv + np.maximum(cw1, cw2),
-                np.minimum(cc, cw1) * nv + np.maximum(cc, cw1),
-                np.minimum(cc, cw2) * nv + np.maximum(cc, cw2),
-            ]
-        )
-        sup_sorted = np.bincount(
-            np.searchsorted(ekey, member), minlength=ne
-        ).astype(np.int64)
-        support = np.empty(ne, dtype=np.int64)
-        support[perm] = sup_sorted
+        support = _local_support(lo, hi)
         keep = support >= thr
         if keep.all():
             return lo, hi, support
@@ -587,7 +617,7 @@ def k_truss(
     *,
     num_buckets: int | None = None,
     max_rounds: int | None = None,
-    local_threshold: int | None = 200_000,
+    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
 ) -> ray.data.Dataset:
     """The k-truss: the maximal subgraph in which every edge participates
     in at least k−2 triangles (support counted WITHIN the subgraph).
@@ -596,7 +626,7 @@ def k_truss(
 
     Iterative peeling: each round recomputes per-edge support on the
     current edge set (degrees, orientation and wedges all re-derived from
-    the shrunken set — one wedge-join dataflow per round) and drops every
+    the shrunken set — one closed-wedge pass per round) and drops every
     edge below k−2, until a fixed point. Rounds are bounded by the peel
     depth of the graph, not |E|: each round removes all violating edges
     at once. ``max_rounds`` caps it for latency-sensitive callers (the
@@ -621,26 +651,15 @@ def k_truss(
     rounds = 0
     while True:
         if local_threshold and n <= local_threshold and max_rounds is None:
-            pdf = und.to_pandas()
-            lo, hi, sup = _k_truss_local(
-                pdf["lo"].to_numpy(), pdf["hi"].to_numpy(), thr
+            return _table_ds(
+                _SUPPORT, *_k_truss_local(*_columns(und, ["lo", "hi"]), thr)
             )
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "lo": pa.array(lo, pa.int64()),
-                        "hi": pa.array(hi, pa.int64()),
-                        "support": pa.array(sup, pa.int64()),
-                    }
-                )
-            )
-        deg = _deg_from_und(und)
-        oriented = _orient_und(und, deg, nv, B).materialize()
+        oriented = _orient_und(und, _deg_from_und(und), nv, B).materialize()
         # NO zero-fill join here (unlike edge_support): thr = k-2 >= 1, so
         # an edge absent from the support table (support 0) is dropped by
         # the filter either way — skipping _support_with_zeros saves one
         # all-to-all per peel round
-        supz = _support_from_closed(_closed_from_oriented(oriented, B), B)
+        supz = _support_from_closed(_closed_wedges(oriented, n, B), B)
 
         def keep(b: pa.Table) -> pa.Table:
             return b.filter(
@@ -662,7 +681,7 @@ def k_truss(
         m = kept.count()
         rounds += 1
         if m == n or m == 0 or (max_rounds is not None and rounds >= max_rounds):
-            return kept
+            return _typed(kept, _SUPPORT)
         und = kept.select_columns(["lo", "hi"])
         n = m
 
@@ -675,14 +694,12 @@ def triangle_count(
 ) -> int:
     """Global triangle count (each triangle once). Below
     ``local_threshold`` edges the wedge pass runs in-process."""
-    if local_threshold and graph.meta.num_edges <= local_threshold:
-        und = _local_und_pdf(graph)
-        w1, _w2, _c = _local_closed_wedges(
-            und["lo"].to_numpy(), und["hi"].to_numpy()
-        )
-        return int(len(w1))
+    if _is_local(graph, local_threshold):
+        return int(len(_local_closed_wedges(*_local_und(graph))[0]))
     B = num_buckets or max(16, graph.num_partitions)
-    return _closed_wedges(graph, B).count()
+    return _closed_wedges(
+        _oriented_edges(graph, B), graph.meta.num_edges, B
+    ).count()
 
 
 def directed_triangle_count(
@@ -745,6 +762,53 @@ def directed_triangle_count(
     return closed.count()
 
 
+def _with_triangles(
+    graph: Graph,
+    num_buckets: int | None,
+    local_threshold: int | None,
+    finish,
+    schema: pa.Schema,
+) -> ray.data.Dataset:
+    """``finish`` applied to the (vertex_id, deg, triangles) frame — the
+    degree table left-joined with the per-vertex triangle counts, NaN
+    where a vertex is in no triangle — built on the chosen executor."""
+    if _is_local(graph, local_threshold):
+        lo, hi = _local_und(graph)
+        vt = _local_deg(graph, lo, hi).merge(
+            _local_tri_counts(lo, hi), on="vertex_id", how="left"
+        )
+        return _frame_ds(finish(vt), schema)
+    B = num_buckets or max(16, graph.num_partitions)
+    tri = triangles(graph, num_buckets=B, local_threshold=local_threshold)
+    deg = _degree_table(graph, _canonical_undirected(graph))
+    j = bucket_hash_join(
+        deg, tri, ["vertex_id"], how="left", num_buckets=B,
+        # triangles may be empty (triangle-free graph) -> schema unknowable
+        left_schema=_DEG, right_schema=_TRIANGLES,
+    )
+    return _typed(j.map_batches(finish, batch_format="pandas"), schema)
+
+
+def _deg_tri(vt: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        vt["vertex_id"].to_numpy(dtype=np.int64),
+        vt["deg"].to_numpy(dtype=np.int64),
+        vt["triangles"].fillna(0).to_numpy(dtype=np.int64),
+    )
+
+
+def _scan(vt: pd.DataFrame) -> pd.DataFrame:
+    v, d, t = _deg_tri(vt)
+    return pd.DataFrame({"vertex_id": v, "scan": d + t})
+
+
+def _clustering(vt: pd.DataFrame) -> pd.DataFrame:
+    v, d, t = _deg_tri(vt)
+    denom = (d * (d - 1)).astype(np.float64)
+    cc = np.where(denom > 0, 2.0 * t / np.maximum(denom, 1.0), 0.0)
+    return pd.DataFrame({"vertex_id": v, "deg": d, "triangles": t, "cc": cc})
+
+
 def scan_statistic(
     graph: Graph,
     *,
@@ -753,41 +817,10 @@ def scan_statistic(
 ) -> ray.data.Dataset:
     """A7: scan1(v) = deg(v) + triangles(v). Returns (vertex_id, scan).
     Below ``local_threshold`` edges the pass runs in-process."""
-    if local_threshold and graph.meta.num_edges <= local_threshold:
-        und = _local_und_pdf(graph)
-        out = _local_deg_pdf(graph, und).merge(
-            _local_tri_counts(und), on="vertex_id", how="left"
-        )
-        out["scan"] = out["deg"].astype(np.int64) + out[
-            "triangles"
-        ].fillna(0).astype(np.int64)
-        return ray.data.from_pandas(
-            out[["vertex_id", "scan"]].astype("int64")
-        )
-    B = num_buckets or max(16, graph.num_partitions)
-    tri = triangles(graph, num_buckets=B, local_threshold=local_threshold)
-    und = _canonical_undirected(graph)
-    deg = _degree_table(graph, und)
-    j = bucket_hash_join(
-        deg,
-        tri,
-        ["vertex_id"],
-        how="left",
-        num_buckets=B,
-        left_schema=pa.schema([("vertex_id", pa.int64()), ("deg", pa.int64())]),
-        # triangles may be empty (triangle-free graph) -> schema unknowable
-        right_schema=pa.schema(
-            [("vertex_id", pa.int64()), ("triangles", pa.int64())]
-        ),
+    return _with_triangles(
+        graph, num_buckets, local_threshold, _scan,
+        pa.schema([("vertex_id", I64), ("scan", I64)]),
     )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["triangles"].fillna(0).astype(np.int64)
-        return pd.DataFrame(
-            {"vertex_id": b["vertex_id"].astype(np.int64), "scan": b["deg"].astype(np.int64) + t}
-        )
-
-    return j.map_batches(finish, batch_format="pandas")
 
 
 def topk_scan(graph: Graph, k: int = 10, *, num_buckets: int | None = None):
@@ -812,57 +845,13 @@ def clustering_coefficient(
     the per-vertex triangle counts. Returns (vertex_id, deg, triangles,
     cc); every vertex with at least one undirected edge appears. Below
     ``local_threshold`` edges the pass runs in-process."""
-    if local_threshold and graph.meta.num_edges <= local_threshold:
-        und = _local_und_pdf(graph)
-        out = _local_deg_pdf(graph, und).merge(
-            _local_tri_counts(und), on="vertex_id", how="left"
-        )
-        d = out["deg"].to_numpy().astype(np.int64)
-        t = out["triangles"].fillna(0).to_numpy().astype(np.int64)
-        denom = (d * (d - 1)).astype(np.float64)
-        return ray.data.from_pandas(
-            pd.DataFrame(
-                {
-                    "vertex_id": out["vertex_id"].astype(np.int64),
-                    "deg": d,
-                    "triangles": t,
-                    "cc": np.where(
-                        denom > 0, 2.0 * t / np.maximum(denom, 1.0), 0.0
-                    ),
-                }
-            )
-        )
-    B = num_buckets or max(16, graph.num_partitions)
-    tri = triangles(graph, num_buckets=B, local_threshold=local_threshold)
-    und = _canonical_undirected(graph)
-    deg = _degree_table(graph, und)
-    j = bucket_hash_join(
-        deg,
-        tri,
-        ["vertex_id"],
-        how="left",
-        num_buckets=B,
-        left_schema=pa.schema([("vertex_id", pa.int64()), ("deg", pa.int64())]),
-        right_schema=pa.schema(
-            [("vertex_id", pa.int64()), ("triangles", pa.int64())]
+    return _with_triangles(
+        graph, num_buckets, local_threshold, _clustering,
+        pa.schema(
+            [("vertex_id", I64), ("deg", I64), ("triangles", I64),
+             ("cc", pa.float64())]
         ),
     )
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["deg"].to_numpy().astype(np.int64)
-        t = b["triangles"].fillna(0).to_numpy().astype(np.int64)
-        denom = (d * (d - 1)).astype(np.float64)
-        cc = np.where(denom > 0, 2.0 * t / np.maximum(denom, 1.0), 0.0)
-        return pd.DataFrame(
-            {
-                "vertex_id": b["vertex_id"].astype(np.int64),
-                "deg": d,
-                "triangles": t,
-                "cc": cc,
-            }
-        )
-
-    return j.map_batches(finish, batch_format="pandas")
 
 
 def _pair_common_neighbors(
@@ -905,8 +894,6 @@ def _pair_common_neighbors(
                 "aa": 1.0 / np.log(degc),  # deg(center) >= 2 by construction
             }
         )
-
-    from flashray.joins import bucket_group_agg
 
     return bucket_group_agg(
         und.map_batches(adjacency, batch_format="pyarrow", zero_copy_batch=True)
@@ -1023,21 +1010,13 @@ def link_prediction(
         pairs = pairs.map_batches(drop_edges, batch_format="pandas")
 
     if graph.meta.num_vertices <= BROADCAST_VERTEX_LIMIT:
-        import ray as _ray
-
-        dpd = deg.to_pandas()
-        order = np.argsort(dpd["vertex_id"].to_numpy())
-        ids_ref = _ray.put(dpd["vertex_id"].to_numpy()[order])
-        deg_ref = _ray.put(dpd["deg"].to_numpy()[order])
+        degree = _degree_lookup(deg)
 
         def jac_bcast(b: pa.Table) -> pa.Table:
-            ids = _ray.get(ids_ref)
-            dg = _ray.get(deg_ref)
             u = b["u"].to_numpy(zero_copy_only=False)
             v = b["v"].to_numpy(zero_copy_only=False)
             cn = b["cn"].to_numpy(zero_copy_only=False)
-            du = dg[np.searchsorted(ids, u)]
-            dv = dg[np.searchsorted(ids, v)]
+            du, dv = degree(u, v)
             return b.append_column(
                 "jaccard", pa.array(cn / (du + dv - cn).astype(np.float64))
             ).append_column(
@@ -1096,17 +1075,15 @@ def transitivity(graph: Graph, *, num_buckets: int | None = None) -> float:
     )
     if not wedges:
         return 0.0
-    tri3 = 3 * _closed_wedges(graph, B).count()
+    tri3 = 3 * _closed_wedges(
+        _oriented_edges(graph, B), graph.meta.num_edges, B
+    ).count()
     return tri3 / wedges
 
 
-def _local_two_hop(und: pd.DataFrame) -> pd.DataFrame:
+def _local_two_hop(lo: np.ndarray, hi: np.ndarray) -> pd.DataFrame:
     """In-process mirror of the two_hop_sizes dataflow (identical rule):
     wedge pairs + direct edges, lexsort dedup, endpoint count fold."""
-    from flashray.joins import pairs_within_groups
-
-    lo = und["lo"].to_numpy(dtype=np.int64)
-    hi = und["hi"].to_numpy(dtype=np.int64)
     center = np.concatenate([lo, hi])
     leaf = np.concatenate([hi, lo])
     order = np.lexsort((leaf, center))
@@ -1115,7 +1092,8 @@ def _local_two_hop(und: pd.DataFrame) -> pd.DataFrame:
     B_ = np.concatenate([b, hi])
     o2 = np.lexsort((B_, A))
     A, B_ = A[o2], B_[o2]
-    keep = np.r_[True, (A[1:] != A[:-1]) | (B_[1:] != B_[:-1])]
+    keep = np.ones(len(A), dtype=bool)
+    keep[1:] = (A[1:] != A[:-1]) | (B_[1:] != B_[:-1])
     A, B_ = A[keep], B_[keep]
     vid, n2 = np.unique(np.concatenate([A, B_]), return_counts=True)
     dvid, deg = np.unique(np.concatenate([lo, hi]), return_counts=True)
@@ -1149,10 +1127,9 @@ def two_hop_sizes(
     limits as the wedge family apply (SURVEY §2.2 A7). Below
     ``local_threshold`` edges the identical wedge pass runs in-process
     (the wedge-family hybrid rule)."""
-    from flashray.joins import bucket_group_agg, pairs_within_groups
-
-    if local_threshold and graph.meta.num_edges <= local_threshold:
-        return ray.data.from_pandas(_local_two_hop(_local_und_pdf(graph)))
+    schema = pa.schema([("vertex_id", I64), ("n2", I64), ("n1", I64)])
+    if _is_local(graph, local_threshold):
+        return _frame_ds(_local_two_hop(*_local_und(graph)), schema)
     B = num_buckets or max(16, graph.num_partitions)
     und = _canonical_undirected(graph).materialize()
 
@@ -1199,8 +1176,6 @@ def two_hop_sizes(
         num_buckets=B,
     )
     deg = _deg_from_und(und)
-    from flashray.joins import bucket_hash_join
-
     out = bucket_hash_join(
         n2, deg.map_batches(
             lambda b: b.rename_columns(
@@ -1211,8 +1186,9 @@ def two_hop_sizes(
         ),
         on=["vertex_id"],
         num_buckets=B,
+        left_schema=schema.remove(2), right_schema=schema.remove(1),
     )
-    return out
+    return _typed(out, schema)
 
 
 def bipartite_project(
@@ -1240,8 +1216,6 @@ def bipartite_project(
     pairs — quadratic and inherent to the definition; cap super-hub
     centers with ``max_center_degree`` (weights become lower bounds,
     the usual practice for web-scale co-occurrence)."""
-    import pyarrow.compute as pc  # noqa: F401  (kept for parity with siblings)
-
     from flashray.joins import (
         _arrow_schema,
         _key_hash,
@@ -1403,9 +1377,10 @@ def triangle_count_sampled(
     s = und.map_batches(
         samp, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    deg = _deg_from_und(s)
-    oriented = _orient_und(s, deg, graph.meta.num_vertices, B).materialize()
-    cnt = int(_closed_from_oriented(oriented, B).count())
+    oriented = _orient_und(
+        s, _deg_from_und(s), graph.meta.num_vertices, B
+    ).materialize()
+    cnt = int(_closed_wedges(oriented, s.count(), B).count())
     return {
         "estimate": cnt / (p ** 3),
         "sampled_triangles": cnt,
@@ -1458,44 +1433,20 @@ def _center_pair_codes(
     )
 
 
-def _local_four_clique_counts(und: pd.DataFrame) -> pd.DataFrame:
+def _local_four_clique_counts(
+    lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """In-process mirror of the distributed 4-clique dataflow (same
-    orientation, same center-pair rule, same adjacency probe)."""
-    lo = und["lo"].to_numpy(dtype=np.int64)
-    hi = und["hi"].to_numpy(dtype=np.int64)
-    w1, w2, c = _local_closed_wedges(lo, hi)
-    cand = _center_pair_codes(w1, w2, c)
-    if not len(cand):
-        return pd.DataFrame(
-            {
-                "vertex_id": np.zeros(0, dtype=np.int64),
-                "cliques4": np.zeros(0, dtype=np.int64),
-            }
-        )
+    kernel, same center-pair rule, same adjacency probe). Returns
+    (vertex_id, cliques4)."""
+    cand = _center_pair_codes(*_local_closed_wedges(lo, hi))
     ids = np.unique(np.concatenate([lo, hi]))
-    nv = len(ids)
-    ekey = np.sort(
-        np.searchsorted(ids, np.minimum(lo, hi)) * nv
-        + np.searchsorted(ids, np.maximum(lo, hi))
+    _, adj = _lookup(
+        np.sort(_pair_keys(ids, lo, hi)),
+        _pair_keys(ids, cand["lo"].to_numpy(), cand["hi"].to_numpy()),
     )
-    pkey = (
-        np.searchsorted(ids, cand["lo"].to_numpy()) * nv
-        + np.searchsorted(ids, cand["hi"].to_numpy())
-    )
-    pos = np.searchsorted(ekey, pkey)
-    adj = (pos < len(ekey)) & (ekey[np.minimum(pos, len(ekey) - 1)] == pkey)
-    kept = cand[adj]
-    members = np.concatenate(
-        [
-            kept["lo"].to_numpy(),
-            kept["hi"].to_numpy(),
-            kept["e1"].to_numpy(),
-            kept["e2"].to_numpy(),
-        ]
-    )
-    vid, cnt = np.unique(members, return_counts=True)
-    return pd.DataFrame(
-        {"vertex_id": vid.astype(np.int64), "cliques4": cnt.astype(np.int64)}
+    return _vertex_counts(
+        *(cand[c].to_numpy()[adj] for c in ("lo", "hi", "e1", "e2"))
     )
 
 
@@ -1517,27 +1468,13 @@ def four_cliques(
     are a flat member expansion + bucketed sum. Cost beyond triangles:
     one groupby shuffle of the triangle list + one bucket join — both
     O(#triangles), the standard k-clique-counting lower envelope."""
-    if local_threshold and graph.meta.num_edges <= local_threshold:
-        pdf = _local_four_clique_counts(_local_und_pdf(graph))
-        # explicit schema: from_pandas on an EMPTY frame drops columns
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "vertex_id": pa.array(
-                        pdf["vertex_id"].to_numpy(), type=pa.int64()
-                    ),
-                    "cliques4": pa.array(
-                        pdf["cliques4"].to_numpy(), type=pa.int64()
-                    ),
-                }
-            )
+    if _is_local(graph, local_threshold):
+        return _table_ds(
+            _CLIQUES, *_local_four_clique_counts(*_local_und(graph))
         )
     B = num_buckets or max(16, graph.num_partitions)
-    oriented = _oriented_edges(graph, B).materialize()
-    if graph.meta.num_edges <= BROADCAST_CSR_EDGE_LIMIT:
-        closed = _closed_from_oriented_broadcast(oriented)
-    else:
-        closed = _closed_from_oriented(oriented, B)
+    oriented = _oriented_edges(graph, B)
+    closed = _closed_wedges(oriented, graph.meta.num_edges, B)
 
     def bucket_by_edge(b: pa.Table) -> pa.Table:
         w1 = b["w1"].to_numpy(zero_copy_only=False)
@@ -1564,19 +1501,13 @@ def four_cliques(
         .map_groups(center_pairs, batch_format="pandas")
     )
 
-    def okey(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False)
-        bb = b["b"].to_numpy(zero_copy_only=False)
-        return pa.table({"lo": np.minimum(a, bb), "hi": np.maximum(a, bb)})
-
-    probe = oriented.map_batches(okey, batch_format="pyarrow")
-    I64 = pa.int64()
     cliq = bucket_hash_join(
-        cand, probe, ["lo", "hi"], num_buckets=B,
+        cand, _closing_keys(oriented), ["lo", "hi"], right_on=["w1", "w2"],
+        num_buckets=B,
         left_schema=pa.schema(
             [("lo", I64), ("hi", I64), ("e1", I64), ("e2", I64)]
         ),
-        right_schema=pa.schema([("lo", I64), ("hi", I64)]),
+        right_schema=_CLOSING,
     )
 
     def to_members(b: pa.Table) -> pa.Table:
@@ -1591,14 +1522,15 @@ def four_cliques(
             }
         )
 
-    from flashray.joins import bucket_group_agg
-
-    return bucket_group_agg(
-        cliq.map_batches(
-            to_members, batch_format="pyarrow", zero_copy_batch=True
+    return _typed(
+        bucket_group_agg(
+            cliq.map_batches(
+                to_members, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["vertex_id"],
+            {"cliques4": ("cliques4", "sum")},
         ),
-        ["vertex_id"],
-        {"cliques4": ("cliques4", "sum")},
+        _CLIQUES,
     )
 
 
@@ -1635,9 +1567,8 @@ def incremental_triangle_count(
     graph's triangle count. ``delta_edges`` (src, dst rows, any
     direction) must be disjoint from the pre-ingest edge set; rows are
     canonicalized and deduped here."""
-    from flashray.joins import bucket_group_agg, bucket_semi_join
+    from flashray.joins import bucket_semi_join
 
-    I64 = pa.int64()
     B = num_buckets or 64
 
     def canon_batch(b: pa.Table) -> pa.Table:
@@ -1708,22 +1639,14 @@ def incremental_triangle_count(
         .map_groups(wedge_pairs, batch_format="pandas")
     ).materialize()
 
-    full_canon = bucket_group_agg(
-        graph_new.edges_dataset(columns=["src", "dst"]).map_batches(
-            canon_batch, batch_format="pyarrow"
-        ),
-        ["lo", "hi"],
-        None,
-        num_buckets=B,
-    )
-    psch = pa.schema([("lo", I64), ("hi", I64)])
     B_count = bucket_semi_join(
-        pairs, full_canon, ["lo", "hi"], num_buckets=B, left_schema=psch
+        pairs, _canonical_undirected(graph_new), ["lo", "hi"],
+        num_buckets=B, left_schema=_EDGES,
     ).count()
     # NOTE: semi join dedups left rows? It must NOT here — two distinct
     # wedge centers produce the same (n1, n2) pair and both must count.
     C3 = bucket_semi_join(
-        pairs, canon, ["lo", "hi"], num_buckets=B, left_schema=psch
+        pairs, canon, ["lo", "hi"], num_buckets=B, left_schema=_EDGES
     ).count()
     assert C3 % 3 == 0, C3
     return A - int(B_count) + C3 // 3

@@ -1,6 +1,7 @@
 """Triangle counting + scan statistics vs brute-force oracles."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from flashray import fixtures, triangles
@@ -683,35 +684,121 @@ def test_four_cliques_distributed_matches_local(graphs):
     ) == norm(triangles.four_cliques(graph))
 
 
+def _dense_er_big_ids():
+    """er40dense relabelled to ids near 2^62: a pair key built from raw
+    ids would overflow int64, so every executor must use compact codes."""
+    src, dst = _dense_er_edges()
+    return src + (1 << 62), dst + (1 << 62)
+
+
 def test_closed_wedges_broadcast_matches_join_path(graphs, monkeypatch):
     """Three-way agreement: local kernel == broadcast shuffle-free pass ==
-    partitioned join dataflow, across the whole wedge family."""
-    graph, _ = graphs("er40dense", _dense_er_edges)
+    bucket join dataflow, across the whole wedge family."""
+    for name, fn in [
+        ("er40dense", _dense_er_edges),
+        ("er40big", _dense_er_big_ids),
+    ]:
+        _check_three_executors(graphs(name, fn)[0], monkeypatch)
 
-    def counts(ds):
-        df = ds.to_pandas()
-        if not len(df):
-            return {}
-        cols = [c for c in df.columns]
-        key = cols[0]
+
+def _rows(ds):
+    df = ds.to_pandas()
+    return sorted(map(tuple, df.itertuples(index=False))) if len(df) else []
+
+
+def _check_three_executors(graph, monkeypatch):
+    def family(lt):
         return {
-            tuple(r): 1 for r in df.sort_values(cols).itertuples(index=False)
+            "tri": _rows(triangles.triangles(graph, local_threshold=lt)),
+            "sup": _rows(triangles.edge_support(graph, local_threshold=lt)),
+            "fc": _rows(triangles.four_cliques(graph, local_threshold=lt)),
+            # the 4-truss peel takes 11 rounds (195 -> 73 edges); the first
+            # three (195, 136, 103 edges) run on the executor under test,
+            # the rest in the local tail, which keeps the test short
+            "kt4": _rows(
+                triangles.k_truss(graph, 4, local_threshold=lt or 100)
+            ),
+            "scan": _rows(triangles.scan_statistic(graph, local_threshold=lt)),
+            "cc": _rows(
+                triangles.clustering_coefficient(graph, local_threshold=lt)
+            ),
         }
 
     results = {}
     for mode, limit in [("broadcast", 10**9), ("join", 0)]:
         monkeypatch.setattr(triangles, "BROADCAST_CSR_EDGE_LIMIT", limit)
-        results[mode] = {
-            "tri": counts(triangles.triangles(graph, local_threshold=0)),
-            "sup": counts(triangles.edge_support(graph, local_threshold=0)),
-            "fc": counts(triangles.four_cliques(graph, local_threshold=0)),
-        }
-    local = {
-        "tri": counts(triangles.triangles(graph)),
-        "sup": counts(triangles.edge_support(graph)),
-        "fc": counts(triangles.four_cliques(graph)),
-    }
+        results[mode] = family(0)
+        sampled = triangles.triangle_count_sampled(graph, p=1.0)
+        results[mode]["sampled"] = sampled["sampled_triangles"]
+    local = family(triangles.LOCAL_EDGE_THRESHOLD)
+    local["sampled"] = triangles.triangle_count(graph)
+    assert local["fc"] and local["kt4"]  # the fixture has 4-cliques
+    assert len(local["sup"]) > 100  # so k_truss runs distributed rounds
     assert results["broadcast"] == results["join"] == local
+
+
+def _self_loops_only():
+    loops = np.array([1, 2, 3], dtype=np.int64)
+    return loops, loops.copy()
+
+
+def _one_edge():
+    return np.array([1, 2], dtype=np.int64), np.array([2, 1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("mode", ["local", "broadcast", "bucket"])
+@pytest.mark.parametrize(
+    "name,fn", [("self_loops", _self_loops_only), ("one_edge", _one_edge)]
+)
+def test_degenerate_graphs_typed_on_every_executor(
+    graphs, monkeypatch, name, fn, mode
+):
+    """A graph with no canonical edge (only self-loops) or no triangle
+    (one edge): every executor returns the same typed schema and rows."""
+    graph, _ = graphs(name, fn)
+    lt = triangles.LOCAL_EDGE_THRESHOLD if mode == "local" else 0
+    monkeypatch.setattr(
+        triangles, "BROADCAST_CSR_EDGE_LIMIT", 0 if mode == "bucket" else 10**9
+    )
+    one = name == "one_edge"
+    kw = {"local_threshold": lt}
+    want = [
+        (triangles.triangles(graph, **kw), "vertex_id triangles", []),
+        (
+            triangles.edge_support(graph, **kw),
+            "lo hi support",
+            [(1, 2, 0)] if one else [],
+        ),
+        (
+            triangles.scan_statistic(graph, **kw),
+            "vertex_id scan",
+            [(1, 1), (2, 1)] if one else [],
+        ),
+        (
+            triangles.clustering_coefficient(graph, **kw),
+            "vertex_id deg triangles cc:double",
+            [(1, 1, 0, 0.0), (2, 1, 0, 0.0)] if one else [],
+        ),
+        (triangles.four_cliques(graph, **kw), "vertex_id cliques4", []),
+        (triangles.k_truss(graph, 3, **kw), "lo hi support", []),
+        (
+            triangles.two_hop_sizes(graph, **kw),
+            "vertex_id n2 n1",
+            [(1, 1, 1), (2, 1, 1)] if one else [],
+        ),
+    ]
+    for ds, cols, want_rows in want:
+        ds = ds.materialize()  # one execution for schema() and rows
+        sch = ds.schema()
+        assert sch is not None, cols
+        types = [
+            t if isinstance(t, pa.DataType) else pa.from_numpy_dtype(t)
+            for t in sch.types
+        ]
+        want_cols = [c if ":" in c else c + ":int64" for c in cols.split()]
+        assert [f"{n}:{t}" for n, t in zip(sch.names, types)] == want_cols
+        assert _rows(ds) == want_rows, cols
+    assert triangles.triangle_count(graph, **kw) == 0
 
 
 def test_incremental_triangle_count(tmp_path):
