@@ -1894,20 +1894,19 @@ def _q_events_bottomk_sample(sf_dir: str):
     return tbl.to_pandas()
 
 
-def _user_succession_edges(sf_dir: str):
-    """User-succession DAG from events: edge u→v when u and v have events
-    of the same type in the same hour and 0 < v−u ≤ 5 (shared by both
-    HyperBall backends)."""
-    import ray.data as rd
-
-    from flashray.joins import bucket_group_agg
+def _user_hour_pairs(sf_dir: str):
+    """(src, dst, t) for every user pair src < dst ≤ src + 5 with events of
+    the same type in the same hour bucket t. One ``bucket_map`` on the hour
+    bucket: every (event_type, hour) group lands whole in one call, which
+    dedups its rows and forms the pairs with 5 vectorized self-merges."""
+    from flashray.joins import bucket_map
 
     ds = _read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "event_type", "ts"],
     )
 
-    def bucketize(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         ts = (
             b["ts"].to_numpy(zero_copy_only=False)
             .astype("datetime64[us]")
@@ -1921,23 +1920,8 @@ def _user_succession_edges(sf_dir: str):
             }
         )
 
-    bkt = ds.map_batches(bucketize, batch_format="pyarrow")
-    # bucket by hb only: every (event_type, hb) group lands whole in one
-    # of 64 buckets, and pair generation is 5 vectorized self-merges per
-    # BUCKET — never a Ray group per (event_type, hour), which is ~40k
-    # tiny pandas groups and pathological
-    distinct = bucket_group_agg(
-        bkt, ["user_id", "event_type", "hb"], None, hash_keys=["hb"]
-    )
-
-    def add_pbucket(b: pa.Table) -> pa.Table:
-        hb_arr = b["hb"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "__pbucket", pa.array((hb_arr % 64).astype(np.int64))
-        )
-
     def pairs_of_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        base = g[["user_id", "event_type", "hb"]]
+        base = g.drop_duplicates()
         out = []
         for d in range(1, 6):
             shifted = base.assign(user_id=base["user_id"] + d)
@@ -1945,22 +1929,35 @@ def _user_succession_edges(sf_dir: str):
             if len(m):
                 out.append(
                     pd.DataFrame(
-                        {"src": m["user_id"] - d, "dst": m["user_id"]}
+                        {
+                            "src": (m["user_id"] - d).to_numpy(dtype=np.int64),
+                            "dst": m["user_id"].to_numpy(dtype=np.int64),
+                            "t": m["hb"].to_numpy(dtype=np.int64),
+                        }
                     )
                 )
         if not out:
             return pd.DataFrame(
-                {
-                    "src": pd.Series(dtype=np.int64),
-                    "dst": pd.Series(dtype=np.int64),
-                }
+                {c: pd.Series(dtype=np.int64) for c in ("src", "dst", "t")}
             )
         return pd.concat(out, ignore_index=True)
 
-    prs = (
-        distinct.map_batches(add_pbucket, batch_format="pyarrow")
-        .groupby("__pbucket")
-        .map_groups(pairs_of_bucket, batch_format="pandas")
+    return bucket_map(
+        ds.map_batches(project, batch_format="pyarrow"),
+        ["hb"],
+        pairs_of_bucket,
+        num_buckets=64,
+    )
+
+
+def _user_succession_edges(sf_dir: str):
+    """User-succession DAG from events: edge u→v when u and v have events
+    of the same type in the same hour and 0 < v−u ≤ 5 (shared by both
+    HyperBall backends)."""
+    from flashray.joins import bucket_group_agg
+
+    prs = _user_hour_pairs(sf_dir).map_batches(
+        lambda b: b.select(["src", "dst"]), batch_format="pyarrow"
     )
     return bucket_group_agg(prs, ["src", "dst"], None)
 
@@ -2928,68 +2925,16 @@ def _q_docs_source_overlap(sf_dir: str):
 def _user_temporal_edges(sf_dir: str):
     """Directed TEMPORAL user edges from events: (src, dst, t=hour
     bucket) when both users share an event type in that hour and
-    |dst−src| ≤ 5 (both directions — journeys are directional). Same
-    bucket construction as `_user_succession_edges` but the timestamp
-    survives into the edge."""
+    |dst−src| ≤ 5 (both directions — journeys are directional): the
+    pairs of `_user_hour_pairs` with the timestamp kept."""
     from flashray.joins import bucket_group_agg
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts"],
-    )
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        ts = (
-            b["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype("int64")
-        )
-        return pa.table(
-            {
-                "user_id": b["user_id"].cast(pa.int64()),
-                "event_type": b["event_type"],
-                "hb": pa.array(ts // 3_600_000_000),
-            }
+    def both_dirs(b: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            [b, b.select(["dst", "src", "t"]).rename_columns(["src", "dst", "t"])]
         )
 
-    distinct = bucket_group_agg(
-        ds.map_batches(bucketize, batch_format="pyarrow"),
-        ["user_id", "event_type", "hb"], None, hash_keys=["hb"],
-    )
-
-    def add_pbucket(b: pa.Table) -> pa.Table:
-        hb_arr = b["hb"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "__pbucket", pa.array((hb_arr % 64).astype(np.int64))
-        )
-
-    def pairs_of_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        base = g[["user_id", "event_type", "hb"]]
-        out = []
-        for d in range(1, 6):
-            shifted = base.assign(user_id=base["user_id"] + d)
-            m = shifted.merge(base, on=["user_id", "event_type", "hb"])
-            if len(m):
-                lo = (m["user_id"] - d).to_numpy(dtype=np.int64)
-                hi = m["user_id"].to_numpy(dtype=np.int64)
-                t = m["hb"].to_numpy(dtype=np.int64)
-                out.append(pd.DataFrame({"src": lo, "dst": hi, "t": t}))
-                out.append(pd.DataFrame({"src": hi, "dst": lo, "t": t}))
-        if not out:
-            return pd.DataFrame(
-                {
-                    "src": pd.Series(dtype=np.int64),
-                    "dst": pd.Series(dtype=np.int64),
-                    "t": pd.Series(dtype=np.int64),
-                }
-            )
-        return pd.concat(out, ignore_index=True)
-
-    prs = (
-        distinct.map_batches(add_pbucket, batch_format="pyarrow")
-        .groupby("__pbucket")
-        .map_groups(pairs_of_bucket, batch_format="pandas")
-    )
+    prs = _user_hour_pairs(sf_dir).map_batches(both_dirs, batch_format="pyarrow")
     return bucket_group_agg(prs, ["src", "dst", "t"], None)
 
 

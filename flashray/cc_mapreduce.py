@@ -15,9 +15,9 @@ Per round over the undirected edge multiset:
   emit (x, m) for x ∈ N(u) ∪ {u}, x ≠ m.
 
 Both phases are bucketed ``groupby`` + fully vectorized in-group numpy
-(sort + reduceat minima; no per-vertex Python). Each round materializes —
-an unmaterialized round chain would re-execute all prior rounds on every
-consumption. Convergence = 64-bit edge-multiset checksum stable.
+(sort + reduceat minima; no per-vertex Python). Each round materializes
+through ``joins.coalesce`` — an unmaterialized round chain would re-execute
+all prior rounds on every consumption. Convergence = 64-bit edge-multiset checksum stable.
 
 The final edge set is a star forest: every surviving edge is
 (child, component-min); roots label themselves.
@@ -33,6 +33,7 @@ from ray.data.aggregate import Count, Min, Sum
 
 from flashray.build import Graph
 from flashray.ids import _splitmix64
+from flashray.joins import bucket_group_agg, bucket_map, coalesce
 
 
 def _canonical_edges(graph: Graph) -> ray.data.Dataset:
@@ -47,8 +48,6 @@ def _canonical_edges(graph: Graph) -> ray.data.Dataset:
         )
 
     out = edges.map_batches(canon, batch_format="pyarrow", zero_copy_batch=True)
-    from flashray.joins import bucket_group_agg
-
     return bucket_group_agg(out, ["a", "b"], None)
 
 
@@ -68,8 +67,7 @@ def _star_round(
         else:
             # larger-first orientation only
             u, v = a, b
-        bucket = (u % num_buckets).astype(np.int64)
-        return pa.table({"u": u, "v": v, "bucket": bucket})
+        return pa.table({"u": u, "v": v})
 
     def star(g: pd.DataFrame) -> pd.DataFrame:
         u = g["u"].to_numpy()
@@ -93,14 +91,13 @@ def _star_round(
             out_a, out_b = xa[keep], xb[keep]
         return pd.DataFrame({"a": out_a, "b": out_b})
 
-    out = (
-        edges.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(star, batch_format="pandas")
+    out = bucket_map(
+        edges.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True),
+        ["u"],
+        star,
+        num_buckets=num_buckets,
     )
     if dedup:
-        from flashray.joins import bucket_group_agg
-
         return bucket_group_agg(out, ["a", "b"], None)
     return out
 
@@ -189,9 +186,10 @@ def star_forest(
         # not change star minima, and each skipped dedup saves a shuffle
         mid = _star_round(edges, large=True, num_buckets=num_buckets,
                           dedup=False)
-        edges = _star_round(
-            mid, large=False, num_buckets=num_buckets
-        ).materialize()
+        edges = coalesce(
+            _star_round(mid, large=False, num_buckets=num_buckets),
+            num_buckets,
+        )
         sig = _checksum(edges)
         if sig == prev:
             break
@@ -229,8 +227,6 @@ def wcc_mapreduce(
         max_rounds=max_rounds,
         local_threshold=local_threshold,
     )
-
-    from flashray.joins import bucket_group_agg
 
     labels = bucket_group_agg(edges, ["a"], {"value": ("b", "min")})
 

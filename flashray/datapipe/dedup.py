@@ -310,6 +310,8 @@ def candidate_pairs_minhash(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
+    # natural key: `_bucket_pairs` verifies one LSH band bucket per call
+    # (the band verify is rewritten on its own; perfbench keys on the name)
     pairs = bands_ds.groupby("bucket").map_groups(
         _bucket_pairs, fn_kwargs={"threshold": threshold}, batch_format="pandas"
     )
@@ -544,6 +546,7 @@ def candidate_pairs_simhash(
             return _empty_pairs("hamming", "int64")
         return pd.concat(out, ignore_index=True)
 
+    # natural key: `verify` compares the pairs within one LSH band bucket
     pairs = (
         sigs.map_batches(bands, batch_format="pandas")
         .groupby("bucket")
@@ -615,6 +618,7 @@ def candidate_pairs_ngram_jaccard(
 
     from flashray.joins import bucket_group_agg
 
+    # natural key: `verify` compares the pairs within one LSH band bucket
     pairs = (
         sigs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket")
@@ -656,7 +660,7 @@ def exact_jaccard_pairs(
     restricted shingle vocabulary (documented approximation). ``None`` =
     fully exact (safe when the corpus has been boilerplate-stripped or
     when near-dup groups are known to be small)."""
-    from flashray.joins import bucket_group_agg, pairs_within_groups
+    from flashray.joins import bucket_group_agg, bucket_map, pairs_within_groups
 
     B = int(num_buckets)
 
@@ -677,9 +681,6 @@ def exact_jaccard_pairs(
                 "shingle": pa.array(sh_all.view(np.int64)),
                 "doc": pa.array(np.repeat(ids, counts)),
                 "ns": pa.array(np.repeat(counts, counts)),
-                "__bucket": pa.array(
-                    (sh_all % np.uint64(B)).astype(np.int64)
-                ),
             }
         )
 
@@ -702,9 +703,7 @@ def exact_jaccard_pairs(
     posts = ds.select_columns([id_col, text_col]).map_batches(
         postings, batch_format="pyarrow", zero_copy_batch=True
     )
-    pair_rows = posts.groupby("__bucket").map_groups(
-        emit_pairs, batch_format="pandas"
-    )
+    pair_rows = bucket_map(posts, ["shingle"], emit_pairs, num_buckets=B)
     counted = bucket_group_agg(
         pair_rows,
         ["a", "b"],
@@ -766,7 +765,7 @@ def line_dedup(
 
     Positions are packed as doc_id*1e6 + position for the global-first
     min — documents are assumed to have < 1e6 units (and ids < 2^43)."""
-    from flashray.joins import bucket_group_agg, bucket_hash_join
+    from flashray.joins import bucket_group_agg, bucket_hash_join, bucket_map
 
     S = int(salt_buckets)
 
@@ -855,7 +854,7 @@ def line_dedup(
         ),
     )
 
-    def add_dbucket(df: pd.DataFrame) -> pd.DataFrame:
+    def flag(df: pd.DataFrame) -> pd.DataFrame:
         n = df["n"].to_numpy(dtype=np.float64, na_value=np.inf)
         first = df["first"].to_numpy(dtype=np.float64, na_value=-1.0)
         kept = (df["line"].to_numpy() != "") & (
@@ -867,9 +866,6 @@ def line_dedup(
                 "line": df["line"],
                 "line_idx": df["line_idx"].to_numpy().astype(np.int64),
                 "kept": kept,
-                "__dbucket": (
-                    df["doc_id"].to_numpy().astype(np.int64) % num_buckets
-                ),
             }
         )
 
@@ -889,10 +885,11 @@ def line_dedup(
         res["lines_kept"] = res["lines_kept"].fillna(0).astype(np.int64)
         return res[["doc_id", "text_dedup", "lines_total", "lines_kept"]]
 
-    return (
-        flagged.map_batches(add_dbucket, batch_format="pandas")
-        .groupby("__dbucket")
-        .map_groups(assemble, batch_format="pandas")
+    return bucket_map(
+        flagged.map_batches(flag, batch_format="pandas"),
+        ["doc_id"],
+        assemble,
+        num_buckets=num_buckets,
     )
 
 
@@ -1301,6 +1298,7 @@ def minhash_decontaminate(
         )
 
     both = sig_pipeline(docs, 0).union(sig_pipeline(benchmark, 1))
+    # natural key: `_bucket_cross_pairs` crosses one LSH band bucket per call
     pairs = both.groupby("bucket").map_groups(
         _bucket_cross_pairs,
         fn_kwargs={"threshold": threshold},
@@ -1438,10 +1436,10 @@ def exact_substr(
     rebuilds with ``string_agg(tok, ' ')``. Hash-vs-string grouping is
     the exact_dedup fingerprint convention (collisions negligible,
     2^-63-scale)."""
-    from flashray.datapipe.ml import _decide_bucketed
     from flashray.joins import (
         bucket_group_agg,
         bucket_hash_join,
+        bucket_map,
         bucket_semi_join,
     )
 
@@ -1582,7 +1580,9 @@ def exact_substr(
             }
         )[[id_col, "run_s", "run_e"]]
 
-    runs = _decide_bucketed(occ, to_runs, id_col, num_buckets).materialize()
+    runs = bucket_map(
+        occ, [id_col], to_runs, num_buckets=num_buckets
+    ).materialize()
 
     base = docs.select_columns([id_col, text_col])
     # the merged-run table is O(distinct boilerplate regions), usually
@@ -1671,7 +1671,7 @@ def exact_substr(
             }
         )
 
-    return _decide_bucketed(j, rebuild, id_col, num_buckets)
+    return bucket_map(j, [id_col], rebuild, num_buckets=num_buckets)
 
 
 def sorted_neighborhood_pairs(
@@ -1758,6 +1758,7 @@ def sorted_neighborhood_pairs(
             }
         )
 
+    # natural key: `expand` slides the window over one whole rank stripe
     return (
         ranked.map_batches(stripes, batch_format="pandas")
         .groupby("stripe")

@@ -134,7 +134,7 @@ def nb_classify(
     with no tokens is scored on the class priors alone. One token hash
     join + one (doc, label) bucket aggregate + a per-doc vectorized
     fold over the broadcast per-class constants."""
-    from flashray.joins import bucket_group_agg, bucket_hash_join
+    from flashray.joins import bucket_group_agg, bucket_hash_join, bucket_map
 
     label_col = model["label_col"]
     stats = model["class_stats"]
@@ -240,29 +240,7 @@ def nb_classify(
             }
         )
 
-    return _decide_bucketed(merged, decide, id_col, num_buckets)
-
-
-def _decide_bucketed(merged, decide, id_col, num_buckets):
-    """All rows of one doc must reach one `decide` call: bucket by doc."""
-    from flashray.joins import _key_hash
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, [id_col])
-        return b.append_column(
-            "__dbucket",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        )
-
-    return (
-        merged.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__dbucket")
-        .map_groups(
-            lambda g: decide(g.drop(columns=["__dbucket"])),
-            batch_format="pandas",
-        )
-    )
+    return bucket_map(merged, [id_col], decide, num_buckets=num_buckets)
 
 
 def prototype_classify(

@@ -39,6 +39,7 @@ import ray.data
 from flashray.datapipe import _util
 from flashray.datapipe.kmeans import _seed_rows
 from flashray.datapipe.similarity import _local_topk, _stack
+from flashray.joins import topk_per_group
 
 
 def _subspace_view(x: np.ndarray, m: int) -> np.ndarray:
@@ -262,16 +263,13 @@ def pq_knn(
         concurrency=_util.pool_size(concurrency),
     )
 
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(
-            ["score", id_col], ascending=[False, True]
-        ).head(k_neighbors)
-
-    out = (
-        local.groupby("query_id")
-        .map_groups(reduce_topk, batch_format="pandas")
-        .to_pandas()
-    )
+    out = topk_per_group(
+        local,
+        ["query_id"],
+        ["score", id_col],
+        k_neighbors,
+        descending=[True, False],
+    ).to_pandas()
     out["approx_dist"] = np.sqrt(np.maximum(-out.pop("score"), 0.0))
     return (
         out.sort_values(
@@ -366,12 +364,10 @@ def pq_knn_rerank(
         concurrency=_util.pool_size(concurrency),
     )
 
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["dist", id_col]).head(k_neighbors)
-
     return (
-        scored.groupby("query_id")
-        .map_groups(reduce_topk, batch_format="pandas")
+        topk_per_group(
+            scored, ["query_id"], ["dist", id_col], k_neighbors, descending=False
+        )
         .to_pandas()
         .sort_values(["query_id", "dist", id_col])
         .reset_index(drop=True)

@@ -20,6 +20,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from flashray.joins import bucket_map, topk_per_group
+
 
 def _stack(col) -> np.ndarray:
     """list<float> column (Arrow or pandas) → (n, d) float32 matrix."""
@@ -101,11 +103,9 @@ def knn_brute_force(
         concurrency=pool_size(concurrency),
     )
 
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        return g
-
-    out = local.groupby("query_id").map_groups(reduce_topk, batch_format="pandas")
+    out = topk_per_group(
+        local, ["query_id"], ["score", "vec_id"], k, descending=[True, False]
+    )
     return (
         out.to_pandas()
         .sort_values(["query_id", "score", "vec_id"], ascending=[True, False, True])
@@ -283,10 +283,9 @@ def knn_ivf(
         Scorer, batch_format="pyarrow", concurrency=pool_size(concurrency)
     )
 
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-
-    out = local.groupby("query_id").map_groups(reduce_topk, batch_format="pandas")
+    out = topk_per_group(
+        local, ["query_id"], ["score", "vec_id"], k, descending=[True, False]
+    )
     return (
         out.to_pandas()
         .sort_values(["query_id", "score", "vec_id"], ascending=[True, False, True])
@@ -365,6 +364,7 @@ def embedding_near_dups(
 
     from flashray.joins import bucket_group_agg
 
+    # natural key: `verify` compares the pairs within one LSH band bucket
     pairs = (
         ds.select_columns([id_col, vec_col])
         .map_batches(bucketize, batch_format="pyarrow")
@@ -590,9 +590,9 @@ def semdedup(
 
     Distributed shape: clustering reuses :func:`flashray.datapipe.kmeans`
     (broadcast centroids, per-batch partial sums — no shuffle); one
-    assignment pass tags each vector with its cluster; ONE bucket shuffle
-    groups clusters (bucket = cluster % num_buckets so millions of clusters
-    never become millions of Ray groups); per bucket a C groupby walks its
+    assignment pass tags each vector with its cluster; ONE ``bucket_map``
+    on the cluster (millions of clusters never become millions of Ray
+    groups); per bucket a C groupby walks its
     clusters, each pruned by a CHUNKED normalized matmul (``chunk_rows`` ×
     n_c slabs) so a hot cluster never materializes an n_c² float matrix.
     At 100 TB the knob that matters is k: SemDeDup runs with k ≈ √N or
@@ -622,7 +622,6 @@ def semdedup(
                 {
                     id_col: pa.array([], type=pa.int64()),
                     "cluster": pa.array([], type=pa.int64()),
-                    "bucket": pa.array([], type=pa.int64()),
                     "vec": pa.array([], type=pa.list_(pa.float64())),
                 }
             )
@@ -635,7 +634,6 @@ def semdedup(
             {
                 id_col: batch[id_col].cast(pa.int64()),
                 "cluster": pa.array(cl),
-                "bucket": pa.array(cl % nb),
                 "vec": pa.array(list(xn)),
             }
         )
@@ -674,11 +672,13 @@ def semdedup(
             )
         return pd.concat(frames, ignore_index=True)
 
-    return (
-        ds.select_columns([id_col, vec_col])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(prune, batch_format="pandas")
+    return bucket_map(
+        ds.select_columns([id_col, vec_col]).map_batches(
+            assign, batch_format="pyarrow"
+        ),
+        ["cluster"],
+        prune,
+        num_buckets=nb,
     )
 
 
@@ -1075,13 +1075,8 @@ def hard_negatives(
         concurrency=pool_size(concurrency),
     )
 
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(
-            ["score", "vec_id"], ascending=[False, True]
-        ).head(k)
-
-    out = local.groupby("anchor_id").map_groups(
-        reduce_topk, batch_format="pandas"
+    out = topk_per_group(
+        local, ["anchor_id"], ["score", "vec_id"], k, descending=[True, False]
     )
     return (
         out.to_pandas()

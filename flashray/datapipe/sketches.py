@@ -202,6 +202,7 @@ def approx_distinct_by_key(
             {key: [grp[key].iloc[0]], "approx_distinct": [est]}
         )
 
+    # natural key: `merge` folds one key's register rows into one estimate
     return partials.groupby(key).map_groups(merge, batch_format="pandas")
 
 

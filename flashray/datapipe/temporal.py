@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from flashray.joins import _tagged_union
+from flashray.joins import _map_buckets, _tagged_union, bucket_map
 
 
 def _typed_empty(cols: list[tuple[str, pa.DataType]]) -> pd.DataFrame:
@@ -140,7 +140,7 @@ def asof_join(
         out = out.drop(columns="__matched")
         return _restore_int_dtypes(out, all_cols)[out_cols]
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return _map_buckets(both, merge)
 
 
 def _ts_int64(col: pd.Series) -> np.ndarray:
@@ -264,7 +264,7 @@ def range_join(
         )
         return _restore_int_dtypes(out, all_cols)[out_cols]
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return _map_buckets(both, merge)
 
 
 def funnel_counts(
@@ -477,6 +477,23 @@ def cohort_retention(
     )
 
 
+def _event_projection(ts_col, user_col, type_col, id_col):
+    """Batch fn projecting events to (user int64, ``__ts_us`` int64 µs,
+    id int64, type string), the per-user sequence input."""
+
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                user_col: b[user_col].cast(pa.int64()),
+                "__ts_us": b[ts_col].cast(pa.timestamp("us")).cast(pa.int64()),
+                id_col: b[id_col].cast(pa.int64()),
+                type_col: b[type_col].cast(pa.string()),
+            }
+        )
+
+    return project
+
+
 def event_transitions(
     events: ray.data.Dataset,
     *,
@@ -504,22 +521,9 @@ def event_transitions(
     bucket — hub users never ship raw pairs), then one tiny bucket
     aggregate over the partials and one row-sum join compute the
     probabilities. Nothing user-level reaches the driver."""
-    from flashray.joins import _key_hash, bucket_group_agg, bucket_hash_join
+    from flashray.joins import bucket_group_agg, bucket_hash_join
 
-    def project(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, [user_col])
-        return pa.table(
-            {
-                user_col: b[user_col].cast(pa.int64()),
-                "__ts_us": b[ts_col].cast(pa.timestamp("us")).cast(pa.int64()),
-                id_col: b[id_col].cast(pa.int64()),
-                type_col: b[type_col].cast(pa.string()),
-                "__tbucket": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int64)
-                ),
-            }
-        )
+    project = _event_projection(ts_col, user_col, type_col, id_col)
 
     pair_cols = [
         ("from_type", pa.string()),
@@ -542,10 +546,11 @@ def event_transitions(
         out["n"] = vc.to_numpy().astype(np.int64)
         return out
 
-    partials = (
-        events.map_batches(project, batch_format="pyarrow")
-        .groupby("__tbucket")
-        .map_groups(pairs_of_bucket, batch_format="pandas")
+    partials = bucket_map(
+        events.map_batches(project, batch_format="pyarrow"),
+        [user_col],
+        pairs_of_bucket,
+        num_buckets=num_buckets,
     )
     counts = bucket_group_agg(
         partials, ["from_type", "to_type"], {"n": ("n", "sum")},
@@ -602,22 +607,9 @@ def session_paths(
     with map-side per-bucket path pre-counts (one row per distinct path
     per bucket), one tiny bucket aggregate, one sort+limit. The
     per-session string join is O(sessions) like any tokenize step."""
-    from flashray.joins import _key_hash, bucket_group_agg
+    from flashray.joins import bucket_group_agg
 
-    def project(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, [user_col])
-        return pa.table(
-            {
-                user_col: b[user_col].cast(pa.int64()),
-                "__ts_us": b[ts_col].cast(pa.timestamp("us")).cast(pa.int64()),
-                id_col: b[id_col].cast(pa.int64()),
-                type_col: b[type_col].cast(pa.string()),
-                "__sbucket": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int64)
-                ),
-            }
-        )
+    project = _event_projection(ts_col, user_col, type_col, id_col)
 
     path_cols = [("path", pa.string()), ("n", pa.int64())]
 
@@ -639,10 +631,11 @@ def session_paths(
             {"path": vc.index.to_numpy(), "n": vc.to_numpy().astype(np.int64)}
         )
 
-    partials = (
-        events.map_batches(project, batch_format="pyarrow")
-        .groupby("__sbucket")
-        .map_groups(paths_of_bucket, batch_format="pandas")
+    partials = bucket_map(
+        events.map_batches(project, batch_format="pyarrow"),
+        [user_col],
+        paths_of_bucket,
+        num_buckets=num_buckets,
     )
     counts = bucket_group_agg(
         partials, ["path"], {"n": ("n", "sum")}, num_buckets=num_buckets
@@ -851,9 +844,7 @@ def temporal_reachability(
         # whose pandas merge would float int64 arrivals and round values
         # above 2^53) is folded per vertex — new state = min(state,
         # cand), frontier = rows where the candidate strictly improves.
-        from flashray.joins import _key_hash
-
-        tagged = state.map_batches(
+        both = state.map_batches(
             lambda b: b.append_column(
                 "__side", pa.array(np.zeros(len(b), dtype=np.int8))
             ),
@@ -870,14 +861,6 @@ def temporal_reachability(
                 batch_format="pyarrow",
             )
         )
-
-        def add_vbucket(b: pa.Table) -> pa.Table:
-            b = b.replace_schema_metadata(None)
-            h = _key_hash(b, ["vertex_id"])
-            return b.append_column(
-                "__vbucket",
-                pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-            )
 
         BIG = np.iinfo(np.int64).max
 
@@ -900,15 +883,9 @@ def temporal_reachability(
                 }
             )
 
-        state = (
-            tagged.map_batches(add_vbucket, batch_format="pyarrow")
-            .groupby("__vbucket")
-            .map_groups(
-                lambda g: fold(g.drop(columns=["__vbucket"])),
-                batch_format="pandas",
-            )
-            .materialize()
-        )
+        state = bucket_map(
+            both, ["vertex_id"], fold, num_buckets=num_buckets
+        ).materialize()
         frontier = state.map_batches(
             lambda df: df.loc[df["__imp"] == 1, ["vertex_id", "arrival"]]
             .astype({"vertex_id": np.int64, "arrival": np.int64}),
@@ -1057,26 +1034,12 @@ def session_cooccurrence(
     two hash joins. Exact integer counts ⇒ partition-invariant;
     support/lift are one rounded division each."""
     from flashray.joins import (
-        _key_hash,
         bucket_group_agg,
         bucket_hash_join,
         pairs_within_groups,
     )
 
-    def project(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, [user_col])
-        return pa.table(
-            {
-                user_col: b[user_col].cast(pa.int64()),
-                "__ts_us": b[ts_col].cast(pa.timestamp("us")).cast(pa.int64()),
-                id_col: b[id_col].cast(pa.int64()),
-                type_col: b[type_col].cast(pa.string()),
-                "__cbucket": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int64)
-                ),
-            }
-        )
+    project = _event_projection(ts_col, user_col, type_col, id_col)
 
     part_cols = [
         ("kind", pa.string()), ("a", pa.string()), ("b", pa.string()),
@@ -1126,9 +1089,12 @@ def session_cooccurrence(
         return pd.concat(out, ignore_index=True)
 
     agg = bucket_group_agg(
-        events.map_batches(project, batch_format="pyarrow")
-        .groupby("__cbucket")
-        .map_groups(partials_of_bucket, batch_format="pandas"),
+        bucket_map(
+            events.map_batches(project, batch_format="pyarrow"),
+            [user_col],
+            partials_of_bucket,
+            num_buckets=num_buckets,
+        ),
         ["kind", "a", "b"],
         {"n": ("n", "sum")},
         num_buckets=num_buckets,
@@ -1218,22 +1184,9 @@ def interevent_stats(
     SQL replay (windowed LAG) uses — partition-invariant, oracle-exact.
     ONE per-user hash shuffle forms the gaps; map-side per-type
     partials bound the second aggregate."""
-    from flashray.joins import _key_hash, bucket_group_agg
+    from flashray.joins import bucket_group_agg
 
-    def project(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, [user_col])
-        return pa.table(
-            {
-                user_col: b[user_col].cast(pa.int64()),
-                "__ts_us": b[ts_col].cast(pa.timestamp("us")).cast(pa.int64()),
-                id_col: b[id_col].cast(pa.int64()),
-                type_col: b[type_col].cast(pa.string()),
-                "__gbuck": pa.array(
-                    (h % np.uint64(num_buckets)).astype(np.int64)
-                ),
-            }
-        )
+    project = _event_projection(ts_col, user_col, type_col, id_col)
 
     part_cols = [
         (type_col, pa.string()), ("s1", pa.int64()), ("s2", pa.int64()),
@@ -1263,9 +1216,12 @@ def interevent_stats(
         )
 
     stats = bucket_group_agg(
-        events.map_batches(project, batch_format="pyarrow")
-        .groupby("__gbuck")
-        .map_groups(gaps_of_bucket, batch_format="pandas"),
+        bucket_map(
+            events.map_batches(project, batch_format="pyarrow"),
+            [user_col],
+            gaps_of_bucket,
+            num_buckets=num_buckets,
+        ),
         [type_col],
         {"s1": ("s1", "sum"), "s2": ("s2", "sum"), "c": ("c", "sum")},
         num_buckets=num_buckets,

@@ -288,12 +288,12 @@ def tfidf_top_terms(
     Dataflow: one explode pass emits EXACT per-doc term counts (a doc is
     one row, so its counts complete inside its batch — no tf shuffle);
     df aggregates per-batch partials through one bucket shuffle; tf ⋈ df
-    on term; top-k per doc in a doc-bucketed vectorized pass. Returns a
+    on term; top-k per doc through ``joins.topk_per_group``. Returns a
     Dataset of (doc_id, term, tfidf)."""
     import pyarrow as pa
     import ray.data  # noqa: F401  (docs is a Dataset)
 
-    from flashray.joins import bucket_group_agg, bucket_hash_join
+    from flashray.joins import bucket_group_agg, bucket_hash_join, topk_per_group
 
     N = docs.count()
 
@@ -333,8 +333,8 @@ def tfidf_top_terms(
         right_schema=pa.schema([("term", pa.string()), ("df", pa.int64())]),
     )
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "doc_id": df["doc_id"].to_numpy().astype(np.int64),
                 "term": df["term"],
@@ -345,22 +345,15 @@ def tfidf_top_terms(
                 ),
             }
         )
-        out["__dbucket"] = out["doc_id"] % num_buckets
-        return out
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["doc_id", "tfidf", "term"],
-            ascending=[True, False, True],
-            kind="stable",
-        )
-        top = g.groupby("doc_id", sort=False).head(k)
-        return top[["doc_id", "term", "tfidf"]]
-
-    return (
-        joined.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__dbucket")
-        .map_groups(topk, batch_format="pandas")
+    # (tfidf desc, term asc) is a total order within a doc
+    return topk_per_group(
+        joined.map_batches(score, batch_format="pandas"),
+        ["doc_id"],
+        ["tfidf", "term"],
+        k,
+        descending=[True, False],
+        num_buckets=num_buckets,
     )
 
 
@@ -1225,26 +1218,14 @@ def winnow_overlap(
     max_df=None. Returns (doc_id_a, doc_id_b, n_shared), a < b."""
     import pyarrow as pa
 
-    from flashray.joins import (
-        _key_hash,
-        bucket_group_agg,
-        pairs_within_groups,
-    )
+    from flashray.joins import bucket_group_agg, bucket_map, pairs_within_groups
 
     fps = winnow_fingerprints(
         docs, n=n, w=w, id_col=id_col, text_col=text_col
     )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        b = b.select(["fp", "doc_id"]).replace_schema_metadata(None)
-        h = _key_hash(b, ["fp"])
-        return b.append_column(
-            "__wbucket",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        )
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__wbucket"]).drop_duplicates(["fp", "doc_id"])
+        g = g.drop_duplicates(["fp", "doc_id"])
         if max_df is not None:
             sizes = g.groupby("fp")["doc_id"].transform("size")
             g = g[sizes <= max_df]
@@ -1269,10 +1250,11 @@ def winnow_overlap(
         )
         return out.astype(np.int64)
 
-    pairs = (
-        fps.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__wbucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    pairs = bucket_map(
+        fps.select_columns(["fp", "doc_id"]),
+        ["fp"],
+        per_bucket,
+        num_buckets=num_buckets,
     )
     agg = bucket_group_agg(
         pairs,

@@ -155,6 +155,7 @@ def session_window(
             out["sum_value"].append(float(sv))
         return pd.DataFrame(out)
 
+    # natural key: `sessions` splits one key's own event stream per call
     return events.groupby(key_col).map_groups(sessions, batch_format="pandas")
 
 
@@ -173,35 +174,19 @@ def transition_counts(
     successor, and count ``(prev_state, next_state)`` over the whole log.
     Divide by the per-prev_state row sums for transition probabilities.
 
-    Distributed shape: keys are hash-bucketed (``splitmix64(key) % B``) so
-    one shuffle co-locates each key's events while millions of tiny
-    per-key groups never become per-group Ray tasks; inside a bucket the
-    sort + shift + boundary mask is fully vectorized, and each bucket
-    emits PARTIAL (prev,next,n) counts — the final aggregate moves at most
+    Distributed shape: one ``joins.bucket_map`` shuffle on the key (int64
+    or string) co-locates each key's events; inside a bucket the sort +
+    shift + boundary mask is fully vectorized, and each bucket emits
+    PARTIAL (prev,next,n) counts — the final aggregate moves at most
     ``B × |states|²`` rows."""
-    from flashray.ids import _splitmix64
-    from flashray.joins import bucket_group_agg
+    from flashray.joins import bucket_group_agg, bucket_map
 
     B = int(num_buckets)
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        keys = b[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.table(
-            {
-                "k": b[key_col],
-                "t": b[ts_col],
-                "i": b[id_col],
-                "s": b[state_col],
-                "__bucket": pa.array(
-                    (_splitmix64(keys) % np.uint64(B)).astype(np.int64)
-                ),
-            }
-        )
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["k", "t", "i"], kind="mergesort")
-        k = g["k"].to_numpy()
-        s = g["s"].to_numpy()
+        g = g.sort_values([key_col, ts_col, id_col], kind="mergesort")
+        k = g[key_col].to_numpy()
+        s = g[state_col].to_numpy()
         same = np.empty(len(g), dtype=bool)
         if len(g):
             same[:-1] = k[:-1] == k[1:]
@@ -213,11 +198,11 @@ def transition_counts(
             ["prev_state", "next_state"], as_index=False, sort=False
         ).agg(n=("prev_state", "size"))
 
-    parts = (
-        events.select_columns([key_col, ts_col, state_col, id_col])
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(pairs, batch_format="pandas")
+    parts = bucket_map(
+        events.select_columns([key_col, ts_col, state_col, id_col]),
+        [key_col],
+        pairs,
+        num_buckets=B,
     )
     return bucket_group_agg(
         parts, ["prev_state", "next_state"], {"n": ("n", "sum")},

@@ -256,6 +256,7 @@ def extract_edges_sorted(
             )
         return pd.concat(rows, ignore_index=True)
 
+    # natural key: `per_conv` walks one conversation's turns in order
     return transcripts.groupby("conv_id").map_groups(
         per_conv, batch_format="pandas"
     )

@@ -39,7 +39,7 @@ from flashray.datapipe.sketches import (
     hll_estimate_rows,
     hll_partial,
 )
-from flashray.joins import bucket_hash_join
+from flashray.joins import bucket_hash_join, bucket_map, coalesce
 
 
 def _init_sketches(vertices: np.ndarray, p: int) -> pd.DataFrame:
@@ -81,15 +81,18 @@ def hyperball(
     m = 1 << p
     I64, BIN = pa.int64(), pa.binary()
 
-    e = edges.map_batches(
-        lambda b: pa.table(
-            {
-                "src": b[src_col].cast(I64),
-                "dst": b[dst_col].cast(I64),
-            }
+    e = coalesce(
+        edges.map_batches(
+            lambda b: pa.table(
+                {
+                    "src": b[src_col].cast(I64),
+                    "dst": b[dst_col].cast(I64),
+                }
+            ),
+            batch_format="pyarrow",
         ),
-        batch_format="pyarrow",
-    ).materialize()
+        num_buckets,
+    )
 
     # B_0 seeding stays distributed: per-batch endpoint dedup -> one
     # bucketed distinct -> per-batch sketch init. The O(V)×2^p sketch
@@ -116,12 +119,15 @@ def hyperball(
         None,
         num_buckets=num_buckets,
     )
-    cur = verts_ds.map_batches(
-        lambda df: _init_sketches(
-            df["vertex_id"].to_numpy(dtype=np.int64), p
+    cur = coalesce(
+        verts_ds.map_batches(
+            lambda df: _init_sketches(
+                df["vertex_id"].to_numpy(dtype=np.int64), p
+            ),
+            batch_format="pandas",
         ),
-        batch_format="pandas",
-    ).materialize()
+        num_buckets,
+    )
 
     sketch_schema = pa.schema(
         [
@@ -211,14 +217,6 @@ def hyperball(
             batch_format="pandas",
         )
 
-        def add_vbucket(b: pa.Table) -> pa.Table:
-            b = b.replace_schema_metadata(None)
-            v = b["vertex_id"].to_numpy(zero_copy_only=False)
-            return b.append_column(
-                "__vbucket",
-                pa.array((v % num_buckets).astype(np.int64)),
-            )
-
         def merge_bucket(g: pd.DataFrame, _t=t) -> pd.DataFrame:
             """ALL vertices of a bucket merged in one vectorized pass —
             never a Ray group (or a Python merge) per vertex. Rows are
@@ -265,17 +263,14 @@ def hyperball(
                 }
             )
 
-        cur = (
-            old.union(new)
-            .map_batches(add_vbucket, batch_format="pyarrow")
-            .groupby("__vbucket")
-            .map_groups(merge_bucket, batch_format="pandas")
-            # coalesce: each sort emits ~as many blocks as it receives, so
-            # without this the block count compounds per iteration and
-            # fixed per-block costs grow superlinearly (measured: iters
-            # 5-8 cost 10x iters 1-4 at 150 vertices)
-            .repartition(num_buckets)
-            .materialize()
+        cur = coalesce(
+            bucket_map(
+                old.union(new),
+                ["vertex_id"],
+                merge_bucket,
+                num_buckets=num_buckets,
+            ),
+            num_buckets,
         )
         n_changed = sum(
             int(b["changed"].to_numpy(zero_copy_only=False).sum())

@@ -1,13 +1,23 @@
-"""Explicit partitioned hash join for Ray Data.
+"""Bucketed shuffles for Ray Data: the one place that decides which task
+sees which key.
 
-Ray 2.49 ships ``Dataset.join``, but its hash-shuffle aggregator actors
-reserve CPUs and starve small sessions (observed: a 4-CPU session makes a
-4-partition join crawl). This is the portable pattern from
-https://docs.ray.io/en/latest/data/joining-data.html: add a
-``bucket = hash(key) % B`` column to both sides, ``groupby("bucket")``
-once over the tagged union, and run a vectorized pandas merge per bucket.
-One shuffle, no extra actor pool, works at any session size; B bounds the
-per-task memory (raise B for bigger data; salt hot keys upstream).
+``bucket_map(ds, keys, fn, num_buckets=B)`` is the one bucketed shuffle.
+It tags every row with ``__bucket = _key_hash(keys) % B`` (splitmix64 over
+the int64 key values, or over the CRC32 of string values, chained column
+by column), runs ``groupby("__bucket").map_groups`` with Ray's sort
+shuffle, and hands ``fn`` one pandas frame per bucket with ``__bucket``
+dropped. Every row of a key reaches the same ``fn`` call, so ``fn`` does
+its per-key work with vectorized pandas/numpy over the whole bucket.
+
+The two-sided operators (hash, semi, as-of and range joins) tag each side
+with the same rule on its own key names, union the sides and reuse
+``bucket_map``'s group-and-apply step. Ray 2.49 ships ``Dataset.join``,
+but its hash-shuffle aggregator actors reserve CPUs and starve small
+sessions (observed: a 4-CPU session makes a 4-partition join crawl); this
+is the portable pattern from
+https://docs.ray.io/en/latest/data/joining-data.html. One shuffle, no
+extra actor pool, works at any session size; B bounds the per-task memory
+(raise B for bigger data; salt hot keys upstream).
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
+from ray.data import DataContext
 
 from flashray.ids import _splitmix64
 
@@ -41,6 +52,55 @@ def _key_hash(batch: pa.Table, on: list[str]) -> np.ndarray:
                 v = codes[inv]
             h = _splitmix64(h ^ v)
     return h
+
+
+BUCKET = "__bucket"
+
+
+def _tag(keys: list[str], num_buckets: int):
+    """A pyarrow batch fn appending ``__bucket = _key_hash(keys) %
+    num_buckets``. It strips the pandas round-trip metadata first: a schema
+    carrying the b'pandas' metadata dict is UNHASHABLE, which defeats Ray's
+    shuffle-reduce schema deduplication (warning + slow unify)."""
+
+    def fn(b: pa.Table) -> pa.Table:
+        b = b.replace_schema_metadata(None)
+        bucket = _key_hash(b, keys) % np.uint64(num_buckets)
+        return b.append_column(BUCKET, pa.array(bucket.astype(np.int64)))
+
+    return fn
+
+
+def _map_buckets(tagged: ray.data.Dataset, fn) -> ray.data.Dataset:
+    """Group a ``__bucket``-tagged Dataset and run ``fn`` on each bucket's
+    pandas frame (``__bucket`` included: the joins select their columns)."""
+    return tagged.groupby(BUCKET).map_groups(fn, batch_format="pandas")
+
+
+def bucket_map(
+    ds: ray.data.Dataset, keys: list[str], fn, *, num_buckets: int
+) -> ray.data.Dataset:
+    """Run ``fn`` once per hash bucket of ``keys``: every row of a key
+    reaches one ``fn(pandas.DataFrame)`` call, which returns a pandas
+    DataFrame or a pyarrow Table. A bucket holds many keys."""
+    tagged = ds.map_batches(
+        _tag(list(keys), num_buckets), batch_format="pyarrow", zero_copy_batch=True
+    )
+    return _map_buckets(tagged, lambda g: fn(g.drop(columns=[BUCKET])))
+
+
+def coalesce(ds: ray.data.Dataset, max_blocks: int) -> ray.data.Dataset:
+    """Materialize ``ds`` in ``max_blocks`` blocks, or fewer when it is too
+    small to fill them: no block under Ray's ``target_min_block_size``.
+    Iterative dataflows call this on each round's result: a sort emits as
+    many blocks as it receives and ships blocks² pieces, so an uncoalesced
+    block count compounds round over round, and ``max_blocks`` blocks of a
+    small table cost every round (measured: a 6-vertex HyperBall took 107 s
+    at 64 blocks, 12 s at 4)."""
+    ds = ds.materialize()
+    floor = DataContext.get_current().target_min_block_size
+    n = max(1, min(max_blocks, -(-ds.size_bytes() // floor)))
+    return ds.repartition(n).materialize()
 
 
 def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
@@ -81,8 +141,9 @@ def _tagged_union(
     """Shared co-partitioning plumbing for every bucketed two-sided
     operator (hash join, as-of join, range join): tag each side, pad both
     to one union schema (typed zero sentinels, suffix-renamed right
-    columns), hash-bucket on the key columns, and union. The caller runs
-    its per-bucket merge in a ``groupby("__bucket").map_groups``.
+    columns), tag each side's key columns with ``bucket_map``'s rule, and
+    union. The caller runs its per-bucket merge with ``_map_buckets``; the
+    merge splits the sides apart on ``__side``.
 
     Returns ``(both, ctx)`` where ctx carries ``on``/``rkeys`` (left/right
     key names post-rename), ``lout``/``rout`` (non-overlapping output
@@ -90,13 +151,10 @@ def _tagged_union(
     (``(name, arrow type)`` of the union schema)."""
 
     def tag(side: int, keys: list[str]):
+        tag_bucket = _tag(keys, num_buckets)
+
         def fn(b: pa.Table) -> pa.Table:
-            # strip pandas round-trip metadata: a schema carrying the
-            # b'pandas' metadata dict is UNHASHABLE, which defeats Ray's
-            # shuffle-reduce schema deduplication (warning + slow unify)
-            b = b.replace_schema_metadata(None)
-            bucket = (_key_hash(b, keys) % np.uint64(num_buckets)).astype(np.int64)
-            return b.append_column("__bucket", pa.array(bucket)).append_column(
+            return tag_bucket(b).append_column(
                 "__side", pa.array(np.full(b.num_rows, side, dtype=np.int8))
             )
 
@@ -148,7 +206,7 @@ def _tagged_union(
                             np.zeros(b.num_rows, dtype=typ.to_pandas_dtype())
                         ).cast(typ)
                     b = b.append_column(c, filler)
-            return b.select([c for c, _ in all_cols] + ["__bucket", "__side"])
+            return b.select([c for c, _ in all_cols] + [BUCKET, "__side"])
 
         return fn
 
@@ -223,7 +281,7 @@ def bucket_hash_join(
                     merged[c] = col.astype(np.int64)
         return merged
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return _map_buckets(both, merge)
 
 
 def bucket_group_agg(
@@ -246,27 +304,12 @@ def bucket_group_agg(
     ``keys`` — pass the int64 subset when keys include strings)."""
     hk = hash_keys if hash_keys is not None else keys
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        # see bucket_hash_join.tag: unhashable pandas metadata breaks the
-        # shuffle-reduce schema dedup
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, hk)
-        return b.append_column(
-            "__gbucket",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        )
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__gbucket"])
         if agg is None:
             return g.drop_duplicates(keys)
         return g.groupby(keys, as_index=False, sort=False).agg(**agg)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__gbucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_map(ds, hk, per_bucket, num_buckets=num_buckets)
 
 
 def topk_per_group(
@@ -301,22 +344,11 @@ def topk_per_group(
             .head(k)
         )
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, hk)
-        return b.append_column(
-            "__tbucket",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        )
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return prune(g.drop(columns=["__tbucket"]))
-
-    return (
-        ds.map_batches(prune, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__tbucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    return bucket_map(
+        ds.map_batches(prune, batch_format="pandas"),
+        hk,
+        prune,
+        num_buckets=num_buckets,
     )
 
 
@@ -343,10 +375,10 @@ def bucket_semi_join(
     lsch = left_schema if left_schema is not None else _arrow_schema(left)
     lcols = [f.name for f in lsch]
 
+    tag_bucket = _tag(on, num_buckets)
+
     def tag_left(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        bucket = (_key_hash(b, on) % np.uint64(num_buckets)).astype(np.int64)
-        return b.append_column("__sbucket", pa.array(bucket)).append_column(
+        return tag_bucket(b).append_column(
             "__sside", pa.array(np.zeros(b.num_rows, dtype=np.int8))
         )
 
@@ -357,8 +389,6 @@ def bucket_semi_join(
         # ships once per batch
         df = b.to_pandas().drop_duplicates(on)
         b = pa.Table.from_pandas(df, preserve_index=False)
-        b = b.replace_schema_metadata(None)
-        bucket = (_key_hash(b, on) % np.uint64(num_buckets)).astype(np.int64)
         # pad the non-key left columns so the union has one schema
         for f in lsch:
             if f.name not in on:
@@ -375,9 +405,7 @@ def bucket_semi_join(
                         np.zeros(b.num_rows, dtype=f.type.to_pandas_dtype())
                     ).cast(f.type)
                 b = b.append_column(f.name, filler)
-        return b.select(lcols).append_column(
-            "__sbucket", pa.array(bucket)
-        ).append_column(
+        return tag_bucket(b.select(lcols)).append_column(
             "__sside", pa.array(np.ones(b.num_rows, dtype=np.int8))
         )
 
@@ -400,9 +428,7 @@ def bucket_semi_join(
             return pa.table({f.name: pa.array([], type=f.type) for f in lsch})
         return out[lcols]
 
-    return (
-        lt.union(rt).groupby("__sbucket").map_groups(filt, batch_format="pandas")
-    )
+    return _map_buckets(lt.union(rt), filt)
 
 
 def pairs_within_groups(

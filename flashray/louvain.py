@@ -52,36 +52,19 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from flashray.joins import bucket_group_agg, bucket_hash_join, bucket_semi_join
+from flashray.joins import (
+    bucket_group_agg,
+    bucket_hash_join,
+    bucket_map,
+    bucket_semi_join,
+    coalesce,
+)
 
 _I64 = pa.int64()
 
 
 def _lab_schema() -> pa.Schema:
     return pa.schema([("vertex_id", _I64), ("label", _I64), ("kv", _I64)])
-
-
-def _decide_by(ds, fn, key: str, num_buckets: int):
-    """All rows of one ``key`` must reach one ``fn`` call (the ml.py
-    _decide_bucketed shape, keyed generically)."""
-    from flashray.joins import _key_hash
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, [key])
-        return b.append_column(
-            "__lbucket",
-            pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__lbucket")
-        .map_groups(
-            lambda g: fn(g.drop(columns=["__lbucket"])),
-            batch_format="pandas",
-        )
-    )
 
 
 def _edge_table(edges, src_col, dst_col, weight_col):
@@ -371,10 +354,9 @@ def _one_sweep(e, labels, tm, num_buckets):
         batch_format="pyarrow",
     ).union(own_syn)
 
-    return (
-        _decide_by(cand, _make_pick(tm), "v", num_buckets)
-        .repartition(num_buckets)
-        .materialize()
+    return coalesce(
+        bucket_map(cand, ["v"], _make_pick(tm), num_buckets=num_buckets),
+        num_buckets,
     )
 
 

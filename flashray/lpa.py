@@ -33,7 +33,12 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from flashray.joins import bucket_group_agg, bucket_hash_join
+from flashray.joins import (
+    bucket_group_agg,
+    bucket_hash_join,
+    bucket_map,
+    coalesce,
+)
 
 _I64 = pa.int64()
 
@@ -113,13 +118,6 @@ def lpa_communities(
             }
         )
 
-    def add_vbucket(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        v = b["vertex_id"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "__vbucket", pa.array((v % num_buckets).astype(np.int64))
-        )
-
     def update(g: pd.DataFrame) -> pd.DataFrame:
         """One pass per bucket: finish the counts, argmax (count desc,
         label asc) per vertex, coalesce with the previous labels (rows
@@ -177,17 +175,14 @@ def lpa_communities(
             right_schema=_label_schema(),
         ).map_batches(partial_counts, batch_format="pandas")
 
-        labels = (
-            msgs.map_batches(add_vbucket, batch_format="pyarrow")
-            .union(
-                labels.map_batches(tag_old, batch_format="pyarrow")
-                .map_batches(add_vbucket, batch_format="pyarrow")
-            )
-            .groupby("__vbucket")
-            .map_groups(update, batch_format="pandas")
-            # bound block growth across sweeps (the k-truss lesson)
-            .repartition(num_buckets)
-            .materialize()
+        labels = coalesce(
+            bucket_map(
+                msgs.union(labels.map_batches(tag_old, batch_format="pyarrow")),
+                ["vertex_id"],
+                update,
+                num_buckets=num_buckets,
+            ),
+            num_buckets,
         )
 
     return labels

@@ -127,7 +127,7 @@ def _distributed_match(edges: ray.data.Dataset, max_rounds: int,
                        num_buckets: int,
                        weighted: bool = False,
                        tail_threshold: int = 0) -> pd.DataFrame:
-    from flashray.joins import bucket_hash_join
+    from flashray.joins import bucket_hash_join, bucket_map
 
     I64 = pa.int64()
 
@@ -181,18 +181,11 @@ def _distributed_match(edges: ray.data.Dataset, max_rounds: int,
                 columns={"dst": "t"}
             )
 
-        def add_bucket(b: pa.Table) -> pa.Table:
-            s = b["src"].to_numpy(zero_copy_only=False)
-            return b.append_column(
-                "__mbucket",
-                pa.array((s % num_buckets).astype(np.int64)),
-            )
-
-        prop = (
-            cur.map_batches(with_prio, batch_format="pyarrow")
-            .map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__mbucket")
-            .map_groups(per_bucket, batch_format="pandas")
+        prop = bucket_map(
+            cur.map_batches(with_prio, batch_format="pyarrow"),
+            ["src"],
+            per_bucket,
+            num_buckets=num_buckets,
         )
         # mutual proposals: (u, t) whose reverse (t, u) also proposed
         mut = bucket_hash_join(

@@ -27,7 +27,7 @@ import pyarrow as pa
 import ray.data
 
 from flashray.build import Graph
-from flashray.joins import bucket_group_agg, bucket_hash_join
+from flashray.joins import bucket_group_agg, bucket_hash_join, coalesce
 
 _I64 = pa.int64()
 _F64 = pa.float64()
@@ -226,7 +226,8 @@ def hits(
     aggregate) with ``full=False`` — zero-score vertices drop out of the
     intermediate vectors (exact: zeros contribute nothing downstream) and
     only the final half-steps pay the vertex-coverage join. Each
-    half-step materializes: a step's O(V) vector lives in the object
+    half-step materializes (``joins.coalesce``, which also bounds its
+    block count): a step's O(V) vector lives in the object
     store, never on the driver, and the plan stays shallow — measured,
     lazy-chained spmv DAGs cost superlinearly in depth (Ray Data
     all-to-all planning: 2.6/7.1/11.1/20.5 s at depths 1–4 on a tiny
@@ -261,14 +262,20 @@ def hits(
     a = None
     for t in range(1, iters + 1):
         last = t == iters
-        a = spmv(
-            graph, h, x_col="y", weighted=weighted,
-            direction="out", num_buckets=B, full=last,
-        ).materialize()
-        h = spmv(
-            graph, a, x_col="y", weighted=weighted,
-            direction="in", num_buckets=B, full=last,
-        ).materialize()
+        a = coalesce(
+            spmv(
+                graph, h, x_col="y", weighted=weighted,
+                direction="out", num_buckets=B, full=last,
+            ),
+            B,
+        )
+        h = coalesce(
+            spmv(
+                graph, a, x_col="y", weighted=weighted,
+                direction="in", num_buckets=B, full=last,
+            ),
+            B,
+        )
 
     a_max = float(a.max("y") or 0.0) if normalize else 1.0
     h_max = float(h.max("y") or 0.0) if normalize else 1.0
@@ -452,8 +459,6 @@ def nmf(
     allclose-tested); ``local_threshold=0`` forces the dataflow."""
     import pandas as pd
 
-    from flashray.joins import bucket_hash_join
-
     B = num_buckets or max(16, graph.num_partitions)
     fcols = [f"f{k}" for k in range(rank)]
 
@@ -504,7 +509,7 @@ def nmf(
                 out[fcols[k]] = new[:, k]
             return pd.DataFrame(out)
 
-        return j.map_batches(upd, batch_format="pandas").materialize()
+        return coalesce(j.map_batches(upd, batch_format="pandas"), B)
 
     verts = graph.vertices_dataset(columns=["vertex_id"])
     if local_threshold and graph.meta.num_edges <= local_threshold:

@@ -51,6 +51,8 @@ from flashray.build import Graph
 from flashray.joins import (
     bucket_group_agg,
     bucket_hash_join,
+    bucket_map,
+    coalesce,
     pairs_within_groups,
 )
 
@@ -461,12 +463,6 @@ def _closed_from_oriented(
     center's bucket); wedges close by one bucketed join against the
     closing keys."""
 
-    def bucket_by_center(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "cbucket", pa.array((a % num_buckets).astype(np.int64))
-        )
-
     def wedges_of_bucket(g: pd.DataFrame) -> pa.Table:
         a = g["a"].to_numpy(dtype=np.int64)
         b = g["b"].to_numpy(dtype=np.int64)
@@ -474,12 +470,8 @@ def _closed_from_oriented(
         w1, w2, c = _wedges(a, b, st)
         return _wedge_table(st.ids[w1], st.ids[w2], st.ids[c])
 
-    wedges = (
-        oriented.map_batches(
-            bucket_by_center, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("cbucket")
-        .map_groups(wedges_of_bucket, batch_format="pandas")
+    wedges = bucket_map(
+        oriented, ["a"], wedges_of_bucket, num_buckets=num_buckets
     )
     return bucket_hash_join(
         wedges, _closing_keys(oriented), ["w1", "w2"],
@@ -666,17 +658,11 @@ def k_truss(
                 pa.array(b["support"].to_numpy(zero_copy_only=False) >= thr)
             )
 
-        kept = (
-            supz.map_batches(
-                keep, batch_format="pyarrow", zero_copy_batch=True
-            )
-            # coalesce per round: every shuffle stage emits ~as many blocks
-            # as it receives, so without this the block count compounds
-            # per peel round and reduce-task dispatch dominates (measured:
-            # 1,118 s for a 534-edge graph at 4 rounds; 8 s with the
-            # repartition — the same pathology hyperball() hit)
-            .repartition(B)
-            .materialize()
+        # coalesce per round (measured: 1,118 s for a 534-edge graph at 4
+        # rounds without it)
+        kept = coalesce(
+            supz.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True),
+            B,
         )
         m = kept.count()
         rounds += 1
@@ -870,7 +856,6 @@ def _pair_common_neighbors(
             {
                 "center": center,
                 "nbr": np.concatenate([hi, lo]),
-                "cbucket": (center % B).astype(np.int64),
             }
         )
 
@@ -896,9 +881,14 @@ def _pair_common_neighbors(
         )
 
     return bucket_group_agg(
-        und.map_batches(adjacency, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cbucket")
-        .map_groups(wedge_scores, batch_format="pandas"),
+        bucket_map(
+            und.map_batches(
+                adjacency, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["center"],
+            wedge_scores,
+            num_buckets=B,
+        ),
         ["u", "v"],
         {"cn": ("cn1", "sum"), "adamic_adar": ("aa", "sum")},
         num_buckets=B,
@@ -1142,7 +1132,6 @@ def two_hop_sizes(
             {
                 "center": center,
                 "leaf": leaf,
-                "__bucket": (center % B).astype(np.int64),
             }
         )
 
@@ -1155,7 +1144,7 @@ def two_hop_sizes(
         )
         return pd.DataFrame({"lo": a, "hi": b2})
 
-    pairs2 = adj.groupby("__bucket").map_groups(wedge_pairs, batch_format="pandas")
+    pairs2 = bucket_map(adj, ["center"], wedge_pairs, num_buckets=B)
     allpairs = pairs2.union(und)
     distinct = bucket_group_agg(allpairs, ["lo", "hi"], None, num_buckets=B)
 
@@ -1216,12 +1205,7 @@ def bipartite_project(
     pairs — quadratic and inherent to the definition; cap super-hub
     centers with ``max_center_degree`` (weights become lower bounds,
     the usual practice for web-scale co-occurrence)."""
-    from flashray.joins import (
-        _arrow_schema,
-        _key_hash,
-        bucket_group_agg,
-        bucket_hash_join,
-    )
+    from flashray.joins import _arrow_schema
 
     proj = edges.map_batches(
         lambda b: b.select([left_col, right_col]).replace_schema_metadata(None),
@@ -1235,13 +1219,6 @@ def bipartite_project(
     ltype = sch.field(left_col).type
     lt = pa.string() if pa.types.is_string(ltype) else pa.int64()
     B = num_buckets
-
-    def tag_center(b: pa.Table) -> pa.Table:
-        b = b.replace_schema_metadata(None)
-        h = _key_hash(b, [right_col])
-        return b.append_column(
-            "__cbucket", pa.array((h % np.uint64(B)).astype(np.int64))
-        )
 
     pair_empty = pa.table(
         {
@@ -1271,9 +1248,7 @@ def bipartite_project(
         return out
 
     pairs = bucket_group_agg(
-        dist.map_batches(tag_center, batch_format="pyarrow")
-        .groupby("__cbucket")
-        .map_groups(wedge_pairs, batch_format="pandas"),
+        bucket_map(dist, [right_col], wedge_pairs, num_buckets=B),
         ["u", "v"],
         {"cn": ("cn1", "sum")},
         num_buckets=B,
@@ -1476,16 +1451,6 @@ def four_cliques(
     oriented = _oriented_edges(graph, B)
     closed = _closed_wedges(oriented, graph.meta.num_edges, B)
 
-    def bucket_by_edge(b: pa.Table) -> pa.Table:
-        w1 = b["w1"].to_numpy(zero_copy_only=False)
-        w2 = b["w2"].to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            hb = (
-                w1.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                ^ w2.astype(np.uint64)
-            ) % np.uint64(B)
-        return b.append_column("ebucket", pa.array(hb.astype(np.int64)))
-
     def center_pairs(g: pd.DataFrame) -> pd.DataFrame:
         return _center_pair_codes(
             g["w1"].to_numpy(dtype=np.int64),
@@ -1493,13 +1458,7 @@ def four_cliques(
             g["center"].to_numpy(dtype=np.int64),
         )
 
-    cand = (
-        closed.map_batches(
-            bucket_by_edge, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("ebucket")
-        .map_groups(center_pairs, batch_format="pandas")
-    )
+    cand = bucket_map(closed, ["w1", "w2"], center_pairs, num_buckets=B)
 
     cliq = bucket_hash_join(
         cand, _closing_keys(oriented), ["lo", "hi"], right_on=["w1", "w2"],
@@ -1615,12 +1574,6 @@ def incremental_triangle_count(
             }
         )
 
-    def add_cbucket(b: pa.Table) -> pa.Table:
-        c = b["c"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "__cb", pa.array((c % B).astype(np.int64))
-        )
-
     def wedge_pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["c", "n"])
         codes = pd.factorize(g["c"], sort=False)[0]
@@ -1632,11 +1585,11 @@ def incremental_triangle_count(
              "hi": pd.Series(n2, dtype=np.int64)}
         )
 
-    pairs = (
-        canon.map_batches(sym_batch, batch_format="pyarrow")
-        .map_batches(add_cbucket, batch_format="pyarrow")
-        .groupby("__cb")
-        .map_groups(wedge_pairs, batch_format="pandas")
+    pairs = bucket_map(
+        canon.map_batches(sym_batch, batch_format="pyarrow"),
+        ["c"],
+        wedge_pairs,
+        num_buckets=B,
     ).materialize()
 
     B_count = bucket_semi_join(

@@ -9,9 +9,9 @@ choice); and — with ``hash_fn="sha"`` — exactly reproducible in SQL (the
 ``random_walks_user`` driver oracle replays every step with a correlated
 ORDER-BY-hash subquery inside a recursive CTE).
 
-Dataflow per step (no per-walk Ray groups — the walk table is bucketed by
-hash(walk_id) into ``num_buckets`` groups and each bucket chooses all its
-walks' next hops in one vectorized pandas pass):
+Dataflow per step (no per-walk Ray groups — one ``joins.bucket_map`` on
+walk_id, each call choosing all its walks' next hops in one vectorized
+pandas pass):
 
     frontier (walk_id, v) ⋈ edges on v = src   [one bucket-join shuffle]
       → candidates (walk_id, dst, priority)
@@ -32,11 +32,9 @@ layout), and the result is a Dataset. Collect with
 Scale notes: the per-step shuffle ships one row per (frontier walk ×
 out-degree); ``hash_fn="splitmix"`` (default) keeps the priority pure
 vectorized numpy. ``hash_fn="sha"`` pays one sha256 per candidate row and
-exists for SQL-oracle parity — use splitmix at scale. The frontier is
-repartitioned to ``num_buckets`` blocks each step: shuffle stages emit as
-many blocks as they receive, so without the coalesce the block count grows
-every step and task dispatch eventually dominates (the k-truss/hyperball
-lesson).
+exists for SQL-oracle parity — use splitmix at scale. Each step's
+frontier goes through ``joins.coalesce``, which holds its block count to
+its size (at most ``num_buckets`` blocks).
 """
 
 from __future__ import annotations
@@ -49,7 +47,12 @@ import pyarrow as pa
 import ray.data
 
 from flashray.ids import _splitmix64
-from flashray.joins import bucket_group_agg, bucket_hash_join
+from flashray.joins import (
+    bucket_group_agg,
+    bucket_hash_join,
+    bucket_map,
+    coalesce,
+)
 
 _C_STEP = np.uint64(0x9E3779B97F4A7C15)
 _I64 = pa.int64()
@@ -320,13 +323,6 @@ def random_walks(
             right_schema=e_schema,
         )
 
-        def bucketize(b: pa.Table) -> pa.Table:
-            w = b["walk_id"].to_numpy(zero_copy_only=False)
-            return b.append_column(
-                "__wbucket",
-                pa.array((w % num_buckets).astype(np.int64)),
-            )
-
         def choose(g: pd.DataFrame, _t=t) -> pd.DataFrame:
             # all candidates of a walk are in this bucket: argmin
             # (priority, dst) per walk, vectorized via one sort
@@ -351,13 +347,9 @@ def random_walks(
                 }
             )
 
-        frontier = (
-            cand.map_batches(bucketize, batch_format="pyarrow")
-            .groupby("__wbucket")
-            .map_groups(choose, batch_format="pandas")
-            # bound the per-step block count (see module docstring)
-            .repartition(num_buckets)
-            .materialize()
+        frontier = coalesce(
+            bucket_map(cand, ["walk_id"], choose, num_buckets=num_buckets),
+            num_buckets,
         )
         if frontier.count() == 0:
             break
@@ -417,9 +409,9 @@ def node2vec_walks(
     The second-order flag needs "is d a neighbor of prev" — normally an
     edge-set join per step. This implementation avoids it: the PREVIOUS
     step's candidate set for walk w is exactly N(prev), so the flag is a
-    per-bucket merge of two consecutive candidate sets, both already
-    bucketed by hash(walk_id). Per step: one bucket-join shuffle
-    (frontier x edges) + one bucket groupby over cand_t ∪ cand_{t-1}.
+    per-walk merge of two consecutive candidate sets. Per step: one
+    bucket-join shuffle (frontier x edges) + one ``bucket_map`` on walk_id
+    over cand_t ∪ cand_{t-1}.
 
     ``edges`` must be duplicate-free — repeated (src, dst) rows would
     double that candidate's weight. Returns a Dataset of
@@ -435,9 +427,8 @@ def node2vec_walks(
     e_schema = pa.schema([("src", _I64), ("dst", _I64)])
     prev_cand: ray.data.Dataset | None = None
 
-    def bucketize(side: int):
+    def tag_side(side: int):
         def fn(b: pa.Table) -> pa.Table:
-            w = b["walk_id"].to_numpy(zero_copy_only=False)
             cols = {
                 "walk_id": b["walk_id"].cast(_I64),
                 "prev": (
@@ -451,7 +442,6 @@ def node2vec_walks(
                     else pa.array(np.zeros(b.num_rows, dtype=np.int64))
                 ),
                 "dst": b["dst"].cast(_I64),
-                "__wbucket": pa.array((w % num_buckets).astype(np.int64)),
                 "__side": pa.array(
                     np.full(b.num_rows, side, dtype=np.int64)
                 ),
@@ -477,7 +467,7 @@ def node2vec_walks(
             num_buckets=num_buckets,
             left_schema=fr_schema,
             right_schema=e_schema,
-        ).map_batches(bucketize(0), batch_format="pyarrow").materialize()
+        ).map_batches(tag_side(0), batch_format="pyarrow").materialize()
 
         if t == 1:
 
@@ -500,11 +490,11 @@ def node2vec_walks(
                     }
                 )
 
-            frontier = (
-                cand.groupby("__wbucket")
-                .map_groups(choose_first, batch_format="pandas")
-                .repartition(num_buckets)
-                .materialize()
+            frontier = coalesce(
+                bucket_map(
+                    cand, ["walk_id"], choose_first, num_buckets=num_buckets
+                ),
+                num_buckets,
             )
         else:
 
@@ -540,12 +530,14 @@ def node2vec_walks(
                     }
                 )
 
-            frontier = (
-                cand.union(prev_cand)
-                .groupby("__wbucket")
-                .map_groups(choose_biased, batch_format="pandas")
-                .repartition(num_buckets)
-                .materialize()
+            frontier = coalesce(
+                bucket_map(
+                    cand.union(prev_cand),
+                    ["walk_id"],
+                    choose_biased,
+                    num_buckets=num_buckets,
+                ),
+                num_buckets,
             )
 
         prev_cand = cand.map_batches(
@@ -555,7 +547,6 @@ def node2vec_walks(
                     "prev": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
                     "v": pa.array(np.zeros(b.num_rows, dtype=np.int64)),
                     "dst": b["dst"],
-                    "__wbucket": b["__wbucket"],
                     "__side": pa.array(np.ones(b.num_rows, dtype=np.int64)),
                 }
             ),
@@ -580,23 +571,21 @@ def skipgram_pairs(
     pair of positions within ``window`` steps on the same walk, counted.
     Returns a Dataset (collect with ``.to_pandas()`` only when small).
 
-    One bucket pass: walks are hash-bucketed (a walk's rows co-locate),
-    pairs are ``window`` vectorized self-merges per bucket (never a Ray
-    group per walk), then one bucketed count aggregate."""
+    One ``bucket_map`` on walk_id (a walk's rows co-locate), pairs are
+    ``window`` vectorized self-merges per bucket (never a Ray group per
+    walk), then one bucketed count aggregate."""
     ds = (
         ray.data.from_pandas(corpus)
         if isinstance(corpus, pd.DataFrame)
         else corpus
     )
 
-    def bucketize(b: pa.Table) -> pa.Table:
-        w = b["walk_id"].to_numpy(zero_copy_only=False)
+    def project(b: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "walk_id": b["walk_id"].cast(pa.int64()),
                 "step": b["step"].cast(pa.int64()),
                 "vertex_id": b["vertex_id"].cast(pa.int64()),
-                "__wbucket": pa.array((w % num_buckets).astype(np.int64)),
             }
         )
 
@@ -638,10 +627,11 @@ def skipgram_pairs(
         res["__one"] = np.ones(len(res), dtype=np.int64)
         return res
 
-    prs = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__wbucket")
-        .map_groups(pairs, batch_format="pandas")
+    prs = bucket_map(
+        ds.map_batches(project, batch_format="pyarrow"),
+        ["walk_id"],
+        pairs,
+        num_buckets=num_buckets,
     )
     agg = bucket_group_agg(
         prs,

@@ -788,15 +788,17 @@ def test_silhouette_singleton_cluster_scores_zero():
     assert abs(got) < 1e-12
 
 
-def test_transition_counts():
+@pytest.mark.parametrize("key_type", ["int64", "str"])
+def test_transition_counts(key_type):
     from flashray.datapipe.windows import transition_counts
 
     rng = np.random.default_rng(3)
     n = 400
+    users = rng.integers(0, 23, n).astype(np.int64)
     df = pd.DataFrame(
         {
             "event_id": np.arange(n, dtype=np.int64),
-            "user_id": rng.integers(0, 23, n).astype(np.int64),
+            "user_id": users if key_type == "int64" else [f"u{u}" for u in users],
             "event_type": rng.choice(["a", "b", "c"], n),
             "ts": pd.to_datetime("2026-01-01")
             + pd.to_timedelta(rng.integers(0, 1000, n), unit="s"),

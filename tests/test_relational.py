@@ -1,4 +1,4 @@
-"""topk_per_group and semi/anti join vs pandas / DuckDB oracles."""
+"""bucket_map, topk_per_group and semi/anti join vs pandas / DuckDB oracles."""
 
 import duckdb
 import numpy as np
@@ -6,10 +6,47 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from flashray.joins import bucket_semi_join, topk_per_group
+from flashray.joins import bucket_map, bucket_semi_join, topk_per_group
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
 EVENTS = "/root/testdata/sf0.001/events.parquet"
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [["big"], ["name"], ["big", "name"]],
+    ids=["int64_near_2_63", "string", "two_columns"],
+)
+def test_bucket_map_keys_reach_one_call(keys):
+    rng = np.random.default_rng(11)
+    n = 300
+    big = np.iinfo(np.int64).max - rng.integers(0, 9, n)
+    df = pd.DataFrame(
+        {
+            "big": big.astype(np.int64),
+            "name": [f"k{i}" for i in rng.integers(0, 13, n)],
+            "rid": np.arange(n, dtype=np.int64),
+        }
+    )
+
+    def per_call(g: pd.DataFrame) -> pd.DataFrame:
+        assert "__bucket" not in g.columns
+        # tag each row with its call: the smallest row id the call saw
+        return g.assign(call=np.int64(g["rid"].min()))
+
+    outs = []
+    for b in (1, 7):
+        got = bucket_map(
+            rd.from_pandas(df).repartition(5), keys, per_call, num_buckets=b
+        ).to_pandas()
+        assert "__bucket" not in got.columns
+        calls = got.groupby(keys)["call"].nunique()
+        assert (calls == 1).all(), "a key's rows were split over calls"
+        outs.append(
+            got[["big", "name", "rid"]].sort_values("rid").reset_index(drop=True)
+        )
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+    pd.testing.assert_frame_equal(outs[0], df)
 
 
 def test_topk_per_group_matches_pandas():
