@@ -1,24 +1,30 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard.
 
 Ray-Data-first shapes (https://docs.ray.io/en/latest/data/transforming-data.html):
-signatures are computed in stateful actor-pool ``map_batches``
-stages (permutation tables built once per actor), candidates come from a
-``groupby`` on LSH bucket keys, verification happens inside the bucket
-group, and duplicate *groups* are the connected components of the verified
-pair graph — computed with this repo's own WCC engine when the pair set is
-large, or driver-side union-find when it is small.
+signatures are computed by stateless ``map_batches`` tasks on Ray's pooled
+workers (a derived table such as the MinHash permutations is cached per
+worker process), candidates come from a shuffle on LSH bucket keys,
+verification happens inside the shuffle bucket, and duplicate *groups* are
+the connected components of the verified pair graph — computed with this
+repo's own WCC engine when the pair set is large, or driver-side
+union-find when it is small.
 
-Hot-bucket safety: in-bucket verification collapses identical signatures
+Hot-bucket safety (MinHash): one vectorized verify per shuffle bucket
+covers many LSH buckets. It collapses identical signatures per LSH bucket
 first (members of one signature class are pairwise duplicates by
-construction), so the O(n²)·num_perm compare runs over *distinct*
-signatures only — a bucket holding k copies of one document costs O(k)
-compare work plus the (irreducible) O(k²) pair output.
+construction), so the O(u²)·num_perm compare runs over the u *distinct*
+signatures only, in fixed-size chunks — an LSH bucket holding k copies of
+one document costs O(k) compare work plus the (irreducible) O(k²) pair
+output. A pair is emitted once, from the lowest band in which its two
+signatures collide, so no pair-dedup shuffle follows.
 
 Determinism: all hashing is seeded/stable (splitmix64 over stable word ids);
 results are identical across runs and parallelism levels.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -27,6 +33,13 @@ import ray.data
 
 from flashray.datapipe import _util
 from flashray.ids import _splitmix64
+from flashray.joins import (
+    bucket_group_agg,
+    bucket_hash_join,
+    bucket_map,
+    bucket_semi_join,
+    pairs_within_groups,
+)
 
 _MERSENNE61 = np.uint64((1 << 61) - 1)
 
@@ -103,44 +116,70 @@ def _shingle_hashes(codes: np.ndarray, n: int) -> np.ndarray:
     return np.unique(acc)
 
 
+@functools.lru_cache(maxsize=None)
+def _minhash_perms(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) permutation table of ``num_perm`` universal hashes, drawn
+    from ``seed`` once per worker process."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, _MERSENNE61, size=num_perm, dtype=np.uint64)
+    b = rng.integers(0, _MERSENNE61, size=num_perm, dtype=np.uint64)
+    return a, b
+
+
+def _minhash_sig(text: str, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    sh = _shingle_hashes(_word_codes((text or "").split()), n)
+    if len(sh) == 0:
+        return np.zeros(len(a), dtype=np.uint64)
+    # mix the 64-bit shingle hash down to the 31-bit universe the exact
+    # universal hash requires (see _perm_hash)
+    with np.errstate(over="ignore"):
+        x31 = (sh ^ (sh >> np.uint64(31)) ^ (sh >> np.uint64(53))) & np.uint64(
+            0x7FFF_FFFF
+        )
+    vals = _perm_hash(a[:, None], b[:, None], x31[None, :])
+    return vals.min(axis=1).astype(np.uint64)
+
+
+def _minhash_signatures(
+    batch: pa.Table, *, text_col="text", num_perm=128, shingle_n=3, seed=42
+) -> pa.Table:
+    """Adds a ``signature`` column (fixed_size_list<uint64>) of MinHash
+    values over word n-gram shingles; a stateless ``map_batches`` task.
+    Arrow in/out keeps the exchange zero-copy and the block schema
+    Arrow-native (pandas object-array columns confuse downstream schema
+    unification)."""
+    a, b = _minhash_perms(num_perm, seed)
+    texts = batch[text_col].to_pylist()
+    sigs = [_minhash_sig(t, a, b, shingle_n) for t in texts]
+    sigs = np.concatenate(sigs) if sigs else np.empty(0, dtype=np.uint64)
+    col = pa.FixedSizeListArray.from_arrays(pa.array(sigs, type=pa.uint64()), num_perm)
+    return batch.append_column("signature", col)
+
+
 class MinHashSignatures:
-    """Adds a ``signature`` column (fixed-size list<uint64>) of MinHash
-    values over word n-gram shingles. Permutations (a·x+b mod 2^61-1) are
-    generated once per actor from a fixed seed."""
+    """Callable-class form of :func:`_minhash_signatures`, for callers
+    that run it in their own actor pool."""
 
     def __init__(self, *, text_col="text", num_perm=128, shingle_n=3, seed=42):
-        rng = np.random.default_rng(seed)
-        self.a = rng.integers(1, _MERSENNE61, size=num_perm, dtype=np.uint64)
-        self.b = rng.integers(0, _MERSENNE61, size=num_perm, dtype=np.uint64)
-        self.text_col = text_col
-        self.num_perm = num_perm
-        self.n = shingle_n
-
-    def _sig(self, text: str) -> np.ndarray:
-        sh = _shingle_hashes(_word_codes((text or "").split()), self.n)
-        if len(sh) == 0:
-            return np.zeros(self.num_perm, dtype=np.uint64)
-        # mix the 64-bit shingle hash down to the 31-bit universe the exact
-        # universal hash requires (see _perm_hash)
-        with np.errstate(over="ignore"):
-            x31 = (sh ^ (sh >> np.uint64(31)) ^ (sh >> np.uint64(53))) & np.uint64(
-                0x7FFF_FFFF
-            )
-        vals = _perm_hash(self.a[:, None], self.b[:, None], x31[None, :])
-        return vals.min(axis=1).astype(np.uint64)
+        self.kwargs = dict(
+            text_col=text_col, num_perm=num_perm, shingle_n=shingle_n, seed=seed
+        )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Arrow in/out: signature as fixed_size_list<uint64> — keeps the
-        exchange zero-copy and the block schema Arrow-native (pandas
-        object-array columns confuse downstream schema unification)."""
-        texts = batch[self.text_col].to_pylist()
-        sigs = np.concatenate([self._sig(t) for t in texts]) if texts else (
-            np.empty(0, dtype=np.uint64)
-        )
-        col = pa.FixedSizeListArray.from_arrays(
-            pa.array(sigs, type=pa.uint64()), self.num_perm
-        )
-        return batch.append_column("signature", col)
+        return _minhash_signatures(batch, **self.kwargs)
+
+
+def _band_keys(sigs: np.ndarray, bands: int, rows_per_band: int) -> np.ndarray:
+    """(n, bands) LSH bucket keys of (n, perm) signatures: each band's
+    rows_per_band values folded with splitmix64 from the band index —
+    rows_per_band vectorized calls over (n, bands), no Python per row."""
+    n = len(sigs)
+    S = sigs[:, : bands * rows_per_band].reshape(n, bands, rows_per_band)
+    with np.errstate(over="ignore"):
+        h = np.broadcast_to(np.arange(bands, dtype=np.uint64), (n, bands)).copy()
+        for r in range(rows_per_band):
+            h = _splitmix64(h ^ S[:, :, r])
+    return (h & np.uint64(0x7FFF_FFFF_FFFF_FFFF)).astype(np.int64)
 
 
 def _band_rows(
@@ -149,10 +188,8 @@ def _band_rows(
     """Explode signatures to (bucket, doc_id, signature) LSH-band rows.
 
     Fully vectorized over Arrow: the fixed_size_list signature column is
-    viewed zero-copy as (n, perm), reshaped to (n, bands, rows/band), and
-    folded with splitmix64 along the band axis — rows_per_band vectorized
-    calls over (n, bands), no Python per row. Output rows are row-major
-    (row, band) order."""
+    viewed zero-copy as (n, perm) and keyed by :func:`_band_keys`. Output
+    rows are row-major (row, band) order."""
     n = batch.num_rows
     num_perm = bands * rows_per_band
     if n == 0:
@@ -171,14 +208,7 @@ def _band_rows(
         .astype(np.uint64, copy=False)
         .reshape(n, -1)
     )
-    S = sigs[:, :num_perm].reshape(n, bands, rows_per_band)
-    with np.errstate(over="ignore"):
-        h = np.broadcast_to(
-            np.arange(bands, dtype=np.uint64), (n, bands)
-        ).copy()
-        for r in range(rows_per_band):
-            h = _splitmix64(h ^ S[:, :, r])
-    buckets = (h & np.uint64(0x7FFF_FFFF_FFFF_FFFF)).astype(np.int64).ravel()
+    buckets = _band_keys(sigs, bands, rows_per_band).ravel()
     ids = batch[id_col].to_numpy(zero_copy_only=False)
     rep = pa.array(np.repeat(np.arange(n, dtype=np.int64), bands))
     return pa.table(
@@ -197,67 +227,81 @@ def _empty_pairs(value_col: str, dtype: str) -> pd.DataFrame:
     )
 
 
-def _bucket_pairs(group: pd.DataFrame, *, threshold: float) -> pd.DataFrame:
-    """Verify candidate pairs within one LSH bucket by estimated Jaccard
-    (signature agreement rate). Identical signatures are collapsed first:
-    compare cost is O(u²·perm) over u DISTINCT signatures (a hot bucket of
-    k exact copies does O(k) compares, not O(k²)); the emitted pair set is
-    unchanged (within-class pairs expand at similarity 1.0, cross-class
-    hits expand to member products — agreement between members equals
-    agreement between representatives by construction)."""
-    n = len(group)
-    if n < 2:
-        return _empty_pairs("similarity", "float64")
-    ids = group["doc_id"].to_numpy()
-    sigs = np.stack(group["signature"].to_numpy()).astype(np.uint64)
-    order = np.argsort(ids)
-    ids, sigs = ids[order], sigs[order]
-    uniq_sigs, inv = np.unique(sigs, axis=0, return_inverse=True)
-    u = len(uniq_sigs)
-    out = []
-    if u < n:
-        # identical-signature classes: pairwise duplicates at agreement 1.0
-        from flashray.joins import pairs_within_groups
+# representative pairs compared per vectorized step of the MinHash verify
+_VERIFY_CHUNK = 8192
 
-        order2 = np.argsort(inv, kind="stable")
-        a, b, _ = pairs_within_groups(inv[order2], ids[order2])
-        if len(a):
-            out.append(
-                pd.DataFrame(
-                    {"a": a, "b": b, "similarity": np.ones(len(a))}
-                )
-            )
-    if u >= 2:
-        # representatives: first occurrence in id-sorted order = min id
-        _, first_idx = np.unique(inv, return_index=True)
-        rep_sigs = sigs[first_idx]
-        counts = np.bincount(inv, minlength=u)
-        bounds = np.r_[0, np.cumsum(counts)]
-        order2 = np.argsort(inv, kind="stable")
-        members_sorted = ids[order2]  # ascending ids within each class
-        for i in range(u - 1):
-            agree = (rep_sigs[i + 1 :] == rep_sigs[i]).mean(axis=1)
-            hits = np.flatnonzero(agree >= threshold)
-            if not len(hits):
-                continue
-            mi = members_sorted[bounds[i] : bounds[i + 1]]
-            for j in hits:
-                gj = i + 1 + j
-                mj = members_sorted[bounds[gj] : bounds[gj + 1]]
-                A = np.repeat(mi, len(mj))
-                B = np.tile(mj, len(mi))
-                out.append(
-                    pd.DataFrame(
-                        {
-                            "a": np.minimum(A, B),
-                            "b": np.maximum(A, B),
-                            "similarity": np.full(len(A), float(agree[j])),
-                        }
-                    )
-                )
-    if not out:
+
+def _anchor_pairs(end: np.ndarray, chunk: int):
+    """Yield every (i, j) with i < j < end[i] as index arrays of about
+    ``chunk`` pairs each (one anchor's partners are never split), so the
+    enumeration holds O(chunk) pairs however large one group is."""
+    cnt = end - np.arange(len(end)) - 1
+    cum = np.cumsum(cnt)
+    lo = 0
+    while lo < len(end):
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] - cnt[lo] + chunk, "right")))
+        c = cnt[lo:hi]
+        i = np.repeat(np.arange(lo, hi), c)
+        if len(i):
+            yield i, i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(c) - c, c)
+        lo = hi
+
+
+def _bucket_pairs(
+    group: pd.DataFrame, *, threshold: float, bands: int, rows_per_band: int
+) -> pd.DataFrame:
+    """Verify every LSH bucket of one shuffle bucket by estimated Jaccard
+    (signature agreement rate) in one vectorized pass.
+
+    Rows collapse to signature classes, one per distinct (LSH bucket,
+    signature): compare cost is O(u²·perm) over the u DISTINCT signatures
+    of an LSH bucket (k exact copies cost one class, not O(k²) compares).
+    Representative pairs are compared ``_VERIFY_CHUNK`` at a time and the
+    hits expand to member products — agreement between members equals
+    agreement between representatives by construction; within-class pairs
+    expand at similarity 1.0. A pair is emitted only from the lowest band
+    in which its two signatures collide (recomputed from the signatures),
+    so each pair leaves exactly one call (doc ids are unique)."""
+    if len(group) < 2:
         return _empty_pairs("similarity", "float64")
-    return pd.concat(out, ignore_index=True)
+    key = group["bucket"].to_numpy(dtype=np.int64)
+    ids = group["doc_id"].to_numpy(dtype=np.int64)
+    sigs = np.stack(group["signature"].to_numpy()).astype(np.uint64, copy=False)
+    # classes sorted by LSH bucket key (keys are non-negative int64)
+    cls, inv = np.unique(
+        np.column_stack([key.astype(np.uint64), sigs]), axis=0, return_inverse=True
+    )
+    inv = inv.reshape(-1)
+    rep_key = cls[:, 0].astype(np.int64)
+    rep_sig = cls[:, 1:]
+    band = _band_keys(rep_sig, bands, rows_per_band)
+    order = np.lexsort((ids, inv))
+    members = ids[order]  # ascending ids within each class
+    size = np.bincount(inv, minlength=len(cls))
+    start = np.cumsum(size) - size
+    out = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    # members of one class collide in every band: emit them from band 0
+    own = (size > 1) & (rep_key == band[:, 0])
+    keep = own[inv[order]]
+    a, b, _ = pairs_within_groups(inv[order][keep], members[keep])
+    out.append((a, b, np.ones(len(a))))
+    end = np.searchsorted(rep_key, rep_key, side="right")
+    for i, j in _anchor_pairs(end, _VERIFY_CHUNK):
+        agree = (rep_sig[i] == rep_sig[j]).mean(axis=1)
+        hit = agree >= threshold
+        i, j, agree = i[hit], j[hit], agree[hit]
+        same = band[i] == band[j]
+        first = same.argmax(axis=1)
+        low = same[np.arange(len(i)), first] & (band[i, first] == rep_key[i])
+        i, j, agree = i[low], j[low], agree[low]
+        n = size[i] * size[j]
+        r = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        nj = np.repeat(size[j], n)
+        A = members[np.repeat(start[i], n) + r // nj]
+        B = members[np.repeat(start[j], n) + r % nj]
+        out.append((np.minimum(A, B), np.maximum(A, B), np.repeat(agree, n)))
+    a, b, sim = (np.concatenate(c) for c in zip(*out))
+    return pd.DataFrame({"a": a, "b": b, "similarity": sim})
 
 
 def _auto_bands(num_perm: int, threshold: float) -> int:
@@ -286,23 +330,25 @@ def candidate_pairs_minhash(
     concurrency: int = 4,
 ) -> ray.data.Dataset:
     """MinHash+LSH near-duplicate pairs (a < b, estimated Jaccard ≥
-    threshold). Distinct pairs may surface from several bands; deduped.
-    ``bands=None`` derives the banding from the threshold so recall at the
-    stated threshold stays high (e.g. 128 perms: threshold 0.7 → 16 bands
-    of 8, threshold 0.5 → 32 bands of 4)."""
+    threshold), each pair once. ``bands=None`` derives the banding from
+    the threshold so recall at the stated threshold stays high (128
+    perms: threshold 0.5 or 0.7 → 32 bands of 4, 0.8 → 16 bands of 8,
+    0.9 → 8 bands of 16). Signatures are stateless tasks (at most
+    ``concurrency`` at a time); one bucket shuffle on the LSH key feeds
+    :func:`_bucket_pairs`."""
     if bands is None:
         bands = _auto_bands(num_perm, threshold)
     rows_per_band = num_perm // bands
     sigs = ds.select_columns([id_col, text_col]).map_batches(
-        MinHashSignatures,
-        fn_constructor_kwargs={
+        _minhash_signatures,
+        fn_kwargs={
             "text_col": text_col,
             "num_perm": num_perm,
             "shingle_n": shingle_n,
         },
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=_util.pool_size(concurrency),
+        concurrency=concurrency,
     )
     bands_ds = sigs.map_batches(
         _band_rows,
@@ -310,18 +356,10 @@ def candidate_pairs_minhash(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    # natural key: `_bucket_pairs` verifies one LSH band bucket per call
-    # (the band verify is rewritten on its own; perfbench keys on the name)
-    pairs = bands_ds.groupby("bucket").map_groups(
-        _bucket_pairs, fn_kwargs={"threshold": threshold}, batch_format="pandas"
+    verify = functools.partial(
+        _bucket_pairs, threshold=threshold, bands=bands, rows_per_band=rows_per_band
     )
-    # (a, b) keys are near-unique — bucketed vectorized aggregate, not a
-    # per-group Ray aggregate (see joins.bucket_group_agg)
-    from flashray.joins import bucket_group_agg
-
-    return bucket_group_agg(
-        pairs, ["a", "b"], {"similarity": ("similarity", "max")}
-    )
+    return bucket_map(bands_ds, ["bucket"], verify, num_buckets=64)
 
 
 def duplicate_groups(
@@ -400,14 +438,12 @@ def exact_dedup(
     joins.bucket_group_agg (one bucket shuffle + a vectorized pandas
     groupby per bucket) — measured 6-17× faster than Ray's per-group
     aggregate on near-unique keys."""
-    from flashray.datapipe.textstats import Fingerprint
-    from flashray.joins import bucket_group_agg
-
+    from flashray.datapipe.textstats import fingerprint_batch
     hashed = ds.select_columns([id_col, text_col]).map_batches(
-        Fingerprint,
-        fn_constructor_kwargs={"text_col": text_col},
+        fingerprint_batch,
+        fn_kwargs={"text_col": text_col},
         batch_format="pandas",
-        concurrency=_util.pool_size(concurrency),
+        concurrency=concurrency,
     )
     agg = bucket_group_agg(
         hashed.select_columns(["fingerprint", id_col]),
@@ -423,45 +459,47 @@ def exact_dedup(
     )
 
 
-class SimHashSignatures:
+_BITS64 = np.arange(64, dtype=np.uint64)
+
+
+def _simhash_sigs(texts: list[str]) -> np.ndarray:
     """64-bit SimHash over word hashes: bit b of the signature is the sign
     of the sum of ±1 votes from each token's hash bit b (token multiplicity
     counts). Batch-vectorized: all words of the batch flattened, bit matrix
-    built once, per-doc vote sums via reduceat. The emitted signature masks
-    bit 63 (Arrow int64)."""
+    built once, per-doc vote sums via reduceat. Bit 63 is masked (Arrow
+    int64)."""
+    words_per = [(t or "").split() for t in texts]
+    counts = np.asarray([len(w) for w in words_per], dtype=np.int64)
+    sig = np.zeros(len(texts), dtype=np.int64)
+    nz = counts > 0
+    if nz.any():
+        flat = [w for ws, ok in zip(words_per, nz) if ok for w in ws]
+        codes = _word_codes(flat)
+        bits = ((codes[:, None] >> _BITS64[None, :]) & np.uint64(1)).astype(np.int16)
+        offs = np.r_[0, np.cumsum(counts[nz])[:-1]]
+        votes = np.add.reduceat(2 * bits - 1, offs, axis=0)
+        s64 = (
+            ((votes > 0).astype(np.uint64) << _BITS64[None, :])
+            .sum(axis=1, dtype=np.uint64)
+        )
+        sig[nz] = (s64 & np.uint64(0x7FFF_FFFF_FFFF_FFFF)).astype(np.int64)
+    return sig
+
+
+def _simhash_signatures(batch: pd.DataFrame, *, text_col: str = "text") -> pd.DataFrame:
+    """Adds a ``simhash`` column; a stateless ``map_batches`` task."""
+    batch["simhash"] = _simhash_sigs(batch[text_col].tolist())
+    return batch
+
+
+class SimHashSignatures:
+    """Callable-class form of :func:`_simhash_signatures`."""
 
     def __init__(self, *, text_col: str = "text"):
         self.text_col = text_col
-        self.bits = np.arange(64, dtype=np.uint64)
-
-    def _sig(self, text: str) -> np.int64:
-        """Single-doc reference path (tests / oracles)."""
-        out = self._sigs([text or ""])
-        return np.int64(out[0])
-
-    def _sigs(self, texts: list[str]) -> np.ndarray:
-        words_per = [(t or "").split() for t in texts]
-        counts = np.asarray([len(w) for w in words_per], dtype=np.int64)
-        sig = np.zeros(len(texts), dtype=np.int64)
-        nz = counts > 0
-        if nz.any():
-            flat = [w for ws, ok in zip(words_per, nz) if ok for w in ws]
-            codes = _word_codes(flat)
-            bits = (
-                (codes[:, None] >> self.bits[None, :]) & np.uint64(1)
-            ).astype(np.int16)
-            offs = np.r_[0, np.cumsum(counts[nz])[:-1]]
-            votes = np.add.reduceat(2 * bits - 1, offs, axis=0)
-            s64 = (
-                ((votes > 0).astype(np.uint64) << self.bits[None, :])
-                .sum(axis=1, dtype=np.uint64)
-            )
-            sig[nz] = (s64 & np.uint64(0x7FFF_FFFF_FFFF_FFFF)).astype(np.int64)
-        return sig
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        batch["simhash"] = self._sigs(batch[self.text_col].tolist())
-        return batch
+        return _simhash_signatures(batch, text_col=self.text_col)
 
 
 def candidate_pairs_simhash(
@@ -475,10 +513,10 @@ def candidate_pairs_simhash(
     """SimHash near-dup pairs: bucket by each of 4 16-bit chunks (any pair
     within hamming ≤ 3 of 64 bits agrees on ≥ 1 chunk), verify hamming."""
     sigs = ds.select_columns([id_col, text_col]).map_batches(
-        SimHashSignatures,
-        fn_constructor_kwargs={"text_col": text_col},
+        _simhash_signatures,
+        fn_kwargs={"text_col": text_col},
         batch_format="pandas",
-        concurrency=_util.pool_size(concurrency),
+        concurrency=concurrency,
     )
 
     def bands(batch: pd.DataFrame) -> pd.DataFrame:
@@ -505,8 +543,6 @@ def candidate_pairs_simhash(
         order2 = np.argsort(inv, kind="stable")
         if u < n:
             # identical signatures: pairwise hamming 0
-            from flashray.joins import pairs_within_groups
-
             a, b, _ = pairs_within_groups(inv[order2], ids[order2])
             if len(a):
                 out.append(
@@ -552,8 +588,6 @@ def candidate_pairs_simhash(
         .groupby("bucket")
         .map_groups(verify, batch_format="pandas")
     )
-    from flashray.joins import bucket_group_agg
-
     return bucket_group_agg(pairs, ["a", "b"], {"hamming": ("hamming", "min")})
 
 
@@ -573,15 +607,15 @@ def candidate_pairs_ngram_jaccard(
     bucket (texts travel with the bucket rows)."""
     rows_per_band = num_perm // bands
     sigs = ds.select_columns([id_col, text_col]).map_batches(
-        MinHashSignatures,
-        fn_constructor_kwargs={
+        _minhash_signatures,
+        fn_kwargs={
             "text_col": text_col,
             "num_perm": num_perm,
             "shingle_n": shingle_n,
         },
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=_util.pool_size(concurrency),
+        concurrency=concurrency,
     )
 
     def band_rows(batch: pa.Table) -> pa.Table:
@@ -615,8 +649,6 @@ def candidate_pairs_ngram_jaccard(
                 if jac >= threshold:
                     out_a.append(ids[i]); out_b.append(ids[j]); out_j.append(jac)
         return pd.DataFrame({"a": out_a, "b": out_b, "jaccard": out_j})
-
-    from flashray.joins import bucket_group_agg
 
     # natural key: `verify` compares the pairs within one LSH band bucket
     pairs = (
@@ -660,8 +692,6 @@ def exact_jaccard_pairs(
     restricted shingle vocabulary (documented approximation). ``None`` =
     fully exact (safe when the corpus has been boilerplate-stripped or
     when near-dup groups are known to be small)."""
-    from flashray.joins import bucket_group_agg, bucket_map, pairs_within_groups
-
     B = int(num_buckets)
 
     def postings(batch: pa.Table) -> pa.Table:
@@ -765,8 +795,6 @@ def line_dedup(
 
     Positions are packed as doc_id*1e6 + position for the global-first
     min — documents are assumed to have < 1e6 units (and ids < 2^43)."""
-    from flashray.joins import bucket_group_agg, bucket_hash_join, bucket_map
-
     S = int(salt_buckets)
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
@@ -933,8 +961,6 @@ def decontaminate(
             {"doc_id": pd.Series(out_id, dtype=np.int64),
              "ngram": pd.Series(out_ng, dtype=str)}
         )
-
-    from flashray.joins import bucket_group_agg, bucket_hash_join
 
     bench_ng = bucket_group_agg(
         benchmark.map_batches(doc_ngrams, batch_format="pandas").map_batches(
@@ -1139,8 +1165,6 @@ def bloom_decontaminate(
             out.update(" ".join(ws[i : i + n]) for i in range(len(ws) - n + 1))
         return pd.DataFrame({"ngram": pd.Series(sorted(out), dtype=str)})
 
-    from flashray.joins import bucket_group_agg, bucket_hash_join
-
     bench_ng = bucket_group_agg(
         benchmark.select_columns([text_col]).map_batches(
             bench_ngrams, batch_format="pandas"
@@ -1200,42 +1224,19 @@ def _bucket_cross_pairs(group: pd.DataFrame, *, threshold: float) -> pd.DataFram
     O(train × eval × perm) boolean tensor in one piece."""
     t = group[group["side"] == 0]
     e = group[group["side"] == 1]
-    if not len(t) or not len(e):
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "eval_id": pd.Series(dtype="int64"),
-                "similarity": pd.Series(dtype="float64"),
-            }
-        )
-    tids = t["doc_id"].to_numpy()
-    eids = e["doc_id"].to_numpy()
-    tsig = np.stack(t["signature"].to_numpy()).astype(np.uint64)
-    esig = np.stack(e["signature"].to_numpy()).astype(np.uint64)
-    out = []
-    CHUNK = 256
-    for s in range(0, len(tids), CHUNK):
-        agree = (tsig[s : s + CHUNK, None, :] == esig[None, :, :]).mean(axis=2)
-        ti, ej = np.nonzero(agree >= threshold)
-        if len(ti):
-            out.append(
-                pd.DataFrame(
-                    {
-                        "doc_id": tids[s + ti].astype(np.int64),
-                        "eval_id": eids[ej].astype(np.int64),
-                        "similarity": agree[ti, ej],
-                    }
-                )
-            )
-    if not out:
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "eval_id": pd.Series(dtype="int64"),
-                "similarity": pd.Series(dtype="float64"),
-            }
-        )
-    return pd.concat(out, ignore_index=True)
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    if len(t) and len(e):
+        tids = t["doc_id"].to_numpy(dtype=np.int64)
+        eids = e["doc_id"].to_numpy(dtype=np.int64)
+        tsig = np.stack(t["signature"].to_numpy()).astype(np.uint64)
+        esig = np.stack(e["signature"].to_numpy()).astype(np.uint64)
+        CHUNK = 256
+        for s in range(0, len(tids), CHUNK):
+            agree = (tsig[s : s + CHUNK, None, :] == esig[None, :, :]).mean(axis=2)
+            ti, ej = np.nonzero(agree >= threshold)
+            parts.append((tids[s + ti], eids[ej], agree[ti, ej]))
+    d, ev, sim = (np.concatenate(c) for c in zip(*parts))
+    return pd.DataFrame({"doc_id": d, "eval_id": ev, "similarity": sim})
 
 
 def minhash_decontaminate(
@@ -1258,7 +1259,7 @@ def minhash_decontaminate(
     exact n-grams. Returns one row per flagged (doc_id, eval_id) pair with
     the max estimated similarity across colliding bands.
 
-    100-TB shape: both corpora stream through the signature actor pool,
+    100-TB shape: both corpora stream through the signature tasks,
     band rows hash-partition by bucket (ONE shuffle of 16-byte rows ×
     bands), verification is per-bucket vectorized agreement, and the pair
     table collapses through one bucketed aggregate — the benchmark side is
@@ -1270,15 +1271,15 @@ def minhash_decontaminate(
 
     def sig_pipeline(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
         sigs = ds.select_columns([id_col, text_col]).map_batches(
-            MinHashSignatures,
-            fn_constructor_kwargs={
+            _minhash_signatures,
+            fn_kwargs={
                 "text_col": text_col,
                 "num_perm": num_perm,
                 "shingle_n": shingle_n,
             },
             batch_format="pyarrow",
             zero_copy_batch=True,
-            concurrency=_util.pool_size(concurrency),
+            concurrency=concurrency,
         )
         banded = sigs.map_batches(
             _band_rows,
@@ -1304,8 +1305,6 @@ def minhash_decontaminate(
         fn_kwargs={"threshold": threshold},
         batch_format="pandas",
     )
-    from flashray.joins import bucket_group_agg
-
     return bucket_group_agg(
         pairs, ["doc_id", "eval_id"], {"similarity": ("similarity", "max")}
     )
@@ -1337,8 +1336,6 @@ def dedup_keep_best(
     The whitespace class is explicitly ASCII ([ \\t\\n\\f\\r]) so a SQL
     RE2 replay ('\\s' in RE2 is ASCII-only) normalizes identically —
     Python's unicode \\s would silently diverge on NBSP et al."""
-    from flashray.joins import bucket_group_agg
-
     _WS = "[ \t\n\f\r]+"
 
     def pack(df: pd.DataFrame) -> pd.DataFrame:
@@ -1436,13 +1433,6 @@ def exact_substr(
     rebuilds with ``string_agg(tok, ' ')``. Hash-vs-string grouping is
     the exact_dedup fingerprint convention (collisions negligible,
     2^-63-scale)."""
-    from flashray.joins import (
-        bucket_group_agg,
-        bucket_hash_join,
-        bucket_map,
-        bucket_semi_join,
-    )
-
     L = int(span_tokens)
     if L < 1:
         raise ValueError("span_tokens must be >= 1")
@@ -1494,7 +1484,7 @@ def exact_substr(
         .map_batches(
             span_rows,
             batch_format="pandas",
-            concurrency=_util.pool_size(concurrency),
+            concurrency=concurrency,
         )
         .materialize()
     )

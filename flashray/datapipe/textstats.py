@@ -1,12 +1,16 @@
 """Text analysis over a document table: token counts, quality scores,
 language ID, fingerprints.
 
-All stages are stateful actor-pool ``map_batches`` classes: regexes and
-language profiles are compiled once per actor in ``__init__`` (never per
-batch), work is vectorized per batch. Apply with::
+Stages that compile something (regexes, language profiles) are stateful
+actor-pool ``map_batches`` classes that compile it once per actor in
+``__init__`` (never per batch); work is vectorized per batch. Apply with::
 
-    docs.map_batches(TextStats(), batch_format="pandas", batch_size=4096,
+    docs.map_batches(TextStats, batch_format="pandas", batch_size=4096,
                      concurrency=N)
+
+Fingerprinting builds nothing, so ``add_fingerprint`` runs
+:func:`fingerprint_batch` as a stateless task on Ray's pooled workers
+(no actor pool to start per call).
 
 Token counting is intentionally SQL-reproducible (DuckDB oracle):
 ``token_count`` = number of ``\\S+`` runs; ``word_chars`` = total length of
@@ -106,48 +110,53 @@ class LangId:
         return batch
 
 
-class Fingerprint:
-    """Deterministic 63-bit document fingerprint: polynomial rolling hash
-    ``h = Σ byte_i · B^(n-1-i) (mod 2^64)`` over UTF-8 bytes, fully
-    vectorized per document (content-defined; identical text → identical
-    print)."""
+_FP_BASE = np.uint64(1099511628211)
+_FP_MASK = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
 
-    BASE = np.uint64(1099511628211)
-    MASK = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+
+def fingerprint_batch(batch: pd.DataFrame, *, text_col: str = "text") -> pd.DataFrame:
+    """Adds a deterministic 63-bit ``fingerprint`` column: polynomial
+    rolling hash ``h = Σ byte_i · B^(n-1-i) (mod 2^64)`` over UTF-8 bytes
+    (content-defined; identical text → identical print). A stateless
+    ``map_batches`` task: nothing is built that a task would have to keep.
+
+    All documents' bytes flatten into ONE array; per-byte powers come from
+    a shared B^k table indexed by distance-from-doc-end, and each
+    document's sum is one reduceat segment — the hash math never loops per
+    document (encode/join remain C-level per row)."""
+    texts = batch[text_col].fillna("")
+    bts = [t.encode("utf-8") for t in texts]
+    lens = np.array([len(b) for b in bts], dtype=np.int64)
+    out = np.zeros(len(lens), dtype=np.uint64)
+    nz = lens > 0
+    if nz.any():
+        flat = np.frombuffer(b"".join(bts), dtype=np.uint8)
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        with np.errstate(over="ignore"):
+            pows = np.full(int(lens.max()), _FP_BASE, dtype=np.uint64)
+            pows[0] = np.uint64(1)
+            pows = np.cumprod(pows)  # B^0..B^(max-1), wrapping mod 2^64
+            rev = np.repeat(ends, lens) - 1 - np.arange(len(flat), dtype=np.int64)
+            terms = flat.astype(np.uint64) * pows[rev]
+            # reduceat misbehaves on zero-length segments: reduce only
+            # the non-empty documents' start offsets
+            out[nz] = np.add.reduceat(terms, starts[nz])
+    batch["fingerprint"] = (out & _FP_MASK).astype(np.int64)
+    return batch
+
+
+class Fingerprint:
+    """Callable-class form of :func:`fingerprint_batch`."""
+
+    BASE = _FP_BASE
+    MASK = _FP_MASK
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        """All documents' bytes flatten into ONE array; per-byte powers
-        come from a shared B^k table indexed by distance-from-doc-end, and
-        each document's sum is one reduceat segment — the hash math never
-        loops per document (encode/join remain C-level per row)."""
-        texts = batch[self.text_col].fillna("")
-        bts = [t.encode("utf-8") for t in texts]
-        lens = np.array([len(b) for b in bts], dtype=np.int64)
-        nrows = len(lens)
-        out = np.zeros(nrows, dtype=np.uint64)
-        nz = lens > 0
-        if nz.any():
-            flat = np.frombuffer(b"".join(bts), dtype=np.uint8)
-            ends = np.cumsum(lens)
-            starts = ends - lens
-            with np.errstate(over="ignore"):
-                pows = np.full(int(lens.max()), self.BASE, dtype=np.uint64)
-                pows[0] = np.uint64(1)
-                pows = np.cumprod(pows)  # B^0..B^(max-1), wrapping mod 2^64
-                rev = (
-                    np.repeat(ends, lens)
-                    - 1
-                    - np.arange(len(flat), dtype=np.int64)
-                )
-                terms = flat.astype(np.uint64) * pows[rev]
-                # reduceat misbehaves on zero-length segments: reduce only
-                # the non-empty documents' start offsets
-                out[nz] = np.add.reduceat(terms, starts[nz])
-        batch["fingerprint"] = (out & self.MASK).astype(np.int64)
-        return batch
+        return fingerprint_batch(batch, text_col=self.text_col)
 
 
 class RepetitionStats:
@@ -262,11 +271,11 @@ def add_lang_id(ds, *, text_col: str = "text", concurrency: int = 4,
 def add_fingerprint(ds, *, text_col: str = "text", concurrency: int = 4,
                     batch_size: int = 4096):
     return ds.map_batches(
-        Fingerprint,
-        fn_constructor_kwargs={"text_col": text_col},
+        fingerprint_batch,
+        fn_kwargs={"text_col": text_col},
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
+        concurrency=concurrency,
     )
 
 

@@ -22,6 +22,8 @@ extra actor pool, works at any session size; B bounds the per-task memory
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -82,11 +84,19 @@ def bucket_map(
 ) -> ray.data.Dataset:
     """Run ``fn`` once per hash bucket of ``keys``: every row of a key
     reaches one ``fn(pandas.DataFrame)`` call, which returns a pandas
-    DataFrame or a pyarrow Table. A bucket holds many keys."""
+    DataFrame or a pyarrow Table. A bucket holds many keys. The operator
+    carries ``fn``'s name (a ``functools.partial``'s function name) in
+    ``Dataset.stats()``."""
     tagged = ds.map_batches(
         _tag(list(keys), num_buckets), batch_format="pyarrow", zero_copy_batch=True
     )
-    return _map_buckets(tagged, lambda g: fn(g.drop(columns=[BUCKET])))
+
+    def per_bucket(g: pd.DataFrame):
+        return fn(g.drop(columns=[BUCKET]))
+
+    named = fn.func if isinstance(fn, functools.partial) else fn
+    per_bucket.__name__ = getattr(named, "__name__", type(named).__name__)
+    return _map_buckets(tagged, per_bucket)
 
 
 def coalesce(ds: ray.data.Dataset, max_blocks: int) -> ray.data.Dataset:

@@ -347,6 +347,16 @@ def _pair_keys(ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 LOCAL_EDGE_THRESHOLD = 200_000
 
 
+def _both_directions(b: pa.Table) -> pa.Table:
+    """Canonical (lo, hi) edges as (center, nbr) rows in both directions:
+    the full adjacency that wedges centred on each vertex are listed from."""
+    lo = b["lo"].to_numpy(zero_copy_only=False)
+    hi = b["hi"].to_numpy(zero_copy_only=False)
+    return pa.table(
+        {"center": np.concatenate([lo, hi]), "nbr": np.concatenate([hi, lo])}
+    )
+
+
 def _is_local(graph: Graph, local_threshold: int | None) -> bool:
     return bool(local_threshold) and graph.meta.num_edges <= local_threshold
 
@@ -848,17 +858,6 @@ def _pair_common_neighbors(
     no degree join is needed. Shared by link prediction and butterfly
     counting."""
 
-    def adjacency(b: pa.Table) -> pa.Table:
-        lo = b["lo"].to_numpy(zero_copy_only=False)
-        hi = b["hi"].to_numpy(zero_copy_only=False)
-        center = np.concatenate([lo, hi])
-        return pa.table(
-            {
-                "center": center,
-                "nbr": np.concatenate([hi, lo]),
-            }
-        )
-
     def wedge_scores(g: pd.DataFrame) -> pd.DataFrame:
         c = g["center"].to_numpy()
         n = g["nbr"].to_numpy()
@@ -883,7 +882,7 @@ def _pair_common_neighbors(
     return bucket_group_agg(
         bucket_map(
             und.map_batches(
-                adjacency, batch_format="pyarrow", zero_copy_batch=True
+                _both_directions, batch_format="pyarrow", zero_copy_batch=True
             ),
             ["center"],
             wedge_scores,
@@ -1123,24 +1122,14 @@ def two_hop_sizes(
     B = num_buckets or max(16, graph.num_partitions)
     und = _canonical_undirected(graph).materialize()
 
-    def both_dirs(b: pa.Table) -> pa.Table:
-        lo = b["lo"].to_numpy(zero_copy_only=False)
-        hi = b["hi"].to_numpy(zero_copy_only=False)
-        center = np.concatenate([lo, hi])
-        leaf = np.concatenate([hi, lo])
-        return pa.table(
-            {
-                "center": center,
-                "leaf": leaf,
-            }
-        )
-
-    adj = und.map_batches(both_dirs, batch_format="pyarrow", zero_copy_batch=True)
+    adj = und.map_batches(
+        _both_directions, batch_format="pyarrow", zero_copy_batch=True
+    )
 
     def wedge_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.sort_values(["center", "leaf"], kind="mergesort")
+        d = g.sort_values(["center", "nbr"], kind="mergesort")
         a, b2, _ = pairs_within_groups(
-            d["center"].to_numpy(), d["leaf"].to_numpy()
+            d["center"].to_numpy(), d["nbr"].to_numpy()
         )
         return pd.DataFrame({"lo": a, "hi": b2})
 
@@ -1564,21 +1553,11 @@ def incremental_triangle_count(
     A = int(a_parts["s"].sum()) if len(a_parts) else 0
 
     # delta wedges: center c with two delta neighbors n1 < n2
-    def sym_batch(b: pa.Table) -> pa.Table:
-        lo = b["lo"].to_numpy(zero_copy_only=False)
-        hi = b["hi"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "c": pa.array(np.concatenate([lo, hi])),
-                "n": pa.array(np.concatenate([hi, lo])),
-            }
-        )
-
     def wedge_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["c", "n"])
-        codes = pd.factorize(g["c"], sort=False)[0]
+        g = g.sort_values(["center", "nbr"])
+        codes = pd.factorize(g["center"], sort=False)[0]
         n1, n2, _ = pairs_within_groups(
-            codes.astype(np.int64), g["n"].to_numpy(dtype=np.int64)
+            codes.astype(np.int64), g["nbr"].to_numpy(dtype=np.int64)
         )
         return pd.DataFrame(
             {"lo": pd.Series(n1, dtype=np.int64),
@@ -1586,8 +1565,8 @@ def incremental_triangle_count(
         )
 
     pairs = bucket_map(
-        canon.map_batches(sym_batch, batch_format="pyarrow"),
-        ["c"],
+        canon.map_batches(_both_directions, batch_format="pyarrow"),
+        ["center"],
         wedge_pairs,
         num_buckets=B,
     ).materialize()

@@ -1,5 +1,7 @@
 """Dedup / similarity / textstats / multimodal operators."""
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -7,6 +9,7 @@ import pytest
 import ray.data as rd
 
 from flashray.datapipe import dedup, multimodal, similarity, textstats
+from flashray.joins import bucket_map
 
 
 def _docs_with_dups():
@@ -99,6 +102,139 @@ def test_ngram_jaccard_exact_values():
     ).to_pandas()
     assert len(pairs) == 1
     assert pairs["jaccard"].iloc[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "threshold, bands", [(0.5, 32), (0.7, 32), (0.8, 16), (0.9, 8)]
+)
+def test_auto_bands_at_128_perms(threshold, bands):
+    assert dedup._auto_bands(128, threshold) == bands
+
+
+def _planted_docs(seed: int, n: int = 120) -> pd.DataFrame:
+    """Random word salad with planted exact copies and one-word edits."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"v{i}" for i in range(50)]
+    texts = [" ".join(rng.choice(vocab, int(rng.integers(4, 30)))) for _ in range(n)]
+    for i in range(0, n, 6):
+        texts[(i * 7 + 1) % n] = texts[i]
+    for i in range(3, n, 7):
+        words = texts[i].split()
+        words[len(words) // 2] = "edit"
+        texts[(i * 5 + 2) % n] = " ".join(words)
+    return pd.DataFrame({"doc_id": np.arange(n, dtype=np.int64) * 3 + 1, "text": texts})
+
+
+def _brute_force_pairs(df: pd.DataFrame, threshold: float) -> pd.DataFrame:
+    """Every pair (a < b) that shares some LSH band key and whose
+    signatures agree on >= threshold of their values."""
+    bands = dedup._auto_bands(128, threshold)
+    sig_tbl = dedup._minhash_signatures(pa.Table.from_pandas(df, preserve_index=False))
+    sigs = np.stack(sig_tbl["signature"].to_numpy(zero_copy_only=False))
+    keys = dedup._band_keys(sigs, bands, 128 // bands)
+    ids = df["doc_id"].to_numpy()
+    i, j = np.triu_indices(len(ids), k=1)
+    agree = (sigs[i] == sigs[j]).mean(axis=1)
+    ok = (keys[i] == keys[j]).any(axis=1) & (agree >= threshold)
+    a, b = ids[i[ok]], ids[j[ok]]
+    return pd.DataFrame(
+        {"a": np.minimum(a, b), "b": np.maximum(a, b), "similarity": agree[ok]}
+    ).sort_values(["a", "b"]).reset_index(drop=True)
+
+
+def _sorted_pairs(df: pd.DataFrame) -> pd.DataFrame:
+    return df[["a", "b", "similarity"]].sort_values(["a", "b"]).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.8])
+def test_minhash_verify_matches_brute_force(threshold):
+    df = _planted_docs(int(threshold * 10))
+    want = _brute_force_pairs(df, threshold)
+    assert len(want) > 10
+    got = dedup.candidate_pairs_minhash(rd.from_pandas(df), threshold=threshold)
+    pd.testing.assert_frame_equal(_sorted_pairs(got.to_pandas()), want)
+    # the same verify over 1 and 7 shuffle buckets: each call covers many
+    # LSH buckets, and every pair still leaves exactly one call
+    bands = dedup._auto_bands(128, threshold)
+    band_rows = rd.from_pandas(df).map_batches(
+        dedup._minhash_signatures, batch_format="pyarrow"
+    ).map_batches(
+        dedup._band_rows,
+        fn_kwargs={"id_col": "doc_id", "bands": bands, "rows_per_band": 128 // bands},
+        batch_format="pyarrow",
+    ).materialize()
+    verify = functools.partial(
+        dedup._bucket_pairs, threshold=threshold, bands=bands,
+        rows_per_band=128 // bands,
+    )
+    for num_buckets in (1, 7):
+        got = bucket_map(band_rows, ["bucket"], verify, num_buckets=num_buckets)
+        pd.testing.assert_frame_equal(_sorted_pairs(got.to_pandas()), want)
+
+
+def test_minhash_verify_hot_bucket_compares_distinct_signatures(monkeypatch):
+    base = " ".join(f"w{i}" for i in range(40))
+    texts = [base] * 2000
+    for k in range(20):
+        words = base.split()
+        words[2 * k] = "edit"
+        texts.append(" ".join(words))
+    df = pd.DataFrame({"doc_id": np.arange(len(texts), dtype=np.int64), "text": texts})
+    threshold = 0.8
+    bands = dedup._auto_bands(128, threshold)
+    rows = dedup._band_rows(
+        dedup._minhash_signatures(pa.Table.from_pandas(df, preserve_index=False)),
+        id_col="doc_id", bands=bands, rows_per_band=128 // bands,
+    ).to_pandas()
+    compared = []
+    anchor_pairs = dedup._anchor_pairs
+
+    def counting(end, chunk):
+        for i, j in anchor_pairs(end, chunk):
+            compared.append(len(i))
+            yield i, j
+
+    monkeypatch.setattr(dedup, "_anchor_pairs", counting)
+    got = dedup._bucket_pairs(
+        rows, threshold=threshold, bands=bands, rows_per_band=128 // bands
+    )
+    # one shuffle bucket holding every LSH bucket: the compare ran over the
+    # distinct signatures of each LSH bucket only (<= 21 per bucket)
+    distinct = rows.assign(sig=rows["signature"].map(bytes)).groupby("bucket")["sig"].nunique()
+    assert sum(compared) == int((distinct * (distinct - 1) // 2).sum())
+    assert sum(compared) <= bands * 21 * 20 // 2
+    assert not got.duplicated(["a", "b"]).any()
+    copies = got[(got["a"] < 2000) & (got["b"] < 2000)]
+    assert len(copies) == 2000 * 1999 // 2 and (copies["similarity"] == 1.0).all()
+    # pairs touching a near-duplicate match the brute force over the 21
+    # distinct texts, expanded to the 2,000 copies of the base
+    small = _brute_force_pairs(df.iloc[1999:], threshold)
+    near = got[got["b"] >= 2000]
+    assert len(near) == int(
+        (small["a"] == 1999).sum() * 2000 + (small["a"] >= 2000).sum()
+    )
+    sim = dict(zip(zip(small["a"], small["b"]), small["similarity"]))
+    for a, b, s in near.itertuples(index=False):
+        assert sim[(max(a, 1999), b)] == s
+
+
+def _map_worker_actors() -> int:
+    import ray._private.state
+
+    return sum(
+        "MapWorker" in a.get("ActorClassName", "")
+        for a in ray._private.state.actors().values()
+    )
+
+
+def test_signature_stages_start_no_actor_pool():
+    df = _docs_with_dups()
+    before = _map_worker_actors()
+    dedup.exact_dedup(rd.from_pandas(df)).materialize()
+    dedup.candidate_pairs_minhash(rd.from_pandas(df)).materialize()
+    dedup.candidate_pairs_simhash(rd.from_pandas(df)).materialize()
+    textstats.add_fingerprint(rd.from_pandas(df)).materialize()
+    assert _map_worker_actors() == before
 
 
 def _emb_table(n=64, d=16, seed=1):

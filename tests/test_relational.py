@@ -1,5 +1,7 @@
 """bucket_map, topk_per_group and semi/anti join vs pandas / DuckDB oracles."""
 
+import functools
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -47,6 +49,18 @@ def test_bucket_map_keys_reach_one_call(keys):
         )
     pd.testing.assert_frame_equal(outs[0], outs[1])
     pd.testing.assert_frame_equal(outs[0], df)
+
+
+def test_bucket_map_operator_named_after_fn():
+    # Dataset.stats() names the per-bucket operator after fn, not the
+    # wrapper that drops the bucket column
+    def _scaled(g: pd.DataFrame, *, by: int = 3) -> pd.DataFrame:
+        return g.assign(id=g["id"] * by)
+
+    for fn in (_scaled, functools.partial(_scaled, by=3)):
+        out = bucket_map(rd.range(20), ["id"], fn, num_buckets=4).materialize()
+        assert "MapBatches(_scaled)" in out.stats()
+        assert sorted(out.to_pandas()["id"]) == list(range(0, 60, 3))
 
 
 def test_topk_per_group_matches_pandas():
