@@ -16,11 +16,13 @@ failure).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 
 from flashray.build import Graph
 from flashray.csr import INT_IDENTITY
-from flashray.engine import run_program
+from flashray.engine import _part_file, _postprocess_part, run_program
 from flashray.programs import (
     BFS,
     DeltaPageRank,
@@ -165,16 +167,33 @@ def eigenvector_centrality(
     raw values are exact length-T path counts on an unweighted graph, so
     the driver oracle replays them in SQL level-by-level; the single end
     division is order-independent (exact-integer operands). T must stay
-    modest (path counts grow like λ_max^T in float64)."""
+    modest (path counts grow like λ_max^T in float64). With ``out_dir``
+    the max is read from the written parts, and a row-local pass divides
+    each part by it."""
     prog = PowerIteration(weighted=weighted, exact_iterations=True)
     result = run_program(
         graph, prog, lambda m: False, max_iters=int(iters), out_dir=out_dir,
         actor_cpus=actor_cpus,
     )
-    if normalize and out_dir is None:
+    if not normalize:
+        return result
+    if out_dir is None:
         mx = float(result["value"].max() or 0.0)
         if mx > 0:
             result["value"] = result["value"] / mx
+        return result
+    parts = [_part_file(out_dir, p) for p in range(graph.num_partitions)]
+    mx = max(
+        (pc.max(pq.read_table(f, columns=["value"])["value"]).as_py() or 0.0)
+        for f in parts
+    )
+    if mx > 0:
+        ray.get(
+            [
+                _postprocess_part.remote(f, lambda df: df.assign(value=df["value"] / mx))
+                for f in parts
+            ]
+        )
     return result
 
 

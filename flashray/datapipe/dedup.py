@@ -9,14 +9,20 @@ the connected components of the verified pair graph — computed with this
 repo's own WCC engine when the pair set is large, or driver-side
 union-find when it is small.
 
-Hot-bucket safety (MinHash): one vectorized verify per shuffle bucket
-covers many LSH buckets. It collapses identical signatures per LSH bucket
-first (members of one signature class are pairwise duplicates by
-construction), so the O(u²)·num_perm compare runs over the u *distinct*
-signatures only, in fixed-size chunks — an LSH bucket holding k copies of
-one document costs O(k) compare work plus the (irreducible) O(k²) pair
-output. A pair is emitted once, from the lowest band in which its two
-signatures collide, so no pair-dedup shuffle follows.
+One LSH verify: every near-duplicate family — MinHash, SimHash,
+cross-corpus MinHash and cosine (``similarity.embedding_near_dups``) —
+explodes its signatures into band rows with :func:`_band_rows` and runs
+:func:`_bucket_pairs` behind ONE ``bucket_map`` shuffle on the LSH key. A
+family supplies only its signature, its band keys and its row-wise
+compare; each pair is emitted once, from the lowest band in which its two
+items collide, so no pair-dedup shuffle follows.
+
+Hot-bucket safety: one vectorized verify per shuffle bucket covers many
+LSH buckets. It collapses identical signatures per LSH bucket first
+(members of one signature class compare exactly as their representative
+does), so the O(u²) compare runs over the u *distinct* signatures only,
+in fixed-size chunks — an LSH bucket holding k copies of one document
+costs O(k) compare work plus the (irreducible) O(k²) pair output.
 
 Determinism: all hashing is seeded/stable (splitmix64 over stable word ids);
 results are identical across runs and parallelism levels.
@@ -156,23 +162,10 @@ def _minhash_signatures(
     return batch.append_column("signature", col)
 
 
-class MinHashSignatures:
-    """Callable-class form of :func:`_minhash_signatures`, for callers
-    that run it in their own actor pool."""
-
-    def __init__(self, *, text_col="text", num_perm=128, shingle_n=3, seed=42):
-        self.kwargs = dict(
-            text_col=text_col, num_perm=num_perm, shingle_n=shingle_n, seed=seed
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _minhash_signatures(batch, **self.kwargs)
-
-
 def _band_keys(sigs: np.ndarray, bands: int, rows_per_band: int) -> np.ndarray:
-    """(n, bands) LSH bucket keys of (n, perm) signatures: each band's
-    rows_per_band values folded with splitmix64 from the band index —
-    rows_per_band vectorized calls over (n, bands), no Python per row."""
+    """(n, bands) LSH bucket keys of (n, perm) MinHash signatures: each
+    band's rows_per_band values folded with splitmix64 from the band index
+    — rows_per_band vectorized calls over (n, bands), no Python per row."""
     n = len(sigs)
     S = sigs[:, : bands * rows_per_band].reshape(n, bands, rows_per_band)
     with np.errstate(over="ignore"):
@@ -182,126 +175,157 @@ def _band_keys(sigs: np.ndarray, bands: int, rows_per_band: int) -> np.ndarray:
     return (h & np.uint64(0x7FFF_FFFF_FFFF_FFFF)).astype(np.int64)
 
 
-def _band_rows(
-    batch: pa.Table, *, id_col: str, bands: int, rows_per_band: int
-) -> pa.Table:
+def _agreement(x: np.ndarray, y: np.ndarray, *, threshold: float):
+    """MinHash compare, row by row: signature agreement rate (estimated
+    Jaccard) and whether it reaches ``threshold``."""
+    agree = (x == y).mean(axis=1)
+    return agree >= threshold, agree
+
+
+def _band_rows(batch: pa.Table, *, id_col: str, keys) -> pa.Table:
     """Explode signatures to (bucket, doc_id, signature) LSH-band rows.
 
     Fully vectorized over Arrow: the fixed_size_list signature column is
-    viewed zero-copy as (n, perm) and keyed by :func:`_band_keys`. Output
-    rows are row-major (row, band) order."""
+    viewed zero-copy as (n, width) and ``keys`` maps it to its (n, bands)
+    LSH bucket keys. Output rows are row-major (row, band) order."""
     n = batch.num_rows
-    num_perm = bands * rows_per_band
-    if n == 0:
-        return pa.table(
-            {
-                "bucket": pa.array([], type=pa.int64()),
-                "doc_id": pa.array([], type=pa.int64()),
-                "signature": pa.array(
-                    [], type=pa.list_(pa.uint64(), num_perm)
-                ),
-            }
-        )
     sig_col = batch["signature"].combine_chunks()
     sigs = (
         sig_col.values.to_numpy(zero_copy_only=False)
         .astype(np.uint64, copy=False)
-        .reshape(n, -1)
+        .reshape(n, sig_col.type.list_size)
     )
-    buckets = _band_keys(sigs, bands, rows_per_band).ravel()
+    buckets = keys(sigs)
+    bands = buckets.shape[1]
     ids = batch[id_col].to_numpy(zero_copy_only=False)
     rep = pa.array(np.repeat(np.arange(n, dtype=np.int64), bands))
     return pa.table(
         {
-            "bucket": pa.array(buckets),
+            "bucket": pa.array(buckets.ravel()),
             "doc_id": pa.array(np.repeat(ids, bands)),
             "signature": sig_col.take(rep),
         }
     )
 
 
-def _empty_pairs(value_col: str, dtype: str) -> pd.DataFrame:
-    return pd.DataFrame(
-        {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
-         value_col: pd.Series(dtype=dtype)}
+def _lsh_band_rows(
+    ds: ray.data.Dataset, signatures, *, text_col: str, id_col: str, keys,
+    concurrency: int, **sig_kwargs,
+) -> ray.data.Dataset:
+    """Signature tasks (at most ``concurrency`` at a time) followed by the
+    :func:`_band_rows` explode — the input of :func:`_bucket_pairs`."""
+    sigs = ds.select_columns([id_col, text_col]).map_batches(
+        signatures,
+        fn_kwargs={"text_col": text_col, **sig_kwargs},
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        concurrency=concurrency,
+    )
+    return sigs.map_batches(
+        _band_rows,
+        fn_kwargs={"id_col": id_col, "keys": keys},
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
 
 
-# representative pairs compared per vectorized step of the MinHash verify
+# representative pairs compared per vectorized step of the LSH verify
 _VERIFY_CHUNK = 8192
 
 
-def _anchor_pairs(end: np.ndarray, chunk: int):
-    """Yield every (i, j) with i < j < end[i] as index arrays of about
+def _anchor_pairs(lo: np.ndarray, hi: np.ndarray, chunk: int):
+    """Yield every (i, j) with lo[i] <= j < hi[i] as index arrays of about
     ``chunk`` pairs each (one anchor's partners are never split), so the
     enumeration holds O(chunk) pairs however large one group is."""
-    cnt = end - np.arange(len(end)) - 1
+    cnt = hi - lo
     cum = np.cumsum(cnt)
-    lo = 0
-    while lo < len(end):
-        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] - cnt[lo] + chunk, "right")))
-        c = cnt[lo:hi]
-        i = np.repeat(np.arange(lo, hi), c)
+    a = 0
+    while a < len(cnt):
+        b = max(a + 1, int(np.searchsorted(cum, cum[a] - cnt[a] + chunk, "right")))
+        c = cnt[a:b]
+        i = np.repeat(np.arange(a, b), c)
         if len(i):
-            yield i, i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(c) - c, c)
-        lo = hi
+            yield i, np.repeat(lo[a:b], c) + np.arange(len(i)) - np.repeat(np.cumsum(c) - c, c)
+        a = b
 
 
 def _bucket_pairs(
-    group: pd.DataFrame, *, threshold: float, bands: int, rows_per_band: int
+    group: pd.DataFrame, *, keys, compare, value: str = "similarity",
+    cross: bool = False,
 ) -> pd.DataFrame:
-    """Verify every LSH bucket of one shuffle bucket by estimated Jaccard
-    (signature agreement rate) in one vectorized pass.
+    """The LSH verify of every near-duplicate family: all LSH buckets of
+    one shuffle bucket in one vectorized pass.
 
-    Rows collapse to signature classes, one per distinct (LSH bucket,
-    signature): compare cost is O(u²·perm) over the u DISTINCT signatures
-    of an LSH bucket (k exact copies cost one class, not O(k²) compares).
+    ``group`` holds :func:`_band_rows` rows (plus ``side`` when ``cross``).
+    The family supplies ``keys(sigs)``, the (n, bands) LSH bucket keys of
+    n signatures, and ``compare(x, y)``, the (hit mask, ``value``) of two
+    signature arrays row by row.
+
+    Rows collapse to classes, one per distinct (LSH bucket, side,
+    signature): the compare runs over the DISTINCT signatures of an LSH
+    bucket (k exact copies cost one class, not O(k²) compares).
     Representative pairs are compared ``_VERIFY_CHUNK`` at a time and the
-    hits expand to member products — agreement between members equals
-    agreement between representatives by construction; within-class pairs
-    expand at similarity 1.0. A pair is emitted only from the lowest band
-    in which its two signatures collide (recomputed from the signatures),
-    so each pair leaves exactly one call (doc ids are unique)."""
-    if len(group) < 2:
-        return _empty_pairs("similarity", "float64")
+    hits expand to member products — members compare exactly as their
+    representatives do. Members of one class pair at ``compare(rep,
+    rep)``. A pair is emitted only from the lowest band in which its two
+    signatures collide (read back through ``keys``), so each pair leaves
+    exactly one call (doc ids are unique per side) and no pair-dedup
+    aggregate follows.
+
+    Without ``cross`` the result is (a < b, value). With ``cross`` only
+    side-0 × side-1 pairs are enumerated — each side-0 class's partners
+    are its bucket's side-1 classes — and the result is (doc_id, eval_id,
+    value)."""
     key = group["bucket"].to_numpy(dtype=np.int64)
     ids = group["doc_id"].to_numpy(dtype=np.int64)
+    side = group["side"].to_numpy(dtype=np.int64) if cross else np.zeros_like(key)
     sigs = np.stack(group["signature"].to_numpy()).astype(np.uint64, copy=False)
-    # classes sorted by LSH bucket key (keys are non-negative int64)
+    # classes sorted by (LSH bucket key, side); keys are non-negative int64
     cls, inv = np.unique(
-        np.column_stack([key.astype(np.uint64), sigs]), axis=0, return_inverse=True
+        np.column_stack([key.astype(np.uint64), side.astype(np.uint64), sigs]),
+        axis=0,
+        return_inverse=True,
     )
     inv = inv.reshape(-1)
-    rep_key = cls[:, 0].astype(np.int64)
-    rep_sig = cls[:, 1:]
-    band = _band_keys(rep_sig, bands, rows_per_band)
+    rep_key, rep_side = cls[:, 0].astype(np.int64), cls[:, 1].astype(np.int64)
+    rep_sig = cls[:, 2:]
+    band = keys(rep_sig)
     order = np.lexsort((ids, inv))
     members = ids[order]  # ascending ids within each class
     size = np.bincount(inv, minlength=len(cls))
-    start = np.cumsum(size) - size
-    out = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-    # members of one class collide in every band: emit them from band 0
-    own = (size > 1) & (rep_key == band[:, 0])
-    keep = own[inv[order]]
-    a, b, _ = pairs_within_groups(inv[order][keep], members[keep])
-    out.append((a, b, np.ones(len(a))))
+    first_member = np.cumsum(size) - size
     end = np.searchsorted(rep_key, rep_key, side="right")
-    for i, j in _anchor_pairs(end, _VERIFY_CHUNK):
-        agree = (rep_sig[i] == rep_sig[j]).mean(axis=1)
-        hit = agree >= threshold
-        i, j, agree = i[hit], j[hit], agree[hit]
+    hit, val = compare(rep_sig, rep_sig)
+    out = [(np.empty(0, np.int64), np.empty(0, np.int64), val[:0])]
+    if cross:
+        ones = np.r_[0, np.cumsum(rep_side)]
+        lo = end - (ones[end] - ones[np.searchsorted(rep_key, rep_key)])
+        hi = np.where(rep_side == 0, end, lo)
+    else:
+        lo, hi = np.arange(1, len(cls) + 1), end
+        # members of one class collide in every band: emit them from band 0
+        own = (size > 1) & (rep_key == band[:, 0]) & hit
+        keep = own[inv[order]]
+        a, b, c = pairs_within_groups(inv[order][keep], members[keep])
+        out.append((a, b, val[c]))
+    for i, j in _anchor_pairs(lo, hi, _VERIFY_CHUNK):
+        hit, val = compare(rep_sig[i], rep_sig[j])
+        i, j, val = i[hit], j[hit], val[hit]
         same = band[i] == band[j]
         first = same.argmax(axis=1)
         low = same[np.arange(len(i)), first] & (band[i, first] == rep_key[i])
-        i, j, agree = i[low], j[low], agree[low]
+        i, j, val = i[low], j[low], val[low]
         n = size[i] * size[j]
         r = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         nj = np.repeat(size[j], n)
-        A = members[np.repeat(start[i], n) + r // nj]
-        B = members[np.repeat(start[j], n) + r % nj]
-        out.append((np.minimum(A, B), np.maximum(A, B), np.repeat(agree, n)))
-    a, b, sim = (np.concatenate(c) for c in zip(*out))
-    return pd.DataFrame({"a": a, "b": b, "similarity": sim})
+        A = members[np.repeat(first_member[i], n) + r // nj]
+        B = members[np.repeat(first_member[j], n) + r % nj]
+        if not cross:
+            A, B = np.minimum(A, B), np.maximum(A, B)
+        out.append((A, B, np.repeat(val, n)))
+    a, b, v = (np.concatenate(c) for c in zip(*out))
+    names = ("doc_id", "eval_id") if cross else ("a", "b")
+    return pd.DataFrame({names[0]: a, names[1]: b, value: v})
 
 
 def _auto_bands(num_perm: int, threshold: float) -> int:
@@ -316,6 +340,14 @@ def _auto_bands(num_perm: int, threshold: float) -> int:
         if b >= 2 and (1.0 / b) ** (1.0 / r) <= threshold:
             return b
     return best
+
+
+def _minhash_keys(num_perm: int, bands: int | None, threshold: float):
+    """The LSH band-key function of one MinHash banding (``bands=None``:
+    :func:`_auto_bands`)."""
+    if bands is None:
+        bands = _auto_bands(num_perm, threshold)
+    return functools.partial(_band_keys, bands=bands, rows_per_band=num_perm // bands)
 
 
 def candidate_pairs_minhash(
@@ -336,30 +368,16 @@ def candidate_pairs_minhash(
     0.9 → 8 bands of 16). Signatures are stateless tasks (at most
     ``concurrency`` at a time); one bucket shuffle on the LSH key feeds
     :func:`_bucket_pairs`."""
-    if bands is None:
-        bands = _auto_bands(num_perm, threshold)
-    rows_per_band = num_perm // bands
-    sigs = ds.select_columns([id_col, text_col]).map_batches(
-        _minhash_signatures,
-        fn_kwargs={
-            "text_col": text_col,
-            "num_perm": num_perm,
-            "shingle_n": shingle_n,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
-    bands_ds = sigs.map_batches(
-        _band_rows,
-        fn_kwargs={"id_col": id_col, "bands": bands, "rows_per_band": rows_per_band},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    keys = _minhash_keys(num_perm, bands, threshold)
+    rows = _lsh_band_rows(
+        ds, _minhash_signatures, text_col=text_col, id_col=id_col, keys=keys,
+        concurrency=concurrency, num_perm=num_perm, shingle_n=shingle_n,
     )
     verify = functools.partial(
-        _bucket_pairs, threshold=threshold, bands=bands, rows_per_band=rows_per_band
+        _bucket_pairs, keys=keys,
+        compare=functools.partial(_agreement, threshold=threshold),
     )
-    return bucket_map(bands_ds, ["bucket"], verify, num_buckets=64)
+    return bucket_map(rows, ["bucket"], verify, num_buckets=64)
 
 
 def duplicate_groups(
@@ -486,20 +504,30 @@ def _simhash_sigs(texts: list[str]) -> np.ndarray:
     return sig
 
 
-def _simhash_signatures(batch: pd.DataFrame, *, text_col: str = "text") -> pd.DataFrame:
-    """Adds a ``simhash`` column; a stateless ``map_batches`` task."""
-    batch["simhash"] = _simhash_sigs(batch[text_col].tolist())
-    return batch
+def _simhash_signatures(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
+    """Adds a one-value ``signature`` column (fixed_size_list<uint64>)
+    holding the SimHash; a stateless ``map_batches`` task."""
+    sig = _simhash_sigs(batch[text_col].to_pylist()).astype(np.uint64)
+    return batch.append_column(
+        "signature", pa.FixedSizeListArray.from_arrays(pa.array(sig), 1)
+    )
 
 
-class SimHashSignatures:
-    """Callable-class form of :func:`_simhash_signatures`."""
+_CHUNKS16 = np.arange(4, dtype=np.uint64)
 
-    def __init__(self, *, text_col: str = "text"):
-        self.text_col = text_col
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return _simhash_signatures(batch, text_col=self.text_col)
+def _simhash_keys(sigs: np.ndarray) -> np.ndarray:
+    """(n, 4) LSH bucket keys of (n, 1) SimHashes: each 16-bit chunk,
+    tagged with its index."""
+    chunk = (sigs >> (np.uint64(16) * _CHUNKS16)) & np.uint64(0xFFFF)
+    return ((_CHUNKS16 << np.uint64(16)) | chunk).astype(np.int64)
+
+
+def _hamming(x: np.ndarray, y: np.ndarray, *, max_hamming: int):
+    """SimHash compare, row by row: popcount of ``x ^ y`` (vectorized via
+    a byte view + unpackbits) and whether it is at most ``max_hamming``."""
+    ham = np.unpackbits((x ^ y).view(np.uint8), axis=1).sum(axis=1).astype(np.int64)
+    return ham <= max_hamming, ham
 
 
 def candidate_pairs_simhash(
@@ -510,153 +538,19 @@ def candidate_pairs_simhash(
     max_hamming: int = 3,
     concurrency: int = 4,
 ) -> ray.data.Dataset:
-    """SimHash near-dup pairs: bucket by each of 4 16-bit chunks (any pair
-    within hamming ≤ 3 of 64 bits agrees on ≥ 1 chunk), verify hamming."""
-    sigs = ds.select_columns([id_col, text_col]).map_batches(
-        _simhash_signatures,
-        fn_kwargs={"text_col": text_col},
-        batch_format="pandas",
-        concurrency=concurrency,
+    """SimHash near-dup pairs (a < b, hamming ≤ ``max_hamming``), each
+    pair once: bucket by each of 4 16-bit chunks (any pair within hamming
+    ≤ 3 of 64 bits agrees on ≥ 1 chunk), verify hamming in
+    :func:`_bucket_pairs` behind one bucket shuffle on the chunk key."""
+    rows = _lsh_band_rows(
+        ds, _simhash_signatures, text_col=text_col, id_col=id_col,
+        keys=_simhash_keys, concurrency=concurrency,
     )
-
-    def bands(batch: pd.DataFrame) -> pd.DataFrame:
-        sig = batch["simhash"].to_numpy().astype(np.uint64)
-        ids = batch[id_col].to_numpy()
-        out = []
-        for c in range(4):
-            chunk = (sig >> np.uint64(16 * c)) & np.uint64(0xFFFF)
-            bucket = (np.int64(c) << np.int64(16)) | chunk.astype(np.int64)
-            out.append(pd.DataFrame({"bucket": bucket, "doc_id": ids, "simhash": sig.astype(np.int64)}))
-        return pd.concat(out, ignore_index=True)
-
-    def verify(group: pd.DataFrame) -> pd.DataFrame:
-        n = len(group)
-        if n < 2:
-            return _empty_pairs("hamming", "int64")
-        ids = group["doc_id"].to_numpy()
-        sig = group["simhash"].to_numpy().astype(np.uint64)
-        order = np.argsort(ids)
-        ids, sig = ids[order], sig[order]
-        uniq, inv = np.unique(sig, return_inverse=True)
-        u = len(uniq)
-        out = []
-        order2 = np.argsort(inv, kind="stable")
-        if u < n:
-            # identical signatures: pairwise hamming 0
-            a, b, _ = pairs_within_groups(inv[order2], ids[order2])
-            if len(a):
-                out.append(
-                    pd.DataFrame(
-                        {"a": a, "b": b,
-                         "hamming": np.zeros(len(a), dtype=np.int64)}
-                    )
-                )
-        if u >= 2:
-            counts = np.bincount(inv, minlength=u)
-            bounds = np.r_[0, np.cumsum(counts)]
-            members_sorted = ids[order2]
-            for i in range(u - 1):
-                x = uniq[i + 1 :] ^ uniq[i]
-                # vectorized popcount via byte view + unpackbits
-                ham = (
-                    np.unpackbits(x[:, None].view(np.uint8), axis=1)
-                    .sum(axis=1)
-                    .astype(np.int64)
-                )
-                hits = np.flatnonzero(ham <= max_hamming)
-                if not len(hits):
-                    continue
-                mi = members_sorted[bounds[i] : bounds[i + 1]]
-                for j in hits:
-                    gj = i + 1 + j
-                    mj = members_sorted[bounds[gj] : bounds[gj + 1]]
-                    A = np.repeat(mi, len(mj))
-                    B = np.tile(mj, len(mi))
-                    out.append(
-                        pd.DataFrame(
-                            {"a": np.minimum(A, B), "b": np.maximum(A, B),
-                             "hamming": np.full(len(A), ham[j], dtype=np.int64)}
-                        )
-                    )
-        if not out:
-            return _empty_pairs("hamming", "int64")
-        return pd.concat(out, ignore_index=True)
-
-    # natural key: `verify` compares the pairs within one LSH band bucket
-    pairs = (
-        sigs.map_batches(bands, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
+    verify = functools.partial(
+        _bucket_pairs, keys=_simhash_keys, value="hamming",
+        compare=functools.partial(_hamming, max_hamming=max_hamming),
     )
-    return bucket_group_agg(pairs, ["a", "b"], {"hamming": ("hamming", "min")})
-
-
-def candidate_pairs_ngram_jaccard(
-    ds: ray.data.Dataset,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    shingle_n: int = 3,
-    threshold: float = 0.5,
-    num_perm: int = 128,
-    bands: int = 32,
-    concurrency: int = 4,
-) -> ray.data.Dataset:
-    """Exact n-gram Jaccard pairs: MinHash-LSH proposes candidates (loose
-    bands), then the true Jaccard over shingle sets is computed inside the
-    bucket (texts travel with the bucket rows)."""
-    rows_per_band = num_perm // bands
-    sigs = ds.select_columns([id_col, text_col]).map_batches(
-        _minhash_signatures,
-        fn_kwargs={
-            "text_col": text_col,
-            "num_perm": num_perm,
-            "shingle_n": shingle_n,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        out = _band_rows(
-            batch, id_col=id_col, bands=bands, rows_per_band=rows_per_band
-        )
-        # _band_rows emits (row, band)-major rows: texts repeat in step
-        texts = np.repeat(
-            np.asarray(batch[text_col].to_pylist(), dtype=object), bands
-        )
-        return out.drop_columns(["signature"]).append_column(
-            "text", pa.array(texts, type=pa.string())
-        )
-
-    def verify(group: pd.DataFrame) -> pd.DataFrame:
-        n = len(group)
-        if n < 2:
-            return _empty_pairs("jaccard", "float64")
-        g = group.drop_duplicates("doc_id").sort_values("doc_id")
-        ids = g["doc_id"].to_numpy()
-        shingles = [
-            set(_shingle_hashes(_word_codes((t or "").split()), shingle_n).tolist())
-            for t in g["text"]
-        ]
-        out_a, out_b, out_j = [], [], []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                inter = len(shingles[i] & shingles[j])
-                union = len(shingles[i] | shingles[j])
-                jac = inter / union if union else 0.0
-                if jac >= threshold:
-                    out_a.append(ids[i]); out_b.append(ids[j]); out_j.append(jac)
-        return pd.DataFrame({"a": out_a, "b": out_b, "jaccard": out_j})
-
-    # natural key: `verify` compares the pairs within one LSH band bucket
-    pairs = (
-        sigs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
-    )
-    return bucket_group_agg(pairs, ["a", "b"], {"jaccard": ("jaccard", "max")})
+    return bucket_map(rows, ["bucket"], verify, num_buckets=64)
 
 
 def exact_jaccard_pairs(
@@ -670,9 +564,8 @@ def exact_jaccard_pairs(
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """EXACT n-gram Jaccard near-duplicate pairs via a shingle inverted
-    index — no LSH, hence no false negatives (contrast with
-    :func:`candidate_pairs_ngram_jaccard`, whose MinHash bands are
-    probabilistic). Jaccard is computed over each document's set of
+    index — no LSH, hence no false negatives (an LSH candidate step such
+    as :func:`candidate_pairs_minhash`'s bands is probabilistic). Jaccard is computed over each document's set of
     DISTINCT word ``shingle_n``-gram hashes; a hash collision among
     distinct shingles is the only approximation (negligible at 64 bits).
 
@@ -1217,28 +1110,6 @@ def bloom_decontaminate(
     return j.map_batches(fill, batch_format="pandas")
 
 
-def _bucket_cross_pairs(group: pd.DataFrame, *, threshold: float) -> pd.DataFrame:
-    """Cross-side verification within one LSH bucket: estimated Jaccard
-    (signature agreement) between every train-side and eval-side row.
-    Chunked over train rows so a hot bucket never builds an
-    O(train × eval × perm) boolean tensor in one piece."""
-    t = group[group["side"] == 0]
-    e = group[group["side"] == 1]
-    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-    if len(t) and len(e):
-        tids = t["doc_id"].to_numpy(dtype=np.int64)
-        eids = e["doc_id"].to_numpy(dtype=np.int64)
-        tsig = np.stack(t["signature"].to_numpy()).astype(np.uint64)
-        esig = np.stack(e["signature"].to_numpy()).astype(np.uint64)
-        CHUNK = 256
-        for s in range(0, len(tids), CHUNK):
-            agree = (tsig[s : s + CHUNK, None, :] == esig[None, :, :]).mean(axis=2)
-            ti, ej = np.nonzero(agree >= threshold)
-            parts.append((tids[s + ti], eids[ej], agree[ti, ej]))
-    d, ev, sim = (np.concatenate(c) for c in zip(*parts))
-    return pd.DataFrame({"doc_id": d, "eval_id": ev, "similarity": sim})
-
-
 def minhash_decontaminate(
     docs: ray.data.Dataset,
     benchmark: ray.data.Dataset,
@@ -1257,57 +1128,36 @@ def minhash_decontaminate(
     :func:`decontaminate` (exact n-gram hits): paraphrased or lightly
     edited benchmark leakage shares high Jaccard without sharing long
     exact n-grams. Returns one row per flagged (doc_id, eval_id) pair with
-    the max estimated similarity across colliding bands.
+    its estimated similarity (signature agreement).
 
-    100-TB shape: both corpora stream through the signature tasks,
-    band rows hash-partition by bucket (ONE shuffle of 16-byte rows ×
-    bands), verification is per-bucket vectorized agreement, and the pair
-    table collapses through one bucketed aggregate — the benchmark side is
-    never broadcast or collected, so an arbitrarily large eval suite costs
-    the same shuffle as the train side."""
-    if bands is None:
-        bands = _auto_bands(num_perm, threshold)
-    rows_per_band = num_perm // bands
+    100-TB shape: both corpora stream through the signature tasks, band
+    rows tagged with their ``side`` hash-partition by bucket (ONE shuffle
+    of 16-byte rows × bands), and :func:`_bucket_pairs` compares only
+    train × eval classes, emitting each pair once from its lowest
+    colliding band — no pair-dedup aggregate follows. The benchmark side
+    is never broadcast or collected, so an arbitrarily large eval suite
+    costs the same shuffle as the train side."""
+    keys = _minhash_keys(num_perm, bands, threshold)
 
-    def sig_pipeline(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
-        sigs = ds.select_columns([id_col, text_col]).map_batches(
-            _minhash_signatures,
-            fn_kwargs={
-                "text_col": text_col,
-                "num_perm": num_perm,
-                "shingle_n": shingle_n,
-            },
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=concurrency,
+    def sided(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
+        rows = _lsh_band_rows(
+            ds, _minhash_signatures, text_col=text_col, id_col=id_col,
+            keys=keys, concurrency=concurrency, num_perm=num_perm,
+            shingle_n=shingle_n,
         )
-        banded = sigs.map_batches(
-            _band_rows,
-            fn_kwargs={
-                "id_col": id_col,
-                "bands": bands,
-                "rows_per_band": rows_per_band,
-            },
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        return banded.map_batches(
-            lambda b, s=side: b.append_column(
-                "side", pa.array(np.full(b.num_rows, s, dtype=np.int64))
+        return rows.map_batches(
+            lambda b: b.append_column(
+                "side", pa.array(np.full(b.num_rows, side, dtype=np.int64))
             ),
             batch_format="pyarrow",
         )
 
-    both = sig_pipeline(docs, 0).union(sig_pipeline(benchmark, 1))
-    # natural key: `_bucket_cross_pairs` crosses one LSH band bucket per call
-    pairs = both.groupby("bucket").map_groups(
-        _bucket_cross_pairs,
-        fn_kwargs={"threshold": threshold},
-        batch_format="pandas",
+    verify = functools.partial(
+        _bucket_pairs, keys=keys, cross=True,
+        compare=functools.partial(_agreement, threshold=threshold),
     )
-    return bucket_group_agg(
-        pairs, ["doc_id", "eval_id"], {"similarity": ("similarity", "max")}
-    )
+    both = sided(docs, 0).union(sided(benchmark, 1))
+    return bucket_map(both, ["bucket"], verify, num_buckets=64)
 
 
 def dedup_keep_best(

@@ -9,10 +9,12 @@
   only the ``nprobe`` nearest buckets.
 - :func:`embedding_near_dups` — near-duplicate pairs by cosine ≥ threshold,
   candidates from random-hyperplane LSH buckets (seeded), verified exactly
-  in-bucket.
+  by the shared LSH verify (``dedup._bucket_pairs``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -20,6 +22,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from flashray.datapipe.dedup import _band_rows, _bucket_pairs
 from flashray.joins import bucket_map, topk_per_group
 
 
@@ -293,6 +296,47 @@ def knn_ivf(
     )
 
 
+def _carried_keys(sigs: np.ndarray, *, tables: int) -> np.ndarray:
+    """The (n, tables) LSH bucket keys a cosine signature carries in its
+    first ``tables`` values: sign bits come from float math, so the verify
+    reads them back and never recomputes them."""
+    return sigs[:, :tables].astype(np.int64)
+
+
+def _cosine(x: np.ndarray, y: np.ndarray, *, tables: int, threshold: float):
+    """Cosine compare, row by row: dot product of the unit vectors stored
+    (as float64 bits) after the carried keys, and whether it reaches
+    ``threshold``."""
+    cos = np.einsum(
+        "ij,ij->i", x[:, tables:].view(np.float64), y[:, tables:].view(np.float64)
+    )
+    return cos >= threshold, cos
+
+
+def _cosine_band_rows(
+    batch: pa.Table, *, planes: np.ndarray, vec_col: str, id_col: str
+) -> pa.Table:
+    """Random-hyperplane LSH band rows, one per (item, table) keyed by
+    (table << planes) | the table's sign signature. Each row's signature
+    carries the item's per-table keys, then its unit vector as float64
+    bits, for :func:`_carried_keys` and :func:`_cosine`."""
+    tables, num_planes, _ = planes.shape
+    vecs = _normalize(_stack(batch[vec_col]))
+    # (T, n, P) sign bits -> per-table integer signature
+    bits = np.einsum("tpd,nd->tnp", planes, vecs) > 0
+    sig = (bits * (1 << np.arange(num_planes, dtype=np.int64))).sum(axis=2)
+    table_id = np.arange(tables, dtype=np.int64)[:, None]
+    sigs = np.column_stack(
+        [((table_id << num_planes) | sig).T, vecs.astype(np.float64).view(np.int64)]
+    ).view(np.uint64)
+    sig_col = pa.FixedSizeListArray.from_arrays(pa.array(sigs.ravel()), sigs.shape[1])
+    return _band_rows(
+        pa.table({"doc_id": batch[id_col], "signature": sig_col}),
+        id_col="doc_id",
+        keys=functools.partial(_carried_keys, tables=tables),
+    )
+
+
 def embedding_near_dups(
     ds: ray.data.Dataset,
     *,
@@ -311,10 +355,12 @@ def embedding_near_dups(
     candidate if it collides in ANY table (OR-amplification). A single
     table misses a 0.95-cosine pair whenever one plane separates it
     (p ≈ 1-(1-acos(s)/π)^planes); with 16 tables of 8 planes the miss
-    probability at s = 0.95 is < 1e-6. Candidates are verified exactly
-    in-bucket; duplicate candidates from several tables dedup in the final
-    aggregate. Exact duplicates (s = 1) collide in EVERY table — recall 1
-    by construction."""
+    probability at s = 0.95 is < 1e-6. Candidates are verified exactly by
+    ``dedup._bucket_pairs`` behind one bucket shuffle on the table key:
+    each band row carries its item's per-table keys and unit vector, and
+    a pair is emitted once, from the lowest table in which it collides.
+    Exact duplicates (s = 1) collide in EVERY table — recall 1 by
+    construction."""
     if dim is None:
         first = ds.take(1)[0]
         dim = len(first[vec_col])
@@ -322,56 +368,17 @@ def embedding_near_dups(
     planes = rng.standard_normal((num_tables, num_planes, dim)).astype(
         np.float32
     )
-    planes_ref = ray.put(planes)
-    shift = int(num_planes)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        pl = ray.get(planes_ref)  # (T, P, d)
-        vecs = _normalize(_stack(batch[vec_col]))
-        n = len(vecs)
-        # (T, n, P) sign bits -> per-table integer signature
-        bits = np.einsum("tpd,nd->tnp", pl, vecs) > 0
-        weights = (1 << np.arange(pl.shape[1], dtype=np.int64))[None, None, :]
-        sig = (bits * weights).sum(axis=2)  # (T, n)
-        table_id = np.repeat(
-            np.arange(pl.shape[0], dtype=np.int64), n
-        )
-        bucket = (table_id << shift) | sig.ravel()
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        vec_list = list(vecs.astype(np.float64))
-        return pa.table(
-            {
-                "bucket": bucket,
-                id_col: np.tile(ids, pl.shape[0]),
-                "vec": pa.array([vec_list[i % n] for i in range(n * pl.shape[0])]),
-            }
-        )
-
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        n = len(g)
-        if n < 2:
-            return pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
-                                 "cosine": pd.Series(dtype="float64")})
-        g = g.drop_duplicates(id_col).sort_values(id_col)
-        ids = g[id_col].to_numpy()
-        V = np.stack([np.asarray(v) for v in g["vec"]])
-        S = V @ V.T
-        iu, ju = np.triu_indices(len(g), k=1)
-        m = S[iu, ju] >= threshold
-        return pd.DataFrame(
-            {"a": ids[iu[m]], "b": ids[ju[m]], "cosine": S[iu, ju][m]}
-        )
-
-    from flashray.joins import bucket_group_agg
-
-    # natural key: `verify` compares the pairs within one LSH band bucket
-    pairs = (
-        ds.select_columns([id_col, vec_col])
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
+    keys = functools.partial(_carried_keys, tables=num_tables)
+    verify = functools.partial(
+        _bucket_pairs, keys=keys, value="cosine",
+        compare=functools.partial(_cosine, tables=num_tables, threshold=threshold),
     )
-    return bucket_group_agg(pairs, ["a", "b"], {"cosine": ("cosine", "max")})
+    rows = ds.select_columns([id_col, vec_col]).map_batches(
+        _cosine_band_rows,
+        fn_kwargs={"planes": planes, "vec_col": vec_col, "id_col": id_col},
+        batch_format="pyarrow",
+    )
+    return bucket_map(rows, ["bucket"], verify, num_buckets=64)
 
 
 def embedding_moments(

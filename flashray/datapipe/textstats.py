@@ -146,19 +146,6 @@ def fingerprint_batch(batch: pd.DataFrame, *, text_col: str = "text") -> pd.Data
     return batch
 
 
-class Fingerprint:
-    """Callable-class form of :func:`fingerprint_batch`."""
-
-    BASE = _FP_BASE
-    MASK = _FP_MASK
-
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return fingerprint_batch(batch, text_col=self.text_col)
-
-
 class RepetitionStats:
     """Gopher-style repetition signals per document (Rae et al. 2021,
     *Scaling Language Models* — the duplicate-text quality filters used by

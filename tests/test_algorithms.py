@@ -393,6 +393,17 @@ def test_eigenvector_matches_dense_power_iteration(tmp_graphs, name):
         assert abs(got[v] - want[pos[v]]) < 1e-12, v
 
 
+def test_eigenvector_out_dir_matches_in_memory(tmp_graphs, tmp_path):
+    graph, _ = tmp_graphs("er100", FIXES["er100"])
+    want = algorithms.eigenvector_centrality(graph, iters=5, normalize=True)
+    out = algorithms.eigenvector_centrality(
+        graph, iters=5, normalize=True, out_dir=str(tmp_path / "eig")
+    )
+    got = pd.read_parquet(out).sort_values("vertex_id").reset_index(drop=True)
+    assert got["value"].max() == 1.0
+    pd.testing.assert_frame_equal(got, pd.DataFrame(want[list(got.columns)]))
+
+
 def test_katz_converges_below_spectral_bound(tmp_graphs):
     # cycle3: lambda_max = 1, alpha = 0.5 converges to x = beta/(1-alpha)
     graph, _ = tmp_graphs("cycle3", FIXES["cycle3"])

@@ -13,11 +13,7 @@ NATURAL_KEY_SITES = {
     ("flashray/extract.py", "extract_edges_sorted"),
     ("flashray/datapipe/windows.py", "session_window"),
     ("flashray/datapipe/sketches.py", "approx_distinct_by_key"),
-    ("flashray/datapipe/dedup.py", "candidate_pairs_simhash"),
-    ("flashray/datapipe/dedup.py", "candidate_pairs_ngram_jaccard"),
-    ("flashray/datapipe/dedup.py", "minhash_decontaminate"),
     ("flashray/datapipe/dedup.py", "sorted_neighborhood_pairs"),
-    ("flashray/datapipe/similarity.py", "embedding_near_dups"),
 }
 
 

@@ -97,7 +97,7 @@ def test_ngram_jaccard_exact_values():
             "text": ["a b c d e f", "a b c d e f"],
         }
     )
-    pairs = dedup.candidate_pairs_ngram_jaccard(
+    pairs = dedup.exact_jaccard_pairs(
         rd.from_pandas(df), threshold=0.9
     ).to_pandas()
     assert len(pairs) == 1
@@ -125,97 +125,272 @@ def _planted_docs(seed: int, n: int = 120) -> pd.DataFrame:
     return pd.DataFrame({"doc_id": np.arange(n, dtype=np.int64) * 3 + 1, "text": texts})
 
 
+def _minhash_sigs(df: pd.DataFrame) -> tuple[pa.Table, np.ndarray]:
+    tbl = dedup._minhash_signatures(pa.Table.from_pandas(df, preserve_index=False))
+    return tbl, np.stack(tbl["signature"].to_numpy(zero_copy_only=False))
+
+
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(list(df.columns[:2])).reset_index(drop=True)
+
+
 def _brute_force_pairs(df: pd.DataFrame, threshold: float) -> pd.DataFrame:
     """Every pair (a < b) that shares some LSH band key and whose
     signatures agree on >= threshold of their values."""
     bands = dedup._auto_bands(128, threshold)
-    sig_tbl = dedup._minhash_signatures(pa.Table.from_pandas(df, preserve_index=False))
-    sigs = np.stack(sig_tbl["signature"].to_numpy(zero_copy_only=False))
+    _, sigs = _minhash_sigs(df)
     keys = dedup._band_keys(sigs, bands, 128 // bands)
     ids = df["doc_id"].to_numpy()
     i, j = np.triu_indices(len(ids), k=1)
     agree = (sigs[i] == sigs[j]).mean(axis=1)
     ok = (keys[i] == keys[j]).any(axis=1) & (agree >= threshold)
     a, b = ids[i[ok]], ids[j[ok]]
-    return pd.DataFrame(
+    return _sorted(pd.DataFrame(
         {"a": np.minimum(a, b), "b": np.maximum(a, b), "similarity": agree[ok]}
-    ).sort_values(["a", "b"]).reset_index(drop=True)
+    ))
 
 
-def _sorted_pairs(df: pd.DataFrame) -> pd.DataFrame:
-    return df[["a", "b", "similarity"]].sort_values(["a", "b"]).reset_index(drop=True)
+def _brute_force_cross(tr: pd.DataFrame, ev: pd.DataFrame, threshold: float) -> pd.DataFrame:
+    """Every train × eval pair that shares some LSH band key and whose
+    signatures agree on >= threshold of their values."""
+    bands = dedup._auto_bands(128, threshold)
+    (_, st), (_, se) = _minhash_sigs(tr), _minhash_sigs(ev)
+    kt, ke = (dedup._band_keys(s, bands, 128 // bands) for s in (st, se))
+    i, j = (m.ravel() for m in np.meshgrid(np.arange(len(tr)), np.arange(len(ev)), indexing="ij"))
+    agree = (st[i] == se[j]).mean(axis=1)
+    ok = (kt[i] == ke[j]).any(axis=1) & (agree >= threshold)
+    return _sorted(pd.DataFrame({
+        "doc_id": tr["doc_id"].to_numpy()[i[ok]],
+        "eval_id": ev["doc_id"].to_numpy()[j[ok]],
+        "similarity": agree[ok],
+    }))
 
 
-@pytest.mark.parametrize("threshold", [0.5, 0.8])
-def test_minhash_verify_matches_brute_force(threshold):
+def _brute_force_simhash(df: pd.DataFrame, max_hamming: int) -> pd.DataFrame:
+    """Every pair (a < b) whose SimHashes are equal on some 16-bit chunk
+    and differ in at most max_hamming bits."""
+    sig = dedup._simhash_sigs(df["text"].tolist()).astype(np.uint64)
+    ids = df["doc_id"].to_numpy()
+    i, j = np.triu_indices(len(ids), k=1)
+    ham = np.array([bin(int(x)).count("1") for x in sig[i] ^ sig[j]], dtype=np.int64)
+    chunks = [np.uint64(0xFFFF) << np.uint64(16 * c) for c in range(4)]
+    share = np.any([(sig[i] & m) == (sig[j] & m) for m in chunks], axis=0)
+    ok = share & (ham <= max_hamming)
+    a, b = ids[i[ok]], ids[j[ok]]
+    return _sorted(pd.DataFrame(
+        {"a": np.minimum(a, b), "b": np.maximum(a, b), "hamming": ham[ok]}
+    ))
+
+
+def _brute_force_cosine(t: pa.Table, threshold: float, planes: np.ndarray) -> pd.DataFrame:
+    """Every pair (a < b) whose sign signatures are equal in some table
+    and whose cosine is >= threshold."""
+    V = similarity._normalize(np.stack(t["embedding"].to_numpy(zero_copy_only=False)))
+    bits = np.einsum("tpd,nd->tnp", planes, V) > 0
+    sig = (bits * (1 << np.arange(planes.shape[1]))).sum(axis=2)
+    W = V.astype(np.float64)
+    cos = W @ W.T
+    ids = t["vec_id"].to_numpy()
+    i, j = np.triu_indices(len(ids), k=1)
+    ok = (sig[:, i] == sig[:, j]).any(axis=0) & (cos[i, j] >= threshold)
+    return _sorted(pd.DataFrame({"a": ids[i[ok]], "b": ids[j[ok]], "cosine": cos[i, j][ok]}))
+
+
+def _minhash_rows(df: pd.DataFrame, threshold: float, side: int | None = None):
+    """In-process MinHash band rows and the verify that runs over them."""
+    keys = dedup._minhash_keys(128, None, threshold)
+    rows = dedup._band_rows(_minhash_sigs(df)[0], id_col="doc_id", keys=keys).to_pandas()
+    verify = functools.partial(
+        dedup._bucket_pairs, keys=keys, cross=side is not None,
+        compare=functools.partial(dedup._agreement, threshold=threshold),
+    )
+    return (rows if side is None else rows.assign(side=side)), verify
+
+
+def _simhash_rows(df: pd.DataFrame, max_hamming: int):
+    tbl = dedup._simhash_signatures(pa.Table.from_pandas(df, preserve_index=False))
+    rows = dedup._band_rows(tbl, id_col="doc_id", keys=dedup._simhash_keys).to_pandas()
+    verify = functools.partial(
+        dedup._bucket_pairs, keys=dedup._simhash_keys, value="hamming",
+        compare=functools.partial(dedup._hamming, max_hamming=max_hamming),
+    )
+    return rows, verify
+
+
+def _cross_split(df: pd.DataFrame, eval_ids) -> tuple[pd.DataFrame, pd.DataFrame]:
+    is_eval = df["doc_id"].isin(eval_ids)
+    return df[~is_eval], df[is_eval]
+
+
+def _minhash_case(threshold: float):
     df = _planted_docs(int(threshold * 10))
-    want = _brute_force_pairs(df, threshold)
+    rows, verify = _minhash_rows(df, threshold)
+    run = lambda: dedup.candidate_pairs_minhash(rd.from_pandas(df), threshold=threshold)
+    return rows, verify, _brute_force_pairs(df, threshold), run
+
+
+def _simhash_case():
+    df = _planted_docs(4)
+    rows, verify = _simhash_rows(df, 6)
+    run = lambda: dedup.candidate_pairs_simhash(rd.from_pandas(df), max_hamming=6)
+    return rows, verify, _brute_force_simhash(df, 6), run
+
+
+def _cross_case():
+    df = _planted_docs(6)
+    # every third doc is eval, renumbered so that eval ids reuse train ids
+    tr, ev = _cross_split(df, df["doc_id"].iloc[::3])
+    ev = ev.assign(doc_id=np.arange(len(ev), dtype=np.int64) * 3 + 4)
+    (rt, verify), (re, _) = _minhash_rows(tr, 0.5, side=0), _minhash_rows(ev, 0.5, side=1)
+    run = lambda: dedup.minhash_decontaminate(
+        rd.from_pandas(tr), rd.from_pandas(ev), threshold=0.5
+    )
+    return pd.concat([rt, re], ignore_index=True), verify, _brute_force_cross(tr, ev, 0.5), run
+
+
+def _cosine_case():
+    rng = np.random.default_rng(3)
+    V = rng.standard_normal((150, 16)).astype(np.float32)
+    V[100:120] = V[:20]  # exact copies
+    V[120:140] = V[20:40] + 0.05 * V[40:60]  # near duplicates
+    t = pa.table({"vec_id": np.arange(150, dtype=np.int64) * 3 + 1, "embedding": list(V)})
+    # embedding_near_dups' planes: seed 42, 16 tables of 8 planes
+    planes = np.random.default_rng(42).standard_normal((16, 8, 16)).astype(np.float32)
+    rows = similarity._cosine_band_rows(
+        t, planes=planes, vec_col="embedding", id_col="vec_id"
+    ).to_pandas()
+    verify = functools.partial(
+        dedup._bucket_pairs, keys=functools.partial(similarity._carried_keys, tables=16),
+        value="cosine",
+        compare=functools.partial(similarity._cosine, tables=16, threshold=0.95),
+    )
+    run = lambda: similarity.embedding_near_dups(rd.from_arrow(t), threshold=0.95, dim=16)
+    return rows, verify, _brute_force_cosine(t, 0.95, planes), run
+
+
+LSH_FAMILIES = {
+    "minhash-0.5": lambda: _minhash_case(0.5),
+    "minhash-0.8": lambda: _minhash_case(0.8),
+    "simhash": _simhash_case,
+    "cross": _cross_case,
+    "cosine": _cosine_case,
+}
+
+
+def _verify_in_process(rows: pd.DataFrame, verify, num_buckets: int) -> pd.DataFrame:
+    """One verify call per emulated shuffle bucket (LSH key mod
+    num_buckets), so each call covers many LSH buckets."""
+    groups = rows.groupby(rows["bucket"] % num_buckets)
+    return pd.concat([verify(g.reset_index(drop=True)) for _, g in groups], ignore_index=True)
+
+
+@pytest.mark.parametrize("family", list(LSH_FAMILIES))
+def test_lsh_verify_matches_brute_force(family):
+    rows, verify, want, run = LSH_FAMILIES[family]()
     assert len(want) > 10
-    got = dedup.candidate_pairs_minhash(rd.from_pandas(df), threshold=threshold)
-    pd.testing.assert_frame_equal(_sorted_pairs(got.to_pandas()), want)
+    # the verify sums cosine products in another order than a matmul
+    tol = dict(check_exact=False, rtol=0, atol=1e-12) if family == "cosine" else {}
+    pd.testing.assert_frame_equal(_sorted(run().to_pandas()), want, **tol)
     # the same verify over 1 and 7 shuffle buckets: each call covers many
     # LSH buckets, and every pair still leaves exactly one call
-    bands = dedup._auto_bands(128, threshold)
-    band_rows = rd.from_pandas(df).map_batches(
-        dedup._minhash_signatures, batch_format="pyarrow"
-    ).map_batches(
-        dedup._band_rows,
-        fn_kwargs={"id_col": "doc_id", "bands": bands, "rows_per_band": 128 // bands},
-        batch_format="pyarrow",
-    ).materialize()
-    verify = functools.partial(
-        dedup._bucket_pairs, threshold=threshold, bands=bands,
-        rows_per_band=128 // bands,
-    )
     for num_buckets in (1, 7):
-        got = bucket_map(band_rows, ["bucket"], verify, num_buckets=num_buckets)
-        pd.testing.assert_frame_equal(_sorted_pairs(got.to_pandas()), want)
+        got = _verify_in_process(rows, verify, num_buckets)
+        pd.testing.assert_frame_equal(_sorted(got), want, **tol)
 
 
-def test_minhash_verify_hot_bucket_compares_distinct_signatures(monkeypatch):
+def _hot_bucket_docs() -> pd.DataFrame:
+    """2,000 copies of one text (ids 0..1999) plus 20 one-word edits of it."""
     base = " ".join(f"w{i}" for i in range(40))
     texts = [base] * 2000
     for k in range(20):
         words = base.split()
         words[2 * k] = "edit"
         texts.append(" ".join(words))
-    df = pd.DataFrame({"doc_id": np.arange(len(texts), dtype=np.int64), "text": texts})
-    threshold = 0.8
-    bands = dedup._auto_bands(128, threshold)
-    rows = dedup._band_rows(
-        dedup._minhash_signatures(pa.Table.from_pandas(df, preserve_index=False)),
-        id_col="doc_id", bands=bands, rows_per_band=128 // bands,
-    ).to_pandas()
+    return pd.DataFrame({"doc_id": np.arange(len(texts), dtype=np.int64), "text": texts})
+
+
+@pytest.mark.parametrize("family", ["minhash", "simhash", "cross"])
+def test_lsh_verify_hot_bucket_compares_distinct_signatures(family, monkeypatch):
+    df = _hot_bucket_docs()
+    if family == "simhash":
+        bands, same = 4, 0
+        rows, verify = _simhash_rows(df, 6)
+        small = _brute_force_simhash(df.iloc[1999:], 6)
+    else:
+        bands, same = dedup._auto_bands(128, 0.8), 1.0
+    if family == "minhash":
+        rows, verify = _minhash_rows(df, 0.8)
+        small = _brute_force_pairs(df.iloc[1999:], 0.8)
+    if family == "cross":
+        # train: copies 0..1998 and edits 2000..2009; eval: copy 1999 and
+        # edits 2010..2019
+        tr, ev = _cross_split(df, [1999, *range(2010, 2020)])
+        (rt, verify), (re, _) = _minhash_rows(tr, 0.8, side=0), _minhash_rows(ev, 0.8, side=1)
+        rows = pd.concat([rt, re], ignore_index=True)
+        small = _brute_force_cross(tr.iloc[1998:], ev, 0.8)
     compared = []
     anchor_pairs = dedup._anchor_pairs
 
-    def counting(end, chunk):
-        for i, j in anchor_pairs(end, chunk):
+    def counting(lo, hi, chunk):
+        for i, j in anchor_pairs(lo, hi, chunk):
             compared.append(len(i))
             yield i, j
 
     monkeypatch.setattr(dedup, "_anchor_pairs", counting)
-    got = dedup._bucket_pairs(
-        rows, threshold=threshold, bands=bands, rows_per_band=128 // bands
-    )
+    got = verify(rows)
     # one shuffle bucket holding every LSH bucket: the compare ran over the
     # distinct signatures of each LSH bucket only (<= 21 per bucket)
-    distinct = rows.assign(sig=rows["signature"].map(bytes)).groupby("bucket")["sig"].nunique()
-    assert sum(compared) == int((distinct * (distinct - 1) // 2).sum())
-    assert sum(compared) <= bands * 21 * 20 // 2
-    assert not got.duplicated(["a", "b"]).any()
-    copies = got[(got["a"] < 2000) & (got["b"] < 2000)]
-    assert len(copies) == 2000 * 1999 // 2 and (copies["similarity"] == 1.0).all()
-    # pairs touching a near-duplicate match the brute force over the 21
-    # distinct texts, expanded to the 2,000 copies of the base
-    small = _brute_force_pairs(df.iloc[1999:], threshold)
-    near = got[got["b"] >= 2000]
-    assert len(near) == int(
-        (small["a"] == 1999).sum() * 2000 + (small["a"] >= 2000).sum()
+    sides = rows.assign(sig=rows["signature"].map(bytes)).reindex(
+        columns=["bucket", "side", "sig"], fill_value=0
     )
-    sim = dict(zip(zip(small["a"], small["b"]), small["similarity"]))
-    for a, b, s in near.itertuples(index=False):
-        assert sim[(max(a, 1999), b)] == s
+    distinct = sides.groupby(["bucket", "side"])["sig"].nunique().unstack(fill_value=0)
+    a, b = got.columns[:2]
+    if family == "cross":
+        assert sum(compared) == int((distinct[0] * distinct[1]).sum())
+        assert sum(compared) <= bands * 11 * 11
+        copies = got[(got[a] < 2000) & (got[b] < 2000)]
+        assert len(copies) == 1999 and (copies["similarity"] == same).all()
+        # pairs touching an edit match the brute force over the distinct
+        # texts, expanded to the 1,999 train copies of the base
+        near = got[(got[a] >= 2000) | (got[b] >= 2000)]
+        small = small[(small[a] >= 2000) | (small[b] >= 2000)]
+        assert len(near) == int((small[a] == 1998).sum() * 1999 + (small[a] >= 2000).sum())
+        key = lambda x, y: (max(x, 1998), y)
+    else:
+        assert sum(compared) == int((distinct[0] * (distinct[0] - 1) // 2).sum())
+        assert sum(compared) <= bands * 21 * 20 // 2
+        copies = got[(got[a] < 2000) & (got[b] < 2000)]
+        assert len(copies) == 2000 * 1999 // 2 and (copies[got.columns[2]] == same).all()
+        # pairs touching a near-duplicate match the brute force over the 21
+        # distinct texts, expanded to the 2,000 copies of the base
+        near = got[got[b] >= 2000]
+        assert len(near) == int((small[a] == 1999).sum() * 2000 + (small[a] >= 2000).sum())
+        key = lambda x, y: (max(x, 1999), y)
+    assert not got.duplicated([a, b]).any()
+    assert len(near) > 0
+    value = dict(zip(zip(small[a], small[b]), small[got.columns[2]]))
+    for x, y, v in near.itertuples(index=False):
+        assert value[key(x, y)] == v
+
+
+def _sort_shuffles(ds) -> int:
+    def walk(op) -> int:
+        return (type(op).__name__ == "Sort") + sum(walk(d) for d in op.input_dependencies)
+
+    return walk(ds._logical_plan.dag)
+
+
+def test_lsh_operators_shuffle_once():
+    # plans only: nothing executes
+    docs = rd.from_pandas(_docs_with_dups())
+    emb = rd.from_arrow(_emb_table()[0])
+    plans = [
+        dedup.candidate_pairs_minhash(docs),
+        dedup.candidate_pairs_simhash(docs),
+        dedup.minhash_decontaminate(docs, docs),
+        similarity.embedding_near_dups(emb, dim=16),
+    ]
+    assert [_sort_shuffles(ds) for ds in plans] == [1, 1, 1, 1]
 
 
 def _map_worker_actors() -> int:
