@@ -868,16 +868,12 @@ def _q_eigenvector_user(sf_dir: str):
 
 def _q_hits_user(sf_dir: str):
     """HITS hubs & authorities on the DIRECTED user-succession graph,
-    exactly 2 alternating half-step pairs from h_0 = 1 (matrix.hits).
+    exactly 2 alternating half-step pairs from h_0 = 1
+    (matrix.hits_engine: each half-step is one fused actor exchange).
     Fixed-T raw scores are alternating-path COUNTS (exact integers in
     float64), normalized once at the end by each vector's max — so the
     SQL oracle replays the recurrence join-for-join and the division is
-    order-independent (exact-integer operands). T=2 and num_buckets=8
-    keep the sweep-budget cost down (each half-step is a shuffle
-    round); T exercises the alternation either way. Engine backend
-    (matrix.hits_engine): each half-step is one fused actor exchange
-    instead of two Dataset shuffles — 29 s → ~4 s at sf0.01; the Dataset
-    backend (matrix.hits) is pytest-verified equal."""
+    order-independent (exact-integer operands)."""
     import shutil
 
     from flashray import matrix
@@ -2012,33 +2008,21 @@ def _user_graph(sf_dir: str, *, symmetrize: bool):
     return g
 
 
-def _q_hyperball_user_graph(sf_dir: str):
+def _q_hyperball_user(sf_dir: str):
     """HyperBall (Boldi-Vigna) ball-size estimates over the user-succession
-    DAG, Dataset dataflow backend. The sketch hash (sha256 of the decimal
-    user id) and estimator are SQL-reproducible, so the oracle recomputes
-    every per-vertex register over a recursive-CTE transitive closure and
-    matches the estimates to 6 dp."""
-    from flashray import hyperball as hb
+    DAG on the superstep engine: registers are vector-valued vertex state
+    (value_dim=256) max-merged through the partial exchange. The sketch
+    hash (sha256 of the decimal user id) and estimator are
+    SQL-reproducible, so the oracle recomputes every per-vertex register
+    over a recursive-CTE transitive closure and matches the estimates to
+    6 dp. Served under both ``hyperball_user_graph`` and
+    ``hyperball_engine_user`` (one backend, two pinned keys).
 
-    edges = _user_succession_edges_cached(sf_dir)
-    # radius-5 neighborhood function |B_5(v)| (the DAG's full closure has
-    # diameter ~n_users/step — bounded-radius balls are the standard
-    # HyperBall query shape and keep the driver run O(radius) iterations)
-    df = hb.hyperball(edges, p=8, max_iters=5, num_buckets=8)
-    out = df[["vertex_id", "ball_est"]].rename(
-        columns={"vertex_id": "user_id"}
-    )
-    out["user_id"] = out["user_id"].astype(np.int64)
-    out["ball_est"] = out["ball_est"].round(6)
-    return out
-
-
-def _q_hyperball_engine_user(sf_dir: str):
-    """Same HyperBall query on the superstep engine: registers are
-    vector-valued vertex state (value_dim=256) max-merged through the
-    partial exchange — no per-iteration join/shuffle, no per-vertex Ray
-    groups. Same hashes + estimator ⇒ same oracle as
-    ``hyperball_user_graph``."""
+    Radius-5 neighborhood function |B_5(v)|: the DAG's full closure has
+    diameter ~n_users/step — bounded-radius balls are the standard
+    HyperBall query shape. Two partitions: on the sf0.01 graph (534
+    edges) the graph build is nearly all of the cost, and each partition
+    adds its own parquet directories to write."""
     import tempfile
 
     from flashray import hyperball as hb
@@ -2050,7 +2034,7 @@ def _q_hyperball_engine_user(sf_dir: str):
             os.path.join(scratch, "g"),
             p=8,
             max_iters=5,
-            num_partitions=8,
+            num_partitions=2,
         )
     out = df[["vertex_id", "ball_est"]].rename(
         columns={"vertex_id": "user_id"}
@@ -4347,7 +4331,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "modularity_user_mod5": _q_modularity_user,
         "link_prediction_user": _q_link_prediction_user,
         "butterflies_user": _q_butterflies_user,
-        "hyperball_user_graph": _q_hyperball_user_graph,
+        "hyperball_user_graph": _q_hyperball_user,
         "spmv_user": _q_spmv_user,
         "incremental_degrees_user": _q_incremental_degrees_user,
         "subgraph_convs": _q_subgraph_convs,
@@ -4446,7 +4430,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embeddings_prototype": _q_embeddings_prototype,
         "embeddings_diversity": _q_embeddings_diversity,
         "tool_cooccurrence": _q_tool_cooccurrence,
-        "hyperball_engine_user": _q_hyperball_engine_user,
+        "hyperball_engine_user": _q_hyperball_user,
         "convert_edges_roundtrip": _q_convert_edges_roundtrip,
         "node2vec_walks_user": _q_node2vec_walks_user,
         "events_sliding_1h_15m": _q_events_sliding,
@@ -5500,7 +5484,8 @@ ORDER BY CAST(concat('0x', substr(sha256(CAST(event_id AS VARCHAR)), 1, 16))
 LIMIT 100""",
         # full HyperBall recomputation: recursive-CTE transitive closure →
         # per-source HLL registers (p=8, same sha256 hashes as
-        # flashray.hyperball) → same estimator, 6-dp match
+        # flashray.datapipe.sketches / HyperBallProgram) → same
+        # estimator, 6-dp match
         "hyperball_user_graph": """
 WITH RECURSIVE
 b AS (SELECT DISTINCT user_id, event_type,

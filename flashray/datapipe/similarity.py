@@ -313,19 +313,34 @@ def _cosine(x: np.ndarray, y: np.ndarray, *, tables: int, threshold: float):
     return cos >= threshold, cos
 
 
+@functools.lru_cache(maxsize=None)
+def _cosine_planes(seed: int, num_tables: int, num_planes: int, width: int) -> np.ndarray:
+    """The (tables, planes, width) random hyperplanes of
+    :func:`embedding_near_dups`, drawn from ``seed`` once per worker
+    process and vector width."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((num_tables, num_planes, width)).astype(np.float32)
+
+
 def _cosine_band_rows(
-    batch: pa.Table, *, planes: np.ndarray, vec_col: str, id_col: str
+    batch: pa.Table, *, seed: int, num_tables: int, num_planes: int,
+    vec_col: str, id_col: str,
 ) -> pa.Table:
     """Random-hyperplane LSH band rows, one per (item, table) keyed by
     (table << planes) | the table's sign signature. Each row's signature
     carries the item's per-table keys, then its unit vector as float64
-    bits, for :func:`_carried_keys` and :func:`_cosine`."""
-    tables, num_planes, _ = planes.shape
-    vecs = _normalize(_stack(batch[vec_col]))
+    bits, for :func:`_carried_keys` and :func:`_cosine`. The planes come
+    from the width of the batch's own vectors; an empty batch yields no
+    rows."""
+    if batch.num_rows:
+        vecs = _normalize(_stack(batch[vec_col]))
+    else:
+        vecs = np.empty((0, 0), dtype=np.float32)
+    planes = _cosine_planes(seed, num_tables, num_planes, vecs.shape[1])
     # (T, n, P) sign bits -> per-table integer signature
     bits = np.einsum("tpd,nd->tnp", planes, vecs) > 0
     sig = (bits * (1 << np.arange(num_planes, dtype=np.int64))).sum(axis=2)
-    table_id = np.arange(tables, dtype=np.int64)[:, None]
+    table_id = np.arange(num_tables, dtype=np.int64)[:, None]
     sigs = np.column_stack(
         [((table_id << num_planes) | sig).T, vecs.astype(np.float64).view(np.int64)]
     ).view(np.uint64)
@@ -333,7 +348,7 @@ def _cosine_band_rows(
     return _band_rows(
         pa.table({"doc_id": batch[id_col], "signature": sig_col}),
         id_col="doc_id",
-        keys=functools.partial(_carried_keys, tables=tables),
+        keys=functools.partial(_carried_keys, tables=num_tables),
     )
 
 
@@ -346,7 +361,6 @@ def embedding_near_dups(
     vec_col: str = "embedding",
     id_col: str = "vec_id",
     seed: int = 42,
-    dim: int | None = None,
 ) -> ray.data.Dataset:
     """Cosine near-duplicate pairs (a < b, cosine ≥ threshold).
 
@@ -360,14 +374,9 @@ def embedding_near_dups(
     each band row carries its item's per-table keys and unit vector, and
     a pair is emitted once, from the lowest table in which it collides.
     Exact duplicates (s = 1) collide in EVERY table — recall 1 by
-    construction."""
-    if dim is None:
-        first = ds.take(1)[0]
-        dim = len(first[vec_col])
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((num_tables, num_planes, dim)).astype(
-        np.float32
-    )
+    construction. The planes are a ``seed``-determined draw for the
+    vectors' width, made inside each band-row task, so the input runs
+    once."""
     keys = functools.partial(_carried_keys, tables=num_tables)
     verify = functools.partial(
         _bucket_pairs, keys=keys, value="cosine",
@@ -375,7 +384,10 @@ def embedding_near_dups(
     )
     rows = ds.select_columns([id_col, vec_col]).map_batches(
         _cosine_band_rows,
-        fn_kwargs={"planes": planes, "vec_col": vec_col, "id_col": id_col},
+        fn_kwargs={
+            "seed": seed, "num_tables": num_tables, "num_planes": num_planes,
+            "vec_col": vec_col, "id_col": id_col,
+        },
         batch_format="pyarrow",
     )
     return bucket_map(rows, ["bucket"], verify, num_buckets=64)

@@ -14,9 +14,11 @@ gather-scatter round):
         get 0.0)
 
 Both shuffles are int64-keyed and partial-combined; the vector never
-materializes on the driver. ``spmm`` is the multi-vector variant (k
-columns through the same two shuffles — the building block for batched
-power iteration / Krylov steps).
+materializes on the driver. ``spmm`` is the kernel (k columns through
+the same two shuffles — the building block for batched power iteration
+/ Krylov steps); ``spmv`` is its one-column case. Iterated link analysis
+(HITS, :func:`hits_engine`) runs on the superstep engine, one actor
+exchange per half-step.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ def spmv(
     weighted: bool = False,
     direction: str = "out",
     num_buckets: int | None = None,
-    full: bool = True,
 ) -> ray.data.Dataset:
     """y = Aᵀx (``direction="out"``: y[dst] = Σ_{(src,dst)∈E} w·x[src],
     messages flowing along edge direction like every vertex program) or
@@ -56,75 +57,13 @@ def spmv(
     ``x`` is a Dataset or pandas DataFrame (vertex_id, x). Returns a
     Dataset (vertex_id, y) covering EVERY vertex (0.0 where no edge
     contributes). ``weighted=True`` multiplies by the edge weight
-    column.
-
-    ``full=False`` skips the vertex-coverage join and returns only
-    vertices with at least one contributing edge — the dropped rows are
-    exact zeros, so feeding the result into another spmv is equivalent
-    (a zero contributes nothing to any sum). Iterated kernels (HITS,
-    power iteration) use it on every step but the last, saving one
-    shuffle stage per step."""
-    if direction not in ("out", "in"):
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-    B = num_buckets or max(16, graph.num_partitions)
-    gather, out = ("src", "dst") if direction == "out" else ("dst", "src")
-
-    cols = ["src", "dst"] + (["weight"] if weighted else [])
-    edges = graph.edges_dataset(columns=cols)
-    xs = _as_dataset(x, ["vertex_id", x_col])
-
-    esch = pa.schema(
-        [("src", _I64), ("dst", _I64)]
-        + ([("weight", _F64)] if weighted else [])
+    column. This is :func:`spmm` with one column."""
+    return spmm(
+        graph, x, x_cols=[x_col], weighted=weighted, direction=direction,
+        num_buckets=num_buckets,
+    ).map_batches(
+        lambda b: b.rename_columns(["vertex_id", "y"]), batch_format="pyarrow"
     )
-    j = bucket_hash_join(
-        edges,
-        xs,
-        [gather],
-        right_on=["vertex_id"],
-        num_buckets=B,
-        left_schema=esch,
-        right_schema=pa.schema([("vertex_id", _I64), (x_col, _F64)]),
-    )
-
-    def contrib(b: pa.Table) -> pa.Table:
-        v = b[x_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        if weighted:
-            v = v * b["weight"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"vertex_id": b[out].cast(_I64), "y": pa.array(v, type=_F64)}
-        )
-
-    summed = bucket_group_agg(
-        j.map_batches(contrib, batch_format="pyarrow"),
-        ["vertex_id"],
-        {"y": ("y", "sum")},
-        num_buckets=B,
-    )
-
-    if not full:
-        return summed
-
-    verts = graph.vertices_dataset(columns=["vertex_id"])
-    covered = bucket_hash_join(
-        verts,
-        summed,
-        ["vertex_id"],
-        how="left",
-        num_buckets=B,
-        left_schema=pa.schema([("vertex_id", _I64)]),
-        right_schema=pa.schema([("vertex_id", _I64), ("y", _F64)]),
-    )
-
-    def fill(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "vertex_id": b["vertex_id"].astype(np.int64),
-                "y": b["y"].fillna(0.0).astype(np.float64),
-            }
-        )
-
-    return covered.map_batches(fill, batch_format="pandas")
 
 
 def spmm(
@@ -207,109 +146,6 @@ def spmm(
     return full.map_batches(fill, batch_format="pandas")
 
 
-def hits(
-    graph: Graph,
-    *,
-    iters: int = 3,
-    weighted: bool = False,
-    normalize: bool = True,
-    num_buckets: int | None = None,
-) -> ray.data.Dataset:
-    """HITS hubs & authorities (Kleinberg 1999, the link-analysis sibling
-    of PageRank; SURVEY.md §2.2 A1/A2 family) by fixed-T alternating power
-    iteration over the edge table:
-
-        a_t[v] = Σ_{(u,v)∈E} h_{t-1}[u]   (authority ← in-edge hubs)
-        h_t[u] = Σ_{(u,v)∈E} a_t[v]       (hub ← out-edge authorities)
-
-    from h_0 = 1. Each half-step is ONE spmv (bucket join + bucket
-    aggregate) with ``full=False`` — zero-score vertices drop out of the
-    intermediate vectors (exact: zeros contribute nothing downstream) and
-    only the final half-steps pay the vertex-coverage join. Each
-    half-step materializes (``joins.coalesce``, which also bounds its
-    block count): a step's O(V) vector lives in the object
-    store, never on the driver, and the plan stays shallow — measured,
-    lazy-chained spmv DAGs cost superlinearly in depth (Ray Data
-    all-to-all planning: 2.6/7.1/11.1/20.5 s at depths 1–4 on a tiny
-    graph) while materialized steps stay linear (~3 s/step).
-
-    Deliberately UNNORMALIZED inside the loop: fixed-T raw scores count
-    alternating in/out paths — nonnegative integers on an unweighted
-    graph, exact in float64 — so the driver's SQL oracle can replay the
-    recurrence join-for-join. ``normalize=True`` divides each vector by
-    its max once at the END (exact-integer operands → one order-independent
-    division per value; the max is an O(1) Dataset fold). Per-step float
-    normalization would make the result summation-order-dependent and
-    break cross-system exactness.
-
-    Returns a Dataset (vertex_id, authority, hub) over EVERY vertex
-    (0.0 where no path contributes)."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    B = num_buckets or max(16, graph.num_partitions)
-
-    def ones(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "vertex_id": b["vertex_id"].cast(_I64),
-                "y": pa.array(np.ones(len(b)), type=_F64),
-            }
-        )
-
-    h = graph.vertices_dataset(columns=["vertex_id"]).map_batches(
-        ones, batch_format="pyarrow"
-    )
-    a = None
-    for t in range(1, iters + 1):
-        last = t == iters
-        a = coalesce(
-            spmv(
-                graph, h, x_col="y", weighted=weighted,
-                direction="out", num_buckets=B, full=last,
-            ),
-            B,
-        )
-        h = coalesce(
-            spmv(
-                graph, a, x_col="y", weighted=weighted,
-                direction="in", num_buckets=B, full=last,
-            ),
-            B,
-        )
-
-    a_max = float(a.max("y") or 0.0) if normalize else 1.0
-    h_max = float(h.max("y") or 0.0) if normalize else 1.0
-    a_div = a_max if a_max > 0 else 1.0
-    h_div = h_max if h_max > 0 else 1.0
-
-    joined = bucket_hash_join(
-        a,
-        h.map_batches(
-            lambda b: b.rename_columns(["vertex_id", "hub"]),
-            batch_format="pyarrow",
-        ),
-        ["vertex_id"],
-        num_buckets=B,
-        left_schema=pa.schema([("vertex_id", _I64), ("y", _F64)]),
-        right_schema=pa.schema([("vertex_id", _I64), ("hub", _F64)]),
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "vertex_id": b["vertex_id"].cast(_I64),
-                "authority": pa.array(
-                    b["y"].to_numpy(zero_copy_only=False) / a_div, type=_F64
-                ),
-                "hub": pa.array(
-                    b["hub"].to_numpy(zero_copy_only=False) / h_div, type=_F64
-                ),
-            }
-        )
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
 def hits_engine(
     graph: Graph,
     *,
@@ -319,16 +155,28 @@ def hits_engine(
     normalize: bool = True,
     actor_cpus: float | None = None,
 ) -> pd.DataFrame:
-    """HITS on the superstep engine: alternating supersteps over the
-    channel-tagged bidirected graph (the Brandes/SCC channel pattern —
-    scc.FWD carries the original edge direction, scc.BWD the reverse).
-    Superstep 2t-1 scatters h along FWD edges, sum-combining into the
-    authority vector; superstep 2t scatters a along BWD edges into the
-    hub vector. Identical recurrence to :func:`hits` (raw fixed-T
-    alternating path counts, one end normalization), but each half-step
-    is ONE fused actor exchange instead of two Dataset all-to-all
-    shuffles — the per-superstep cost drops from seconds to the engine's
-    ~0.2 s exchange, and the gap widens with T.
+    """HITS hubs & authorities (Kleinberg 1999, the link-analysis sibling
+    of PageRank; SURVEY.md §2.2 A1/A2 family) by fixed-T alternating power
+    iteration from h_0 = 1:
+
+        a_t[v] = Σ_{(u,v)∈E} h_{t-1}[u]   (authority ← in-edge hubs)
+        h_t[u] = Σ_{(u,v)∈E} a_t[v]       (hub ← out-edge authorities)
+
+    Alternating supersteps over the channel-tagged bidirected graph (the
+    Brandes/SCC channel pattern — scc.FWD carries the original edge
+    direction, scc.BWD the reverse): superstep 2t-1 scatters h along FWD
+    edges, sum-combining into the authority vector; superstep 2t scatters
+    a along BWD edges into the hub vector. Each half-step is one fused
+    actor exchange.
+
+    Deliberately UNNORMALIZED inside the loop: fixed-T raw scores count
+    alternating in/out paths — nonnegative integers on an unweighted
+    graph, exact under the float64 sum-combine — so the driver's SQL
+    oracle can replay the recurrence join-for-join. ``normalize=True``
+    divides each vector by its max once at the END (exact-integer
+    operands → one order-independent division per value). Per-step float
+    normalization would make the result summation-order-dependent and
+    break cross-system exactness.
 
     NOT ``stale_mirror_safe``: arrival round matters (a half-step must
     see exactly the previous half-step's vector), so split graphs take
@@ -338,7 +186,7 @@ def hits_engine(
     is built under ``scratch_dir`` once and reused on later calls (keyed
     by meta.json presence, like :func:`flashray.betweenness.betweenness`).
     Returns a pandas DataFrame (vertex_id, authority, hub) over every
-    vertex, equal to :func:`hits` up to float rounding."""
+    vertex (0.0 where no path contributes)."""
     import os
 
     from flashray.engine import run_program

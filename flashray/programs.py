@@ -811,9 +811,10 @@ class HyperBallProgram(VertexProgram):
     out-ball semantics, or use a symmetrized graph (where both agree) —
     :func:`flashray.hyperball.hyperball_engine` handles this.
 
-    Registers, estimates and harmonic accumulation match
-    :func:`flashray.hyperball.hyperball` (same sha256 hashes, same
-    estimator), so both backends agree to float rounding.
+    Registers are the HLL sketch of the exact ball (same sha256 hashes
+    and estimator as :mod:`flashray.datapipe.sketches` and the SQL
+    oracle), so estimates match a sketch of the BFS ball to float
+    rounding.
 
     NOT ``stale_mirror_safe``: harmonic centrality divides each ball
     increment by its arrival round, so a one-superstep-late mirror
@@ -841,7 +842,7 @@ class HyperBallProgram(VertexProgram):
         regs = np.zeros((shard.nv, m), dtype=np.uint8)
         if shard.nv:
             # B_0(v) = {v}: one registered element per vertex, hashed
-            # exactly like the Dataset backend / SQL oracle
+            # exactly like sketches.hll_partial / the SQL oracle
             h = _sha_u64([str(int(v)) for v in shard.vertex_ids])
             q = 64 - self.p
             idx = (h >> np.uint64(q)).astype(np.int64)

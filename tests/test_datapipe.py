@@ -257,14 +257,14 @@ def _cosine_case():
     # embedding_near_dups' planes: seed 42, 16 tables of 8 planes
     planes = np.random.default_rng(42).standard_normal((16, 8, 16)).astype(np.float32)
     rows = similarity._cosine_band_rows(
-        t, planes=planes, vec_col="embedding", id_col="vec_id"
+        t, seed=42, num_tables=16, num_planes=8, vec_col="embedding", id_col="vec_id"
     ).to_pandas()
     verify = functools.partial(
         dedup._bucket_pairs, keys=functools.partial(similarity._carried_keys, tables=16),
         value="cosine",
         compare=functools.partial(similarity._cosine, tables=16, threshold=0.95),
     )
-    run = lambda: similarity.embedding_near_dups(rd.from_arrow(t), threshold=0.95, dim=16)
+    run = lambda: similarity.embedding_near_dups(rd.from_arrow(t), threshold=0.95)
     return rows, verify, _brute_force_cosine(t, 0.95, planes), run
 
 
@@ -388,7 +388,7 @@ def test_lsh_operators_shuffle_once():
         dedup.candidate_pairs_minhash(docs),
         dedup.candidate_pairs_simhash(docs),
         dedup.minhash_decontaminate(docs, docs),
-        similarity.embedding_near_dups(emb, dim=16),
+        similarity.embedding_near_dups(emb),
     ]
     assert [_sort_shuffles(ds) for ds in plans] == [1, 1, 1, 1]
 

@@ -1,4 +1,5 @@
-"""HyperBall approximate neighborhood function / harmonic centrality."""
+"""HyperBall approximate neighborhood function / harmonic centrality on
+the superstep engine."""
 
 import numpy as np
 import pandas as pd
@@ -32,31 +33,73 @@ def _exact_balls(src, dst):
     return sizes, harm
 
 
-def test_hyperball_chain_nearly_exact():
+def _dag(seed, n, draws):
+    rng = np.random.default_rng(seed)
+    src, dst = [], []
+    for _ in range(draws):
+        a, b = rng.integers(0, n, 2)
+        if a < b:
+            src.append(int(a))
+            dst.append(int(b))
+    return src, dst
+
+
+def _sketched_balls(src, dst, p):
+    """Reference HyperBall: for each radius t, the HLL of the EXACT ball
+    B_t(v) (register-wise max of one-element sketches over the BFS ball),
+    its estimate, and harmonic = Σ_t (est_t − est_{t−1}) / t."""
+    from flashray.datapipe.sketches import _sha_u64, hll_estimate, hll_partial
+
+    verts = sorted(set(src) | set(dst))
+    adj = {v: [] for v in verts}
+    for s, d in zip(src, dst):
+        adj[s].append(d)
+    one = {v: hll_partial(_sha_u64([str(v)]), p) for v in verts}
+    est, harm = {}, {}
+    for v in verts:
+        seen, frontier = {v}, [v]
+        regs = one[v].copy()
+        prev = hll_estimate(regs)
+        h, t = 0.0, 0
+        while frontier:
+            t += 1
+            frontier = list(
+                dict.fromkeys(w for u in frontier for w in adj[u] if w not in seen)
+            )
+            seen.update(frontier)
+            for w in frontier:
+                regs = np.maximum(regs, one[w])
+            cur = hll_estimate(regs)
+            h += (cur - prev) / t
+            prev = cur
+        est[v], harm[v] = prev, h
+    return verts, est, harm
+
+
+def test_hyperball_chain_nearly_exact(tmp_path):
     n = 6
     src = list(range(n - 1))
     dst = list(range(1, n))
     edges = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst}))
-    out = hyperball.hyperball(edges, p=12)  # m=4096: tiny sets ~ exact
+    out = hyperball.hyperball_engine(
+        edges, str(tmp_path / "g"), p=12, num_partitions=2
+    )  # m=4096: tiny sets ~ exact
     sizes, harm = _exact_balls(src, dst)
+    assert len(out) == n
     for _, row in out.iterrows():
         v = int(row["vertex_id"])
         assert abs(row["ball_est"] - sizes[v]) < 0.1, (v, row["ball_est"])
         assert abs(row["harmonic"] - harm[v]) < 0.2, (v, row["harmonic"])
 
 
-def test_hyperball_dag_error_bounds():
-    rng = np.random.default_rng(5)
-    n = 80
-    src, dst = [], []
-    for _ in range(260):
-        a, b = rng.integers(0, n, 2)
-        if a < b:
-            src.append(int(a))
-            dst.append(int(b))
+def test_hyperball_dag_error_bounds(tmp_path):
+    src, dst = _dag(5, 80, 260)
     edges = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst}))
-    out = hyperball.hyperball(edges, p=8)
+    out = hyperball.hyperball_engine(
+        edges, str(tmp_path / "g"), p=8, num_partitions=4
+    )
     sizes, _ = _exact_balls(src, dst)
+    assert len(out) == len(sizes)
     rel = []
     for _, row in out.iterrows():
         t = sizes[int(row["vertex_id"])]
@@ -66,28 +109,22 @@ def test_hyperball_dag_error_bounds():
     assert float(np.max(rel)) < 0.35, np.max(rel)
 
 
-def test_hyperball_engine_matches_dataset_backend(tmp_path):
-    """Vector-valued state on the superstep engine: same registers → same
-    estimates/harmonic as the Dataset dataflow, on a directed DAG."""
-    rng = np.random.default_rng(11)
-    n = 60
-    src, dst = [], []
-    for _ in range(180):
-        a, b = rng.integers(0, n, 2)
-        if a < b:
-            src.append(int(a))
-            dst.append(int(b))
+def test_hyperball_engine_matches_exact_ball_sketches(tmp_path):
+    """Vector-valued state on the superstep engine: at every radius the
+    registers are the HLL of the exact BFS ball, so the final estimate and
+    the harmonic accumulation match the reference on a directed DAG."""
+    src, dst = _dag(11, 60, 180)
     edges = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst}))
-    want = hyperball.hyperball(edges, p=8)
+    verts, est, harm = _sketched_balls(src, dst, p=8)
     got = hyperball.hyperball_engine(
         edges, str(tmp_path / "hb_g"), p=8, num_partitions=4
     )
-    assert (want["vertex_id"].values == got["vertex_id"].values).all()
+    assert got["vertex_id"].tolist() == verts
     np.testing.assert_allclose(
-        got["ball_est"].values, want["ball_est"].values, rtol=1e-12
+        got["ball_est"].values, [est[v] for v in verts], rtol=1e-12
     )
     np.testing.assert_allclose(
-        got["harmonic"].values, want["harmonic"].values, rtol=1e-12
+        got["harmonic"].values, [harm[v] for v in verts], rtol=1e-12
     )
 
 
@@ -152,12 +189,17 @@ def test_hyperball_engine_checkpoint_resume(tmp_path):
     assert (full["harmonic"].values == resumed["harmonic"].values).all()
 
 
-def test_hyperball_partition_invariant():
+def test_hyperball_partition_invariant(tmp_path):
     src = [0, 1, 2, 0]
     dst = [1, 2, 3, 2]
-    df = pd.DataFrame({"src": src, "dst": dst})
-    a = hyperball.hyperball(rd.from_pandas(df).repartition(1), p=8)
-    b = hyperball.hyperball(rd.from_pandas(df).repartition(5), p=8)
+    edges = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst}))
+    a = hyperball.hyperball_engine(
+        edges, str(tmp_path / "p1"), p=8, num_partitions=1
+    )
+    b = hyperball.hyperball_engine(
+        edges, str(tmp_path / "p4"), p=8, num_partitions=4
+    )
+    assert (a["vertex_id"].values == b["vertex_id"].values).all()
     assert (a["ball_est"].values == b["ball_est"].values).all()
     assert (a["harmonic"].values == b["harmonic"].values).all()
 

@@ -117,69 +117,60 @@ def test_spmv_power_iteration_matches_pagerank_step(er):
     assert np.allclose(r1, 0.15 / n + 0.85 * want, atol=1e-12)
 
 
-def _hits_replay(src, dst, vids, iters):
+def _hits_replay(src, dst, vids, iters, weight=None):
     """Dense numpy replay of the fixed-T alternating recurrence."""
     pos = {int(v): i for i, v in enumerate(vids)}
     n = len(vids)
+    w = np.ones(len(src)) if weight is None else weight
     h = np.ones(n)
     a = np.zeros(n)
     for _ in range(iters):
         a = np.zeros(n)
-        for s, d in zip(src, dst):
-            a[pos[int(d)]] += h[pos[int(s)]]
+        for s, d, ww in zip(src, dst, w):
+            a[pos[int(d)]] += ww * h[pos[int(s)]]
         h = np.zeros(n)
-        for s, d in zip(src, dst):
-            h[pos[int(s)]] += a[pos[int(d)]]
+        for s, d, ww in zip(src, dst, w):
+            h[pos[int(s)]] += ww * a[pos[int(d)]]
     return a, h
 
 
-def test_hits_unnormalized_exact(er):
+def test_hits_unnormalized_exact(er, tmp_path):
     """Fixed-T unnormalized HITS counts alternating paths — integers on an
     unweighted graph, so the comparison is EXACT (the property the SQL
     oracle relies on)."""
     g, src, dst, _ = er
     vids, _ = _x_for(g)
     a, h = _hits_replay(src, dst, vids, iters=3)
-    got = (
-        matrix.hits(g, iters=3, normalize=False)
-        .to_pandas()
-        .sort_values("vertex_id")
-        .reset_index(drop=True)
+    got = matrix.hits_engine(
+        g, scratch_dir=str(tmp_path / "hits_bi"), iters=3, normalize=False
     )
     assert (got["vertex_id"].to_numpy() == vids).all()
     assert np.array_equal(got["authority"].to_numpy(), a)
     assert np.array_equal(got["hub"].to_numpy(), h)
 
 
-def test_hits_normalized(er):
+def test_hits_normalized(er, tmp_path):
     g, src, dst, _ = er
     vids, _ = _x_for(g)
     a, h = _hits_replay(src, dst, vids, iters=2)
-    got = (
-        matrix.hits(g, iters=2, normalize=True)
-        .to_pandas()
-        .sort_values("vertex_id")
-        .reset_index(drop=True)
+    got = matrix.hits_engine(
+        g, scratch_dir=str(tmp_path / "hits_bi"), iters=2, normalize=True
     )
     assert np.array_equal(got["authority"].to_numpy(), a / a.max())
     assert np.array_equal(got["hub"].to_numpy(), h / h.max())
     assert got["authority"].max() == 1.0
 
 
-def test_hits_engine_agrees_with_dataset_backend(er, tmp_path):
-    g, _, _, _ = er
-    want = (
-        matrix.hits(g, iters=3, normalize=True)
-        .to_pandas()[["vertex_id", "authority", "hub"]]
-        .sort_values("vertex_id")
-        .reset_index(drop=True)
-    )
+def test_hits_engine_normalized_exact_and_scratch_reuse(er, tmp_path):
+    g, src, dst, _ = er
+    vids, _ = _x_for(g)
+    a, h = _hits_replay(src, dst, vids, iters=3)
     got = matrix.hits_engine(
         g, scratch_dir=str(tmp_path / "hits_bi"), iters=3, normalize=True
     )
-    pd.testing.assert_frame_equal(
-        want, got, check_exact=False, rtol=0, atol=1e-12
-    )
+    assert (got["vertex_id"].to_numpy() == vids).all()
+    assert np.array_equal(got["authority"].to_numpy(), a / a.max())
+    assert np.array_equal(got["hub"].to_numpy(), h / h.max())
     # scratch reuse: second call loads the existing bidirected build
     again = matrix.hits_engine(
         g, scratch_dir=str(tmp_path / "hits_bi"), iters=3, normalize=True
@@ -188,20 +179,14 @@ def test_hits_engine_agrees_with_dataset_backend(er, tmp_path):
 
 
 def test_hits_engine_weighted_agrees(er, tmp_path):
-    g, _, _, _ = er
-    want = (
-        matrix.hits(g, iters=2, weighted=True, normalize=False)
-        .to_pandas()[["vertex_id", "authority", "hub"]]
-        .sort_values("vertex_id")
-        .reset_index(drop=True)
-    )
+    g, src, dst, w = er
+    vids, _ = _x_for(g)
+    a, h = _hits_replay(src, dst, vids, iters=2, weight=w)
     got = matrix.hits_engine(
-        g,
-        scratch_dir=str(tmp_path / "hits_biw"),
-        iters=2,
-        weighted=True,
+        g, scratch_dir=str(tmp_path / "hits_biw"), iters=2, weighted=True,
         normalize=False,
     )
+    want = pd.DataFrame({"vertex_id": vids, "authority": a, "hub": h})
     pd.testing.assert_frame_equal(
         want, got, check_exact=False, rtol=1e-12, atol=1e-9
     )
