@@ -21,16 +21,17 @@ file side-channel.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import os
+import shutil
+import tempfile
 from collections.abc import Callable
 from typing import Any
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-_GRAPH_CACHE: dict[str, Any] = {}
-_CACHE_ROOT = "/tmp/flashray/cache_v2"
 
 
 def _quiet_known_noise() -> None:
@@ -110,45 +111,93 @@ def _read_pq(*args, **kwargs):
     )
 
 
+def _table(sf_dir: str, name: str, *columns: str, **kwargs):
+    """One driver table (``documents``, ``events``, ``embeddings``) of
+    ``sf_dir`` through :func:`_read_pq`, projected to ``columns`` if any."""
+    return _read_pq(
+        os.path.join(sf_dir, f"{name}.parquet"),
+        columns=list(columns) or None,
+        **kwargs,
+    )
+
+
+@functools.cache
+def _work_dir() -> str:
+    """This process's root for transcripts, graphs and query outputs:
+    created on first use and removed at exit, so no process reads a graph
+    another one built or deletes one another one is using."""
+    path = tempfile.mkdtemp(prefix="flashray-entry-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
+
+
+def _scratch(name: str) -> str:
+    """A not-yet-existing path ``name`` in a fresh directory under
+    :func:`_work_dir` — one per graph build or written output."""
+    parent = tempfile.mkdtemp(prefix=f"{name}-", dir=_work_dir())
+    return os.path.join(parent, name)
+
+
+def _out(df, cols=None, *, rename=None, ints=(), r6=(), sort=None):
+    """The one output rule for per-vertex and per-edge query frames: collect
+    ``df`` if it is a Dataset, rename columns, cast ``ints`` to int64, round
+    ``r6`` to 6 dp, keep ``cols`` in that order (all when None) and sort by
+    ``sort`` with a fresh index. Other columns pass through unchanged."""
+    if hasattr(df, "to_pandas"):
+        df = df.to_pandas()
+    df = df.rename(columns=rename or {})
+    for c in ints:
+        df[c] = df[c].astype(np.int64)
+    for c in r6:
+        df[c] = df[c].round(6)
+    if cols is not None:
+        df = df[list(cols)]
+    if sort is not None:
+        df = df.sort_values(sort).reset_index(drop=True)
+    return df
+
+
+def _hist(values: "pd.Series", key: str, count: str) -> "pd.DataFrame":
+    """(key, count) histogram of ``values`` in ascending key order, both
+    int64 — the invariant shape of the WCC, BFS, k-core and SCC queries."""
+    h = values.groupby(values).size()
+    return pd.DataFrame(
+        {key: h.index.to_numpy(np.int64), count: h.to_numpy(np.int64)}
+    )
+
+
 def _transcripts_ds(sf_dir: str):
     from flashray import fixtures
 
     tier = _tier(sf_dir)
-    path = os.path.join(_CACHE_ROOT, f"transcripts_{tier}.parquet")
+    path = os.path.join(_work_dir(), f"transcripts_{tier}.parquet")
     fixtures.write_transcripts(path, tier)
     return _read_pq(path)
 
 
-def _graph(sf_dir: str, *, symmetrize: bool, etypes=None) -> Any:
-    """Build (once per process+tier+flags) the transcript-derived graph."""
+@functools.cache
+def _graph(sf_dir: str, *, symmetrize: bool, etypes=None, conv=False) -> Any:
+    """Build (once per process and arguments) the transcript-derived graph;
+    ``conv`` adds the conversation-membership edges."""
     from flashray import extract
-    from flashray.build import Graph, build_graph
+    from flashray.build import build_graph
 
-    tier = _tier(sf_dir)
-    ekey = "all" if etypes is None else "-".join(sorted(etypes))
-    key = f"{tier}_{'sym' if symmetrize else 'dir'}_{ekey}"
-    if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
-    path = os.path.join(_CACHE_ROOT, "graphs", key)
-    if os.path.exists(os.path.join(path, "meta.json")):
-        g = Graph.load(path)
-    else:
-        ds = _transcripts_ds(sf_dir)
-        kwargs = {} if etypes is None else {"etypes": tuple(etypes)}
-        edges = extract.extract_edges(ds, **kwargs)
-        g = build_graph(edges, path, num_partitions=8, symmetrize=symmetrize)
-    _GRAPH_CACHE[key] = g
-    return g
+    ds = _transcripts_ds(sf_dir)
+    kwargs = {} if etypes is None else {"etypes": tuple(etypes)}
+    edges = extract.extract_edges(ds, **kwargs)
+    if conv:
+        edges = edges.union(extract.extract_conv_edges(ds))
+    return build_graph(
+        edges, _scratch("graph"), num_partitions=8, symmetrize=symmetrize
+    )
 
 
 def entry() -> Any:
     """Flagship: transcripts → edges → graph → PageRank (sf0.001 scale)."""
-    import ray.data as rd
-
     from flashray import algorithms
 
     g = _graph("/root/testdata/sf0.001", symmetrize=False)
-    out_dir = os.path.join(_CACHE_ROOT, "entry_pagerank")
+    out_dir = _scratch("entry_pagerank")
     algorithms.pagerank(g, eps=1e-6, out_dir=out_dir)
     return _read_pq(out_dir)
 
@@ -211,6 +260,21 @@ def _keyed(df: "pd.DataFrame", sf_dir: str) -> "pd.DataFrame":
     """vertex_id → vertex_key (inner merge against the entity key map)."""
     keys = _vertex_key_map(sf_dir)
     return df.merge(keys, on="vertex_id", how="inner")
+
+
+def _turn0_ids(n: int) -> np.ndarray:
+    """Vertex ids of turn 0 of conversations 0..n-1."""
+    from flashray import ids
+
+    convs = [f"conv{c:08d}" for c in range(n)]
+    return ids.turn_vertex_ids(convs, np.zeros(n, dtype=np.int64))
+
+
+def _keyed_rank(df, sf_dir: str, col: str, scale) -> "pd.DataFrame":
+    """(vertex_key, col): an engine rank scaled by ``scale`` at 6 dp."""
+    out = _keyed(df, sf_dir)
+    out[col] = (out["value"] * scale).round(6)
+    return out[["vertex_key", col]]
 
 
 _PR_ITERS = 40  # fixed iteration count shared by Ray queries + SQL oracles
@@ -302,21 +366,23 @@ def _q_transcripts_passthrough(sf_dir: str):
     return extract.normalize_transcripts(_transcripts_ds(sf_dir))
 
 
-def _q_extract_edges_keys(sf_dir: str):
-    from ray.data.aggregate import Count
-
+def _edge_key_rows(sf_dir: str):
+    """One (src_key, dst_key, etype) row per transcript edge occurrence."""
     from flashray import extract
 
-    from flashray.joins import bucket_group_agg
-
-    ds = _transcripts_ds(sf_dir).map_batches(
+    return _transcripts_ds(sf_dir).map_batches(
         extract.extract_edges_keys_batch, batch_format="pyarrow", zero_copy_batch=True
     )
+
+
+def _q_extract_edges_keys(sf_dir: str):
+    from flashray.joins import bucket_group_agg
+
     # near-unique (src,dst,etype) keys: one bucket shuffle + vectorized
     # pandas count, not a per-group Ray aggregate (joins.bucket_group_agg
     # rationale — measured 63s vs 6s on near-unique keys)
     out = bucket_group_agg(
-        ds,
+        _edge_key_rows(sf_dir),
         ["src_key", "dst_key", "etype"],
         {"weight": ("etype", "size")},
     )
@@ -340,13 +406,7 @@ def _q_reply_edges_keys(sf_dir: str):
 
 
 def _q_vertex_degrees_keys(sf_dir: str):
-    from ray.data.aggregate import Sum
-
-    from flashray import extract
-
-    ds = _transcripts_ds(sf_dir).map_batches(
-        extract.extract_edges_keys_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
+    from flashray.joins import bucket_group_agg
 
     def expand(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -364,12 +424,10 @@ def _q_vertex_degrees_keys(sf_dir: str):
             }
         )
 
-    from flashray.joins import bucket_group_agg
-
     # near-unique vertex keys (one group per vertex): bucketized
     # vectorized count, not a per-group Ray aggregate
     return bucket_group_agg(
-        ds.map_batches(expand, batch_format="pyarrow"),
+        _edge_key_rows(sf_dir).map_batches(expand, batch_format="pyarrow"),
         ["vertex_key"],
         {
             "out_degree": ("out_degree", "sum"),
@@ -392,25 +450,23 @@ def _round_col(ds, col, nd=6):
 
 
 def _q_events_user_edges(sf_dir: str):
-    import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "value"],
-    )
+    ds = _table(sf_dir, "events", "user_id", "event_type", "value")
     out = ds.groupby(["user_id", "event_type"]).aggregate(
         Count(alias_name="weight"), Sum("value", alias_name="sum_value")
     )
     return _round_col(out, "sum_value")
 
 
-def _tool_cooccur_edges_ds(sf_dir: str):
+@functools.cache
+def _tool_cooccur_edges(sf_dir: str):
     """Undirected tool co-occurrence edges: tools used within the same
     hour-long time bucket, weight = number of buckets where both occur.
     (Per-conversation co-occurrence is degenerate in this fixture: the role
-    cycle makes every tool turn of a conversation pick the same tool.)"""
-    import pandas as pd_
+    cycle makes every tool turn of a conversation pick the same tool.)
+    Materialized once per process: the co-occurrence query and the tool
+    graph build share its 3 all-to-alls over transcripts."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
@@ -433,7 +489,7 @@ def _tool_cooccur_edges_ds(sf_dir: str):
         .drop_columns(["_n"])
     )
 
-    def pairs(batch: pd_.DataFrame) -> pd_.DataFrame:
+    def pairs(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch[["hour", "tool"]]
         out = b.merge(b, on="hour")
         out = out[out["tool_x"] < out["tool_y"]]
@@ -443,55 +499,36 @@ def _tool_cooccur_edges_ds(sf_dir: str):
         )
 
     per_hour = distinct.groupby("hour").map_groups(pairs, batch_format="pandas")
-    return per_hour.groupby(["tool_a", "tool_b"]).aggregate(Count(alias_name="weight"))
+    return (
+        per_hour.groupby(["tool_a", "tool_b"])
+        .aggregate(Count(alias_name="weight"))
+        .materialize()
+    )
 
 
-def _tool_cooccur_edges_cached(sf_dir: str):
-    """Materialized memo of :func:`_tool_cooccur_edges_ds` (3 all-to-alls
-    over transcripts), shared by the co-occurrence query and the tool
-    graph build."""
-    key = f"tooledges_{_tier(sf_dir)}"
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = _tool_cooccur_edges_ds(sf_dir).materialize()
-    return _GRAPH_CACHE[key]
-
-
+@functools.cache
 def _tool_graph(sf_dir: str):
     """Memoized (graph, name_of) for the symmetrized tool co-occurrence
     graph — triangles / clustering / edge-support queries all analyze the
     SAME graph, and the 3-shuffle co-occurrence extraction plus the build
     dominated each of their sweep costs. READ-ONLY for callers."""
-    key = f"toolshared_{_tier(sf_dir)}"
-    if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
-    import shutil
-
-    import ray.data as rd
-
-    from flashray.build import build_graph
-    from flashray.fixtures import edges_table
+    from flashray.build import build_graph_from_arrays
     from flashray.ids import id64_array
 
-    edges = _tool_cooccur_edges_cached(sf_dir).to_pandas()
+    edges = _tool_cooccur_edges(sf_dir).to_pandas()
     names = sorted(set(edges["tool_a"]) | set(edges["tool_b"]))
-    ids = id64_array(names)
-    id_of = dict(zip(names, ids))
+    id_of = dict(zip(names, id64_array(names)))
     name_of = {int(i): n for n, i in id_of.items()}
     src = edges["tool_a"].map(id_of).to_numpy(dtype=np.int64)
     dst = edges["tool_b"].map(id_of).to_numpy(dtype=np.int64)
-    path = os.path.join(_CACHE_ROOT, "graphs", key)
-    shutil.rmtree(path, ignore_errors=True)
-    g = build_graph(
-        rd.from_arrow(edges_table(np.r_[src, dst], np.r_[dst, src])),
-        path,
-        num_partitions=4,
+    g = build_graph_from_arrays(
+        np.r_[src, dst], np.r_[dst, src], _scratch("tools"), num_partitions=4
     )
-    _GRAPH_CACHE[key] = (g, name_of)
-    return _GRAPH_CACHE[key]
+    return g, name_of
 
 
 def _q_tool_cooccurrence(sf_dir: str):
-    return _tool_cooccur_edges_cached(sf_dir)
+    return _tool_cooccur_edges(sf_dir)
 
 
 def _q_triangles_tool_cooccur(sf_dir: str):
@@ -515,91 +552,46 @@ def _q_clustering_tool_cooccur(sf_dir: str):
     g, name_of = _tool_graph(sf_dir)
     df = tri.clustering_coefficient(g).to_pandas()
     df["tool"] = df["vertex_id"].map(lambda v: name_of[int(v)])
-    df["cc"] = df["cc"].round(6)
-    df["deg"] = df["deg"].astype(np.int64)
-    df["triangles"] = df["triangles"].astype(np.int64)
-    return df[["tool", "deg", "triangles", "cc"]]
+    return _out(
+        df, ["tool", "deg", "triangles", "cc"], ints=["deg", "triangles"],
+        r6=["cc"],
+    )
 
 
 def _q_clustering_user_graph(sf_dir: str):
     """Local clustering coefficient over the (symmetrized) user-succession
     graph — a non-degenerate cc distribution, exact vs a SQL 3-way
     self-join oracle. Output (user_id, deg, triangles, cc) at 6 dp."""
-    import shutil
-
     from flashray import triangles as tri
-    from flashray.build import build_graph
 
-    from flashray.fixtures import EPOCH_US
-
-    g = _user_graph(sf_dir, symmetrize=True)
-    df = tri.clustering_coefficient(g).to_pandas()
-    df["user_id"] = df["vertex_id"].astype(np.int64)
-    df["cc"] = df["cc"].round(6)
-    df["deg"] = df["deg"].astype(np.int64)
-    df["triangles"] = df["triangles"].astype(np.int64)
-    return df[["user_id", "deg", "triangles", "cc"]]
+    df = tri.clustering_coefficient(_user_graph(sf_dir, symmetrize=True))
+    return _out(
+        df, ["user_id", "deg", "triangles", "cc"], rename={"vertex_id": "user_id"},
+        ints=["user_id", "deg", "triangles"], r6=["cc"],
+    )
 
 
 def _q_incremental_degrees_user(sf_dir: str):
     """Incremental ingest: build the user graph from ~2/3 of its edges,
     add_edges() the rest (merging only affected partitions), output the
     degree table — oracle = degrees over the FULL edge set in SQL."""
-    import shutil
+    from flashray.build import add_edges
 
-    from flashray.build import add_edges, build_graph
-    from flashray.fixtures import EPOCH_US
-
-    def to_edge_schema(b: pa.Table) -> pa.Table:
-        n = len(b)
-        return pa.table(
-            {
-                "src": b["src"].cast(pa.int64()),
-                "dst": b["dst"].cast(pa.int64()),
-                "etype": pa.array(["succ"] * n, type=pa.string()),
-                "weight": pa.array(np.ones(n)),
-                "ts": pa.array(np.full(n, EPOCH_US), type=pa.timestamp("us")),
-            }
-        )
-
-    edges = _user_succession_edges_cached(sf_dir).map_batches(
-        to_edge_schema, batch_format="pyarrow"
-    ).materialize()
-
-    def split(keep_first: bool):
-        def fn(b: pa.Table) -> pa.Table:
-            s = b["src"].to_numpy(zero_copy_only=False)
-            d = b["dst"].to_numpy(zero_copy_only=False)
-            m = ((s + d) % 3 != 0) == keep_first
-            return b.filter(pa.array(m))
-
-        return fn
-
-    path = os.path.join(_CACHE_ROOT, "graphs", f"userinc_{_tier(sf_dir)}")
-    shutil.rmtree(path, ignore_errors=True)
-    g = build_graph(
-        edges.map_batches(split(True), batch_format="pyarrow"),
-        path,
-        num_partitions=4,
+    edges = _lift(_user_succession_edges(sf_dir)).materialize()
+    base, delta = _mod3_split(edges)
+    g = add_edges(_build(base, "userinc"), delta)
+    return _out(
+        g.vertices_dataset(columns=["vertex_id", "out_degree", "in_degree"]),
+        rename={"vertex_id": "user_id"},
+        ints=["user_id", "out_degree", "in_degree"],
+        sort="user_id",
     )
-    g = add_edges(g, edges.map_batches(split(False), batch_format="pyarrow"))
-    out = g.vertices_dataset(
-        columns=["vertex_id", "out_degree", "in_degree"]
-    ).to_pandas()
-    out = out.rename(columns={"vertex_id": "user_id"})
-    for c in ("user_id", "out_degree", "in_degree"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("user_id").reset_index(drop=True)
 
 
 def _q_butterflies_user(sf_dir: str):
     """Global butterfly (4-cycle) count of the symmetrized user graph —
     sum over pairs of C(common_neighbors, 2), wedge-join SQL oracle."""
-    import shutil
-
     from flashray import triangles as tri
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
     g = _user_graph(sf_dir, symmetrize=True)
     return pd.DataFrame({"butterflies": [tri.butterfly_count(g)]})
@@ -609,20 +601,21 @@ def _q_coloring_user(sf_dir: str):
     """Deterministic greedy coloring (color = hash-priority peel depth) of
     the symmetrized user graph; round-unrolled SQL oracle replays every
     superstep."""
-    import shutil
-
     from flashray import algorithms
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
-    g = _user_graph(sf_dir, symmetrize=True)
-    df = algorithms.greedy_color(g, hash_fn="sha")
+    df = algorithms.greedy_color(_user_graph(sf_dir, symmetrize=True), hash_fn="sha")
+    return _out(
+        df, ["user_id", "color"], rename={"vertex_id": "user_id", "value": "color"},
+        ints=["user_id", "color"], sort="user_id",
+    )
+
+
+def _mod5_labels(g) -> "pd.DataFrame":
+    """(vertex_id, label = vertex_id % 5) for every vertex of ``g``."""
+    v = g.vertices_dataset(columns=["vertex_id"]).to_pandas()["vertex_id"]
     return pd.DataFrame(
-        {
-            "user_id": df["vertex_id"].astype(np.int64),
-            "color": df["value"].astype(np.int64),
-        }
-    ).sort_values("user_id").reset_index(drop=True)
+        {"vertex_id": v.astype(np.int64), "label": (v % 5).astype(np.int64)}
+    )
 
 
 def _q_modularity_user(sf_dir: str):
@@ -630,21 +623,10 @@ def _q_modularity_user(sf_dir: str):
     symmetrized user graph — the partition-quality metric, distributed as
     two label joins + bucketed sums, replayed exactly in SQL (integer
     sufficient statistics, one final float expression)."""
-    import shutil
-
     from flashray import algorithms
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
     g = _user_graph(sf_dir, symmetrize=True)
-    verts = g.vertices_dataset(columns=["vertex_id"]).to_pandas()
-    labels = pd.DataFrame(
-        {
-            "vertex_id": verts["vertex_id"].astype(np.int64),
-            "label": (verts["vertex_id"] % 5).astype(np.int64),
-        }
-    )
-    q = algorithms.modularity(g, labels)
+    q = algorithms.modularity(g, _mod5_labels(g))
     return pd.DataFrame({"q": [round(q, 6)]})
 
 
@@ -676,41 +658,14 @@ def _q_scc_condensation_user(sf_dir: str):
     FW-BW-Trim SCC labels + two hash joins + one dedup; the oracle
     computes general SCC in SQL via forward/backward recursive closures
     intersected, then the distinct cross-label pairs."""
-    import shutil
-
-    from flashray.build import build_graph
     from flashray.scc import condensation
 
-    edges = _user_succession_edges_cached(sf_dir)
-
-    def add_rev(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        d = b["dst"].to_numpy(zero_copy_only=False)
-        keep = d < 300  # src < dst in the succession table
-        s, d = s[keep], d[keep]
-        m = (s + d) % 7 == 0
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([s, d[m]])),
-                "dst": pa.array(np.concatenate([d, s[m]])),
-            }
-        )
-
-    ed = edges.map_batches(add_rev, batch_format="pyarrow").map_batches(
-        _succ_edge_schema, batch_format="pyarrow"
+    edges = _with_reverses(_user_succession_edges(sf_dir), 7, below=300)
+    g = _build(_lift(edges), "usermixed")
+    return _out(
+        condensation(g, scratch_dir=_scratch("scc")),
+        ints=["src_scc", "dst_scc"], sort=["src_scc", "dst_scc"],
     )
-    path = os.path.join(_CACHE_ROOT, "graphs", f"usermixed_{_tier(sf_dir)}")
-    shutil.rmtree(path, ignore_errors=True)
-    g = build_graph(ed, path, num_partitions=4)
-    out = (
-        condensation(g, scratch_dir=os.path.join(path, "scc_scratch"))
-        .to_pandas()
-        .sort_values(["src_scc", "dst_scc"])
-        .reset_index(drop=True)
-    )
-    out["src_scc"] = out["src_scc"].astype(np.int64)
-    out["dst_scc"] = out["dst_scc"].astype(np.int64)
-    return out
 
 
 def _q_percolation_user(sf_dir: str):
@@ -721,22 +676,16 @@ def _q_percolation_user(sf_dir: str):
     from flashray.algorithms import percolation_curve
 
     g = _user_graph(sf_dir, symmetrize=True)
-    out = percolation_curve(g, _PERC_FRACS, num_buckets=16)
-    out["fraction"] = out["fraction"].round(6)
-    return out
+    return _out(percolation_curve(g, _PERC_FRACS, num_buckets=16), r6=["fraction"])
 
 
 def _percolation_sql(fracs) -> str:
     """Per-fraction CTE blocks: quantile_disc threshold, NOT-IN hub
     filter, recursive (vertex, root) closure over the symmetric filtered
     edges, MIN-root labels, component sizes, one output row each."""
-    head = """
+    head = f"""
 WITH RECURSIVE
-b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("eu", True)},
 sym AS MATERIALIZED (SELECT src AS s, dst AS d FROM eu
                      UNION ALL SELECT dst, src FROM eu),
 deg AS MATERIALIZED (SELECT s AS v, CAST(COUNT(*) AS BIGINT) AS d
@@ -782,38 +731,20 @@ def _q_conductance_user(sf_dir: str):
     from flashray import algorithms
 
     g = _user_graph(sf_dir, symmetrize=True)
-    verts = g.vertices_dataset(columns=["vertex_id"]).to_pandas()
-    labels = pd.DataFrame(
-        {
-            "vertex_id": verts["vertex_id"].astype(np.int64),
-            "label": (verts["vertex_id"] % 5).astype(np.int64),
-        }
+    return _out(
+        algorithms.conductance(g, _mod5_labels(g)),
+        ["label", "cut_edges", "volume", "conductance"],
+        ints=["label", "cut_edges", "volume"], r6=["conductance"], sort="label",
     )
-    out = (
-        algorithms.conductance(g, labels)
-        .to_pandas()
-        .sort_values("label")
-        .reset_index(drop=True)
-    )
-    out["label"] = out["label"].astype(np.int64)
-    out["cut_edges"] = out["cut_edges"].astype(np.int64)
-    out["volume"] = out["volume"].astype(np.int64)
-    out["conductance"] = out["conductance"].round(6)
-    return out[["label", "cut_edges", "volume", "conductance"]]
 
 
 def _q_mis_user(sf_dir: str):
     """Deterministic Luby maximal independent set of the symmetrized
     user-succession graph (sha priorities); output = MIS member ids,
     replayed exactly by a round-unrolled SQL oracle."""
-    import shutil
-
     from flashray import algorithms
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
-    g = _user_graph(sf_dir, symmetrize=True)
-    df = algorithms.mis(g, hash_fn="sha")
+    df = algorithms.mis(_user_graph(sf_dir, symmetrize=True), hash_fn="sha")
     members = df[df["value"] == 1]
     return pd.DataFrame(
         {"user_id": np.sort(members["vertex_id"].to_numpy().astype(np.int64))}
@@ -829,21 +760,14 @@ def _q_katz_user(sf_dir: str):
     result is identical regardless of summation order — a non-binary
     alpha (0.05) made DuckDB's parallel SUM flip 6-dp rounding
     boundaries between runs."""
-    import shutil
-
     from flashray import algorithms
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
     g = _user_graph(sf_dir, symmetrize=False)
     df = algorithms.katz(g, alpha=0.0625, eps=0.0, max_iters=6)
-    out = pd.DataFrame(
-        {
-            "user_id": df["vertex_id"].astype(np.int64),
-            "katz": df["value"].round(6),
-        }
+    return _out(
+        df, ["user_id", "katz"], rename={"vertex_id": "user_id", "value": "katz"},
+        ints=["user_id"], r6=["katz"], sort="user_id",
     )
-    return out.sort_values("user_id").reset_index(drop=True)
 
 
 def _q_eigenvector_user(sf_dir: str):
@@ -857,13 +781,10 @@ def _q_eigenvector_user(sf_dir: str):
 
     g = _user_graph(sf_dir, symmetrize=False)
     df = algorithms.eigenvector_centrality(g, iters=4, normalize=True)
-    out = pd.DataFrame(
-        {
-            "user_id": df["vertex_id"].astype(np.int64),
-            "eig": df["value"].round(6),
-        }
+    return _out(
+        df, ["user_id", "eig"], rename={"vertex_id": "user_id", "value": "eig"},
+        ints=["user_id"], r6=["eig"], sort="user_id",
     )
-    return out.sort_values("user_id").reset_index(drop=True)
 
 
 def _q_hits_user(sf_dir: str):
@@ -874,42 +795,59 @@ def _q_hits_user(sf_dir: str):
     float64), normalized once at the end by each vector's max — so the
     SQL oracle replays the recurrence join-for-join and the division is
     order-independent (exact-integer operands)."""
-    import shutil
-
     from flashray import matrix
 
     g = _user_graph(sf_dir, symmetrize=False)
-    scratch = os.path.join(
-        _CACHE_ROOT, "graphs", f"userhits_bi_{_tier(sf_dir)}"
+    df = matrix.hits_engine(g, scratch_dir=_scratch("hits"), iters=2, normalize=True)
+    return _out(
+        df, ["user_id", "authority", "hub"], rename={"vertex_id": "user_id"},
+        ints=["user_id"], r6=["authority", "hub"], sort="user_id",
     )
-    shutil.rmtree(scratch, ignore_errors=True)
-    df = matrix.hits_engine(g, scratch_dir=scratch, iters=2, normalize=True)
-    out = pd.DataFrame(
-        {
-            "user_id": df["vertex_id"].astype(np.int64),
-            "authority": df["authority"].round(6),
-            "hub": df["hub"].round(6),
-        }
-    )
-    return out.sort_values("user_id").reset_index(drop=True)
 
 
 def _q_ktruss_user(sf_dir: str):
     """4-truss of the symmetrized user-succession graph (every surviving
     edge in >= 2 triangles within the truss); exact vs a round-unrolled
     SQL peeling oracle."""
-    import shutil
-
     from flashray import triangles as tri
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
-    g = _user_graph(sf_dir, symmetrize=True)
-    df = tri.k_truss(g, 4).to_pandas()
-    for c in ("lo", "hi", "support"):
-        df[c] = df[c].astype(np.int64)
-    return df[["lo", "hi", "support"]].sort_values(["lo", "hi"]).reset_index(
-        drop=True
+    df = tri.k_truss(_user_graph(sf_dir, symmetrize=True), 4)
+    return _out(
+        df, ["lo", "hi", "support"], ints=["lo", "hi", "support"], sort=["lo", "hi"]
+    )
+
+
+def _with_reverses(edges, mod: int = 1, below=None):
+    """User edges (src, dst) plus the reverse of each edge with
+    (src + dst) % mod == 0 — all of them at mod 1 — after keeping only
+    dst < ``below`` when given."""
+
+    def add_rev(b: pa.Table) -> pa.Table:
+        s, d = _np(b, "src"), _np(b, "dst")
+        if below is not None:
+            keep = d < below  # src < dst in the succession table
+            s, d = s[keep], d[keep]
+        m = (s + d) % mod == 0
+        return pa.table(
+            {
+                "src": pa.array(np.concatenate([s, d[m]])),
+                "dst": pa.array(np.concatenate([d, s[m]])),
+            }
+        )
+
+    return edges.map_batches(add_rev, batch_format="pyarrow")
+
+
+def _sym_user_edges(sf_dir: str):
+    """The user-succession edges in both directions, (src, dst) only."""
+    return _with_reverses(_user_succession_edges(sf_dir))
+
+
+def _user_labels(labels) -> "pd.DataFrame":
+    """(user_id, label) int64 rows of a community Dataset, by user_id."""
+    return _out(
+        labels, ["user_id", "label"], rename={"vertex_id": "user_id"},
+        ints=["user_id", "label"], sort="user_id",
     )
 
 
@@ -921,34 +859,8 @@ def _q_lpa_communities_user(sf_dir: str):
     SQL-replayable — the oracle unrolls the three sweeps)."""
     from flashray.lpa import lpa_communities
 
-    edges = _user_succession_edges_cached(sf_dir)
-
-    def sym(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        d = b["dst"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([s, d])),
-                "dst": pa.array(np.concatenate([d, s])),
-            }
-        )
-
-    labels = lpa_communities(
-        edges.map_batches(sym, batch_format="pyarrow"),
-        sweeps=3,
-        num_buckets=16,
-    )
-    df = labels.to_pandas()
-    return (
-        pd.DataFrame(
-            {
-                "user_id": df["vertex_id"].astype(np.int64),
-                "label": df["label"].astype(np.int64),
-            }
-        )
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
+    labels = lpa_communities(_sym_user_edges(sf_dir), sweeps=3, num_buckets=16)
+    return _user_labels(labels)
 
 
 def _q_louvain_user(sf_dir: str):
@@ -960,33 +872,8 @@ def _q_louvain_user(sf_dir: str):
     in the round-unrolled SQL replay."""
     from flashray.louvain import louvain_communities
 
-    edges = _user_succession_edges_cached(sf_dir)
-
-    def sym(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        d = b["dst"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([s, d])),
-                "dst": pa.array(np.concatenate([d, s])),
-            }
-        )
-
-    labels = louvain_communities(
-        edges.map_batches(sym, batch_format="pyarrow"),
-        sweeps=2,
-        num_buckets=16,
-    )
-    df = labels.to_pandas()
-    return (
-        pd.DataFrame(
-            {
-                "user_id": df["vertex_id"].astype(np.int64),
-                "label": df["label"].astype(np.int64),
-            }
-        )
-        .sort_values("user_id")
-        .reset_index(drop=True)
+    return _user_labels(
+        louvain_communities(_sym_user_edges(sf_dir), sweeps=2, num_buckets=16)
     )
 
 
@@ -999,69 +886,34 @@ def _q_leiden_user(sf_dir: str):
     body + a recursive min-root closure over equal-label edges."""
     from flashray.louvain import leiden_refine, louvain_communities
 
-    edges = _user_succession_edges_cached(sf_dir)
-
-    def sym(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        d = b["dst"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([s, d])),
-                "dst": pa.array(np.concatenate([d, s])),
-            }
-        )
-
-    sym_edges = edges.map_batches(sym, batch_format="pyarrow")
+    sym_edges = _sym_user_edges(sf_dir)
     labels = leiden_refine(
         sym_edges,
         louvain_communities(sym_edges, sweeps=2, num_buckets=16),
         num_buckets=16,
     )
-    df = labels.to_pandas()
-    return (
-        pd.DataFrame(
-            {
-                "user_id": df["vertex_id"].astype(np.int64),
-                "label": df["label"].astype(np.int64),
-            }
-        )
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
+    return _user_labels(labels)
 
 
 def _q_link_prediction_user(sf_dir: str):
     """Link-prediction scores (common neighbors / Jaccard / Adamic-Adar)
     for every NON-edge pair at distance 2 in the symmetrized
     user-succession graph; exact vs a SQL wedge-join oracle at 6 dp."""
-    import shutil
-
     from flashray import triangles as tri
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
-    g = _user_graph(sf_dir, symmetrize=True)
-    df = tri.link_prediction(g).to_pandas()
-    df["u"] = df["u"].astype(np.int64)
-    df["v"] = df["v"].astype(np.int64)
-    df["cn"] = df["cn"].astype(np.int64)
-    df["jaccard"] = df["jaccard"].round(6)
-    df["adamic_adar"] = df["adamic_adar"].round(6)
-    df["pref_attach"] = df["pref_attach"].astype(np.int64)
-    return df[
-        ["u", "v", "cn", "jaccard", "adamic_adar", "pref_attach"]
-    ].sort_values(["u", "v"]).reset_index(drop=True)
+    df = tri.link_prediction(_user_graph(sf_dir, symmetrize=True))
+    return _out(
+        df, ["u", "v", "cn", "jaccard", "adamic_adar", "pref_attach"],
+        ints=["u", "v", "cn", "pref_attach"], r6=["jaccard", "adamic_adar"],
+        sort=["u", "v"],
+    )
 
 
 def _q_spmv_user(sf_dir: str):
     """SpMV (FlashMatrix-parity kernel) over the user-succession DAG:
     y[dst] = Σ x[src] over edges with x = user_id % 7 + 1 — exact vs the
     SQL join+sum oracle. Output (user_id, y) at 6 dp."""
-    import shutil
-
     from flashray import matrix
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
     g = _user_graph(sf_dir, symmetrize=False)
 
@@ -1074,10 +926,10 @@ def _q_spmv_user(sf_dir: str):
     x = g.vertices_dataset(columns=["vertex_id"]).map_batches(
         make_x, batch_format="pyarrow", zero_copy_batch=True
     )
-    out = matrix.spmv(g, x).to_pandas()
-    out["user_id"] = out["vertex_id"].astype(np.int64)
-    out["y"] = out["y"].round(6)
-    return out[["user_id", "y"]]
+    return _out(
+        matrix.spmv(g, x), ["user_id", "y"], rename={"vertex_id": "user_id"},
+        ints=["user_id"], r6=["y"],
+    )
 
 
 def _q_wcc_reply_sizes(sf_dir: str):
@@ -1086,13 +938,8 @@ def _q_wcc_reply_sizes(sf_dir: str):
     conversation, so sizes == conversation lengths."""
     from flashray import algorithms
 
-    g = _graph(sf_dir, symmetrize=True, etypes=("reply",))
-    df = algorithms.wcc(g)
-    sizes = df.groupby("value").size().rename("size").reset_index()
-    hist = sizes.groupby("size").size().rename("n_components").reset_index()
-    hist["size"] = hist["size"].astype("int64")
-    hist["n_components"] = hist["n_components"].astype("int64")
-    return hist
+    df = algorithms.wcc(_graph(sf_dir, symmetrize=True, etypes=("reply",)))
+    return _hist(df.groupby("value").size(), "size", "n_components")
 
 
 def _q_wcc_mapreduce_sizes(sf_dir: str):
@@ -1103,27 +950,19 @@ def _q_wcc_mapreduce_sizes(sf_dir: str):
 
     g = _graph(sf_dir, symmetrize=True, etypes=("reply",))
     df = cc_mapreduce.wcc_mapreduce(g)
-    sizes = df.groupby("value").size().rename("size").reset_index()
-    hist = sizes.groupby("size").size().rename("n_components").reset_index()
-    return hist.astype({"size": "int64", "n_components": "int64"})
+    return _hist(df.groupby("value").size(), "size", "n_components")
 
 
 def _q_bfs_reply_depth(sf_dir: str):
     """BFS from every conversation's turn-0 vertex on the directed
     reply-only graph; output = depth histogram. Oracle invariant: depth of
     a turn == its turn_idx."""
-    from flashray import algorithms, fixtures, ids
+    from flashray import algorithms, fixtures
 
     g = _graph(sf_dir, symmetrize=False, etypes=("reply",))
-    n, base, mod = fixtures.TIERS[_tier(sf_dir)]
-    convs = [f"conv{c:08d}" for c in range(n)]
-    seeds = ids.turn_vertex_ids(convs, np.zeros(n, dtype=np.int64))
-    df = algorithms.bfs(g, seeds.tolist())
-    hist = df.groupby("value").size().rename("n_vertices").reset_index()
-    hist = hist.rename(columns={"value": "depth"})
-    hist["depth"] = hist["depth"].astype("int64")
-    hist["n_vertices"] = hist["n_vertices"].astype("int64")
-    return hist
+    n, _, _ = fixtures.TIERS[_tier(sf_dir)]
+    df = algorithms.bfs(g, _turn0_ids(n).tolist())
+    return _hist(df["value"], "depth", "n_vertices")
 
 
 def _q_kcore_reply_hist(sf_dir: str):
@@ -1131,13 +970,8 @@ def _q_kcore_reply_hist(sf_dir: str):
     every vertex has coreness 1 when the conversation has ≥ 2 turns)."""
     from flashray import algorithms
 
-    g = _graph(sf_dir, symmetrize=True, etypes=("reply",))
-    df = algorithms.kcore(g)
-    hist = df.groupby("value").size().rename("n_vertices").reset_index()
-    hist = hist.rename(columns={"value": "coreness"})
-    hist["coreness"] = hist["coreness"].astype("int64")
-    hist["n_vertices"] = hist["n_vertices"].astype("int64")
-    return hist
+    df = algorithms.kcore(_graph(sf_dir, symmetrize=True, etypes=("reply",)))
+    return _hist(df["value"], "coreness", "n_vertices")
 
 
 def _q_pagerank(sf_dir: str):
@@ -1149,27 +983,22 @@ def _q_pagerank(sf_dir: str):
 
     g = _graph(sf_dir, symmetrize=False)
     df = algorithms.pagerank(g, eps=0.0, max_iters=_PR_ITERS)
-    out = _keyed(df, sf_dir)
-    out["rank_x_n"] = (out["value"] * g.meta.num_vertices).round(6)
-    return out[["vertex_key", "rank_x_n"]]
+    return _keyed_rank(df, sf_dir, "rank_x_n", g.meta.num_vertices)
 
 
 def _q_pagerank_personalized(sf_dir: str):
     """Personalized PageRank (random walk with restart): teleport mass
     returns only to the turn-0 vertex of every conversation; exactly
     _PR_ITERS supersteps vs the SQL unrolled recurrence."""
-    from flashray import algorithms, fixtures, ids
+    from flashray import algorithms, fixtures
 
     g = _graph(sf_dir, symmetrize=False)
     n_convs, _, _ = fixtures.TIERS[_tier(sf_dir)]
-    convs = [f"conv{c:08d}" for c in range(n_convs)]
-    seeds = ids.turn_vertex_ids(convs, np.zeros(n_convs, dtype=np.int64))
+    seeds = _turn0_ids(n_convs)
     df = algorithms.personalized_pagerank(
         g, seeds, eps=0.0, max_iters=_PR_ITERS
     )
-    out = _keyed(df, sf_dir)
-    out["rank_x_s"] = (out["value"] * len(seeds)).round(6)
-    return out[["vertex_key", "rank_x_s"]]
+    return _keyed_rank(df, sf_dir, "rank_x_s", len(seeds))
 
 
 def _q_pagerank_push(sf_dir: str):
@@ -1180,9 +1009,7 @@ def _q_pagerank_push(sf_dir: str):
 
     g = _graph(sf_dir, symmetrize=False, etypes=("reply",))
     df = algorithms.pagerank(g, eps=1e-10, mode="push", max_iters=500)
-    out = _keyed(df, sf_dir)
-    out["rank_x_n"] = (out["value"] * g.meta.num_vertices).round(6)
-    return out[["vertex_key", "rank_x_n"]]
+    return _keyed_rank(df, sf_dir, "rank_x_n", g.meta.num_vertices)
 
 
 def _q_wcc_full(sf_dir: str):
@@ -1191,11 +1018,8 @@ def _q_wcc_full(sf_dir: str):
     vertex; output (size, n_components) = (N, 1)."""
     from flashray import algorithms
 
-    g = _graph(sf_dir, symmetrize=True)
-    df = algorithms.wcc(g)
-    sizes = df.groupby("value").size().rename("size").reset_index()
-    hist = sizes.groupby("size").size().rename("n_components").reset_index()
-    return hist.astype({"size": "int64", "n_components": "int64"})
+    df = algorithms.wcc(_graph(sf_dir, symmetrize=True))
+    return _hist(df.groupby("value").size(), "size", "n_components")
 
 
 def _q_label_propagation(sf_dir: str):
@@ -1203,17 +1027,12 @@ def _q_label_propagation(sf_dir: str):
     label c at turn 0 of conversations c < 100: every turn of a seeded
     conversation takes label c (isolated chains); everything else stays
     unreached (-1). Output (vertex_key, label)."""
-    from flashray import algorithms, ids
+    from flashray import algorithms
 
     g = _graph(sf_dir, symmetrize=False, etypes=("reply",))
-    n_seed = 100
-    convs = [f"conv{c:08d}" for c in range(n_seed)]
-    seed_ids = ids.turn_vertex_ids(convs, np.zeros(n_seed, dtype=np.int64))
-    seeds = {int(v): c for c, v in enumerate(seed_ids)}
-    df = algorithms.label_propagation(g, seeds)
-    out = _keyed(df, sf_dir)
-    out["label"] = out["value"].astype(np.int64)
-    return out[["vertex_key", "label"]]
+    seeds = {int(v): c for c, v in enumerate(_turn0_ids(100))}
+    out = _keyed(algorithms.label_propagation(g, seeds), sf_dir)
+    return _out(out, ["vertex_key", "label"], rename={"value": "label"}, ints=["label"])
 
 
 def _q_triangles_transcript(sf_dir: str):
@@ -1221,42 +1040,26 @@ def _q_triangles_transcript(sf_dir: str):
     each adjacent turn pair closes exactly one triangle with its
     conversation vertex — closed-form in SQL. Output (vertex_key,
     triangles)."""
-    from flashray import extract
     from flashray import triangles as tri
-    from flashray.build import Graph, build_graph
 
-    tier = _tier(sf_dir)
-    key = f"{tier}_sym_replyconv"
-    if key in _GRAPH_CACHE:
-        g = _GRAPH_CACHE[key]
-    else:
-        path = os.path.join(_CACHE_ROOT, "graphs", key)
-        if os.path.exists(os.path.join(path, "meta.json")):
-            g = Graph.load(path)
-        else:
-            ds = _transcripts_ds(sf_dir)
-            edges = extract.extract_edges(ds, etypes=("reply",)).union(
-                extract.extract_conv_edges(ds)
-            )
-            g = build_graph(edges, path, num_partitions=8, symmetrize=True)
-        _GRAPH_CACHE[key] = g
-    df = tri.triangles(g).to_pandas()
-    out = _keyed(df, sf_dir)
-    out["triangles"] = out["triangles"].astype(np.int64)
-    return out[["vertex_key", "triangles"]]
+    g = _graph(sf_dir, symmetrize=True, etypes=("reply",), conv=True)
+    out = _keyed(tri.triangles(g).to_pandas(), sf_dir)
+    return _out(out, ["vertex_key", "triangles"], ints=["triangles"])
+
+
+def _ranked_scan(g) -> "pd.DataFrame":
+    """(rank, scan) of the top-20 scan statistic of ``g``."""
+    from flashray import triangles as tri
+
+    df = tri.topk_scan(g, 20).to_pandas().reset_index(drop=True)
+    df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
+    return _out(df, ["rank", "scan"], ints=["scan"])
 
 
 def _q_scan_topk(sf_dir: str):
     """Top-20 scan statistic on the symmetrized full transcript graph;
     output (rank, scan) — id tie-breaks don't affect the value column."""
-    from flashray import triangles as tri
-
-    g = _graph(sf_dir, symmetrize=True)
-    df = tri.topk_scan(g, 20).to_pandas()
-    df = df.reset_index(drop=True)
-    df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-    df["scan"] = df["scan"].astype(np.int64)
-    return df[["rank", "scan"]]
+    return _ranked_scan(_graph(sf_dir, symmetrize=True))
 
 
 def _q_docs_bm25(sf_dir: str):
@@ -1265,14 +1068,9 @@ def _q_docs_bm25(sf_dir: str):
     Oracle replays tf/df/dl/avgdl and the exact formula in SQL."""
     from flashray.datapipe.textstats import bm25_topk
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    out = bm25_topk(
-        ds, ["join", "scan", "window"], k=10
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out.reset_index(drop=True)
+    ds = _table(sf_dir, "documents", "doc_id", "text")
+    out = bm25_topk(ds, ["join", "scan", "window"], k=10)
+    return _out(out, ints=["doc_id"]).reset_index(drop=True)
 
 
 def _q_docs_top_bigrams(sf_dir: str):
@@ -1281,12 +1079,8 @@ def _q_docs_top_bigrams(sf_dir: str):
     unnest(range) adjacent-pair expansion in SQL."""
     from flashray.datapipe.textstats import top_ngrams
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    out = top_ngrams(ds, n=2, k=20).to_pandas()
-    out["count"] = out["count"].astype(np.int64)
-    return out.reset_index(drop=True)
+    ds = _table(sf_dir, "documents", "doc_id", "text")
+    return _out(top_ngrams(ds, n=2, k=20), ints=["count"]).reset_index(drop=True)
 
 
 def _q_docs_quality_percentile(sf_dir: str):
@@ -1300,33 +1094,17 @@ def _q_docs_quality_percentile(sf_dir: str):
     from flashray.datapipe.sketches import exact_quantiles
     from flashray.datapipe.textstats import add_text_stats
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "text")
     scored = add_text_stats(docs, concurrency=4).materialize()
     cut = exact_quantiles(scored, "avg_token_len", [0.25])[0.25]
 
     def keep(b: pa.Table) -> pa.Table:
         v = b["avg_token_len"].to_numpy(zero_copy_only=False)
-        t = b.filter(pa.array(v >= cut))
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].cast(pa.int64()),
-                "avg_token_len": pa.array(
-                    np.round(
-                        t["avg_token_len"].to_numpy(zero_copy_only=False),
-                        6,
-                    )
-                ),
-            }
-        )
+        return b.filter(pa.array(v >= cut)).select(["doc_id", "avg_token_len"])
 
-    return (
-        scored.map_batches(keep, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
+    return _out(
+        scored.map_batches(keep, batch_format="pyarrow"),
+        ints=["doc_id"], r6=["avg_token_len"], sort="doc_id",
     )
 
 
@@ -1343,33 +1121,29 @@ def _q_docs_quality_by_source(sf_dir: str):
         percentile_gate_by_group,
     )
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "text"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "source", "text")
     scored = add_text_stats(docs, concurrency=4).materialize()
     kept = percentile_gate_by_group(
         scored, "source", "avg_token_len", q=0.25
     )
+    return _out(
+        kept, ["doc_id", "source", "avg_token_len"],
+        ints=["doc_id"], r6=["avg_token_len"], sort="doc_id",
+    )
 
-    def shape(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": b["doc_id"].cast(pa.int64()),
-                "source": b["source"].cast(pa.string()),
-                "avg_token_len": pa.array(
-                    np.round(
-                        b["avg_token_len"].to_numpy(zero_copy_only=False), 6
-                    )
-                ),
-            }
-        )
 
-    return (
-        kept.map_batches(shape, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
+def _np(b: pa.Table, col: str) -> np.ndarray:
+    return b[col].to_numpy(zero_copy_only=False)
+
+
+def _split(ds, keep):
+    """(kept, rest) of ``ds`` by the row mask ``keep(batch)``."""
+
+    def side(kept: bool):
+        return lambda b: b.filter(pa.array(keep(b) == kept))
+
+    return tuple(
+        ds.map_batches(side(k), batch_format="pyarrow") for k in (True, False)
     )
 
 
@@ -1378,31 +1152,11 @@ def _q_docs_decontaminate(sf_dir: str):
     "benchmark"; every other doc is scored by how many of its distinct
     word 5-grams appear anywhere in the benchmark (n_hits = 0 means keep).
     Oracle replays the n-gram expansion + distinct + join in SQL."""
-    import pyarrow.compute as pc
-
     from flashray.datapipe.dedup import decontaminate
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).materialize()
-
-    def is_bench(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % 50 == 0))
-
-    def not_bench(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % 50 != 0))
-
-    bench = ds.map_batches(is_bench, batch_format="pyarrow")
-    cand = ds.map_batches(not_bench, batch_format="pyarrow")
-    out = (
-        decontaminate(cand, bench, n=5)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    return out
+    ds = _table(sf_dir, "documents", "doc_id", "text").materialize()
+    bench, cand = _split(ds, lambda b: _np(b, "doc_id") % 50 == 0)
+    return _out(decontaminate(cand, bench, n=5), sort="doc_id")
 
 
 def _q_docs_bloom_decontaminate(sf_dir: str):
@@ -1415,50 +1169,32 @@ def _q_docs_bloom_decontaminate(sf_dir: str):
     plain exact-join replay."""
     from flashray.datapipe.dedup import bloom_decontaminate
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).materialize()
-
-    def is_bench(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % 40 == 1))
-
-    def not_bench(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % 40 != 1))
-
-    bench = ds.map_batches(is_bench, batch_format="pyarrow")
-    cand = ds.map_batches(not_bench, batch_format="pyarrow")
-    return (
-        bloom_decontaminate(cand, bench, n=4, m_bits=1 << 20, k=4)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
+    ds = _table(sf_dir, "documents", "doc_id", "text").materialize()
+    bench, cand = _split(ds, lambda b: _np(b, "doc_id") % 40 == 1)
+    return _out(
+        bloom_decontaminate(cand, bench, n=4, m_bits=1 << 20, k=4), sort="doc_id"
     )
+
+
+def _doc_stage(sf_dir: str, stage, cols, r6=()) -> "pd.DataFrame":
+    """A per-document textstats stage over (doc_id, text), projected."""
+    ds = _table(sf_dir, "documents", "doc_id", "text")
+    return _out(stage(ds, concurrency=4), cols, r6=r6)
 
 
 def _q_docs_token_stats(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import textstats
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
+    return _doc_stage(
+        sf_dir, textstats.add_text_stats, ["doc_id", "token_count", "word_chars"]
     )
-    out = textstats.add_text_stats(ds, concurrency=4).to_pandas()
-    return out[["doc_id", "token_count", "word_chars"]]
 
 
 def _q_docs_exact_dedup(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import dedup
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    out = dedup.exact_dedup(ds).to_pandas()
-    return out[["keep_id", "n_copies"]]
+    ds = _table(sf_dir, "documents", "doc_id", "text")
+    return dedup.exact_dedup(ds).to_pandas()[["keep_id", "n_copies"]]
 
 
 def _q_embeddings_covariance(sf_dir: str):
@@ -1468,16 +1204,10 @@ def _q_embeddings_covariance(sf_dir: str):
     oracle recomputes every entry from AVG products). The PCA
     eigendecomposition built on these moments is pytest-verified vs
     numpy (tests/test_datapipe.py)."""
-    import ray.data as rd
-
     from flashray.datapipe.similarity import embedding_moments
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["embedding"]
-    )
-    n, mean, cov = embedding_moments(ds)
-    d = len(mean)
-    iu = np.triu_indices(d)
+    n, mean, cov = embedding_moments(_table(sf_dir, "embeddings", "embedding"))
+    iu = np.triu_indices(len(mean))
     return pd.DataFrame(
         {
             "i": iu[0].astype(np.int64),
@@ -1487,20 +1217,20 @@ def _q_embeddings_covariance(sf_dir: str):
     ).sort_values(["i", "j"]).reset_index(drop=True)
 
 
-def _q_embeddings_knn(sf_dir: str):
-    """Exact cosine top-10 neighbours of vec_id 0 (float64, rank output)."""
-    import ray.data as rd
-
-    from flashray.datapipe import similarity
-
-    ds = _read_pq(os.path.join(sf_dir, "embeddings.parquet"))
-    q = None
+def _vec0(ds) -> np.ndarray:
+    """The embedding of vec_id 0 in float64: the fixed kNN query vector."""
     for b in ds.iter_batches(batch_size=512, batch_format="pandas"):
         hit = b[b["vec_id"] == 0]
         if len(hit):
-            q = np.asarray(hit["embedding"].iloc[0], dtype=np.float64)
-            break
-    res = similarity.knn_brute_force(ds, q[None, :], k=10, concurrency=4)
+            return np.asarray(hit["embedding"].iloc[0], dtype=np.float64)
+
+
+def _q_embeddings_knn(sf_dir: str):
+    """Exact cosine top-10 neighbours of vec_id 0 (float64, rank output)."""
+    from flashray.datapipe import similarity
+
+    ds = _table(sf_dir, "embeddings")
+    res = similarity.knn_brute_force(ds, _vec0(ds)[None, :], k=10, concurrency=4)
     res = res.reset_index(drop=True)
     res["rank"] = np.arange(1, len(res) + 1, dtype=np.int64)
     return res[["rank", "vec_id"]]
@@ -1515,23 +1245,10 @@ def _q_docs_minhash_decontaminate(sf_dir: str):
     Output (doc_id, eval_id) sorted."""
     from flashray.datapipe.dedup import minhash_decontaminate
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).materialize()
-
-    def is_eval(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % 10 == 0))
-
-    def not_eval(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % 10 != 0))
-
+    ds = _table(sf_dir, "documents", "doc_id", "text").materialize()
+    evals, train = _split(ds, lambda b: _np(b, "doc_id") % 10 == 0)
     flagged = minhash_decontaminate(
-        ds.map_batches(not_eval, batch_format="pyarrow"),
-        ds.map_batches(is_eval, batch_format="pyarrow"),
-        threshold=0.8,
-        concurrency=4,
+        train, evals, threshold=0.8, concurrency=4
     ).to_pandas()
     if not len(flagged):
         return pd.DataFrame(
@@ -1540,11 +1257,9 @@ def _q_docs_minhash_decontaminate(sf_dir: str):
                 "eval_id": pd.Series(dtype=np.int64),
             }
         )
-    return (
-        flagged[["doc_id", "eval_id"]]
-        .astype(np.int64)
-        .sort_values(["doc_id", "eval_id"])
-        .reset_index(drop=True)
+    return _out(
+        flagged, ["doc_id", "eval_id"], ints=["doc_id", "eval_id"],
+        sort=["doc_id", "eval_id"],
     )
 
 
@@ -1556,36 +1271,23 @@ def _q_events_user_distinct_hll(sf_dir: str):
     hyperball replay shape). Output (user_id, approx_distinct) at 6 dp."""
     from flashray.datapipe.sketches import approx_distinct_by_key
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_id"],
-    )
-    out = approx_distinct_by_key(ev, "user_id", "event_id", p=8).to_pandas()
-    out["user_id"] = out["user_id"].astype(np.int64)
-    out["approx_distinct"] = out["approx_distinct"].round(6)
-    return out.sort_values("user_id").reset_index(drop=True)
+    ev = _table(sf_dir, "events", "user_id", "event_id")
+    out = approx_distinct_by_key(ev, "user_id", "event_id", p=8)
+    return _out(out, ints=["user_id"], r6=["approx_distinct"], sort="user_id")
 
 
 def _q_minhash_dup_groups(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import dedup
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = _table(sf_dir, "documents", "doc_id", "text")
     pairs = dedup.candidate_pairs_minhash(ds, threshold=0.8, concurrency=4)
     return dedup.duplicate_groups(pairs)
 
 
 def _q_simhash_pairs(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import dedup
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = _table(sf_dir, "documents", "doc_id", "text")
     return dedup.candidate_pairs_simhash(ds, max_hamming=3, concurrency=4)
 
 
@@ -1601,10 +1303,9 @@ def _q_embedding_near_dups(sf_dir: str):
 
     from flashray.datapipe import similarity
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    ds = _read_pq(path)
-    base = _read_pq(
-        path, filter=pc.field("vec_id") < 200
+    ds = _table(sf_dir, "embeddings")
+    base = _table(
+        sf_dir, "embeddings", filter=pc.field("vec_id") < 200
     ).to_pandas()  # constant 200 rows regardless of scale
     vecs = {
         int(r.vec_id): np.asarray(r.embedding, dtype=np.float64)
@@ -1617,47 +1318,41 @@ def _q_embedding_near_dups(sf_dir: str):
         mixed = vecs[i] + 0.2 * vecs[i + 100]
         rows.append({"vec_id": 2_000_000 + i, "embedding": mixed.tolist()})
     aug = ds.union(rd.from_pandas(pd.DataFrame(rows)))
-    pairs = similarity.embedding_near_dups(aug, threshold=0.95).to_pandas()
-    pairs = pairs.sort_values(["a", "b"]).reset_index(drop=True)
-    return pairs[["a", "b"]].astype("int64")
+    pairs = similarity.embedding_near_dups(aug, threshold=0.95)
+    return _out(pairs, ["a", "b"], ints=["a", "b"], sort=["a", "b"])
 
 
 def _q_docs_langid(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import textstats
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    out = textstats.add_lang_id(ds, concurrency=4).to_pandas()
-    return out[["doc_id", "lang_pred"]]
+    return _doc_stage(sf_dir, textstats.add_lang_id, ["doc_id", "lang_pred"])
 
 
 def _q_docs_fingerprints(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import textstats
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    out = textstats.add_fingerprint(ds, concurrency=4).to_pandas()
-    return out[["doc_id", "fingerprint"]]
+    return _doc_stage(sf_dir, textstats.add_fingerprint, ["doc_id", "fingerprint"])
 
 
 def _q_docs_quality(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import textstats
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
+    return _doc_stage(
+        sf_dir, textstats.add_text_stats,
+        ["doc_id", "avg_token_len", "punct_ratio", "digit_ratio", "stopword_ratio"],
     )
-    out = textstats.add_text_stats(ds, concurrency=4).to_pandas()
-    return out[
-        ["doc_id", "avg_token_len", "punct_ratio", "digit_ratio", "stopword_ratio"]
-    ]
+
+
+def _kmeans4(ds):
+    """Centroids of one Lloyd round from the 4 lowest-id vectors: the
+    quantizer embeddings_kmeans, _semdedup and _outliers share with their
+    oracles."""
+    from flashray.datapipe import kmeans
+
+    cents, _ = kmeans.kmeans(
+        ds, k=4, max_iters=1, tol=0.0, init="lowest_ids", concurrency=4
+    )
+    return cents
 
 
 def _q_embeddings_kmeans(sf_dir: str):
@@ -1665,21 +1360,11 @@ def _q_embeddings_kmeans(sf_dir: str):
     table: k=4, one Lloyd round from the 4 lowest-id seed vectors, then
     assign — the SQL oracle replays the round with list_distance +
     element-wise AVG. Output (vec_id, cluster), exact."""
-    import ray.data as rd
-
     from flashray.datapipe import kmeans
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    cents, _ = kmeans.kmeans(
-        ds, k=4, max_iters=1, tol=0.0, init="lowest_ids", concurrency=4
-    )
-    out = kmeans.kmeans_assign(ds, cents, concurrency=4).to_pandas()
-    out["vec_id"] = out["vec_id"].astype(np.int64)
-    out["cluster"] = out["cluster"].astype(np.int64)
-    return out[["vec_id", "cluster"]]
+    ds = _table(sf_dir, "embeddings", "vec_id", "embedding")
+    out = kmeans.kmeans_assign(ds, _kmeans4(ds), concurrency=4)
+    return _out(out, ["vec_id", "cluster"], ints=["vec_id", "cluster"])
 
 
 def _q_embeddings_pq_codes(sf_dir: str):
@@ -1690,18 +1375,13 @@ def _q_embeddings_pq_codes(sf_dir: str):
     (vec_id, pq_code), exact."""
     from flashray.datapipe import pq
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
+    ds = _table(sf_dir, "embeddings", "vec_id", "embedding")
     cb = pq.pq_train(
         ds, m=8, k=4, iters=1, init="lowest_ids", concurrency=4
     )
-    out = pq.pq_encode(ds, cb, concurrency=4).to_pandas()
-    out["vec_id"] = out["vec_id"].astype(np.int64)
-    out["pq_code"] = out["pq_code"].astype(np.int64)
-    return out[["vec_id", "pq_code"]].sort_values("vec_id").reset_index(
-        drop=True
+    return _out(
+        pq.pq_encode(ds, cb, concurrency=4), ["vec_id", "pq_code"],
+        ints=["vec_id", "pq_code"], sort="vec_id",
     )
 
 
@@ -1712,99 +1392,62 @@ def _q_embeddings_semdedup(sf_dir: str):
     the clustering, then EXISTS-a-lower-id-neighbor at rounded cosine ≥
     0.35 (fixture margin to the threshold is 7e-5 ≫ fp noise). Output
     (vec_id, cluster, is_dup), exact."""
-    import ray.data as rd
+    from flashray.datapipe import similarity
 
-    from flashray.datapipe import kmeans, similarity
-
-    ds = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    cents, _ = kmeans.kmeans(
-        ds, k=4, max_iters=1, tol=0.0, init="lowest_ids", concurrency=4
-    )
-    out = (
-        similarity.semdedup(ds, threshold=0.35, centroids=cents)
-        .to_pandas()
-        .sort_values("vec_id")
-        .reset_index(drop=True)
-    )
-    out["vec_id"] = out["vec_id"].astype(np.int64)
-    out["cluster"] = out["cluster"].astype(np.int64)
-    out["is_dup"] = out["is_dup"].astype(np.int64)
-    return out[["vec_id", "cluster", "is_dup"]]
+    ds = _table(sf_dir, "embeddings", "vec_id", "embedding")
+    out = similarity.semdedup(ds, threshold=0.35, centroids=_kmeans4(ds))
+    cols = ["vec_id", "cluster", "is_dup"]
+    return _out(out, cols, ints=cols, sort="vec_id")
 
 
 def _q_docs_repetition(sf_dir: str):
     """Gopher-style repetition quality signals per document (duplicate-word
     fraction, top word/2-gram/3-gram share) — SQL oracle rebuilds the
     n-gram counts with regexp_extract_all + list_zip. 6-dp match."""
-    import ray.data as rd
-
     from flashray.datapipe import textstats
 
-    ds = _read_pq(
+    fracs = ["dup_word_frac", "top_word_frac", "top_2gram_frac", "top_3gram_frac"]
+    return _doc_stage(
+        sf_dir, textstats.add_repetition_stats, ["doc_id", *fracs], r6=fracs
+    )
+
+
+def _media_ds(sf_dir: str):
+    """The synthetic media table derived from documents, as a Dataset."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from flashray.datapipe import multimodal
+
+    docs = pq.read_table(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     )
-    out = textstats.add_repetition_stats(ds, concurrency=4).to_pandas()
-    for c in ("dup_word_frac", "top_word_frac", "top_2gram_frac",
-              "top_3gram_frac"):
-        out[c] = out[c].round(6)
-    return out[
-        ["doc_id", "dup_word_frac", "top_word_frac", "top_2gram_frac",
-         "top_3gram_frac"]
-    ]
+    return rd.from_arrow(multimodal.media_table_from_documents(docs))
 
 
 def _q_media_features(sf_dir: str):
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     from flashray.datapipe import multimodal
 
-    docs = pq.read_table(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    media = multimodal.media_table_from_documents(docs)
-    out = multimodal.image_features(rd.from_arrow(media)).to_pandas()
     # 6-dp rounding on the float stats: the SQL oracle's one-pass variance
     # differs from numpy's two-pass at ~1e-12
-    out["px_mean"] = out["px_mean"].round(6)
-    out["px_std"] = out["px_std"].round(6)
-    return out
+    out = multimodal.image_features(_media_ds(sf_dir))
+    return _out(out, r6=["px_mean", "px_std"])
 
 
 def _q_frame_samples(sf_dir: str):
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     from flashray.datapipe import multimodal
 
-    docs = pq.read_table(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    media = multimodal.media_table_from_documents(docs)
-    return multimodal.sample_frames(rd.from_arrow(media), frames_per_item=4)
+    return multimodal.sample_frames(_media_ds(sf_dir), frames_per_item=4)
 
 
 def _q_media_resize(sf_dir: str):
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     from flashray.datapipe import multimodal
 
-    docs = pq.read_table(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    media = multimodal.media_table_from_documents(docs)
-    out = multimodal.resize_images(
-        rd.from_arrow(media), out_h=4, out_w=4
-    ).to_pandas()
-    out["px_mean"] = out["px_mean"].round(6)
+    out = multimodal.resize_images(_media_ds(sf_dir), out_h=4, out_w=4)
     # payload is the resized BMP binary — drop it for the value compare (the
     # oracle replays the sampled synth pixels, not the container bytes; the
     # binary round-trip is pytest-verified in tests/test_datapipe.py)
-    return out[["media_id", "width", "height", "px_mean"]]
+    return _out(out, ["media_id", "width", "height", "px_mean"], r6=["px_mean"])
 
 
 def _q_media_resample(sf_dir: str):
@@ -1813,49 +1456,35 @@ def _q_media_resample(sf_dir: str):
     samples ((d*31 + t*7) % 65536 - 32768 at t = 0,4,8,...) closed-form.
     Payload round-trip is pytest-verified; the value compare carries
     (n_samples, rate, amp_mean)."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     from flashray.datapipe import multimodal
 
-    docs = pq.read_table(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    media = multimodal.media_table_from_documents(docs)
-    out = multimodal.resample_audio(
-        rd.from_arrow(media), factor=4
-    ).to_pandas()
-    out["amp_mean"] = out["amp_mean"].round(6)
-    return out[["media_id", "n_samples", "rate", "amp_mean"]]
+    out = multimodal.resample_audio(_media_ds(sf_dir), factor=4)
+    return _out(out, ["media_id", "n_samples", "rate", "amp_mean"], r6=["amp_mean"])
+
+
+def _events_window(sf_dir: str, window, **kwargs):
+    """A ``windows`` aggregate over all of events, sum_value at 6 dp."""
+    return _round_col(window(_table(sf_dir, "events"), **kwargs), "sum_value")
 
 
 def _q_events_tumbling(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import windows
 
-    ds = _read_pq(os.path.join(sf_dir, "events.parquet"))
-    return _round_col(windows.tumbling_window(ds, window_sec=3600), "sum_value")
+    return _events_window(sf_dir, windows.tumbling_window, window_sec=3600)
 
 
 def _q_events_sliding(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import windows
 
-    ds = _read_pq(os.path.join(sf_dir, "events.parquet"))
-    return _round_col(
-        windows.sliding_window(ds, window_sec=3600, slide_sec=900), "sum_value"
+    return _events_window(
+        sf_dir, windows.sliding_window, window_sec=3600, slide_sec=900
     )
 
 
 def _q_events_sessions(sf_dir: str):
-    import ray.data as rd
-
     from flashray.datapipe import windows
 
-    ds = _read_pq(os.path.join(sf_dir, "events.parquet"))
-    return _round_col(windows.session_window(ds, gap_sec=1800), "sum_value")
+    return _events_window(sf_dir, windows.session_window, gap_sec=1800)
 
 
 def _q_docs_distinct_words_hll(sf_dir: str):
@@ -1863,14 +1492,11 @@ def _q_docs_distinct_words_hll(sf_dir: str):
     sketch is sha256-hashed (no RNG), so the oracle recomputes the FULL
     estimator — registers, bias constant, linear-counting correction — in
     SQL and matches to 6 dp."""
-    import ray.data as rd
-
     from flashray.datapipe import sketches
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
+    est = sketches.approx_distinct_words(
+        _table(sf_dir, "documents", "text"), "text", p=12
     )
-    est = sketches.approx_distinct_words(ds, "text", p=12)
     return pd.DataFrame({"distinct_words_hll": [round(est, 6)]})
 
 
@@ -1878,16 +1504,10 @@ def _q_events_bottomk_sample(sf_dir: str):
     """Deterministic bottom-k uniform sample (k=100) of events by sha256
     priority of event_id — reproducible across runs/partitionings, and
     exactly recomputable in SQL (ORDER BY the same hash)."""
-    import ray.data as rd
-
     from flashray.datapipe import sketches
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type"],
-    )
-    tbl = sketches.bottomk_sample(ds, 100, "event_id")
-    return tbl.to_pandas()
+    ds = _table(sf_dir, "events", "event_id", "user_id", "event_type")
+    return sketches.bottomk_sample(ds, 100, "event_id").to_pandas()
 
 
 def _user_hour_pairs(sf_dir: str):
@@ -1897,10 +1517,7 @@ def _user_hour_pairs(sf_dir: str):
     dedups its rows and forms the pairs with 5 vectorized self-merges."""
     from flashray.joins import bucket_map
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts"],
-    )
+    ds = _table(sf_dir, "events", "user_id", "event_type", "ts")
 
     def project(b: pa.Table) -> pa.Table:
         ts = (
@@ -1946,44 +1563,36 @@ def _user_hour_pairs(sf_dir: str):
     )
 
 
+@functools.cache
 def _user_succession_edges(sf_dir: str):
     """User-succession DAG from events: edge u→v when u and v have events
-    of the same type in the same hour and 0 < v−u ≤ 5 (shared by both
-    HyperBall backends)."""
+    of the same type in the same hour and 0 < v−u ≤ 5. The extraction is
+    ~4 all-to-alls over events and a dozen queries() entries start from
+    it, so it runs once per process into an immutable materialized
+    Dataset."""
     from flashray.joins import bucket_group_agg
 
     prs = _user_hour_pairs(sf_dir).map_batches(
         lambda b: b.select(["src", "dst"]), batch_format="pyarrow"
     )
-    return bucket_group_agg(prs, ["src", "dst"], None)
+    return bucket_group_agg(prs, ["src", "dst"], None).materialize()
 
 
-def _user_succession_edges_cached(sf_dir: str):
-    """Materialized memo of :func:`_user_succession_edges`. The extraction
-    is ~4 all-to-alls over events; a dozen queries() entries start from
-    this same edge table, so extract once per process and share the
-    immutable materialized Dataset."""
-    key = f"useredges_{_tier(sf_dir)}"
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = _user_succession_edges(sf_dir).materialize()
-    return _GRAPH_CACHE[key]
+def _lift(edges):
+    """Bare user edges (src, dst[, weight]) lifted to EDGE_SCHEMA."""
+    from flashray.convert import to_edge_schema
+
+    return to_edge_schema(edges, etype="succ")
 
 
-def _succ_edge_schema(b: pa.Table) -> pa.Table:
-    from flashray.fixtures import EPOCH_US
+def _build(edges, name: str, **kwargs):
+    """Build a 4-partition graph of EDGE_SCHEMA ``edges`` at a fresh path."""
+    from flashray.build import build_graph
 
-    n = len(b)
-    return pa.table(
-        {
-            "src": b["src"].cast(pa.int64()),
-            "dst": b["dst"].cast(pa.int64()),
-            "etype": pa.array(["succ"] * n, type=pa.string()),
-            "weight": pa.array(np.ones(n)),
-            "ts": pa.array(np.full(n, EPOCH_US), type=pa.timestamp("us")),
-        }
-    )
+    return build_graph(edges, _scratch(name), num_partitions=4, **kwargs)
 
 
+@functools.cache
 def _user_graph(sf_dir: str, *, symmetrize: bool):
     """Shared memoized build of the user-succession graph. A dozen
     queries() entries run different algorithms over the SAME graph; the
@@ -1991,21 +1600,8 @@ def _user_graph(sf_dir: str, *, symmetrize: bool):
     (sf_dir, symmetrize) instead of per query cuts minutes of repeated
     identical build shuffles out of the sweep budget. READ-ONLY: callers
     that mutate the graph (add_edges) must build their own copy."""
-    key = f"usershared_{'sym' if symmetrize else 'dir'}_{_tier(sf_dir)}"
-    if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
-    import shutil
-
-    from flashray.build import build_graph
-
-    edges = _user_succession_edges_cached(sf_dir).map_batches(
-        _succ_edge_schema, batch_format="pyarrow"
-    )
-    path = os.path.join(_CACHE_ROOT, "graphs", key)
-    shutil.rmtree(path, ignore_errors=True)
-    g = build_graph(edges, path, num_partitions=4, symmetrize=symmetrize)
-    _GRAPH_CACHE[key] = g
-    return g
+    edges = _lift(_user_succession_edges(sf_dir))
+    return _build(edges, "user", symmetrize=symmetrize)
 
 
 def _q_hyperball_user(sf_dir: str):
@@ -2023,25 +1619,25 @@ def _q_hyperball_user(sf_dir: str):
     HyperBall query shape. Two partitions: on the sf0.01 graph (534
     edges) the graph build is nearly all of the cost, and each partition
     adds its own parquet directories to write."""
-    import tempfile
-
     from flashray import hyperball as hb
 
-    edges = _user_succession_edges_cached(sf_dir)
-    with tempfile.TemporaryDirectory(prefix="hb_eng_") as scratch:
-        df = hb.hyperball_engine(
-            edges,
-            os.path.join(scratch, "g"),
-            p=8,
-            max_iters=5,
-            num_partitions=2,
-        )
-    out = df[["vertex_id", "ball_est"]].rename(
-        columns={"vertex_id": "user_id"}
+    df = hb.hyperball_engine(
+        _user_succession_edges(sf_dir),
+        _scratch("hyperball"),
+        p=8,
+        max_iters=5,
+        num_partitions=2,
     )
-    out["user_id"] = out["user_id"].astype(np.int64)
-    out["ball_est"] = out["ball_est"].round(6)
-    return out
+    return _out(
+        df, ["user_id", "ball_est"], rename={"vertex_id": "user_id"},
+        ints=["user_id"], r6=["ball_est"],
+    )
+
+
+def _smallest_ids(g, k: int) -> list[int]:
+    """The ``k`` smallest vertex ids of ``g``, ascending."""
+    v = g.vertices_dataset(columns=["vertex_id"]).to_pandas()["vertex_id"]
+    return sorted(v.nsmallest(k).astype(np.int64).tolist())
 
 
 def _q_landmark_distances_user(sf_dir: str):
@@ -2052,22 +1648,13 @@ def _q_landmark_distances_user(sf_dir: str):
     from flashray import algorithms
 
     g = _user_graph(sf_dir, symmetrize=False)
-    lms = (
-        g.vertices_dataset(columns=["vertex_id"])
-        .to_pandas()["vertex_id"]
-        .nsmallest(3)
-        .astype(np.int64)
-        .tolist()
-    )
-    out = algorithms.landmark_distances(g, sorted(lms))
+    lms = _smallest_ids(g, 3)
+    out = algorithms.landmark_distances(g, lms)
     out = out.rename(
-        columns={
-            f"dist_{int(s)}": f"dist_l{i}" for i, s in enumerate(sorted(lms))
-        }
-    ).rename(columns={"vertex_id": "user_id"})
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
+        columns={"vertex_id": "user_id"}
+        | {f"dist_{s}": f"dist_l{i}" for i, s in enumerate(lms)}
+    )
+    return _out(out, ints=out.columns)
 
 
 def _q_embeddings_outliers(sf_dir: str):
@@ -2075,25 +1662,14 @@ def _q_embeddings_outliers(sf_dir: str):
     lowest-id quantizer as embeddings_kmeans so the SQL oracle replays
     the clustering): dist = 6-dp euclidean to the nearest centroid,
     is_outlier = dist > exact p90 (quantile_disc-bit-matched gate)."""
-    from flashray.datapipe import kmeans, similarity
+    from flashray.datapipe import similarity
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
+    ds = _table(sf_dir, "embeddings", "vec_id", "embedding")
+    out = similarity.centroid_outliers(ds, centroids=_kmeans4(ds), pct=0.9)
+    return _out(
+        out, ["vec_id", "cluster", "dist", "is_outlier"],
+        ints=["vec_id", "cluster", "is_outlier"], r6=["dist"], sort="vec_id",
     )
-    cents, _ = kmeans.kmeans(
-        ds, k=4, max_iters=1, tol=0.0, init="lowest_ids", concurrency=4
-    )
-    out = (
-        similarity.centroid_outliers(ds, centroids=cents, pct=0.9)
-        .to_pandas()
-        .sort_values("vec_id")
-        .reset_index(drop=True)
-    )
-    for c in ("vec_id", "cluster", "is_outlier"):
-        out[c] = out[c].astype(np.int64)
-    out["dist"] = out["dist"].round(6)
-    return out[["vec_id", "cluster", "dist", "is_outlier"]]
 
 
 def _q_embeddings_diversity(sf_dir: str):
@@ -2102,10 +1678,7 @@ def _q_embeddings_diversity(sf_dir: str):
     diversity dashboard number."""
     from flashray.datapipe.similarity import embedding_diversity
 
-    emb = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["embedding"]
-    )
-    return embedding_diversity(emb)
+    return embedding_diversity(_table(sf_dir, "embeddings", "embedding"))
 
 
 def _q_embeddings_prototype(sf_dir: str):
@@ -2115,20 +1688,11 @@ def _q_embeddings_prototype(sf_dir: str):
     the oracle rebuilds the prototypes with the kmeans-oracle AVG idiom."""
     from flashray.datapipe.ml import prototype_classify
 
-    emb = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "label", "embedding"],
+    emb = _table(sf_dir, "embeddings", "vec_id", "label", "embedding")
+    return _out(
+        prototype_classify(emb), ["vec_id", "pred", "dist"],
+        ints=["vec_id", "pred"], r6=["dist"], sort="vec_id",
     )
-    out = (
-        prototype_classify(emb)
-        .to_pandas()
-        .sort_values("vec_id")
-        .reset_index(drop=True)
-    )
-    out["vec_id"] = out["vec_id"].astype(np.int64)
-    out["pred"] = out["pred"].astype(np.int64)
-    out["dist"] = out["dist"].round(6)
-    return out[["vec_id", "pred", "dist"]]
 
 
 def _q_embeddings_kcenter(sf_dir: str):
@@ -2138,13 +1702,8 @@ def _q_embeddings_kcenter(sf_dir: str):
     with list_inner_product + the same rounding."""
     from flashray.datapipe.similarity import kcenter_coreset
 
-    emb = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    out = kcenter_coreset(emb, 5)
-    out["radius"] = out["radius"].round(6)
-    return out
+    emb = _table(sf_dir, "embeddings", "vec_id", "embedding")
+    return _out(kcenter_coreset(emb, 5), r6=["radius"])
 
 
 def _kcenter_sql(k: int) -> str:
@@ -2200,20 +1759,26 @@ def _q_closeness_user(sf_dir: str):
     from flashray import algorithms
 
     g = _user_graph(sf_dir, symmetrize=False)
-    lms = (
-        g.vertices_dataset(columns=["vertex_id"])
-        .to_pandas()["vertex_id"]
-        .nsmallest(3)
-        .astype(np.int64)
-        .tolist()
+    out = algorithms.closeness_centrality(g, landmarks=_smallest_ids(g, 3))
+    return _out(
+        out, ["user_id", "reached", "closeness", "harmonic"],
+        rename={"vertex_id": "user_id"}, ints=["user_id", "reached"],
+        r6=["closeness", "harmonic"],
     )
-    out = algorithms.closeness_centrality(g, landmarks=sorted(lms))
-    out = out.rename(columns={"vertex_id": "user_id"})
-    out["user_id"] = out["user_id"].astype(np.int64)
-    out["reached"] = out["reached"].astype(np.int64)
-    out["closeness"] = out["closeness"].round(6)
-    out["harmonic"] = out["harmonic"].round(6)
-    return out[["user_id", "reached", "closeness", "harmonic"]]
+
+
+@functools.cache
+def _weighted_user_graph(sf_dir: str):
+    """The directed user graph with weights w(u→v) = 1 + (u % 3)."""
+
+    def add_w(b: pa.Table) -> pa.Table:
+        s = b["src"].to_numpy(zero_copy_only=False)
+        return b.append_column(
+            "weight", pa.array(1.0 + (s % 3).astype(np.float64))
+        )
+
+    edges = _user_succession_edges(sf_dir).map_batches(add_w, batch_format="pyarrow")
+    return _build(_lift(edges), "userweighted")
 
 
 def _q_sssp_user(sf_dir: str):
@@ -2223,40 +1788,15 @@ def _q_sssp_user(sf_dir: str):
     vertex have different costs, so min-over-paths is actually exercised.
     Oracle: recursive CTE enumerating (vertex, path-cost) pairs, MIN per
     vertex; -1 = unreachable."""
-    import shutil
-
     from flashray import algorithms
-    from flashray.build import build_graph
-    from flashray.convert import to_edge_schema
 
-    key = f"userweighted_{_tier(sf_dir)}"
-    if key not in _GRAPH_CACHE:
-        edges = _user_succession_edges_cached(sf_dir)
-
-        def add_w(b: pa.Table) -> pa.Table:
-            s = b["src"].to_numpy(zero_copy_only=False)
-            return b.append_column(
-                "weight", pa.array(1.0 + (s % 3).astype(np.float64))
-            )
-
-        path = os.path.join(_CACHE_ROOT, "graphs", key)
-        shutil.rmtree(path, ignore_errors=True)
-        _GRAPH_CACHE[key] = build_graph(
-            to_edge_schema(edges.map_batches(add_w, batch_format="pyarrow")),
-            path,
-            num_partitions=4,
-        )
-    g = _GRAPH_CACHE[key]
-    lm = int(
-        g.vertices_dataset(columns=["vertex_id"])
-        .to_pandas()["vertex_id"]
-        .min()
+    g = _weighted_user_graph(sf_dir)
+    df = algorithms.sssp(g, _smallest_ids(g, 1))
+    # integer costs; -1 unreached
+    return _out(
+        df, ["user_id", "dist"], rename={"vertex_id": "user_id", "value": "dist"},
+        ints=["user_id", "dist"],
     )
-    df = algorithms.sssp(g, [lm])
-    out = df.rename(columns={"vertex_id": "user_id"})
-    out["dist"] = out["value"].astype(np.int64)  # integer costs; -1 unreached
-    out["user_id"] = out["user_id"].astype(np.int64)
-    return out[["user_id", "dist"]]
 
 
 def _q_random_walks_user(sf_dir: str):
@@ -2270,20 +1810,17 @@ def _q_random_walks_user(sf_dir: str):
     return walks.corpus_pandas(_user_walk_corpus(sf_dir))
 
 
+@functools.cache
 def _user_walk_corpus(sf_dir: str):
     """Memoized materialized walk corpus (walk_len 4, 1 walk/vertex, sha
     priorities) — shared by random_walks_user and skipgram_pairs_user,
     which consume the SAME walks."""
-    key = f"walkcorpus_{_tier(sf_dir)}"
-    if key not in _GRAPH_CACHE:
-        from flashray import walks
+    from flashray import walks
 
-        edges = _user_succession_edges_cached(sf_dir)
-        _GRAPH_CACHE[key] = walks.random_walks(
-            edges, walk_len=4, walks_per_vertex=1, hash_fn="sha",
-            num_buckets=16,
-        ).materialize()
-    return _GRAPH_CACHE[key]
+    return walks.random_walks(
+        _user_succession_edges(sf_dir), walk_len=4, walks_per_vertex=1,
+        hash_fn="sha", num_buckets=16,
+    ).materialize()
 
 
 def _q_skipgram_pairs_user(sf_dir: str):
@@ -2292,31 +1829,18 @@ def _q_skipgram_pairs_user(sf_dir: str):
     oracle replays the walks in SQL then self-joins within the window."""
     from flashray import walks
 
-    corpus = _user_walk_corpus(sf_dir)
-    out = (
-        walks.skipgram_pairs(corpus, window=2, num_buckets=16)
-        .to_pandas()
-        .sort_values(["center", "context"])
-        .reset_index(drop=True)
-    )
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
+    out = walks.skipgram_pairs(_user_walk_corpus(sf_dir), window=2, num_buckets=16)
+    return _out(out, ints=["center", "context", "n"], sort=["center", "context"])
 
 
 def _q_events_quantiles(sf_dir: str):
     """EXACT distributed quantiles of events.value: global range-
     partitioned sort, each order statistic read via split_at_indices —
     index rule matches DuckDB quantile_disc (ceil(q·n)−1)."""
-    import ray.data as rd
-
     from flashray.datapipe.sketches import exact_quantiles
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "events.parquet"), columns=["value"]
-    )
     qs = [0.01, 0.25, 0.5, 0.75, 0.99]
-    got = exact_quantiles(ds, "value", qs)
+    got = exact_quantiles(_table(sf_dir, "events", "value"), "value", qs)
     return pd.DataFrame(
         {"q": qs, "value": [round(got[q], 6) for q in qs]}
     )
@@ -2327,86 +1851,55 @@ def _q_docs_quality_filter(sf_dir: str):
     duplicate-word fraction <= 0.55, top-2-gram share <= 0.1 — reason
     names the FIRST failing rule; thresholds chosen to split the fixture
     corpus across all outcomes."""
-    import ray.data as rd
-
     from flashray.datapipe.textstats import quality_filter
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    out = quality_filter(
+        docs,
+        min_tokens=20,
+        max_dup_word_frac=0.55,
+        max_top_2gram_frac=0.1,
     )
-    out = (
-        quality_filter(
-            docs,
-            min_tokens=20,
-            max_dup_word_frac=0.55,
-            max_top_2gram_frac=0.1,
-        )
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    return out
+    return _out(out, sort="doc_id")
 
 
 def _q_events_value_rank(sf_dir: str):
     """Exact global ROW_NUMBER + quartile bucket over events by
     (value, event_id): one range-partitioned sort, per-block offsets, no
     row data on the driver."""
-    import ray.data as rd
-
     from flashray.datapipe.sketches import global_rank
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_id", "value"]
+    ev = _table(sf_dir, "events", "event_id", "value")
+    return _out(
+        global_rank(ev, ["value", "event_id"], ntile=4),
+        ["event_id", "value", "rank", "ntile"],
+        ints=["event_id", "rank", "ntile"], sort="event_id",
     )
-    out = global_rank(ev, ["value", "event_id"], ntile=4).to_pandas()
-    for c in ("event_id", "rank", "ntile"):
-        out[c] = out[c].astype(np.int64)
-    return out[["event_id", "value", "rank", "ntile"]].sort_values(
-        "event_id"
-    ).reset_index(drop=True)
 
 
 def _q_docs_stratified_sample(sf_dir: str):
     """Deterministic stratified sample: the 5 docs per language with the
     smallest sha256(doc_id) — reproducible under any partitioning and
     replayed exactly in SQL."""
-    import ray.data as rd
-
     from flashray.datapipe.sketches import stratified_sample
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "lang"]
-    )
-    out = stratified_sample(
-        docs, ["lang"], 5, "doc_id", num_buckets=16
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["lang", "doc_id"]].sort_values(["lang", "doc_id"]).reset_index(
-        drop=True
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "lang")
+    out = stratified_sample(docs, ["lang"], 5, "doc_id", num_buckets=16)
+    return _out(out, ["lang", "doc_id"], ints=["doc_id"], sort=["lang", "doc_id"])
 
 
 def _q_docs_chunks(sf_dir: str):
     """Token-window chunking (context-window prep): 32-token chunks with
     8-token overlap; chunk text = tokens joined by spaces, so the list-
     slicing SQL oracle reproduces it byte-for-byte."""
-    import ray.data as rd
-
     from flashray.datapipe.textstats import chunk_documents
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    out = chunk_documents(docs, chunk_tokens=32, overlap=8, concurrency=4)
+    return _out(
+        out, ["doc_id", "chunk_idx", "n_tokens", "text"],
+        ints=["doc_id", "chunk_idx", "n_tokens"], sort=["doc_id", "chunk_idx"],
     )
-    out = chunk_documents(
-        docs, chunk_tokens=32, overlap=8, concurrency=4
-    ).to_pandas()
-    for c in ("doc_id", "chunk_idx", "n_tokens"):
-        out[c] = out[c].astype(np.int64)
-    return out[["doc_id", "chunk_idx", "n_tokens", "text"]].sort_values(
-        ["doc_id", "chunk_idx"]
-    ).reset_index(drop=True)
 
 
 def _q_docs_redact(sf_dir: str):
@@ -2414,13 +1907,9 @@ def _q_docs_redact(sf_dir: str):
     query plants one email + one phone per document deterministically
     from doc_id (identically in SQL) and redacts — the oracle checks both
     the rewritten text and the per-doc redaction count."""
-    import ray.data as rd
-
     from flashray.datapipe.textstats import redact
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "text")
 
     def plant(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["doc_id"].astype(str)
@@ -2432,14 +1921,11 @@ def _q_docs_redact(sf_dir: str):
         )
         return df
 
-    out = redact(
-        docs.map_batches(plant, batch_format="pandas"), concurrency=4
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_redactions"] = out["n_redactions"].astype(np.int64)
-    return out[["doc_id", "text", "n_redactions"]].sort_values(
-        "doc_id"
-    ).reset_index(drop=True)
+    out = redact(docs.map_batches(plant, batch_format="pandas"), concurrency=4)
+    return _out(
+        out, ["doc_id", "text", "n_redactions"],
+        ints=["doc_id", "n_redactions"], sort="doc_id",
+    )
 
 
 def _q_docs_pack_sequences(sf_dir: str):
@@ -2447,62 +1933,44 @@ def _q_docs_pack_sequences(sf_dir: str):
     windows (no overlap), lay the chunks out in (doc_id, chunk_idx) order
     and cut the token stream into 48-token packs — one exact distributed
     prefix sum, replayed in SQL as a window SUM over the chunk CTE."""
-    import ray.data as rd
-
     from flashray.datapipe.sketches import pack_sequences
     from flashray.datapipe.textstats import chunk_documents
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "text")
     chunks = chunk_documents(
         docs, chunk_tokens=32, overlap=0, concurrency=4
     ).drop_columns(["text"])
-    out = pack_sequences(
-        chunks, ["doc_id", "chunk_idx"], "n_tokens", 48
-    ).to_pandas()
-    for c in ("doc_id", "chunk_idx", "n_tokens", "pack_id", "pack_offset"):
-        out[c] = out[c].astype(np.int64)
-    return out[
-        ["doc_id", "chunk_idx", "n_tokens", "pack_id", "pack_offset"]
-    ].sort_values(["doc_id", "chunk_idx"]).reset_index(drop=True)
+    cols = ["doc_id", "chunk_idx", "n_tokens", "pack_id", "pack_offset"]
+    return _out(
+        pack_sequences(chunks, ["doc_id", "chunk_idx"], "n_tokens", 48),
+        cols, ints=cols, sort=["doc_id", "chunk_idx"],
+    )
 
 
 def _q_docs_top3_per_lang(sf_dir: str):
     """Generic top-k-per-group operator: 3 longest documents per language
     (ties broken by doc_id). Map-side prune bounds the shuffle to
     k rows per key per batch."""
-    import ray.data as rd
-
     from flashray.joins import topk_per_group
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "n_chars"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "lang", "n_chars")
     out = topk_per_group(
         docs, ["lang"], ["n_chars", "doc_id"], 3,
         descending=[True, False], num_buckets=16,
-    ).to_pandas()
-    for c in ("doc_id", "n_chars"):
-        out[c] = out[c].astype(np.int64)
-    return out[["lang", "doc_id", "n_chars"]].sort_values(
-        ["lang", "doc_id"]
-    ).reset_index(drop=True)
+    )
+    return _out(
+        out, ["lang", "doc_id", "n_chars"], ints=["doc_id", "n_chars"],
+        sort=["lang", "doc_id"],
+    )
 
 
 def _q_events_clicks_anti_purchasers(sf_dir: str):
     """Anti semi-join (blocklist filter shape): click events of users who
     never made a purchase above 150; the right side dedups map-side
     before the shuffle."""
-    import ray.data as rd
-
     from flashray.joins import bucket_semi_join
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    )
+    ev = _table(sf_dir, "events", "event_id", "ts", "user_id", "event_type", "value")
     clicks = ev.filter(expr="event_type == 'click'").select_columns(
         ["event_id", "user_id", "ts"]
     )
@@ -2511,12 +1979,11 @@ def _q_events_clicks_anti_purchasers(sf_dir: str):
     ).select_columns(["user_id"])
     out = bucket_semi_join(
         clicks, purchasers, ["user_id"], anti=True, num_buckets=16
-    ).to_pandas()
-    for c in ("event_id", "user_id"):
-        out[c] = out[c].astype(np.int64)
-    return out[["event_id", "user_id", "ts"]].sort_values(
-        "event_id"
-    ).reset_index(drop=True)
+    )
+    return _out(
+        out, ["event_id", "user_id", "ts"], ints=["event_id", "user_id"],
+        sort="event_id",
+    )
 
 
 def _q_events_asof_purchase(sf_dir: str):
@@ -2524,15 +1991,10 @@ def _q_events_asof_purchase(sf_dir: str):
     purchase at or before it (DuckDB ASOF JOIN semantics). The purchase
     side is pre-aggregated to one row per (user, ts) so the match is
     value-deterministic on both systems."""
-    import ray.data as rd
-
     from flashray.datapipe.temporal import asof_join
     from flashray.joins import bucket_group_agg
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    )
+    ev = _table(sf_dir, "events", "event_id", "ts", "user_id", "event_type", "value")
     clicks = ev.filter(expr="event_type == 'click'").map_batches(
         lambda b: b.select(["event_id", "user_id", "ts"]).rename_columns(
             ["click_id", "user_id", "click_ts"]
@@ -2559,22 +2021,17 @@ def _q_events_asof_purchase(sf_dir: str):
         right_ts="purchase_ts",
         how="inner",
         num_buckets=16,
-    ).to_pandas()
+    )
     cols = ["click_id", "user_id", "click_ts", "purchase_ts", "purchase_value"]
-    return out[cols].sort_values("click_id").reset_index(drop=True)
+    return _out(out, cols, sort="click_id")
 
 
 def _q_events_range_purchases(sf_dir: str):
     """Range join: every purchase of the same user inside the 30-minute
     window after a click — interval×point join keyed on user_id."""
-    import ray.data as rd
-
     from flashray.datapipe.temporal import range_join
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    )
+    ev = _table(sf_dir, "events", "event_id", "ts", "user_id", "event_type", "value")
     clicks = ev.filter(expr="event_type == 'click'").map_batches(
         lambda b: b.select(["event_id", "user_id", "ts"]).rename_columns(
             ["click_id", "user_id", "start_ts"]
@@ -2601,11 +2058,9 @@ def _q_events_range_purchases(sf_dir: str):
         right_ts="purchase_ts",
         closed="left",
         num_buckets=16,
-    ).to_pandas()
-    cols = ["click_id", "user_id", "purchase_id", "purchase_ts", "purchase_value"]
-    return (
-        out[cols].sort_values(["click_id", "purchase_id"]).reset_index(drop=True)
     )
+    cols = ["click_id", "user_id", "purchase_id", "purchase_ts", "purchase_value"]
+    return _out(out, cols, sort=["click_id", "purchase_id"])
 
 
 def _q_edge_support_tool_cooccur(sf_dir: str):
@@ -2638,22 +2093,11 @@ def _q_edge_support_tool_cooccur(sf_dir: str):
 def _q_docs_tfidf(sf_dir: str):
     """Top-3 TF-IDF terms per document (tf · ln(N/df), 6-dp-rounded
     ranking with term tie-break so numpy and DuckDB libm agree)."""
-    import ray.data as rd
-
     from flashray.datapipe.textstats import tfidf_top_terms
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
-    out = (
-        tfidf_top_terms(docs, k=3, num_buckets=32)
-        .to_pandas()
-        .sort_values(["doc_id", "term"])
-        .reset_index(drop=True)
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    out = tfidf_top_terms(docs, k=3, num_buckets=32)
+    return _out(out, ints=["doc_id"], sort=["doc_id", "term"])
 
 
 def _q_events_cohorts(sf_dir: str):
@@ -2662,19 +2106,9 @@ def _q_events_cohorts(sf_dir: str):
     later week offset. Two bucket aggregates + one hash join."""
     from flashray.datapipe.temporal import cohort_retention
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts"],
-    )
-    out = (
-        cohort_retention(ev, num_buckets=32)
-        .to_pandas()
-        .sort_values(["cohort", "week_offset"])
-        .reset_index(drop=True)
-    )
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
+    out = cohort_retention(_table(sf_dir, "events", "user_id", "ts"), num_buckets=32)
+    out = out.to_pandas()
+    return _out(out, ints=out.columns, sort=["cohort", "week_offset"])
 
 
 def _q_events_transitions(sf_dir: str):
@@ -2684,19 +2118,11 @@ def _q_events_transitions(sf_dir: str):
     row-normalize the probabilities."""
     from flashray.datapipe.temporal import event_transitions
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "ts"],
+    ev = _table(sf_dir, "events", "event_id", "user_id", "event_type", "ts")
+    return _out(
+        event_transitions(ev, num_buckets=32), ints=["n"], r6=["prob"],
+        sort=["from_type", "to_type"],
     )
-    out = (
-        event_transitions(ev, num_buckets=32)
-        .to_pandas()
-        .sort_values(["from_type", "to_type"])
-        .reset_index(drop=True)
-    )
-    out["n"] = out["n"].astype(np.int64)
-    out["prob"] = out["prob"].round(6)
-    return out
 
 
 def _q_docs_pretrain_corpus(sf_dir: str):
@@ -2707,18 +2133,11 @@ def _q_docs_pretrain_corpus(sf_dir: str):
     three stage oracles' CTEs verbatim."""
     from flashray.datapipe.pipelines import pretrain_corpus
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    return _out(
+        pretrain_corpus(docs, langs=("en",), num_buckets=32),
+        ["doc_id", "lang_pred"], ints=["doc_id"], sort="doc_id",
     )
-    out = (
-        pretrain_corpus(docs, langs=("en",), num_buckets=32)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["doc_id", "lang_pred"]]
 
 
 def _q_docs_nb_lang(sf_dir: str):
@@ -2728,18 +2147,10 @@ def _q_docs_nb_lang(sf_dir: str):
     scores + lang tie-break make the argmax SQL-replayable."""
     from flashray.datapipe import ml
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "text"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "lang", "text")
     model = ml.nb_train(docs, label_col="lang", num_buckets=32)
-    out = (
-        ml.nb_classify(docs, model, num_buckets=32)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
+    out = ml.nb_classify(docs, model, num_buckets=32)
+    out = _out(out, ints=["doc_id"], sort="doc_id")
     out["score"] = out["score"].round(4)
     return out[["doc_id", "pred", "score"]]
 
@@ -2749,20 +2160,11 @@ def _q_docs_mixture_report(sf_dir: str):
     share — one map-side pre-aggregated pass + a tiny bucket aggregate."""
     from flashray.datapipe.textstats import mixture_report
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "lang", "text"],
+    docs = _table(sf_dir, "documents", "source", "lang", "text")
+    return _out(
+        mixture_report(docs, num_buckets=32), ints=["n_docs", "n_tokens"],
+        r6=["token_share"], sort=["source", "lang"],
     )
-    out = (
-        mixture_report(docs, num_buckets=32)
-        .to_pandas()
-        .sort_values(["source", "lang"])
-        .reset_index(drop=True)
-    )
-    out["n_docs"] = out["n_docs"].astype(np.int64)
-    out["n_tokens"] = out["n_tokens"].astype(np.int64)
-    out["token_share"] = out["token_share"].round(6)
-    return out
 
 
 def _q_docs_resample_mixture(sf_dir: str):
@@ -2773,25 +2175,17 @@ def _q_docs_resample_mixture(sf_dir: str):
     per-lang (n_docs, n_tokens) rollup."""
     from flashray.datapipe.textstats import resample_mixture
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "text"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "lang", "text")
     out = resample_mixture(
         docs,
         {"en": 2, "de": 1, "es": 1, "fr": 1, "zh": 1},
         group_col="lang",
         num_buckets=8,
     ).to_pandas()
-    agg = (
-        out.groupby("lang", as_index=False)
-        .agg(n_docs=("doc_id", "count"), n_tokens=("n_tokens", "sum"))
-        .sort_values("lang")
-        .reset_index(drop=True)
+    agg = out.groupby("lang", as_index=False).agg(
+        n_docs=("doc_id", "count"), n_tokens=("n_tokens", "sum")
     )
-    agg["n_docs"] = agg["n_docs"].astype(np.int64)
-    agg["n_tokens"] = agg["n_tokens"].astype(np.int64)
-    return agg
+    return _out(agg, ints=["n_docs", "n_tokens"], sort="lang")
 
 
 def _q_docs_hashed_features(sf_dir: str):
@@ -2799,19 +2193,11 @@ def _q_docs_hashed_features(sf_dir: str):
     per-doc encoding, sha-cell replayable in SQL."""
     from flashray.datapipe.ml import hashed_features
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    return _out(
+        hashed_features(docs, d=64), ints=["doc_id", "feature", "value"],
+        sort=["doc_id", "feature"],
     )
-    out = (
-        hashed_features(docs, d=64)
-        .to_pandas()
-        .sort_values(["doc_id", "feature"])
-        .reset_index(drop=True)
-    )
-    for c in ("doc_id", "feature", "value"):
-        out[c] = out[c].astype(np.int64)
-    return out
 
 
 def _q_docs_dsir_weights(sf_dir: str):
@@ -2820,26 +2206,22 @@ def _q_docs_dsir_weights(sf_dir: str):
     add-one smoothing, per-doc log-likelihood-ratio sums. Zero-shuffle
     dataflow; the oracle replays the cell counts and ratio sums in SQL.
     Output (doc_id, logweight) at 6 dp."""
+    import pyarrow.compute as pc
+
     from flashray.datapipe.ml import dsir_weights
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang"],
-    ).materialize()
+    docs = _table(sf_dir, "documents", "doc_id", "text", "lang").materialize()
 
     def en_only(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return b.filter(pc.equal(b["lang"], "en"))
 
     out = dsir_weights(
         docs, docs.map_batches(en_only, batch_format="pyarrow"),
         n=2, d=1024, concurrency=4,
-    ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["logweight"] = out["logweight"].round(6)
-    return out[["doc_id", "logweight"]].sort_values("doc_id").reset_index(
-        drop=True
+    )
+    return _out(
+        out, ["doc_id", "logweight"], ints=["doc_id"], r6=["logweight"],
+        sort="doc_id",
     )
 
 
@@ -2850,14 +2232,9 @@ def _q_docs_nb_confusion(sf_dir: str):
     from flashray.datapipe import ml
     from flashray.joins import bucket_hash_join
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "text"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "lang", "text")
     model = ml.nb_train(docs, label_col="lang", num_buckets=32)
     preds = ml.nb_classify(docs, model, num_buckets=32)
-    import pyarrow as pa
-
     truth = docs.map_batches(
         lambda b: pa.table(
             {"doc_id": b["doc_id"].cast(pa.int64()), "lang": b["lang"]}
@@ -2874,14 +2251,8 @@ def _q_docs_nb_confusion(sf_dir: str):
              ("score", pa.float64())]
         ),
     )
-    out = (
-        ml.confusion(j, truth_col="lang", pred_col="pred", num_buckets=32)
-        .to_pandas()
-        .sort_values(["truth", "pred"])
-        .reset_index(drop=True)
-    )
-    out["n"] = out["n"].astype(np.int64)
-    return out
+    out = ml.confusion(j, truth_col="lang", pred_col="pred", num_buckets=32)
+    return _out(out, ints=["n"], sort=["truth", "pred"])
 
 
 def _q_docs_source_overlap(sf_dir: str):
@@ -2890,20 +2261,11 @@ def _q_docs_source_overlap(sf_dir: str):
     bipartite projection with the n-gram as the bounded-degree center."""
     from flashray.datapipe.textstats import source_overlap
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "text"],
+    docs = _table(sf_dir, "documents", "source", "text")
+    return _out(
+        source_overlap(docs, n=3, num_buckets=32), ints=["cn"],
+        r6=["jaccard", "cosine"], sort=["u", "v"],
     )
-    out = (
-        source_overlap(docs, n=3, num_buckets=32)
-        .to_pandas()
-        .sort_values(["u", "v"])
-        .reset_index(drop=True)
-    )
-    out["cn"] = out["cn"].astype(np.int64)
-    out["jaccard"] = out["jaccard"].round(6)
-    out["cosine"] = out["cosine"].round(6)
-    return out
 
 
 def _user_temporal_edges(sf_dir: str):
@@ -2931,16 +2293,10 @@ def _q_temporal_reachability_user(sf_dir: str):
     frontier rounds, exact integer mins; recursive-CTE SQL replay."""
     from flashray.datapipe.temporal import temporal_reachability
 
-    edges = _user_temporal_edges(sf_dir)
-    out = (
-        temporal_reachability(edges, [0], t0=_REACH_T0, num_buckets=32)
-        .to_pandas()
-        .sort_values("vertex_id")
-        .reset_index(drop=True)
+    out = temporal_reachability(
+        _user_temporal_edges(sf_dir), [0], t0=_REACH_T0, num_buckets=32
     )
-    out["vertex_id"] = out["vertex_id"].astype(np.int64)
-    out["arrival"] = out["arrival"].astype(np.int64)
-    return out
+    return _out(out, ints=["vertex_id", "arrival"], sort="vertex_id")
 
 
 def _q_rmat_degree_stats(sf_dir: str):
@@ -2973,20 +2329,11 @@ def _q_events_interevent(sf_dir: str):
     replay)."""
     from flashray.datapipe.temporal import interevent_stats
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "ts"],
+    ev = _table(sf_dir, "events", "event_id", "user_id", "event_type", "ts")
+    return _out(
+        interevent_stats(ev, num_buckets=32), ints=["n_gaps"],
+        r6=["mean_gap_s", "std_gap_s", "burstiness"], sort="event_type",
     )
-    out = (
-        interevent_stats(ev, num_buckets=32)
-        .to_pandas()
-        .sort_values("event_type")
-        .reset_index(drop=True)
-    )
-    out["n_gaps"] = out["n_gaps"].astype(np.int64)
-    for c in ("mean_gap_s", "std_gap_s", "burstiness"):
-        out[c] = out[c].round(6)
-    return out
 
 
 def _q_events_session_cooccur(sf_dir: str):
@@ -2995,21 +2342,11 @@ def _q_events_session_cooccur(sf_dir: str):
     pair pre-counts, one tagged aggregate, two tiny joins."""
     from flashray.datapipe.temporal import session_cooccurrence
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "ts"],
+    ev = _table(sf_dir, "events", "event_id", "user_id", "event_type", "ts")
+    return _out(
+        session_cooccurrence(ev, num_buckets=32), ints=["n_ab", "n_a", "n_b"],
+        r6=["support", "lift"], sort=["a", "b"],
     )
-    out = (
-        session_cooccurrence(ev, num_buckets=32)
-        .to_pandas()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
-    for c in ("n_ab", "n_a", "n_b"):
-        out[c] = out[c].astype(np.int64)
-    out["support"] = out["support"].round(6)
-    out["lift"] = out["lift"].round(6)
-    return out
 
 
 def _q_events_rate_anomalies(sf_dir: str):
@@ -3018,20 +2355,11 @@ def _q_events_rate_anomalies(sf_dir: str):
     tree shared with the SQL replay."""
     from flashray.datapipe.temporal import rate_anomalies
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "ts"],
+    ev = _table(sf_dir, "events", "event_type", "ts")
+    return _out(
+        rate_anomalies(ev, z_thresh=2.0, num_buckets=32),
+        ints=["window", "n", "is_anomaly"], r6=["z"], sort=["event_type", "window"],
     )
-    out = (
-        rate_anomalies(ev, z_thresh=2.0, num_buckets=32)
-        .to_pandas()
-        .sort_values(["event_type", "window"])
-        .reset_index(drop=True)
-    )
-    for c in ("window", "n", "is_anomaly"):
-        out[c] = out[c].astype(np.int64)
-    out["z"] = out["z"].round(6)
-    return out
 
 
 def _q_events_decayed_scores(sf_dir: str):
@@ -3041,19 +2369,9 @@ def _q_events_decayed_scores(sf_dir: str):
     one bucket aggregate."""
     from flashray.datapipe.temporal import decayed_user_scores
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "value"],
-    )
-    out = (
-        decayed_user_scores(ev, ref_ts="2024-02-01 00:00:00", num_buckets=32)
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    out["user_id"] = out["user_id"].astype(np.int64)
-    out["score"] = out["score"].round(6)
-    return out
+    ev = _table(sf_dir, "events", "user_id", "ts", "value")
+    out = decayed_user_scores(ev, ref_ts="2024-02-01 00:00:00", num_buckets=32)
+    return _out(out, ints=["user_id"], r6=["score"], sort="user_id")
 
 
 def _q_events_session_paths(sf_dir: str):
@@ -3063,10 +2381,7 @@ def _q_events_session_paths(sf_dir: str):
     sort/limit."""
     from flashray.datapipe.temporal import session_paths
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "ts"],
-    )
+    ev = _table(sf_dir, "events", "event_id", "user_id", "event_type", "ts")
     return session_paths(ev, max_len=8, k=25, num_buckets=32)
 
 
@@ -3076,17 +2391,12 @@ def _q_events_weighted_sample(sf_dir: str):
     sort+limit reduce; the oracle recomputes every key in SQL."""
     from flashray.datapipe.sketches import weighted_sample
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "value"],
+    ev = _table(sf_dir, "events", "event_id", "value")
+    out = weighted_sample(ev, 64, weight_col="value", id_col="event_id")
+    return _out(
+        out, ["event_id", "value", "key"], rename={"__key": "key"},
+        ints=["event_id"], r6=["key"],
     )
-    out = weighted_sample(
-        ev, 64, weight_col="value", id_col="event_id"
-    ).to_pandas()
-    out = out.rename(columns={"__key": "key"})
-    out["event_id"] = out["event_id"].astype(np.int64)
-    out["key"] = out["key"].round(6)
-    return out[["event_id", "value", "key"]]
 
 
 def _q_events_hist_quantiles(sf_dir: str):
@@ -3097,10 +2407,9 @@ def _q_events_hist_quantiles(sf_dir: str):
     estimates bit-identically (6-dp rounded output)."""
     from flashray.datapipe.sketches import histogram_quantiles
 
-    ev = _read_pq(os.path.join(sf_dir, "events.parquet"), columns=["value"])
+    ev = _table(sf_dir, "events", "value")
     out = histogram_quantiles(ev, "value", [0.1, 0.5, 0.9, 0.99], bins=256)
-    out["est"] = out["est"].round(6)
-    return out
+    return _out(out, r6=["est"])
 
 
 def _q_events_type_cooccur(sf_dir: str):
@@ -3109,22 +2418,11 @@ def _q_events_type_cooccur(sf_dir: str):
     the user (center) side, vectorized in-bucket pair expansion."""
     from flashray.triangles import bipartite_project
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type"],
+    ev = _table(sf_dir, "events", "user_id", "event_type")
+    out = bipartite_project(
+        ev, left_col="event_type", right_col="user_id", num_buckets=32
     )
-    out = (
-        bipartite_project(
-            ev, left_col="event_type", right_col="user_id", num_buckets=32
-        )
-        .to_pandas()
-        .sort_values(["u", "v"])
-        .reset_index(drop=True)
-    )
-    out["cn"] = out["cn"].astype(np.int64)
-    out["jaccard"] = out["jaccard"].round(6)
-    out["cosine"] = out["cosine"].round(6)
-    return out
+    return _out(out, ints=["cn"], r6=["jaccard", "cosine"], sort=["u", "v"])
 
 
 def _q_events_funnel(sf_dir: str):
@@ -3133,10 +2431,7 @@ def _q_events_funnel(sf_dir: str):
     table + one bucket min-aggregate."""
     from flashray.datapipe.temporal import funnel_counts
 
-    ev = _read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "event_type", "ts"],
-    )
+    ev = _table(sf_dir, "events", "user_id", "event_type", "ts")
     return funnel_counts(
         ev, ["view", "click", "purchase"], num_buckets=32
     )
@@ -3151,10 +2446,7 @@ def _q_docs_cms_counts(sf_dir: str):
     every register cell in SQL (HLL-oracle pattern)."""
     from flashray.datapipe.sketches import cms_term_estimates
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "text")
     return cms_term_estimates(docs, _CMS_PROBES, w=1024, d=4)
 
 
@@ -3164,10 +2456,7 @@ def _q_docs_zipf_alpha(sf_dir: str):
     (n, Σ ln) fold."""
     from flashray.datapipe.textstats import zipf_alpha
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "text")
     alpha, n_tail = zipf_alpha(docs, c_min=2, num_buckets=32)
     return pd.DataFrame(
         {"alpha": [round(float(alpha), 6)], "n_tail": [np.int64(n_tail)]}
@@ -3180,18 +2469,9 @@ def _q_docs_frequent_terms(sf_dir: str):
     guaranteed candidate superset → broadcast exact recount."""
     from flashray.datapipe.sketches import frequent_terms
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
-    out = (
-        frequent_terms(docs, threshold=0.003, num_buckets=32)
-        .to_pandas()
-        .sort_values("term")
-        .reset_index(drop=True)
-    )
-    out["cnt"] = out["cnt"].astype(np.int64)
-    return out
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    out = frequent_terms(docs, threshold=0.003, num_buckets=32)
+    return _out(out, ints=["cnt"], sort="term")
 
 
 def _q_docs_dedup_keep_best(sf_dir: str):
@@ -3200,19 +2480,9 @@ def _q_docs_dedup_keep_best(sf_dir: str):
     group — one packed-int64 bucket aggregate, no argmax self-join."""
     from flashray.datapipe.dedup import dedup_keep_best
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "n_chars"],
-    )
-    out = (
-        dedup_keep_best(docs, num_buckets=32)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_dups"] = out["n_dups"].astype(np.int64)
-    return out
+    docs = _table(sf_dir, "documents", "doc_id", "text", "n_chars")
+    out = dedup_keep_best(docs, num_buckets=32)
+    return _out(out, ints=["doc_id", "n_dups"], sort="doc_id")
 
 
 def _q_docs_lm_logprob(sf_dir: str):
@@ -3222,38 +2492,22 @@ def _q_docs_lm_logprob(sf_dir: str):
     noise; n_ngrams is the exact-integer anchor."""
     from flashray.datapipe.textstats import ngram_lm_logprob
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
-    out = (
-        ngram_lm_logprob(docs, n=2, num_buckets=32)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    out["n_ngrams"] = out["n_ngrams"].astype(np.int64)
-    return out
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    out = ngram_lm_logprob(docs, n=2, num_buckets=32)
+    return _out(out, ints=["doc_id", "n_ngrams"], sort="doc_id")
 
 
 def _q_docs_hash_split(sf_dir: str):
     """Deterministic leakage-safe train/val/test assignment: split =
     which cumulative band sha256(doc_id) falls in — exact integer band
     bounds shared with the SQL replay via sketches.split_thresholds."""
-    import ray.data as rd
-
     from flashray.datapipe.sketches import hash_split
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
-    )
     out = hash_split(
-        docs, key_col="doc_id",
+        _table(sf_dir, "documents", "doc_id"), key_col="doc_id",
         fractions={"train": 0.8, "val": 0.1, "test": 0.1},
-    ).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["doc_id", "split"]]
+    )
+    return _out(out, ["doc_id", "split"], ints=["doc_id"], sort="doc_id")
 
 
 def _q_reciprocity_user(sf_dir: str):
@@ -3264,22 +2518,7 @@ def _q_reciprocity_user(sf_dir: str):
     direction flags per unordered pair; oracle replays in SQL."""
     from flashray import algorithms
 
-    edges = _user_succession_edges_cached(sf_dir)
-
-    def add_rev(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        d = b["dst"].to_numpy(zero_copy_only=False)
-        m = (s + d) % 3 == 0
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([s, d[m]])),
-                "dst": pa.array(np.concatenate([d, s[m]])),
-            }
-        )
-
-    r = algorithms.reciprocity(
-        edges.map_batches(add_rev, batch_format="pyarrow")
-    )
+    r = algorithms.reciprocity(_with_reverses(_user_succession_edges(sf_dir), 3))
     return pd.DataFrame({"reciprocity": [round(float(r), 6)]})
 
 
@@ -3290,7 +2529,7 @@ def _q_assortativity_user(sf_dir: str):
     pass. Oracle: DuckDB corr() over the same degree joins, 6 dp."""
     from flashray import algorithms
 
-    edges = _user_succession_edges_cached(sf_dir)
+    edges = _user_succession_edges(sf_dir)
     r = algorithms.degree_assortativity(edges, num_buckets=32)
     return pd.DataFrame({"assortativity": [round(float(r), 6)]})
 
@@ -3300,7 +2539,7 @@ def _q_richclub_user(sf_dir: str):
     one degree aggregate + two hash joins + O(ks) driver scalars."""
     from flashray import algorithms
 
-    edges = _user_succession_edges_cached(sf_dir)
+    edges = _user_succession_edges(sf_dir)
     return algorithms.rich_club(edges, [1, 2, 4], num_buckets=32)
 
 
@@ -3310,7 +2549,7 @@ def _q_powerlaw_user(sf_dir: str):
     streaming (n, Σ ln) fold — two scalars on the driver."""
     from flashray import algorithms
 
-    edges = _user_succession_edges_cached(sf_dir)
+    edges = _user_succession_edges(sf_dir)
     alpha, n_tail = algorithms.powerlaw_alpha(edges, d_min=2, num_buckets=32)
     return pd.DataFrame(
         {"alpha": [round(float(alpha), 6)], "n_tail": [np.int64(n_tail)]}
@@ -3325,19 +2564,8 @@ def _q_egonet_user(sf_dir: str):
     from flashray import api
 
     g = _user_graph(sf_dir, symmetrize=False)
-    vids = g.vertices_dataset(columns=["vertex_id"]).to_pandas()[
-        "vertex_id"
-    ]
-    seeds = sorted(vids.nsmallest(2).astype(int).tolist())
-    out = (
-        api.egonet_edges(g, seeds, hops=2)
-        .to_pandas()[["src", "dst"]]
-        .sort_values(["src", "dst"])
-        .reset_index(drop=True)
-    )
-    out["src"] = out["src"].astype(np.int64)
-    out["dst"] = out["dst"].astype(np.int64)
-    return out
+    out = api.egonet_edges(g, _smallest_ids(g, 2), hops=2)
+    return _out(out, ["src", "dst"], ints=["src", "dst"], sort=["src", "dst"])
 
 
 def _q_docs_line_dedup(sf_dir: str):
@@ -3346,22 +2574,11 @@ def _q_docs_line_dedup(sf_dir: str):
     vocabulary makes every common word a HOT key — exercising the
     salt-replicated stats join). Every word occurrence except the
     globally-first is dropped when the word appears >= 2 times."""
-    import ray.data as rd
-
     from flashray.datapipe.dedup import line_dedup
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
-    out = (
-        line_dedup(docs, sep=" ", num_buckets=32, salt_buckets=8)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    out = line_dedup(docs, sep=" ", num_buckets=32, salt_buckets=8)
+    return _out(out, ints=["doc_id"], sort="doc_id")
 
 
 def _q_neighbor_sample_user(sf_dir: str):
@@ -3372,36 +2589,18 @@ def _q_neighbor_sample_user(sf_dir: str):
     from flashray import api
 
     g = _user_graph(sf_dir, symmetrize=False)
-    vids = g.vertices_dataset(columns=["vertex_id"]).to_pandas()[
-        "vertex_id"
-    ]
-    seeds = sorted(vids.nsmallest(2).astype(int).tolist())
-    out = (
-        api.neighbor_sample(g, seeds, [3, 2], num_buckets=16)
-        .to_pandas()
-        .sort_values(["hop", "src", "dst"])
-        .reset_index(drop=True)
-    )
-    for c in ("hop", "src", "dst"):
-        out[c] = out[c].astype(np.int64)
-    return out
+    out = api.neighbor_sample(g, _smallest_ids(g, 2), [3, 2], num_buckets=16)
+    return _out(out, ints=["hop", "src", "dst"], sort=["hop", "src", "dst"])
 
 
-_BPE_CACHE: dict = {}
-
-
+@functools.cache
 def _bpe_model(sf_dir: str):
-    """Memoized BPE model (8 merges) over documents — two queries share
-    the training run inside one driver sweep (the _user_graph idiom)."""
-    key = f"bpe8_{_tier(sf_dir)}"
-    if key not in _BPE_CACHE:
-        from flashray.datapipe.bpe import bpe_train
+    """Memoized BPE model (8 merges) over documents — three queries share
+    the training run inside one driver sweep."""
+    from flashray.datapipe.bpe import bpe_train
 
-        docs = _read_pq(
-            os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-        )
-        _BPE_CACHE[key] = bpe_train(docs, num_merges=8, num_buckets=32)
-    return _BPE_CACHE[key]
+    docs = _table(sf_dir, "documents", "text")
+    return bpe_train(docs, num_merges=8, num_buckets=32)
 
 
 def _q_docs_bpe_merges(sf_dir: str):
@@ -3411,11 +2610,8 @@ def _q_docs_bpe_merges(sf_dir: str):
     The fixed-round SQL replay reproduces it bit-exactly (every round's
     winning count is >= 2 at sweep scale, so the library's early-stop
     never fires)."""
-    m = _bpe_model(sf_dir)["merges"].copy()
-    m = m.rename(columns={"count": "pair_count"})
-    for c in m.columns:
-        m[c] = m[c].astype(np.int64)
-    return m.sort_values("rank").reset_index(drop=True)
+    m = _bpe_model(sf_dir)["merges"].rename(columns={"count": "pair_count"})
+    return _out(m, ints=m.columns, sort="rank")
 
 
 def _q_docs_bpe_token_stats(sf_dir: str):
@@ -3425,20 +2621,12 @@ def _q_docs_bpe_token_stats(sf_dir: str):
     lengths + one aggregate."""
     from flashray.datapipe.bpe import bpe_token_stats
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "text"],
+    docs = _table(sf_dir, "documents", "source", "text")
+    out = bpe_token_stats(docs, _bpe_model(sf_dir), by="source", num_buckets=32)
+    return _out(
+        out, ["source", "n_words", "n_bpe_tokens"],
+        ints=["n_words", "n_bpe_tokens"], sort="source",
     )
-    out = (
-        bpe_token_stats(docs, _bpe_model(sf_dir), by="source",
-                        num_buckets=32)
-        .to_pandas()
-        .sort_values("source")
-        .reset_index(drop=True)
-    )
-    out["n_words"] = out["n_words"].astype(np.int64)
-    out["n_bpe_tokens"] = out["n_bpe_tokens"].astype(np.int64)
-    return out[["source", "n_words", "n_bpe_tokens"]]
 
 
 def _q_dag_levels_user(sf_dir: str):
@@ -3448,17 +2636,10 @@ def _q_dag_levels_user(sf_dir: str):
     raises on cyclic input. Oracle: recursive-CTE MAX-depth closure."""
     from flashray.algorithms import dag_levels
 
-    g = _user_graph(sf_dir, symmetrize=False)
-    df = dag_levels(g)
-    return (
-        pd.DataFrame(
-            {
-                "user_id": df["vertex_id"].astype(np.int64),
-                "level": df["value"].astype(np.int64),
-            }
-        )
-        .sort_values("user_id")
-        .reset_index(drop=True)
+    df = dag_levels(_user_graph(sf_dir, symmetrize=False))
+    return _out(
+        df, ["user_id", "level"], rename={"vertex_id": "user_id", "value": "level"},
+        ints=["user_id", "level"], sort="user_id",
     )
 
 
@@ -3470,20 +2651,13 @@ def _q_docs_bpe_pack(sf_dir: str):
     from flashray.datapipe.bpe import bpe_doc_tokens
     from flashray.datapipe.sketches import pack_sequences
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    docs = _table(sf_dir, "documents", "doc_id", "text")
     dt = bpe_doc_tokens(docs, _bpe_model(sf_dir), num_buckets=32)
-    out = (
-        pack_sequences(dt, ["doc_id"], "n_bpe_tokens", 512)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
+    cols = ["doc_id", "n_bpe_tokens", "pack_id", "pack_offset"]
+    return _out(
+        pack_sequences(dt, ["doc_id"], "n_bpe_tokens", 512), cols, ints=cols,
+        sort="doc_id",
     )
-    for c in ("doc_id", "n_bpe_tokens", "pack_id", "pack_offset"):
-        out[c] = out[c].astype(np.int64)
-    return out[["doc_id", "n_bpe_tokens", "pack_id", "pack_offset"]]
 
 
 def _q_docs_exact_substr(sf_dir: str):
@@ -3494,19 +2668,12 @@ def _q_docs_exact_substr(sf_dir: str):
     per doc (doc_id, n_tokens, n_removed, text_clean)."""
     from flashray.datapipe.dedup import exact_substr
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    return _out(
+        exact_substr(docs, span_tokens=8, num_buckets=32),
+        ["doc_id", "n_tokens", "n_removed", "text_clean"],
+        ints=["doc_id", "n_tokens", "n_removed"], sort="doc_id",
     )
-    out = (
-        exact_substr(docs, span_tokens=8, num_buckets=32)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    for c in ("doc_id", "n_tokens", "n_removed"):
-        out[c] = out[c].astype(np.int64)
-    return out[["doc_id", "n_tokens", "n_removed", "text_clean"]]
 
 
 def _q_node2vec_walks_user(sf_dir: str):
@@ -3517,21 +2684,9 @@ def _q_node2vec_walks_user(sf_dir: str):
     a windowed-SUM subquery in a recursive CTE."""
     from flashray import walks
 
-    edges = _user_succession_edges_cached(sf_dir)
-
-    def sym(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        d = b["dst"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([s, d])),
-                "dst": pa.array(np.concatenate([d, s])),
-            }
-        )
-
     return walks.corpus_pandas(
         walks.node2vec_walks(
-            edges.map_batches(sym, batch_format="pyarrow"),
+            _sym_user_edges(sf_dir),
             walk_len=4,
             p=4.0,
             q=0.25,
@@ -3545,14 +2700,9 @@ def _q_convert_transcripts_roundtrip(sf_dir: str):
     """S5 format converters: transcripts → JSONL text → Dataset. The
     north-rule invariant (per-turn text equality under stable ordering)
     must survive the round-trip byte-for-byte."""
-    import shutil
-
     from flashray import convert, extract
 
-    out_dir = os.path.join(
-        _CACHE_ROOT, f"convert_jsonl_{_tier(sf_dir)}"
-    )
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _scratch("convert_jsonl")
     convert.write_transcripts_jsonl(_transcripts_ds(sf_dir), out_dir)
     return extract.normalize_transcripts(
         convert.read_transcripts_jsonl(out_dir)
@@ -3563,15 +2713,12 @@ def _q_convert_edges_roundtrip(sf_dir: str):
     """S5 el2fg/fg2el parity: edge table → SNAP edge-list text → Dataset;
     output = out-degree histogram (id↔key bijection preserves the degree
     multiset, so the oracle recomputes it over string keys)."""
-    import shutil
-
     from ray.data.aggregate import Count
 
     from flashray import convert, extract
     from flashray.joins import bucket_group_agg
 
-    out_dir = os.path.join(_CACHE_ROOT, f"convert_edges_{_tier(sf_dir)}")
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _scratch("convert_edges")
     edges = extract.extract_edges(_transcripts_ds(sf_dir))
     convert.write_edge_list(edges, out_dir)
     back = convert.read_edge_list(out_dir)
@@ -3616,12 +2763,8 @@ def _q_scc_reply_hist(sf_dir: str):
     from flashray import scc as scc_mod
 
     g = _graph(sf_dir, symmetrize=False, etypes=("reply",))
-    df = scc_mod.scc(
-        g, scratch_dir=os.path.join(_CACHE_ROOT, f"scc_{_tier(sf_dir)}")
-    )
-    sizes = df.groupby("value").size().rename("size").reset_index()
-    hist = sizes.groupby("size").size().rename("n_components").reset_index()
-    return hist.astype({"size": "int64", "n_components": "int64"})
+    df = scc_mod.scc(g, scratch_dir=_scratch("scc"))
+    return _hist(df.groupby("value").size(), "size", "n_components")
 
 
 def _q_betweenness_sampled(sf_dir: str):
@@ -3630,15 +2773,13 @@ def _q_betweenness_sampled(sf_dir: str):
     isolated chain, so the dependency of turn j in a sampled conversation
     of length L is closed-form: bc = L - 1 - j for j ≥ 1, else 0. Output
     (vertex_key, bc)."""
-    from flashray import betweenness, ids
+    from flashray import betweenness
 
     g = _graph(sf_dir, symmetrize=False, etypes=("reply",))
-    convs = [f"conv{c:08d}" for c in range(8)]
-    sources = ids.turn_vertex_ids(convs, np.zeros(8, dtype=np.int64)).tolist()
     df = betweenness.betweenness(
         g,
-        scratch_dir=os.path.join(_CACHE_ROOT, f"bc_{_tier(sf_dir)}"),
-        sources=sources,
+        scratch_dir=_scratch("bc"),
+        sources=_turn0_ids(8).tolist(),
         batch=8,  # one fwd+bwd sweep for all 8 sources (vector messages)
     )
     out = _keyed(df, sf_dir)
@@ -3653,9 +2794,7 @@ def _q_pagerank_weighted(sf_dir: str):
 
     g = _graph(sf_dir, symmetrize=False)
     df = algorithms.pagerank(g, eps=0.0, max_iters=_PR_ITERS, weighted=True)
-    out = _keyed(df, sf_dir)
-    out["rank_x_n"] = (out["value"] * g.meta.num_vertices).round(6)
-    return out[["vertex_key", "rank_x_n"]]
+    return _keyed_rank(df, sf_dir, "rank_x_n", g.meta.num_vertices)
 
 
 def _q_docs_ngram_jaccard(sf_dir: str):
@@ -3665,9 +2804,7 @@ def _q_docs_ngram_jaccard(sf_dir: str):
     construction after the positional shingle-chain fix)."""
     from flashray.datapipe import dedup
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = _table(sf_dir, "documents", "doc_id", "text")
     return _round_col(
         dedup.exact_jaccard_pairs(ds, threshold=0.5), "jaccard"
     )
@@ -3679,8 +2816,7 @@ def _q_embeddings_silhouette(sf_dir: str):
     no shuffle. One row (silhouette)."""
     from flashray.datapipe import similarity
 
-    ds = _read_pq(os.path.join(sf_dir, "embeddings.parquet"))
-    s = similarity.silhouette(ds)
+    s = similarity.silhouette(_table(sf_dir, "embeddings"))
     return pd.DataFrame({"silhouette": [round(s, 6)]})
 
 
@@ -3689,8 +2825,7 @@ def _q_events_markov(sf_dir: str):
     ordered by (ts, event_id). Output (prev_state, next_state, n)."""
     from flashray.datapipe import windows
 
-    ds = _read_pq(os.path.join(sf_dir, "events.parquet"))
-    out = windows.transition_counts(ds)
+    out = windows.transition_counts(_table(sf_dir, "events"))
 
     def clean(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -3704,6 +2839,12 @@ def _q_events_markov(sf_dir: str):
     return out.map_batches(clean, batch_format="pyarrow")
 
 
+def _mod3_split(edges):
+    """(base, delta): edges with (src + dst) % 3 != 0, and the rest — the
+    deterministic 2/3 ingest split of the incremental queries."""
+    return _split(edges, lambda b: (_np(b, "src") + _np(b, "dst")) % 3 != 0)
+
+
 def _q_pagerank_incremental_user(sf_dir: str):
     """Incremental analytics after ingest (the north-rule resumability
     story end-to-end): PageRank converges on a deterministic 2/3 edge
@@ -3712,38 +2853,18 @@ def _q_pagerank_incremental_user(sf_dir: str):
     and iteration WARM-STARTS from the prior scores for 4 more supersteps
     — the whole two-phase trajectory is SQL-unrollable, so the oracle is
     exact. Output (user_id, rank_x_n) at 6 dp, N = full-graph order."""
-    import shutil
-
     from flashray import algorithms
-    from flashray.build import build_graph
 
-    edges = _user_succession_edges_cached(sf_dir)
-
-    def partial(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        d = b["dst"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array((s + d) % 3 != 0))
-
-    path = os.path.join(_CACHE_ROOT, "graphs", f"pr_inc_{_tier(sf_dir)}")
-    shutil.rmtree(path, ignore_errors=True)
-    gp = build_graph(
-        edges.map_batches(partial, batch_format="pyarrow").map_batches(
-            _succ_edge_schema, batch_format="pyarrow"
-        ),
-        path,
-        num_partitions=4,
-        symmetrize=False,
-    )
+    partial, _ = _mod3_split(_user_succession_edges(sf_dir))
+    gp = _build(_lift(partial), "pr_inc")
     prior = algorithms.pagerank(gp, eps=0.0, max_iters=6)
     ga = _user_graph(sf_dir, symmetrize=False)
     df = algorithms.pagerank(ga, eps=0.0, max_iters=4, warm_start=prior)
-    out = pd.DataFrame(
-        {
-            "user_id": df["vertex_id"].astype(np.int64),
-            "rank_x_n": (df["value"] * ga.meta.num_vertices).round(6),
-        }
+    df["rank_x_n"] = (df["value"] * ga.meta.num_vertices).round(6)
+    return _out(
+        df, ["user_id", "rank_x_n"], rename={"vertex_id": "user_id"},
+        ints=["user_id"], sort="user_id",
     )
-    return out.sort_values("user_id").reset_index(drop=True)
 
 
 def _reply_role_mixing(sf_dir: str):
@@ -3774,10 +2895,11 @@ def _reply_role_mixing(sf_dir: str):
 def _q_reply_role_mixing(sf_dir: str):
     """Role→role mixing matrix over reply edges (who replies to whom):
     cell counts plus edge fractions. Oracle: consecutive-turn self-join."""
-    m = _reply_role_mixing(sf_dir)
-    out = m.rename(columns={"attr_src": "role_src", "attr_dst": "role_dst"})
-    out["frac"] = out["frac"].round(6)
-    return out.sort_values(["role_src", "role_dst"]).reset_index(drop=True)
+    out = _reply_role_mixing(sf_dir)
+    return _out(
+        out, rename={"attr_src": "role_src", "attr_dst": "role_dst"},
+        r6=["frac"], sort=["role_src", "role_dst"],
+    )
 
 
 def _q_reply_role_assortativity(sf_dir: str):
@@ -3789,7 +2911,6 @@ def _q_reply_role_assortativity(sf_dir: str):
     return pd.DataFrame({"assortativity": [round(float(r), 6)]})
 
 
-
 def _q_embeddings_random_projection(sf_dir: str):
     """Achlioptas sign random projection 64 -> 8 dims over the embeddings
     table: matrix entries are sha-parity signs scaled 1/sqrt(m) — fully
@@ -3797,14 +2918,9 @@ def _q_embeddings_random_projection(sf_dir: str):
     LONG form (vec_id, k, v 6dp)."""
     from flashray.datapipe.similarity import random_projection
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    out = random_projection(ds, 64, 8, seed=0).to_pandas()
-    out["v"] = out["v"].round(6)
-    return out.sort_values(["vec_id", "k"]).reset_index(drop=True)
-
+    ds = _table(sf_dir, "embeddings", "vec_id", "embedding")
+    out = random_projection(ds, 64, 8, seed=0)
+    return _out(out, r6=["v"], sort=["vec_id", "k"])
 
 
 def _q_user_partition_stats(sf_dir: str):
@@ -3815,13 +2931,8 @@ def _q_user_partition_stats(sf_dir: str):
     oracle replays the modulo arithmetic over the distinct edge set."""
     from flashray.build import partition_stats
 
-    g = _user_graph(sf_dir, symmetrize=False)
-    out = partition_stats(g)
-    out["cut_frac"] = out["cut_frac"].round(6)
-    return out.astype(
-        {"part": np.int64, "n_edges": np.int64, "n_cut": np.int64}
-    )
-
+    out = partition_stats(_user_graph(sf_dir, symmetrize=False))
+    return _out(out, ints=["part", "n_edges", "n_cut"], r6=["cut_frac"])
 
 
 def _q_multi_ppr_user(sf_dir: str):
@@ -3834,21 +2945,17 @@ def _q_multi_ppr_user(sf_dir: str):
 
     g = _user_graph(sf_dir, symmetrize=False)
     df = algorithms.multi_ppr(g, [0, 1, 2], eps=0.0, max_iters=6)
-    out = pd.DataFrame(
-        {
-            "seed": df["seed"].astype(np.int64),
-            "user_id": df["vertex_id"].astype(np.int64),
-            # +1e-9 before rounding: PPR values on this graph are
-            # terminating decimals (integer out-degrees), and some land
-            # EXACTLY on a 6-dp half-boundary where each system's float
-            # noise (~1e-15) would pick a side at random; the shared nudge
-            # (also in the SQL) rounds every boundary value up on both
-            # sides and is invisible elsewhere
-            "rank": (df["rank"] + 1e-9).round(6),
-        }
+    # +1e-9 before rounding: PPR values on this graph are
+    # terminating decimals (integer out-degrees), and some land
+    # EXACTLY on a 6-dp half-boundary where each system's float
+    # noise (~1e-15) would pick a side at random; the shared nudge
+    # (also in the SQL) rounds every boundary value up on both
+    # sides and is invisible elsewhere
+    df["rank"] = df["rank"] + 1e-9
+    return _out(
+        df, ["seed", "user_id", "rank"], rename={"vertex_id": "user_id"},
+        ints=["seed", "user_id"], r6=["rank"], sort=["seed", "user_id"],
     )
-    return out.sort_values(["seed", "user_id"]).reset_index(drop=True)
-
 
 
 def _q_embeddings_hard_negatives(sf_dir: str):
@@ -3858,24 +2965,12 @@ def _q_embeddings_hard_negatives(sf_dir: str):
     Rank-only output like embeddings_knn (no float compare)."""
     from flashray.datapipe.similarity import hard_negatives
 
-    ds = _read_pq(os.path.join(sf_dir, "embeddings.parquet"))
-    anchors = (
-        ds.map_batches(
-            lambda b: b.filter(
-                pa.array(
-                    b["vec_id"].to_numpy(zero_copy_only=False) % 25 == 0
-                )
-            ),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
-        .sort_values("vec_id")
-    )
-    res = hard_negatives(ds, anchors, k=5)
+    ds = _table(sf_dir, "embeddings")
+    anchors, _ = _split(ds, lambda b: _np(b, "vec_id") % 25 == 0)
+    res = hard_negatives(ds, anchors.to_pandas().sort_values("vec_id"), k=5)
     res["rank"] = res.groupby("anchor_id").cumcount().astype(np.int64) + 1
-    out = res[["anchor_id", "rank", "vec_id"]].astype(np.int64)
-    return out.sort_values(["anchor_id", "rank"]).reset_index(drop=True)
-
+    cols = ["anchor_id", "rank", "vec_id"]
+    return _out(res, cols, ints=cols, sort=["anchor_id", "rank"])
 
 
 def _q_user_negative_edges(sf_dir: str):
@@ -3890,46 +2985,33 @@ def _q_user_negative_edges(sf_dir: str):
     return negative_edges(g, 50, seed=0, oversample=4)
 
 
-
 def _q_docs_rrf_fusion(sf_dir: str):
     """Hybrid retrieval: BM25 top-10 for {join, scan, window} fused with
     the embedding top-10 for query vector 0 by reciprocal-rank fusion
     (k=60). Two rank lists -> the fused score is an order-free two-term
     float sum, bit-identical to the SQL replay. Output (fused_rank,
     doc_id, score 6dp)."""
+    import ray.data as rd
+
     from flashray.datapipe.ml import rrf_fuse
     from flashray.datapipe.similarity import knn_brute_force
     from flashray.datapipe.textstats import bm25_topk
 
-    docs = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    bm = bm25_topk(docs, ["join", "scan", "window"], k=10).to_pandas()
+    docs = _table(sf_dir, "documents", "doc_id", "text")
+    bm = _out(bm25_topk(docs, ["join", "scan", "window"], k=10), ints=["doc_id"])
     bm["rank"] = np.arange(1, len(bm) + 1, dtype=np.int64)
-    bm["doc_id"] = bm["doc_id"].astype(np.int64)
 
-    emb = _read_pq(os.path.join(sf_dir, "embeddings.parquet"))
-    q = None
-    for b in emb.iter_batches(batch_size=512, batch_format="pandas"):
-        hit = b[b["vec_id"] == 0]
-        if len(hit):
-            q = np.asarray(hit["embedding"].iloc[0], dtype=np.float64)
-            break
-    kn = knn_brute_force(emb, q[None, :], k=10, concurrency=4)
+    emb = _table(sf_dir, "embeddings")
+    kn = knn_brute_force(emb, _vec0(emb)[None, :], k=10, concurrency=4)
     kn = kn.reset_index(drop=True)
     kn["rank"] = np.arange(1, len(kn) + 1, dtype=np.int64)
-    kn = kn.rename(columns={"vec_id": "doc_id"})[["doc_id", "rank"]]
-    kn["doc_id"] = kn["doc_id"].astype(np.int64)
-
-    import ray.data as rd
+    kn = _out(kn, ["doc_id", "rank"], rename={"vec_id": "doc_id"}, ints=["doc_id"])
 
     fused = rrf_fuse(
         [rd.from_pandas(bm[["doc_id", "rank"]]), rd.from_pandas(kn)],
         k_rrf=60,
     )
-    fused["score"] = fused["score"].round(6)
-    return fused.reset_index(drop=True)
-
+    return _out(fused, r6=["score"]).reset_index(drop=True)
 
 
 def _q_docs_sorted_neighborhood(sf_dir: str):
@@ -3939,9 +3021,7 @@ def _q_docs_sorted_neighborhood(sf_dir: str):
     ROW_NUMBER + rank-window self-join."""
     from flashray.datapipe.dedup import sorted_neighborhood_pairs
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = _table(sf_dir, "documents", "doc_id", "text")
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -3955,14 +3035,8 @@ def _q_docs_sorted_neighborhood(sf_dir: str):
         ds.map_batches(keyed, batch_format="pandas"),
         key_col="k",
         window=5,
-    )
-    return (
-        pairs.to_pandas()
-        .astype(np.int64)
-        .sort_values(["id_a", "id_b"])
-        .reset_index(drop=True)
-    )
-
+    ).to_pandas()
+    return _out(pairs, ints=pairs.columns, sort=["id_a", "id_b"])
 
 
 def _q_matching_user(sf_dir: str):
@@ -3975,45 +3049,20 @@ def _q_matching_user(sf_dir: str):
     return matching.maximal_matching(g)
 
 
-
 def _q_matching_weighted_user(sf_dir: str):
     """Weighted maximal matching (Preis locally-dominant-edge 1/2-approx)
     over the symmetrized user graph with deterministic synthetic weights
     w = (src+dst) % 7 + 1 (symmetric, SQL-replayable). Oracle: 8 unrolled
     proposal rounds ordered (w DESC, global edge order)."""
-    import shutil
-
     from flashray import matching
-    from flashray.build import build_graph
-    from flashray.fixtures import EPOCH_US
 
-    edges = _user_succession_edges_cached(sf_dir)
+    def add_w(b: pa.Table) -> pa.Table:
+        s, d = _np(b, "src"), _np(b, "dst")
+        return b.append_column("weight", pa.array(((s + d) % 7 + 1).astype(np.float64)))
 
-    def wset(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        d = b["dst"].to_numpy(zero_copy_only=False)
-        n = len(s)
-        return pa.table(
-            {
-                "src": b["src"].cast(pa.int64()),
-                "dst": b["dst"].cast(pa.int64()),
-                "etype": pa.array(["succ"] * n, type=pa.string()),
-                "weight": pa.array(((s + d) % 7 + 1).astype(np.float64)),
-                "ts": pa.array(np.full(n, EPOCH_US),
-                               type=pa.timestamp("us")),
-            }
-        )
-
-    path = os.path.join(_CACHE_ROOT, "graphs", f"wmatch_{_tier(sf_dir)}")
-    shutil.rmtree(path, ignore_errors=True)
-    g = build_graph(
-        edges.map_batches(wset, batch_format="pyarrow"),
-        path,
-        num_partitions=4,
-        symmetrize=True,
-    )
+    edges = _user_succession_edges(sf_dir).map_batches(add_w, batch_format="pyarrow")
+    g = _build(_lift(edges), "wmatch", symmetrize=True)
     return matching.maximal_matching(g, weighted=True)
-
 
 
 def _q_triangles_incremental_user(sf_dir: str):
@@ -4022,40 +3071,13 @@ def _q_triangles_incremental_user(sf_dir: str):
     add_edges, and the A-B+C inclusion-exclusion over the delta counts
     the new triangles — oracle = full-graph 3-way-join count minus the
     subset count. Scalar output (new_triangles)."""
-    import shutil
-
-    import ray.data as rd
-
     from flashray import triangles as tri
-    from flashray.build import add_edges, build_graph
-    from flashray.fixtures import EPOCH_US
+    from flashray.build import add_edges
 
-    edges = _user_succession_edges_cached(sf_dir).map_batches(
-        _succ_edge_schema, batch_format="pyarrow"
-    ).materialize()
-
-    def split(keep_first: bool):
-        def fn(b: pa.Table) -> pa.Table:
-            s = b["src"].to_numpy(zero_copy_only=False)
-            d = b["dst"].to_numpy(zero_copy_only=False)
-            m = ((s + d) % 3 != 0) == keep_first
-            return b.filter(pa.array(m))
-
-        return fn
-
-    path = os.path.join(_CACHE_ROOT, "graphs", f"triinc_{_tier(sf_dir)}")
-    shutil.rmtree(path, ignore_errors=True)
-    g = build_graph(
-        edges.map_batches(split(True), batch_format="pyarrow"),
-        path,
-        num_partitions=4,
-        symmetrize=True,
-    )
-    delta = edges.map_batches(split(False), batch_format="pyarrow")
-    g = add_edges(g, delta)
+    base, delta = _mod3_split(_lift(_user_succession_edges(sf_dir)).materialize())
+    g = add_edges(_build(base, "triinc", symmetrize=True), delta)
     n = tri.incremental_triangle_count(g, delta)
     return pd.DataFrame({"new_triangles": [np.int64(n)]})
-
 
 
 def _q_nmf_user(sf_dir: str):
@@ -4065,11 +3087,9 @@ def _q_nmf_user(sf_dir: str):
     long-form SQL; output W as (user_id, k, w 6dp, +1e-9 nudge)."""
     from flashray import matrix
 
-    g = _user_graph(sf_dir, symmetrize=False)
-    W, _H = matrix.nmf(g, rank=2, iters=2, seed=0)
-    rows = []
-    for k in range(2):
-        rows.append(
+    W, _H = matrix.nmf(_user_graph(sf_dir, symmetrize=False), rank=2, iters=2, seed=0)
+    out = pd.concat(
+        [
             pd.DataFrame(
                 {
                     "user_id": W["vertex_id"].astype(np.int64),
@@ -4077,10 +3097,11 @@ def _q_nmf_user(sf_dir: str):
                     "w": (W[f"f{k}"] + 1e-9).round(6),
                 }
             )
-        )
-    out = pd.concat(rows, ignore_index=True)
+            for k in range(2)
+        ],
+        ignore_index=True,
+    )
     return out.sort_values(["user_id", "k"]).reset_index(drop=True)
-
 
 
 def _q_quotient_user_mod5(sf_dir: str):
@@ -4091,22 +3112,10 @@ def _q_quotient_user_mod5(sf_dir: str):
     from flashray.api import quotient_edges
 
     g = _user_graph(sf_dir, symmetrize=False)
-    verts = g.vertices_dataset(columns=["vertex_id"]).to_pandas()
-    labels = pd.DataFrame(
-        {
-            "vertex_id": verts["vertex_id"].astype(np.int64),
-            "label": (verts["vertex_id"] % 5).astype(np.int64),
-        }
+    return _out(
+        quotient_edges(g, _mod5_labels(g)), ints=["label_src", "label_dst"],
+        r6=["weight"], sort=["label_src", "label_dst"],
     )
-    out = (
-        quotient_edges(g, labels)
-        .to_pandas()
-        .sort_values(["label_src", "label_dst"])
-        .reset_index(drop=True)
-    )
-    out["weight"] = out["weight"].round(6)
-    return out.astype({"label_src": np.int64, "label_dst": np.int64})
-
 
 
 def _q_scan_window_topk(sf_dir: str):
@@ -4118,28 +3127,18 @@ def _q_scan_window_topk(sf_dir: str):
     graph is triangle-free: reply endpoints alternate roles, so no
     turn-role-turn closure — the same closed form scan_topk's oracle
     relies on). Output (rank, scan)."""
-    import shutil
-
     from flashray import api
-    from flashray import triangles as tri
 
     g = _graph(sf_dir, symmetrize=True)
-    ts = g.edges_dataset(columns=["ts"]).to_pandas()["ts"]
-    us = ts.astype("int64")
+    us = g.edges_dataset(columns=["ts"]).to_pandas()["ts"].astype("int64")
     cut = int((us.min() + us.max()) // 2)
-    path = os.path.join(_CACHE_ROOT, "graphs", f"scanwin_{_tier(sf_dir)}")
-    shutil.rmtree(path, ignore_errors=True)
     gw = api.window_graph(
         g,
         np.datetime64(int(us.min()), "us"),
         np.datetime64(cut, "us"),
-        path,
+        _scratch("scanwin"),
     )
-    df = tri.topk_scan(gw, 20).to_pandas().reset_index(drop=True)
-    df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-    df["scan"] = df["scan"].astype(np.int64)
-    return df[["rank", "scan"]]
-
+    return _ranked_scan(gw)
 
 
 def _q_local_cluster_user(sf_dir: str):
@@ -4168,15 +3167,8 @@ def _q_docs_winnow_overlap(sf_dir: str):
     sha256 gram hashes, same rightmost-tie rule)."""
     from flashray.datapipe.textstats import winnow_overlap
 
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return (
-        winnow_overlap(ds, n=4, w=4)
-        .to_pandas()
-        .sort_values(["doc_id_a", "doc_id_b"])
-        .reset_index(drop=True)
-    )
+    ds = _table(sf_dir, "documents", "doc_id", "text")
+    return _out(winnow_overlap(ds, n=4, w=4), sort=["doc_id_a", "doc_id_b"])
 
 
 def _q_onion_reply_layers(sf_dir: str):
@@ -4190,13 +3182,10 @@ def _q_onion_reply_layers(sf_dir: str):
     from flashray import algorithms
 
     g = _graph(sf_dir, symmetrize=True, etypes=("reply",))
-    df = algorithms.onion_layers(g)
-    out = _keyed(df, sf_dir)
-    return (
-        out[["vertex_key", "coreness", "layer"]]
-        .astype({"coreness": np.int64, "layer": np.int64})
-        .sort_values("vertex_key")
-        .reset_index(drop=True)
+    out = _keyed(algorithms.onion_layers(g), sf_dir)
+    return _out(
+        out, ["vertex_key", "coreness", "layer"], ints=["coreness", "layer"],
+        sort="vertex_key",
     )
 
 
@@ -4210,42 +3199,21 @@ def _q_wcc_incremental_reply(sf_dir: str):
     bridge edges. The fixpoint equals a cold full-graph WCC, so the oracle
     is exact: per-turn component size = conversation length (reply chains).
     Output (vertex_key, component_size) over convs with >= 2 turns."""
-    import shutil
-
     from flashray import algorithms, extract
-    from flashray.build import add_edges, build_graph
+    from flashray.build import add_edges
 
     edges = extract.extract_edges(
         _transcripts_ds(sf_dir), etypes=("reply",)
     ).materialize()
-
-    def split(keep_first: bool):
-        def fn(b: pa.Table) -> pa.Table:
-            s = b["src"].to_numpy(zero_copy_only=False)
-            d = b["dst"].to_numpy(zero_copy_only=False)
-            m = ((s + d) % 3 != 0) == keep_first
-            return b.filter(pa.array(m))
-
-        return fn
-
-    path = os.path.join(_CACHE_ROOT, "graphs", f"wccinc_{_tier(sf_dir)}")
-    shutil.rmtree(path, ignore_errors=True)
-    g = build_graph(
-        edges.map_batches(split(True), batch_format="pyarrow"),
-        path,
-        num_partitions=4,
-        symmetrize=True,
-    )
+    base, delta = _mod3_split(edges)
+    g = _build(base, "wccinc", symmetrize=True)
     prior = algorithms.wcc(g)
-    g = add_edges(g, edges.map_batches(split(False), batch_format="pyarrow"))
-    df = algorithms.wcc(g, warm_start=prior)
+    df = algorithms.wcc(add_edges(g, delta), warm_start=prior)
     sizes = df.groupby("value").size().rename("component_size").reset_index()
     out = _keyed(df.merge(sizes, on="value"), sf_dir)
-    out["component_size"] = out["component_size"].astype(np.int64)
-    return (
-        out[["vertex_key", "component_size"]]
-        .sort_values("vertex_key")
-        .reset_index(drop=True)
+    return _out(
+        out, ["vertex_key", "component_size"], ints=["component_size"],
+        sort="vertex_key",
     )
 
 
@@ -4256,8 +3224,7 @@ def _q_four_cliques_user(sf_dir: str):
     found exactly once). Oracle: 6-way canonical-edge self-join."""
     from flashray import triangles as tri
 
-    g = _user_graph(sf_dir, symmetrize=True)
-    df = tri.four_cliques(g).to_pandas()
+    df = tri.four_cliques(_user_graph(sf_dir, symmetrize=True)).to_pandas()
     if not len(df):
         return pd.DataFrame(
             {
@@ -4265,12 +3232,10 @@ def _q_four_cliques_user(sf_dir: str):
                 "cliques4": pd.Series([], dtype=np.int64),
             }
         )
-    return pd.DataFrame(
-        {
-            "user_id": df["vertex_id"].astype(np.int64),
-            "cliques4": df["cliques4"].astype(np.int64),
-        }
-    ).sort_values("user_id").reset_index(drop=True)
+    return _out(
+        df, ["user_id", "cliques4"], rename={"vertex_id": "user_id"},
+        ints=["user_id", "cliques4"], sort="user_id",
+    )
 
 
 def _q_two_hop_user(sf_dir: str):
@@ -4278,14 +3243,10 @@ def _q_two_hop_user(sf_dir: str):
     (wedge-pair dedup dataflow). Output (user_id, n1, n2)."""
     from flashray import triangles as tri
 
-    g = _user_graph(sf_dir, symmetrize=True)
-    df = tri.two_hop_sizes(g).to_pandas()
-    return pd.DataFrame(
-        {
-            "user_id": df["vertex_id"].astype(np.int64),
-            "n1": df["n1"].astype(np.int64),
-            "n2": df["n2"].astype(np.int64),
-        }
+    df = tri.two_hop_sizes(_user_graph(sf_dir, symmetrize=True))
+    return _out(
+        df, ["user_id", "n1", "n2"], rename={"vertex_id": "user_id"},
+        ints=["user_id", "n1", "n2"],
     )
 
 
@@ -4479,16 +3440,25 @@ def _tsql() -> str:
     return fixtures.transcripts_sql("sf0.01")
 
 
-def _color_sql(rounds: int) -> str:
-    """Round-unrolled greedy coloring: round r colors the sha-priority
-    minima among still-uncolored vertices (same hash convention and head
-    CTEs as _mis_sql; extra rounds past completion select nothing)."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
+def _succession_cte(name: str, materialized: bool) -> str:
+    """The events → user-succession edge CTEs (no leading WITH): ``b`` holds
+    the distinct (user, event type, hour) rows and ``name`` the edges
+    (src, dst) with src < dst ≤ src + 5 that share a type and an hour — the
+    SQL twin of ``_user_succession_edges``."""
+    m = " AS MATERIALIZED" if materialized else " AS"
+    return f"""b{m} (SELECT DISTINCT user_id, event_type,
                   CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
+{name}{m} (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
        FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5)"""
+
+
+def _prio_head() -> str:
+    """WITH head of _mis_sql and _color_sql: the symmetrized user edges
+    ``sym(a, bb)``, their vertices, the sha priorities ``prio`` and the
+    all-undecided set ``u0``."""
+    return f"""
+WITH {_succession_cte("eu", True)},
 sym AS MATERIALIZED (SELECT src AS a, dst AS bb FROM eu
                      UNION ALL SELECT dst, src FROM eu),
 verts AS (SELECT DISTINCT a AS v FROM sym),
@@ -4497,17 +3467,29 @@ prio AS MATERIALIZED (SELECT v,
                                      1, 16)) AS UBIGINT) >> 1 AS BIGINT) AS p
        FROM verts),
 u0 AS (SELECT v FROM verts)"""
-    stages = []
-    for i in range(1, rounds + 1):
-        stages.append(f"""
-c{i} AS MATERIALIZED (
+
+
+def _prio_minima_sql(name: str, i: int) -> str:
+    """CTE ``{name}{i}``: the vertices of u{i-1} whose priority is below
+    that of every neighbor still in u{i-1}."""
+    return f"""
+{name}{i} AS MATERIALIZED (
   SELECT u.v FROM u{i - 1} u JOIN prio p ON p.v = u.v
   LEFT JOIN (SELECT s.a AS v, MIN(pp.p) AS mn
              FROM sym s JOIN u{i - 1} x ON x.v = s.bb
                   JOIN u{i - 1} y ON y.v = s.a
                   JOIN prio pp ON pp.v = s.bb
              GROUP BY 1) nb ON nb.v = u.v
-  WHERE nb.mn IS NULL OR p.p < nb.mn),
+  WHERE nb.mn IS NULL OR p.p < nb.mn)"""
+
+
+def _color_sql(rounds: int) -> str:
+    """Round-unrolled greedy coloring: round r colors the sha-priority
+    minima among still-uncolored vertices (same hash convention and head
+    CTEs as _mis_sql; extra rounds past completion select nothing)."""
+    stages = []
+    for i in range(1, rounds + 1):
+        stages.append(_prio_minima_sql("c", i) + f""",
 u{i} AS MATERIALIZED (SELECT v FROM u{i - 1} EXCEPT SELECT v FROM c{i})""")
     union = " UNION ALL ".join(
         f"SELECT v, {i - 1} AS color FROM c{i}" for i in range(1, rounds + 1)
@@ -4515,7 +3497,7 @@ u{i} AS MATERIALIZED (SELECT v FROM u{i - 1} EXCEPT SELECT v FROM c{i})""")
     tail = f"""
 SELECT CAST(v AS BIGINT) AS user_id, CAST(color AS BIGINT) AS color
 FROM ({union}) ORDER BY 1"""
-    return head + "," + ",".join(stages) + tail
+    return _prio_head() + "," + ",".join(stages) + tail
 
 
 def _mis_sql(rounds: int) -> str:
@@ -4525,31 +3507,9 @@ def _mis_sql(rounds: int) -> str:
     sides). Each round: undecided vertices strictly below every undecided
     neighbor join; their undecided neighbors drop. Extra rounds past the
     fixed point select nothing."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
-sym AS MATERIALIZED (SELECT src AS a, dst AS bb FROM eu
-                     UNION ALL SELECT dst, src FROM eu),
-verts AS (SELECT DISTINCT a AS v FROM sym),
-prio AS MATERIALIZED (SELECT v,
-       CAST(CAST(concat('0x', substr(sha256('mis:' || CAST(v AS VARCHAR)),
-                                     1, 16)) AS UBIGINT) >> 1 AS BIGINT) AS p
-       FROM verts),
-u0 AS (SELECT v FROM verts)"""
     stages = []
     for i in range(1, rounds + 1):
-        stages.append(f"""
-mis{i} AS MATERIALIZED (
-  SELECT u.v FROM u{i - 1} u JOIN prio p ON p.v = u.v
-  LEFT JOIN (SELECT s.a AS v, MIN(pp.p) AS mn
-             FROM sym s JOIN u{i - 1} x ON x.v = s.bb
-                  JOIN u{i - 1} y ON y.v = s.a
-                  JOIN prio pp ON pp.v = s.bb
-             GROUP BY 1) nb ON nb.v = u.v
-  WHERE nb.mn IS NULL OR p.p < nb.mn),
+        stages.append(_prio_minima_sql("mis", i) + f""",
 out{i} AS (SELECT DISTINCT s.bb AS v FROM sym s JOIN mis{i} m ON m.v = s.a
            JOIN u{i - 1} x ON x.v = s.bb),
 u{i} AS MATERIALIZED (SELECT v FROM u{i - 1} EXCEPT SELECT v FROM mis{i}
@@ -4557,7 +3517,28 @@ u{i} AS MATERIALIZED (SELECT v FROM u{i - 1} EXCEPT SELECT v FROM mis{i}
     union = " UNION ALL ".join(f"SELECT v FROM mis{i}" for i in range(1, rounds + 1))
     tail = f"""
 SELECT CAST(v AS BIGINT) AS user_id FROM ({union}) ORDER BY 1"""
-    return head + "," + ",".join(stages) + tail
+    return _prio_head() + "," + ",".join(stages) + tail
+
+
+def _verts_head() -> str:
+    """WITH head: the directed user edges ``eu`` and their vertices
+    ``verts(u)``."""
+    return f"""
+WITH {_succession_cte("eu", True)},
+verts AS (SELECT DISTINCT u FROM
+          (SELECT src AS u FROM eu UNION SELECT dst FROM eu))"""
+
+
+def _path_counts_sql(iters: int) -> str:
+    """WITH body of _katz_sql and _eigenvector_sql: ``p{l}(v, cnt)`` counts
+    the length-l paths ending at v, for l = 0..iters."""
+    return _verts_head() + """,
+p0 AS (SELECT u AS v, CAST(1 AS DOUBLE) AS cnt FROM verts)""" + "".join(
+        f""",
+p{i} AS MATERIALIZED (SELECT e.dst AS v, SUM(p.cnt) AS cnt
+        FROM p{i - 1} p JOIN eu e ON e.src = p.v GROUP BY 1)"""
+        for i in range(1, iters + 1)
+    )
 
 
 def _katz_sql(alpha: float, iters: int) -> str:
@@ -4566,28 +3547,13 @@ def _katz_sql(alpha: float, iters: int) -> str:
     (P_0 = 1). Each level is one join+sum stage. Call with alpha an exact
     binary fraction (1/16): terms are then exact float64 multiples of
     alpha^T and the sum is order-independent on both systems."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
-verts AS (SELECT DISTINCT u FROM
-          (SELECT src AS u FROM eu UNION SELECT dst FROM eu)),
-p0 AS (SELECT u AS v, CAST(1 AS DOUBLE) AS cnt FROM verts)"""
-    stages = []
-    for i in range(1, iters + 1):
-        stages.append(f"""
-p{i} AS MATERIALIZED (SELECT e.dst AS v, SUM(p.cnt) AS cnt
-        FROM p{i - 1} p JOIN eu e ON e.src = p.v GROUP BY 1)""")
     levels = " UNION ALL ".join(
         f"SELECT v, {i} AS l, cnt FROM p{i}" for i in range(iters + 1)
     )
-    tail = f"""
+    return _path_counts_sql(iters) + f"""
 SELECT CAST(v AS BIGINT) AS user_id,
        ROUND(SUM(cnt * POWER({alpha}, l)), 6) AS katz
 FROM ({levels}) GROUP BY 1"""
-    return head + "," + ",".join(stages) + tail
 
 
 def _eigenvector_sql(iters: int) -> str:
@@ -4595,26 +3561,11 @@ def _eigenvector_sql(iters: int) -> str:
     ending at v| (each level one join+sum), normalized by MAX(x_T) — both
     operands exact integers in float64, so the single division matches
     the engine bit-for-bit before the 6-dp round."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
-verts AS (SELECT DISTINCT u FROM
-          (SELECT src AS u FROM eu UNION SELECT dst FROM eu)),
-p0 AS (SELECT u AS v, CAST(1 AS DOUBLE) AS cnt FROM verts)"""
-    stages = []
-    for i in range(1, iters + 1):
-        stages.append(f"""
-p{i} AS MATERIALIZED (SELECT e.dst AS v, SUM(p.cnt) AS cnt
-        FROM p{i - 1} p JOIN eu e ON e.src = p.v GROUP BY 1)""")
-    tail = f"""
+    return _path_counts_sql(iters) + f"""
 SELECT CAST(verts.u AS BIGINT) AS user_id,
        ROUND(COALESCE(p.cnt, 0)
              / NULLIF((SELECT MAX(cnt) FROM p{iters}), 0), 6) AS eig
 FROM verts LEFT JOIN p{iters} p ON p.v = verts.u"""
-    return head + "," + ",".join(stages) + tail
 
 
 def _hits_sql(iters: int) -> str:
@@ -4626,14 +3577,7 @@ def _hits_sql(iters: int) -> str:
     systems. Inner joins are lossless at every level: each edge's dst has
     an in-edge (itself) so it appears in a_t, and each edge's src has an
     out-edge so it appears in h_t."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
-verts AS (SELECT DISTINCT u FROM
-          (SELECT src AS u FROM eu UNION SELECT dst FROM eu)),
+    head = _verts_head() + """,
 h0 AS (SELECT u AS v, CAST(1 AS DOUBLE) AS s FROM verts)"""
     stages = []
     for i in range(1, iters + 1):
@@ -4660,11 +3604,7 @@ def _ktruss_sql(k: int, rounds: int) -> str:
     >= the graph's peel depth; extra rounds are no-ops past the fixed point
     (the filter is idempotent), so a safe upper bound is cheap."""
     head = f"""
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+WITH {_succession_cte("eu", True)},
 e0 AS MATERIALIZED (SELECT src AS lo, dst AS hi FROM eu)"""
     stages = []
     prev = "e0"
@@ -4700,12 +3640,8 @@ def _lpa_sql(sweeps: int) -> str:
     symmetrized user graph: per sweep, neighbor-label counts + ROW_NUMBER
     argmax (count desc, label asc) + COALESCE keep-previous for isolated
     vertices. Every stage MATERIALIZED (see _ktruss_sql)."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+    head = f"""
+WITH {_succession_cte("eu", True)},
 e AS MATERIALIZED (SELECT src AS s, dst AS d FROM eu
        UNION ALL SELECT dst, src FROM eu),
 l0 AS MATERIALIZED (SELECT DISTINCT s AS v, s AS lab FROM e)"""
@@ -4741,12 +3677,8 @@ def _louvain_sql(sweeps: int, refined: bool = False) -> str:
     recursive min-root closure restricted to equal-label edges, so each
     final community is an intra-community connected component labeled
     by its smallest vertex (mirrors ``louvain.leiden_refine``)."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+    head = f"""
+WITH {_succession_cte("eu", True)},
 e AS MATERIALIZED (SELECT src AS s, dst AS d FROM eu
        UNION ALL SELECT dst, src FROM eu),
 k AS MATERIALIZED (SELECT s AS v, CAST(COUNT(*) AS BIGINT) AS k
@@ -5024,12 +3956,8 @@ def _pagerank_incremental_sql(iters1: int = 6, iters2: int = 4) -> str:
     (init 1/N1), phase 2 = iters2 steps on the FULL edge set warm-started
     from phase 1 (missing vertices at 1/N2) — the exact trajectory of
     pagerank(warm_start=prior)."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-ea AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+    head = f"""
+WITH {_succession_cte("ea", True)},
 ep AS MATERIALIZED (SELECT src, dst FROM ea WHERE (src + dst) % 3 <> 0),
 odp AS MATERIALIZED (SELECT src, COUNT(*) AS od FROM ep GROUP BY 1),
 vp AS MATERIALIZED (SELECT DISTINCT u AS v FROM
@@ -5076,18 +4004,13 @@ p0 AS MATERIALIZED (SELECT v, 1.0 / np.n AS r FROM vp CROSS JOIN np)"""
     )
 
 
-
 def _multi_ppr_sql(iters: int = 6) -> str:
     """Seed-indexed unrolled PPR recurrence over the user-succession
     graph: r_0 = e_seed per seed; r_t = 0.15·e_seed + 0.85·Σ incoming
     r/od — the exact trajectory of MultiSourcePPR at fixed supersteps.
     Unreached rows are literal 0.0 and are filtered like the Ray side."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+    head = f"""
+WITH {_succession_cte("e", True)},
 od AS MATERIALIZED (SELECT src, COUNT(*) AS od FROM e GROUP BY 1),
 v AS MATERIALIZED (SELECT DISTINCT u AS v FROM
      (SELECT src AS u FROM e UNION SELECT dst FROM e)),
@@ -5116,18 +4039,13 @@ FROM p{iters} WHERE r > 0.0 ORDER BY 1, 2"""
     )
 
 
-
 def _matching_sql(rounds: int = 9) -> str:
     """Round-unrolled symmetric-proposal matching over the symmetrized
     user-succession graph: per round, each alive vertex proposes to its
     (sha-priority, id)-minimal alive neighbor; mutual proposals match and
     leave. Extra rounds past convergence are no-ops in both systems."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+    head = f"""
+WITH {_succession_cte("eu", True)},
 es AS MATERIALIZED (SELECT src, dst FROM eu
       UNION ALL SELECT dst, src FROM eu),
 pr AS MATERIALIZED (SELECT v,
@@ -5167,17 +4085,12 @@ FROM ({un}) ORDER BY 1, 2"""
     )
 
 
-
 def _matching_weighted_sql(rounds: int = 8) -> str:
     """Round-unrolled weighted symmetric-proposal matching: proposals
     ordered (weight DESC, least(u,p), greatest(u,p)) — the kernel's
     global-edge-order tie-break; w = (src+dst) % 7 + 1."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+    head = f"""
+WITH {_succession_cte("eu", True)},
 es AS MATERIALIZED (SELECT src, dst, (src + dst) % 7 + 1 AS w FROM eu
       UNION ALL SELECT dst, src, (src + dst) % 7 + 1 FROM eu),
 a0 AS MATERIALIZED (SELECT DISTINCT src AS v FROM es)"""
@@ -5214,17 +4127,12 @@ FROM ({un}) ORDER BY 1, 2"""
     )
 
 
-
 def _nmf_sql(iters: int = 2, rank: int = 2) -> str:
     """Long-form Lee-Seung replay: w/h tables are (v, k, val) rows; per
     iteration one Gram aggregate, one adjacency join and one elementwise
     update per factor, exactly the matrix.nmf schedule (W then H)."""
     head = f"""
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+WITH {_succession_cte("e", True)},
 vv AS MATERIALIZED (SELECT DISTINCT u AS v FROM
      (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 ks AS MATERIALIZED (SELECT * FROM range(0, {rank}) t(k)),
@@ -5287,18 +4195,13 @@ FROM w{iters} ORDER BY 1, 2"""
     )
 
 
-
 def _local_cluster_sql(iters: int = 6) -> str:
     """PPR-Nibble replay on the SYMMETRIZED user graph: seed-0 PPR
     unrolled, sweep key ROUND(r/deg + 1e-9, 6) desc with id tie-break,
     cut(k) counted per undirected edge, vol <= m restriction, minimum
     conductance prefix emitted with its members."""
-    head = """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+    head = f"""
+WITH {_succession_cte("eu", True)},
 es AS MATERIALIZED (SELECT src, dst FROM eu
       UNION ALL SELECT dst, src FROM eu),
 od AS MATERIALIZED (SELECT src, COUNT(*) AS od FROM es GROUP BY 1),
@@ -5486,13 +4389,9 @@ LIMIT 100""",
         # per-source HLL registers (p=8, same sha256 hashes as
         # flashray.datapipe.sketches / HyperBallProgram) → same
         # estimator, 6-dp match
-        "hyperball_user_graph": """
+        "hyperball_user_graph": f"""
 WITH RECURSIVE
-b AS (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e", False)},
 verts AS (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 r(src, dst, d) AS (
@@ -5555,13 +4454,9 @@ FROM est ORDER BY 1""",
         # deterministic random walks: the recursive term re-chooses each
         # step's successor as argmin sha256('walk:step:dst') over the
         # current vertex's out-edges — exactly the engine's rule
-        "random_walks_user": """
+        "random_walks_user": f"""
 WITH RECURSIVE
-b AS (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e", False)},
 verts AS (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 r(walk_id, step, v) AS (
@@ -6141,12 +5036,8 @@ FROM (SELECT doc_id,
         # reciprocity over the mixed-direction graph: distinct directed
         # edges (base u->v plus reverse where (u+v)%3=0), fraction with a
         # reverse partner
-        "reciprocity_user": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e0 AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "reciprocity_user": f"""
+WITH {_succession_cte("e0", False)},
 e AS (SELECT src, dst FROM e0
       UNION
       SELECT dst, src FROM e0 WHERE (src + dst) % 3 = 0),
@@ -6160,12 +5051,8 @@ FROM r""",
         # degree assortativity: corr() over (out-deg(src), in-deg(dst))
         # per edge, 6 dp
         # rich-club phi(k) = 2 E_k / (N_k (N_k - 1)) over degree > k
-        "richclub_user": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "richclub_user": f"""
+WITH {_succession_cte("e", False)},
 d AS (SELECT v, COUNT(*) AS deg
       FROM (SELECT src AS v FROM e UNION ALL SELECT dst FROM e)
       GROUP BY v),
@@ -6185,12 +5072,8 @@ SELECT ks.k, COALESCE(n.n_rich, 0) AS n_rich,
 FROM ks LEFT JOIN n ON n.k = ks.k LEFT JOIN ee ON ee.k = ks.k""",
         # CSN09 continuous-MLE alpha over undirected degrees >= 2 of the
         # distinct succession-edge set (d_min - 0.5 = 1.5)
-        "powerlaw_user": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "powerlaw_user": f"""
+WITH {_succession_cte("e", False)},
 d AS (SELECT v, COUNT(*) AS deg
       FROM (SELECT src AS v FROM e UNION ALL SELECT dst FROM e)
       GROUP BY v),
@@ -6198,25 +5081,17 @@ t AS (SELECT deg FROM d WHERE deg >= 2)
 SELECT ROUND(1 + COUNT(*) / SUM(ln(deg / 1.5)), 6) AS alpha,
        COUNT(*) AS n_tail
 FROM t""",
-        "assortativity_user": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "assortativity_user": f"""
+WITH {_succession_cte("e", False)},
 od AS (SELECT src, COUNT(*) AS xd FROM e GROUP BY 1),
 id AS (SELECT dst, COUNT(*) AS yd FROM e GROUP BY 1)
 SELECT ROUND(corr(od.xd, id.yd), 6) AS assortativity
 FROM e JOIN od ON od.src = e.src JOIN id ON id.dst = e.dst""",
         # ego-net: recursive ball of radius 2 from the two lowest user
         # ids, then edges with BOTH endpoints inside the ball
-        "egonet_user": """
+        "egonet_user": f"""
 WITH RECURSIVE
-b AS (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e", False)},
 verts AS (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 seeds AS (SELECT u FROM verts ORDER BY u LIMIT 2),
@@ -6231,12 +5106,8 @@ JOIN ball x ON x.v = e.src JOIN ball y ON y.v = e.dst
 ORDER BY 1, 2""",
         # GraphSAGE fanout sampling: per-hop ROW_NUMBER over the shared
         # sha edge-priority, frontier = distinct sampled dst
-        "neighbor_sample_user": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "neighbor_sample_user": f"""
+WITH {_succession_cte("e", False)},
 ep AS (SELECT src, dst,
               CAST(CAST(concat('0x',
                    substr(sha256('ns:' || CAST(src AS VARCHAR) || ':'
@@ -6294,13 +5165,9 @@ FROM documents d LEFT JOIN agg a USING (doc_id)""",
         # 1/p with p=4), 1000000 (neighbor-of-prev), 4000000 (outward,
         # 1/q with q=0.25); draw = sha256(walk:step) % total; step 1 is
         # the uniform argmin-hash rule
-        "node2vec_walks_user": """
+        "node2vec_walks_user": f"""
 WITH RECURSIVE
-b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e0 AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e0", True)},
 e AS MATERIALIZED (SELECT src, dst FROM e0 UNION SELECT dst, src FROM e0),
 verts AS MATERIALIZED (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
@@ -6340,13 +5207,9 @@ SELECT CAST(walk_id AS BIGINT) AS walk_id, CAST(step AS BIGINT) AS step,
 FROM r""",
         # skip-gram pairs: the same replayed walks, self-joined within a
         # 2-step window, counted per ordered (center, context)
-        "skipgram_pairs_user": """
+        "skipgram_pairs_user": f"""
 WITH RECURSIVE
-b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e", True)},
 verts AS MATERIALIZED (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 r(walk_id, step, v) AS (
@@ -6370,13 +5233,9 @@ FROM p GROUP BY 1, 2""",
         # weighted SSSP: recursive CTE enumerates every (vertex, path-cost)
         # pair from the source (integer costs dedup under UNION), MIN per
         # vertex = shortest weighted distance
-        "sssp_user": """
+        "sssp_user": f"""
 WITH RECURSIVE
-b AS (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e", False)},
 verts AS (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 s AS (SELECT MIN(u) AS u FROM verts),
@@ -6392,13 +5251,9 @@ SELECT CAST(verts.u AS BIGINT) AS user_id,
 FROM verts LEFT JOIN m ON m.v = verts.u""",
         # per-landmark BFS distances: recursive CTE reaches every vertex
         # at every path length; MIN(d) per (landmark, vertex) = hop dist
-        "landmark_distances_user": """
+        "landmark_distances_user": f"""
 WITH RECURSIVE
-b AS (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e", False)},
 verts AS (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 lms AS (SELECT u, CAST(row_number() OVER (ORDER BY u) - 1 AS BIGINT) AS rk
@@ -6418,13 +5273,9 @@ LEFT JOIN m m0 ON m0.v = verts.u AND m0.rk = 0
 LEFT JOIN m m1 ON m1.v = verts.u AND m1.rk = 1
 LEFT JOIN m m2 ON m2.v = verts.u AND m2.rk = 2""",
         # closeness_user reuses the landmark BFS closure, folded per vertex
-        "closeness_user": """
+        "closeness_user": f"""
 WITH RECURSIVE
-b AS (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e", False)},
 verts AS (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 lms AS (SELECT u FROM verts ORDER BY u LIMIT 3),
@@ -6518,12 +5369,8 @@ SELECT d.tool, CAST(d.deg AS BIGINT) AS deg,
                   THEN 2.0 * COALESCE(t.triangles, 0) / (d.deg * (d.deg - 1))
                   ELSE 0.0 END, 6) AS cc
 FROM deg d LEFT JOIN tcnt t ON t.tool = d.tool""",
-        "clustering_user_graph": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "clustering_user_graph": f"""
+WITH {_succession_cte("eu", False)},
 e AS (SELECT src AS a, dst AS bb FROM eu UNION ALL SELECT dst, src FROM eu),
 deg AS (SELECT a AS user_id, COUNT(*) AS deg FROM e GROUP BY 1),
 tri AS (SELECT e1.a AS v1, e1.bb AS v2, e2.bb AS v3
@@ -6547,12 +5394,8 @@ FROM deg d LEFT JOIN tcnt t ON t.user_id = d.user_id""",
         # 4-cliques: canonical edges are already (src < dst), so quadruples
         # p<q<r<s with all six edges present enumerate each clique once;
         # per-vertex counts = unpivot the 4 member columns
-        "four_cliques_user": """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "four_cliques_user": f"""
+WITH {_succession_cte("e", True)},
 q AS (
   SELECT e1.src AS p, e1.dst AS qv, e2.dst AS r, e3.dst AS s
   FROM e e1
@@ -6570,12 +5413,8 @@ FROM m GROUP BY 1 ORDER BY 1""",
         "eigenvector_user": _eigenvector_sql(4),
         "hits_user": _hits_sql(2),
         # butterflies: sum over pairs of C(cn, 2) via the wedge join
-        "butterflies_user": """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "butterflies_user": f"""
+WITH {_succession_cte("eu", True)},
 e AS (SELECT src AS a, dst AS bb FROM eu UNION ALL SELECT dst, src FROM eu),
 w AS (SELECT e1.bb AS u, e2.bb AS v
       FROM e e1 JOIN e e2 ON e1.a = e2.a AND e1.bb < e2.bb),
@@ -6615,13 +5454,9 @@ FROM sel GROUP BY 1 ORDER BY 1""",
         "docs_bpe_pack": _bpe_pack_sql(8, 512),
         # longest path from sources on the succession DAG: recursive
         # closure carrying depth, MAX per vertex
-        "dag_levels_user": """
+        "dag_levels_user": f"""
 WITH RECURSIVE
-b AS (SELECT DISTINCT user_id, event_type,
-             CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+{_succession_cte("e", False)},
 verts AS (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 r(v, d) AS (
@@ -6633,12 +5468,8 @@ SELECT CAST(v AS BIGINT) AS user_id, CAST(MAX(d) AS BIGINT) AS level
 FROM r GROUP BY 1""",
         # modularity of the user_id%5 partition: integer sufficient
         # statistics (within-edges, community degrees), one float expr
-        "modularity_user_mod5": """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "modularity_user_mod5": f"""
+WITH {_succession_cte("eu", True)},
 sym AS (SELECT src AS a, dst AS bb FROM eu UNION ALL SELECT dst, src FROM eu),
 deg AS (SELECT a AS v, COUNT(*) AS d FROM sym GROUP BY 1),
 m AS (SELECT COUNT(*) AS m FROM eu),
@@ -6677,12 +5508,8 @@ FROM te JOIN lab la ON la.v = te.src JOIN lab lb ON lb.v = te.dst
 WHERE la.lab <> lb.lab""",
         # DOULION: identical sha edge coin (integer threshold inlined),
         # 3-way self-join triangle count on the sample, 1/p^3 scale-up
-        "triangles_sampled_user": """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "triangles_sampled_user": f"""
+WITH {_succession_cte("eu", True)},
 s AS MATERIALIZED (SELECT src, dst FROM eu
        WHERE CAST(concat('0x', substr(sha256('tri|' || src || '|' || dst),
                                       1, 16)) AS UBIGINT)
@@ -6695,12 +5522,8 @@ SELECT CAST(tri.c AS BIGINT) AS sampled_triangles,
 FROM tri""",
         # conductance_user: same canonical user edge set, per-community
         # cut/volume integers, one float division
-        "conductance_user": """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "conductance_user": f"""
+WITH {_succession_cte("eu", True)},
 sym AS (SELECT src AS a, dst AS bb FROM eu UNION ALL SELECT dst, src FROM eu),
 deg AS (SELECT a AS v, COUNT(*) AS d FROM sym GROUP BY 1),
 m AS (SELECT COUNT(*) AS m FROM eu),
@@ -6720,12 +5543,8 @@ SELECT CAST(vols.lab AS BIGINT) AS label,
 FROM vols LEFT JOIN cuts ON cuts.lab = vols.lab, m""",
         "mis_user": _mis_sql(12),
         # incremental ingest equivalence: degrees over the FULL union
-        "incremental_degrees_user": """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "incremental_degrees_user": f"""
+WITH {_succession_cte("eu", True)},
 verts AS (SELECT DISTINCT u AS v FROM
           (SELECT src AS u FROM eu UNION SELECT dst FROM eu)),
 od AS (SELECT src AS v, COUNT(*) AS o FROM eu GROUP BY 1),
@@ -6738,12 +5557,8 @@ LEFT JOIN idg ON idg.v = verts.v""",
         # link prediction: wedges e(w,u)+e(w,v) with u<v over the
         # symmetrized user graph; cn = wedge count, aa = sum 1/ln(deg(w)),
         # jaccard = cn/(deg_u+deg_v-cn); non-edge pairs only
-        "link_prediction_user": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "link_prediction_user": f"""
+WITH {_succession_cte("eu", False)},
 e AS (SELECT src AS a, dst AS bb FROM eu UNION ALL SELECT dst, src FROM eu),
 deg AS (SELECT a AS user_id, COUNT(*) AS deg FROM e GROUP BY 1),
 w AS (SELECT e1.bb AS u, e2.bb AS v, e1.a AS w
@@ -6760,12 +5575,8 @@ JOIN deg du ON du.user_id = g.u
 JOIN deg dv ON dv.user_id = g.v
 LEFT JOIN eu x ON x.src = g.u AND x.dst = g.v
 WHERE x.src IS NULL""",
-        "spmv_user": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "spmv_user": f"""
+WITH {_succession_cte("e", False)},
 verts AS (SELECT DISTINCT u FROM
           (SELECT src AS u FROM e UNION SELECT dst FROM e)),
 x AS (SELECT u AS vertex_id, CAST(u % 7 + 1 AS DOUBLE) AS x FROM verts),
@@ -6963,12 +5774,8 @@ SELECT CAST(ROW_NUMBER() OVER (ORDER BY scan DESC) AS BIGINT) AS rank,
 FROM top ORDER BY 1""",
         # contract vertices to user_id % 5; super-edge weight = summed
         # member weights (distinct succession edges carry weight 1)
-        "quotient_user_mod5": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5)
+        "quotient_user_mod5": f"""
+WITH {_succession_cte("e", False)}
 SELECT CAST(src % 5 AS BIGINT) AS label_src,
        CAST(dst % 5 AS BIGINT) AS label_dst,
        ROUND(COUNT(*) * 1.0, 6) AS weight
@@ -7039,12 +5846,8 @@ SELECT CAST(ROW_NUMBER() OVER (ORDER BY f.score DESC, doc_id) AS BIGINT)
        doc_id, ROUND(score, 6) AS score
 FROM f ORDER BY 1""",
         # sha-indexed candidate non-edges, NOT EXISTS against the edge set
-        "user_negative_edges": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "user_negative_edges": f"""
+WITH {_succession_cte("e", False)},
 v AS (SELECT u, ROW_NUMBER() OVER (ORDER BY u) - 1 AS pos FROM
       (SELECT DISTINCT src AS u FROM e UNION SELECT dst FROM e)),
 nv AS (SELECT CAST(COUNT(*) AS UBIGINT) AS c FROM v),
@@ -7077,12 +5880,8 @@ sc AS (SELECT a.anchor_id,
 SELECT anchor_id, rank, vec_id FROM sc WHERE rank <= 5 ORDER BY 1, 2""",
         # part = src % 4 over the DISTINCT succession edge set; cut =
         # dst homed elsewhere
-        "user_partition_stats": """
-WITH b AS (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-e AS (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-      FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-      WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "user_partition_stats": f"""
+WITH {_succession_cte("e", False)},
 p AS (SELECT src % 4 AS part,
              CASE WHEN src % 4 <> dst % 4 THEN 1 ELSE 0 END AS cut
       FROM e),
@@ -7248,12 +6047,8 @@ WITH o AS (SELECT event_type,
 SELECT event_type AS prev_state, nxt AS next_state,
        CAST(COUNT(*) AS BIGINT) AS n
 FROM o WHERE nxt IS NOT NULL GROUP BY 1, 2""",
-        "two_hop_user": """
-WITH b AS MATERIALIZED (SELECT DISTINCT user_id, event_type,
-                  CAST(floor(epoch(ts) / 3600) AS BIGINT) AS hb FROM events),
-eu AS MATERIALIZED (SELECT DISTINCT a.user_id AS src, c.user_id AS dst
-       FROM b a JOIN b c ON a.event_type = c.event_type AND a.hb = c.hb
-       WHERE c.user_id > a.user_id AND c.user_id - a.user_id <= 5),
+        "two_hop_user": f"""
+WITH {_succession_cte("eu", True)},
 e AS (SELECT src AS a, dst AS bb FROM eu UNION ALL SELECT dst, src FROM eu),
 p2 AS (SELECT e1.a AS v, e2.bb AS u FROM e e1 JOIN e e2 ON e1.bb = e2.a
        WHERE e2.bb <> e1.a),

@@ -623,8 +623,6 @@ def pseudo_diameter(graph: Graph, *, sweeps: int = 4, start_vertex=None,
     """A11 (libgraph-algs/diameter_graph.cpp — estimate_diameter): repeated
     BFS sweeps, restarting from the farthest vertex found."""
     if start_vertex is None:
-        import ray.data
-
         start_vertex = int(
             graph.vertices_dataset(columns=["vertex_id"]).take(1)[0]["vertex_id"]
         )
@@ -1018,7 +1016,6 @@ def reciprocity(
     (duplicates collapse map-side); a streaming partial-sum pass folds
     (reciprocated, total) — two numbers on the driver, never the edge
     set."""
-    import pandas as pd
     import pyarrow as pa
 
     from flashray.joins import bucket_group_agg
@@ -1160,7 +1157,6 @@ def powerlaw_alpha(
     distinct edge list (each edge contributes both endpoints map-side,
     pre-combined per batch), then a streaming partial-sum pass folds
     (n, Σ ln) — two scalars reach the driver, never the degree table."""
-    import pandas as pd  # noqa: F401
     import pyarrow as pa
 
     from flashray.joins import bucket_group_agg
@@ -1568,8 +1564,6 @@ def local_cluster(graph: Graph, seed: int, *, damping: float = 0.85,
     cand_ref = _ray.put(np.sort(order))
 
     def per_batch(b) -> "pd.DataFrame":
-        import pyarrow as _pa  # noqa: F401
-
         cand = _ray.get(cand_ref)
         s = b["src"].to_numpy(zero_copy_only=False)
         d = b["dst"].to_numpy(zero_copy_only=False)

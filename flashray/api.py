@@ -162,11 +162,9 @@ def neighbor_sample(
             d = b["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
             m = np.isin(s, f)
             out = pa.table({"src": pa.array(s[m]), "dst": pa.array(d[m])})
-            # map-side distinct: multi-etype edges collapse per batch
-            return pa.Table.from_pandas(
-                out.to_pandas().drop_duplicates(["src", "dst"]),
-                preserve_index=False,
-            )
+            # map-side distinct: multi-etype edges collapse per batch; in
+            # Arrow, so no pandas schema metadata reaches the shuffle
+            return out.group_by(["src", "dst"]).aggregate([])
 
         cand = bucket_group_agg(
             edges.map_batches(keep, batch_format="pyarrow"),

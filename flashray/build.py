@@ -585,8 +585,6 @@ def partition_stats(graph: Graph) -> "pd.DataFrame":
     split super-hub sources physically spread as (src + dst) % P, but
     their messages still route home→dst, so src-home is the
     message-traffic view either way."""
-    import pandas as pd
-
     P = graph.num_partitions
     edges = graph.edges_dataset(columns=["src", "dst"])
 

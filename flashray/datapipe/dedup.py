@@ -1539,8 +1539,6 @@ def sorted_neighborhood_pairs(
     shuffle, in-stripe vectorized expansion, no cross-stripe seam
     misses and no duplicate pairs. Returns (id_a, id_b, rank_gap) with
     id_a the earlier row in sort order."""
-    import pyarrow.compute as pc
-
     from flashray.datapipe.sketches import global_rank
 
     if window < 2:

@@ -287,7 +287,6 @@ def tfidf_top_terms(
     on term; top-k per doc through ``joins.topk_per_group``. Returns a
     Dataset of (doc_id, term, tfidf)."""
     import pyarrow as pa
-    import ray.data  # noqa: F401  (docs is a Dataset)
 
     from flashray.joins import bucket_group_agg, bucket_hash_join, topk_per_group
 
@@ -383,8 +382,6 @@ def quality_filter(
     existing TextStats + RepetitionStats actor pools; decisions compare
     6-dp-ROUNDED fractions so a SQL replay agrees bit-for-bit. Returns a
     Dataset of (doc_id, keep 0/1, reason)."""
-    import ray.data  # noqa: F401
-
     # ONE fused actor pool: chaining two pools of pool_size() actors can
     # reserve every session CPU and starve the upstream read (deadlock
     # observed at num_cpus=8 with 4+4 actors)
@@ -580,7 +577,6 @@ def bm25_topk(
     scores each doc entirely inside its batch (a doc is one row — tf and
     dl complete locally). The only wide step is the final
     sort-desc + limit(k)."""
-    import pyarrow as pa
     import ray
 
     terms = sorted(set(query_terms))

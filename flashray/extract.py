@@ -194,8 +194,6 @@ def extract_edges_sorted(
     ordering assumption, https://docs.ray.io/en/latest/data/transforming-data.html)."""
     import pandas as pd
 
-    from flashray.fixtures import EPOCH_US  # noqa: F401  (doc anchor)
-
     def per_conv(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("turn_idx")
         conv = g["conv_id"].iloc[0]
