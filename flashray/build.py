@@ -2,10 +2,14 @@
 
 Rebuild of the reference's graph-image construction
 (``flash-graph/utils.cpp`` — ``construct_graph``; ``utils/el2fg.cpp``,
-SURVEY.md §2.3 S1) as a Ray Data pipeline:
+SURVEY.md §2.3 S1) as a Ray Data pipeline that reads its input once:
 
-    edges → [symmetrize] → exact dedup → hash-partition by src →
-    partitioned parquet + vertex/degree table + meta.json
+    edges → [symmetrize] → exact dedup → materialized edge blocks
+          → degree table (materialized) → split set
+          → hive-partitioned vertex and edge writes + meta.json
+
+The counts come from block metadata; no temp directory is written and no
+output is read back.
 
 Layout under ``<path>/``:
 
@@ -31,14 +35,15 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Sum
 
 from flashray.extract import dedup_edges
+from flashray.joins import bucket_group_agg
 
 
 @dataclass
@@ -188,16 +193,63 @@ def build_graph(
     ``num_partitions=None`` means "auto": ~2M edges per partition,
     power-of-two in [16, 512] (see _auto_partitions).
 
-    Pass structure (each heavy stage runs exactly once — a lazy Dataset
-    consumed twice would re-execute the whole upstream pipeline):
+    Pass structure (the input is read once; every later step maps over
+    materialized blocks, so nothing re-executes the upstream pipeline and
+    nothing is read back from disk):
 
-    1. [shuffle] symmetrize? → exact dedup → temp parquet (streamed);
-       edge count read from parquet metadata fixes auto-P
-    2. [shuffle] degree table from temp → hive-partitioned vertices dir
-    3. split-vertex detection: pushed-down filter over the vertex table
-    4. [shuffle] temp edges + part column → hive-partitioned edges dir
+    1. [shuffle] symmetrize? → exact dedup → materialized edges; their
+       count (block metadata) fixes auto-P
+    2. [shuffle] degree table, materialized; its count is the vertex count
+    3. split-vertex detection: a filter over the degree blocks
+    4. hive-partitioned writes of the degree and edge blocks, both by
+       ``_part_expr``
+
+    Nothing under ``path`` changes before steps 1–3 finish, so ``edges``
+    may read the graph being replaced (``add_edges`` does). An empty input
+    raises ``ValueError`` and leaves ``path`` as it was.
     """
-    import shutil
+    if symmetrize:
+        edges = edges.map_batches(
+            _symmetrize_batch, batch_format="pyarrow", zero_copy_batch=True
+        )
+        dedup = True
+    if dedup:
+        edges = dedup_edges(edges)
+    edges = edges.materialize()
+    num_edges = edges.count()
+    if num_edges == 0:
+        raise ValueError(f"build_graph: the edge input for {path!r} is empty")
+    P = num_partitions if num_partitions is not None else _auto_partitions(
+        num_edges
+    )
+
+    # vertex/degree table — bucketed vectorized aggregate (vertex ids are
+    # near-unique keys; see joins.bucket_group_agg)
+    degrees = bucket_group_agg(
+        edges.map_batches(_degree_rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["vertex_id"],
+        {
+            "out_degree": ("out_degree", "sum"),
+            "in_degree": ("in_degree", "sum"),
+            "w_out_degree": ("w_out_degree", "sum"),
+        },
+        num_buckets=max(64, P),
+    ).materialize()
+    num_vertices = degrees.count()
+
+    if skew_threshold is None:
+        avg = max(1, num_edges // max(1, num_vertices))
+        skew_threshold = max(512, 32 * avg)
+    split_df = (
+        degrees.filter(expr=f"out_degree > {int(skew_threshold)}")
+        .select_columns(["vertex_id"])
+        .to_pandas()
+    )
+    split_vertices = np.sort(
+        split_df["vertex_id"].to_numpy(dtype=np.int64)
+        if len(split_df)
+        else np.empty(0, dtype=np.int64)
+    )
 
     os.makedirs(path, exist_ok=True)
     for sub in ("edges", "vertices", "meta.json"):
@@ -206,95 +258,30 @@ def build_graph(
             shutil.rmtree(target)
         elif os.path.exists(target):
             os.remove(target)
-    tmp_edges = os.path.join(path, "_tmp_edges")
-
-    if symmetrize:
-        edges = edges.map_batches(
-            _symmetrize_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
-        dedup = True
-    if dedup:
-        edges = dedup_edges(edges)
-    _strip_meta(edges).write_parquet(tmp_edges, mode="overwrite")
-
-    # metadata-only count (no data read) fixes the partition count
-    num_edges_total = ray.data.read_parquet(tmp_edges).count()
-    P = num_partitions if num_partitions is not None else _auto_partitions(
-        num_edges_total
-    )
-
-    # pass 2: vertex/degree table — bucketed vectorized aggregate (vertex
-    # ids are near-unique keys; see joins.bucket_group_agg)
-    from flashray.joins import bucket_group_agg
-
-    degrees = bucket_group_agg(
-        ray.data.read_parquet(tmp_edges, columns=["src", "dst", "weight"])
-        .map_batches(_degree_rows, batch_format="pyarrow", zero_copy_batch=True),
-        ["vertex_id"],
-        {
-            "out_degree": ("out_degree", "sum"),
-            "in_degree": ("in_degree", "sum"),
-            "w_out_degree": ("w_out_degree", "sum"),
-        },
-        num_buckets=max(64, P),
-    )
-
-    def add_vpart(batch: pa.Table) -> pa.Table:
-        v = batch["vertex_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column("part", pa.array((v % P).astype(np.int32)))
-
-    vdir = os.path.join(path, "vertices")
     _write_partitioned(
-        degrees.map_batches(add_vpart, batch_format="pyarrow", zero_copy_batch=True),
-        vdir,
+        degrees.map_batches(
+            _part_expr(P, key="vertex_id"),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        ),
+        os.path.join(path, "vertices"),
         ["vertex_id", "out_degree", "in_degree", "w_out_degree"],
     )
-    num_vertices = ray.data.read_parquet(vdir).count()
-
-    # pass 3 (cheap): split-vertex detection from the vertex table
-    import pyarrow.compute as pc
-
-    if skew_threshold is None:
-        avg = max(1, num_edges_total // max(1, num_vertices))
-        skew_threshold = max(512, 32 * avg)
-    split_df = ray.data.read_parquet(
-        os.path.join(path, "vertices"),
-        columns=["vertex_id"],
-        filter=pc.field("out_degree") > skew_threshold,
-    ).to_pandas()
-    split_vertices = (
-        np.sort(split_df["vertex_id"].to_numpy()).astype(np.int64)
-        if len(split_df)
-        else np.empty(0, dtype=np.int64)
-    )
-    split_set_ref = ray.put(split_vertices)
-
-    def add_epart(batch: pa.Table) -> pa.Table:
-        splits = ray.get(split_set_ref)
-        src = batch["src"].to_numpy(zero_copy_only=False)
-        dst = batch["dst"].to_numpy(zero_copy_only=False)
-        part = (src % P).astype(np.int32)
-        if len(splits):
-            is_split = np.isin(src, splits)
-            part = np.where(is_split, ((src + dst) % P).astype(np.int32), part)
-        return batch.append_column("part", pa.array(part))
-
-    # pass 4: hash-partitioned edge dirs (streamed, many files per part)
     _write_partitioned(
-        ray.data.read_parquet(tmp_edges).map_batches(
-            add_epart, batch_format="pyarrow", zero_copy_batch=True
+        edges.map_batches(
+            _part_expr(P, split_vertices),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
         ),
         os.path.join(path, "edges"),
         ["src", "dst", "etype", "weight", "ts"],
     )
 
-    shutil.rmtree(tmp_edges, ignore_errors=True)
-
     meta = GraphMeta(
         path=path,
         num_partitions=P,
         num_vertices=num_vertices,
-        num_edges=num_edges_total,
+        num_edges=num_edges,
         symmetrized=symmetrize,
         skew_threshold=int(skew_threshold),
         split_vertices=split_vertices.tolist(),
@@ -303,30 +290,27 @@ def build_graph(
     return Graph(meta)
 
 
-def _part_expr(P: int, split_vertices: np.ndarray):
-    """Partition-assignment batch fn shared by build and incremental
-    ingest: part = src % P, split (super-hub) sources spread as
-    (src + dst) % P."""
-    import ray as _ray
+def _part_expr(P: int, split_vertices=(), key: str = "src"):
+    """The one partition rule, as a pyarrow batch fn appending ``part``:
+    ``part = key % P``, except that an edge whose ``key`` is a split
+    (super-hub) vertex goes to ``(src + dst) % P``. Edges use
+    ``key="src"``; the vertex table uses ``key="vertex_id"`` and no split
+    set. Shared by the build and incremental ingest."""
+    split_ref = ray.put(np.asarray(split_vertices, dtype=np.int64))
 
-    split_ref = _ray.put(split_vertices)
-
-    def add_epart(batch: pa.Table) -> pa.Table:
-        splits = _ray.get(split_ref)
-        src = batch["src"].to_numpy(zero_copy_only=False)
-        dst = batch["dst"].to_numpy(zero_copy_only=False)
-        part = (src % P).astype(np.int32)
+    def add_part(batch: pa.Table) -> pa.Table:
+        splits = ray.get(split_ref)
+        k = batch[key].to_numpy(zero_copy_only=False)
+        part = (k % P).astype(np.int32)
         if len(splits):
-            is_split = np.isin(src, splits)
-            part = np.where(is_split, ((src + dst) % P).astype(np.int32), part)
+            dst = batch["dst"].to_numpy(zero_copy_only=False)
+            part = np.where(np.isin(k, splits), ((k + dst) % P).astype(np.int32), part)
         return batch.append_column("part", pa.array(part))
 
-    return add_epart
+    return add_part
 
 
-def add_edges(
-    graph: Graph, new_edges: ray.data.Dataset, *, scratch_dir: str | None = None
-) -> Graph:
+def add_edges(graph: Graph, new_edges: ray.data.Dataset) -> Graph:
     """Incremental ingest: merge a new edge Dataset into an existing graph
     layout IN PLACE, touching only the edge/vertex partitions the new rows
     land in — the continuous-pipeline path (result ≡ a full rebuild over
@@ -343,12 +327,8 @@ def add_edges(
     Skew escape hatch: if the update pushes a previously-normal vertex
     over the split threshold, its existing adjacency would have to move
     partitions — that case falls back to a full rebuild over the union
-    (logged via the returned meta; ``scratch_dir`` holds the union spill,
-    default ``<path>/_ingest_scratch``)."""
-    import shutil
-
-    from flashray.joins import bucket_group_agg
-
+    (logged via the returned meta): ``build_graph`` materializes the union
+    before it replaces the graph the union reads."""
     meta = graph.meta
     P = meta.num_partitions
     path = meta.path
@@ -492,23 +472,19 @@ def add_edges(
         & ~mergedv["vertex_id"].isin(splits)
     ]
     if len(new_splits):
-        scratch = scratch_dir or os.path.join(path, "_ingest_scratch")
-        shutil.rmtree(scratch, ignore_errors=True)
         union = graph.edges_dataset().union(
             newp.select_columns(["src", "dst", "etype", "weight", "ts"])
         )
-        _strip_meta(dedup_edges(union)).write_parquet(scratch, mode="overwrite")
         g = build_graph(
-            ray.data.read_parquet(scratch),
+            union,
             path,
             num_partitions=P,
             symmetrize=False,  # rows already symmetrized; keep the flag:
-            dedup=False,
+            dedup=True,
             skew_threshold=meta.skew_threshold,
         )
         g.meta.symmetrized = meta.symmetrized
         g.meta.save()
-        shutil.rmtree(scratch, ignore_errors=True)
         return g
 
     # rewrite affected edge partitions (helper cols dropped; part stays
