@@ -1095,7 +1095,7 @@ def _q_docs_quality_percentile(sf_dir: str):
     from flashray.datapipe.textstats import add_text_stats
 
     docs = _table(sf_dir, "documents", "doc_id", "text")
-    scored = add_text_stats(docs, concurrency=4).materialize()
+    scored = add_text_stats(docs).materialize()
     cut = exact_quantiles(scored, "avg_token_len", [0.25])[0.25]
 
     def keep(b: pa.Table) -> pa.Table:
@@ -1122,7 +1122,7 @@ def _q_docs_quality_by_source(sf_dir: str):
     )
 
     docs = _table(sf_dir, "documents", "doc_id", "source", "text")
-    scored = add_text_stats(docs, concurrency=4).materialize()
+    scored = add_text_stats(docs).materialize()
     kept = percentile_gate_by_group(
         scored, "source", "avg_token_len", q=0.25
     )
@@ -1179,7 +1179,7 @@ def _q_docs_bloom_decontaminate(sf_dir: str):
 def _doc_stage(sf_dir: str, stage, cols, r6=()) -> "pd.DataFrame":
     """A per-document textstats stage over (doc_id, text), projected."""
     ds = _table(sf_dir, "documents", "doc_id", "text")
-    return _out(stage(ds, concurrency=4), cols, r6=r6)
+    return _out(stage(ds), cols, r6=r6)
 
 
 def _q_docs_token_stats(sf_dir: str):
@@ -1230,7 +1230,7 @@ def _q_embeddings_knn(sf_dir: str):
     from flashray.datapipe import similarity
 
     ds = _table(sf_dir, "embeddings")
-    res = similarity.knn_brute_force(ds, _vec0(ds)[None, :], k=10, concurrency=4)
+    res = similarity.knn_brute_force(ds, _vec0(ds)[None, :], k=10)
     res = res.reset_index(drop=True)
     res["rank"] = np.arange(1, len(res) + 1, dtype=np.int64)
     return res[["rank", "vec_id"]]
@@ -1247,9 +1247,7 @@ def _q_docs_minhash_decontaminate(sf_dir: str):
 
     ds = _table(sf_dir, "documents", "doc_id", "text").materialize()
     evals, train = _split(ds, lambda b: _np(b, "doc_id") % 10 == 0)
-    flagged = minhash_decontaminate(
-        train, evals, threshold=0.8, concurrency=4
-    ).to_pandas()
+    flagged = minhash_decontaminate(train, evals, threshold=0.8).to_pandas()
     if not len(flagged):
         return pd.DataFrame(
             {
@@ -1280,7 +1278,7 @@ def _q_minhash_dup_groups(sf_dir: str):
     from flashray.datapipe import dedup
 
     ds = _table(sf_dir, "documents", "doc_id", "text")
-    pairs = dedup.candidate_pairs_minhash(ds, threshold=0.8, concurrency=4)
+    pairs = dedup.candidate_pairs_minhash(ds, threshold=0.8)
     return dedup.duplicate_groups(pairs)
 
 
@@ -1288,7 +1286,7 @@ def _q_simhash_pairs(sf_dir: str):
     from flashray.datapipe import dedup
 
     ds = _table(sf_dir, "documents", "doc_id", "text")
-    return dedup.candidate_pairs_simhash(ds, max_hamming=3, concurrency=4)
+    return dedup.candidate_pairs_simhash(ds, max_hamming=3)
 
 
 def _q_embedding_near_dups(sf_dir: str):
@@ -1349,9 +1347,7 @@ def _kmeans4(ds):
     oracles."""
     from flashray.datapipe import kmeans
 
-    cents, _ = kmeans.kmeans(
-        ds, k=4, max_iters=1, tol=0.0, init="lowest_ids", concurrency=4
-    )
+    cents, _ = kmeans.kmeans(ds, k=4, max_iters=1, tol=0.0, init="lowest_ids")
     return cents
 
 
@@ -1363,7 +1359,7 @@ def _q_embeddings_kmeans(sf_dir: str):
     from flashray.datapipe import kmeans
 
     ds = _table(sf_dir, "embeddings", "vec_id", "embedding")
-    out = kmeans.kmeans_assign(ds, _kmeans4(ds), concurrency=4)
+    out = kmeans.kmeans_assign(ds, _kmeans4(ds))
     return _out(out, ["vec_id", "cluster"], ints=["vec_id", "cluster"])
 
 
@@ -1376,11 +1372,9 @@ def _q_embeddings_pq_codes(sf_dir: str):
     from flashray.datapipe import pq
 
     ds = _table(sf_dir, "embeddings", "vec_id", "embedding")
-    cb = pq.pq_train(
-        ds, m=8, k=4, iters=1, init="lowest_ids", concurrency=4
-    )
+    cb = pq.pq_train(ds, m=8, k=4, iters=1, init="lowest_ids")
     return _out(
-        pq.pq_encode(ds, cb, concurrency=4), ["vec_id", "pq_code"],
+        pq.pq_encode(ds, cb), ["vec_id", "pq_code"],
         ints=["vec_id", "pq_code"], sort="vec_id",
     )
 
@@ -1430,7 +1424,7 @@ def _q_media_features(sf_dir: str):
 
     # 6-dp rounding on the float stats: the SQL oracle's one-pass variance
     # differs from numpy's two-pass at ~1e-12
-    out = multimodal.image_features(_media_ds(sf_dir))
+    out = multimodal.media_features(_media_ds(sf_dir))
     return _out(out, r6=["px_mean", "px_std"])
 
 
@@ -1895,7 +1889,7 @@ def _q_docs_chunks(sf_dir: str):
     from flashray.datapipe.textstats import chunk_documents
 
     docs = _table(sf_dir, "documents", "doc_id", "text")
-    out = chunk_documents(docs, chunk_tokens=32, overlap=8, concurrency=4)
+    out = chunk_documents(docs, chunk_tokens=32, overlap=8)
     return _out(
         out, ["doc_id", "chunk_idx", "n_tokens", "text"],
         ints=["doc_id", "chunk_idx", "n_tokens"], sort=["doc_id", "chunk_idx"],
@@ -1921,7 +1915,7 @@ def _q_docs_redact(sf_dir: str):
         )
         return df
 
-    out = redact(docs.map_batches(plant, batch_format="pandas"), concurrency=4)
+    out = redact(docs.map_batches(plant, batch_format="pandas"))
     return _out(
         out, ["doc_id", "text", "n_redactions"],
         ints=["doc_id", "n_redactions"], sort="doc_id",
@@ -1937,9 +1931,9 @@ def _q_docs_pack_sequences(sf_dir: str):
     from flashray.datapipe.textstats import chunk_documents
 
     docs = _table(sf_dir, "documents", "doc_id", "text")
-    chunks = chunk_documents(
-        docs, chunk_tokens=32, overlap=0, concurrency=4
-    ).drop_columns(["text"])
+    chunks = chunk_documents(docs, chunk_tokens=32, overlap=0).drop_columns(
+        ["text"]
+    )
     cols = ["doc_id", "chunk_idx", "n_tokens", "pack_id", "pack_offset"]
     return _out(
         pack_sequences(chunks, ["doc_id", "chunk_idx"], "n_tokens", 48),
@@ -2217,7 +2211,7 @@ def _q_docs_dsir_weights(sf_dir: str):
 
     out = dsir_weights(
         docs, docs.map_batches(en_only, batch_format="pyarrow"),
-        n=2, d=1024, concurrency=4,
+        n=2, d=1024,
     )
     return _out(
         out, ["doc_id", "logweight"], ints=["doc_id"], r6=["logweight"],
@@ -3002,7 +2996,7 @@ def _q_docs_rrf_fusion(sf_dir: str):
     bm["rank"] = np.arange(1, len(bm) + 1, dtype=np.int64)
 
     emb = _table(sf_dir, "embeddings")
-    kn = knn_brute_force(emb, _vec0(emb)[None, :], k=10, concurrency=4)
+    kn = knn_brute_force(emb, _vec0(emb)[None, :], k=10)
     kn = kn.reset_index(drop=True)
     kn["rank"] = np.arange(1, len(kn) + 1, dtype=np.int64)
     kn = _out(kn, ["doc_id", "rank"], rename={"vec_id": "doc_id"}, ints=["doc_id"])

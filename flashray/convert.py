@@ -30,41 +30,36 @@ from flashray import schema
 # --------------------------------------------------------------------------
 
 
-class _ParseEdgeLines:
-    """Vectorized edge-line parser (batch fn; compiled split pattern is
-    state the stage holds once, not per batch)."""
-
-    def __init__(self, delimiter: str | None, comment: str, weighted: bool):
-        self.delimiter = delimiter
-        self.comment = comment
-        self.weighted = weighted
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        lines = batch["text"].astype(str).str.strip()
-        keep = (lines.str.len() > 0) & ~lines.str.startswith(self.comment)
-        lines = lines[keep]
-        parts = lines.str.split(self.delimiter, expand=True)
-        if parts.shape[1] < 2:
-            parts = pd.DataFrame({0: pd.Series(dtype=str), 1: pd.Series(dtype=str)})
-        out = pd.DataFrame(
-            {
-                "src": pd.to_numeric(parts[0], errors="coerce"),
-                "dst": pd.to_numeric(parts[1], errors="coerce"),
-            }
+def _parse_edge_lines(
+    batch: pd.DataFrame, *, delimiter: str | None, comment: str, weighted: bool
+) -> pd.DataFrame:
+    """Vectorized edge-line parser: (src, dst[, weight]) of every
+    non-blank, non-comment line that parses."""
+    lines = batch["text"].astype(str).str.strip()
+    keep = (lines.str.len() > 0) & ~lines.str.startswith(comment)
+    lines = lines[keep]
+    parts = lines.str.split(delimiter, expand=True)
+    if parts.shape[1] < 2:
+        parts = pd.DataFrame({0: pd.Series(dtype=str), 1: pd.Series(dtype=str)})
+    out = pd.DataFrame(
+        {
+            "src": pd.to_numeric(parts[0], errors="coerce"),
+            "dst": pd.to_numeric(parts[1], errors="coerce"),
+        }
+    )
+    if weighted:
+        w = (
+            parts[2]
+            if parts.shape[1] > 2
+            else pd.Series(np.nan, index=parts.index)
         )
-        if self.weighted:
-            w = (
-                parts[2]
-                if parts.shape[1] > 2
-                else pd.Series(np.nan, index=parts.index)
-            )
-            out["weight"] = pd.to_numeric(w, errors="coerce").astype(np.float64)
-        out = out.dropna(subset=["src", "dst"])
-        out["src"] = out["src"].astype(np.int64)
-        out["dst"] = out["dst"].astype(np.int64)
-        if self.weighted:
-            out["weight"] = out["weight"].fillna(1.0)
-        return out
+        out["weight"] = pd.to_numeric(w, errors="coerce").astype(np.float64)
+    out = out.dropna(subset=["src", "dst"])
+    out["src"] = out["src"].astype(np.int64)
+    out["dst"] = out["dst"].astype(np.int64)
+    if weighted:
+        out["weight"] = out["weight"].fillna(1.0)
+    return out
 
 
 def read_edge_list(
@@ -82,7 +77,8 @@ def read_edge_list(
     line-oriented converters)."""
     ds = ray.data.read_text(paths, file_extensions=None)
     return ds.map_batches(
-        _ParseEdgeLines(delimiter, comment, weighted),
+        _parse_edge_lines,
+        fn_kwargs={"delimiter": delimiter, "comment": comment, "weighted": weighted},
         batch_format="pandas",
     )
 

@@ -37,7 +37,6 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from flashray.datapipe import _util
 from flashray.ids import _splitmix64
 from flashray.joins import (
     bucket_group_agg,
@@ -185,16 +184,14 @@ def _agreement(x: np.ndarray, y: np.ndarray, *, threshold: float):
 def _band_rows(batch: pa.Table, *, id_col: str, keys) -> pa.Table:
     """Explode signatures to (bucket, doc_id, signature) LSH-band rows.
 
-    Fully vectorized over Arrow: the fixed_size_list signature column is
-    viewed zero-copy as (n, width) and ``keys`` maps it to its (n, bands)
-    LSH bucket keys. Output rows are row-major (row, band) order."""
+    Fully vectorized over Arrow: the signature column (a list of one
+    width) is viewed zero-copy as (n, width) and ``keys`` maps it to its
+    (n, bands) LSH bucket keys. Output rows are row-major (row, band)
+    order."""
     n = batch.num_rows
     sig_col = batch["signature"].combine_chunks()
-    sigs = (
-        sig_col.values.to_numpy(zero_copy_only=False)
-        .astype(np.uint64, copy=False)
-        .reshape(n, sig_col.type.list_size)
-    )
+    flat = sig_col.flatten().to_numpy(zero_copy_only=False)
+    sigs = flat.astype(np.uint64, copy=False).reshape(n, len(flat) // max(n, 1))
     buckets = keys(sigs)
     bands = buckets.shape[1]
     ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -210,16 +207,15 @@ def _band_rows(batch: pa.Table, *, id_col: str, keys) -> pa.Table:
 
 def _lsh_band_rows(
     ds: ray.data.Dataset, signatures, *, text_col: str, id_col: str, keys,
-    concurrency: int, **sig_kwargs,
+    **sig_kwargs,
 ) -> ray.data.Dataset:
-    """Signature tasks (at most ``concurrency`` at a time) followed by the
-    :func:`_band_rows` explode — the input of :func:`_bucket_pairs`."""
+    """Signature tasks followed by the :func:`_band_rows` explode (Ray
+    fuses the two into one task) — the input of :func:`_bucket_pairs`."""
     sigs = ds.select_columns([id_col, text_col]).map_batches(
         signatures,
         fn_kwargs={"text_col": text_col, **sig_kwargs},
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
     return sigs.map_batches(
         _band_rows,
@@ -359,19 +355,17 @@ def candidate_pairs_minhash(
     bands: int | None = None,
     shingle_n: int = 3,
     threshold: float = 0.7,
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """MinHash+LSH near-duplicate pairs (a < b, estimated Jaccard ≥
     threshold), each pair once. ``bands=None`` derives the banding from
     the threshold so recall at the stated threshold stays high (128
     perms: threshold 0.5 or 0.7 → 32 bands of 4, 0.8 → 16 bands of 8,
-    0.9 → 8 bands of 16). Signatures are stateless tasks (at most
-    ``concurrency`` at a time); one bucket shuffle on the LSH key feeds
-    :func:`_bucket_pairs`."""
+    0.9 → 8 bands of 16). Signatures are stateless tasks; one bucket
+    shuffle on the LSH key feeds :func:`_bucket_pairs`."""
     keys = _minhash_keys(num_perm, bands, threshold)
     rows = _lsh_band_rows(
         ds, _minhash_signatures, text_col=text_col, id_col=id_col, keys=keys,
-        concurrency=concurrency, num_perm=num_perm, shingle_n=shingle_n,
+        num_perm=num_perm, shingle_n=shingle_n,
     )
     verify = functools.partial(
         _bucket_pairs, keys=keys,
@@ -447,7 +441,6 @@ def duplicate_groups(
 
 def exact_dedup(
     ds: ray.data.Dataset, *, text_col: str = "text", id_col: str = "doc_id",
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """Exact dedup: one surviving row id per distinct text (min id), via a
     content-hash groupby — (text_hash, keep_id, n_copies).
@@ -461,7 +454,6 @@ def exact_dedup(
         fingerprint_batch,
         fn_kwargs={"text_col": text_col},
         batch_format="pandas",
-        concurrency=concurrency,
     )
     agg = bucket_group_agg(
         hashed.select_columns(["fingerprint", id_col]),
@@ -536,7 +528,6 @@ def candidate_pairs_simhash(
     text_col: str = "text",
     id_col: str = "doc_id",
     max_hamming: int = 3,
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """SimHash near-dup pairs (a < b, hamming ≤ ``max_hamming``), each
     pair once: bucket by each of 4 16-bit chunks (any pair within hamming
@@ -544,7 +535,7 @@ def candidate_pairs_simhash(
     :func:`_bucket_pairs` behind one bucket shuffle on the chunk key."""
     rows = _lsh_band_rows(
         ds, _simhash_signatures, text_col=text_col, id_col=id_col,
-        keys=_simhash_keys, concurrency=concurrency,
+        keys=_simhash_keys,
     )
     verify = functools.partial(
         _bucket_pairs, keys=_simhash_keys, value="hamming",
@@ -932,46 +923,38 @@ def _bloom_positions(h: np.ndarray, m_bits: int, k: int) -> np.ndarray:
     return out
 
 
-class _BloomCandidateGrams:
-    """Actor-pool stage: tests every document n-gram against a broadcast
-    Bloom bitset (fetched from the object store ONCE per actor — a
-    zero-copy shared-memory numpy view, never re-shipped per batch) and
-    emits only the flagged DISTINCT (doc_id, ngram) rows."""
-
-    def __init__(self, bits_ref, *, n, k, m_bits, id_col, text_col):
-        self.bits = ray.get(bits_ref)
-        self.n, self.k, self.m_bits = n, k, m_bits
-        self.id_col, self.text_col = id_col, text_col
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        n = self.n
-        out_id, out_ng = [], []
-        for d, text in zip(
-            df[self.id_col].to_numpy(), df[self.text_col].astype(str)
-        ):
-            ws = text.split()
-            if len(ws) < n:
-                continue
-            h = _window_hashes(_word_codes(ws), n)
-            pos = _bloom_positions(h, self.m_bits, self.k)
-            member = np.ones(len(h), dtype=bool)
-            for i in range(self.k):
-                p = pos[i]
-                member &= (
-                    self.bits[(p >> np.uint64(3)).astype(np.int64)]
-                    >> (p & np.uint64(7)).astype(np.uint8)
-                ) & np.uint8(1) == 1
-            if not member.any():
-                continue
-            grams = sorted(
-                {" ".join(ws[j : j + n]) for j in np.flatnonzero(member)}
-            )
-            out_id.extend([int(d)] * len(grams))
-            out_ng.extend(grams)
-        return pd.DataFrame(
-            {"doc_id": pd.Series(out_id, dtype=np.int64),
-             "ngram": pd.Series(out_ng, dtype=str)}
-        )
+def _bloom_candidate_grams(
+    df: pd.DataFrame, *, bits_ref, n: int, k: int, m_bits: int, id_col: str,
+    text_col: str,
+) -> pd.DataFrame:
+    """Tests every document n-gram against the broadcast Bloom bitset (a
+    zero-copy shared-memory numpy view of the object-store copy, never
+    re-shipped per batch) and emits only the flagged DISTINCT
+    (doc_id, ngram) rows."""
+    bits = ray.get(bits_ref)
+    out_id, out_ng = [], []
+    for d, text in zip(df[id_col].to_numpy(), df[text_col].astype(str)):
+        ws = text.split()
+        if len(ws) < n:
+            continue
+        h = _window_hashes(_word_codes(ws), n)
+        pos = _bloom_positions(h, m_bits, k)
+        member = np.ones(len(h), dtype=bool)
+        for i in range(k):
+            p = pos[i]
+            member &= (
+                bits[(p >> np.uint64(3)).astype(np.int64)]
+                >> (p & np.uint64(7)).astype(np.uint8)
+            ) & np.uint8(1) == 1
+        if not member.any():
+            continue
+        grams = sorted({" ".join(ws[j : j + n]) for j in np.flatnonzero(member)})
+        out_id.extend([int(d)] * len(grams))
+        out_ng.extend(grams)
+    return pd.DataFrame(
+        {"doc_id": pd.Series(out_id, dtype=np.int64),
+         "ngram": pd.Series(out_ng, dtype=str)}
+    )
 
 
 def bloom_decontaminate(
@@ -984,7 +967,6 @@ def bloom_decontaminate(
     m_bits: int = 1 << 23,
     k: int = 4,
     num_buckets: int = 64,
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """Benchmark decontamination behind a broadcast Bloom prefilter —
     same contract and EXACT same output as :func:`decontaminate`
@@ -995,7 +977,7 @@ def bloom_decontaminate(
     the CORPUS (the 100-TB side). Here the benchmark's n-grams are folded
     into an m_bits Bloom bitset (one streaming pass, one ~m_bits/8-byte
     partial per block, OR-fold on the driver — 1 MiB at the default), the
-    bitset is broadcast once via ``ray.put``, and an actor pool tests
+    bitset is broadcast once via ``ray.put``, and plain tasks test
     corpus grams in-batch: only Bloom-flagged grams (true hits + the
     ~(1-e^{-kN/m})^k false-positive sliver) enter the exact string join
     that removes false positives. The shuffle volume now scales with the
@@ -1033,12 +1015,10 @@ def bloom_decontaminate(
     ):
         for raw in b["bits"]:
             bits |= np.frombuffer(raw, dtype=np.uint8)
-    bits_ref = ray.put(bits)
-
     cand_ng = docs.select_columns([id_col, text_col]).map_batches(
-        _BloomCandidateGrams,
-        fn_constructor_kwargs={
-            "bits_ref": bits_ref,
+        _bloom_candidate_grams,
+        fn_kwargs={
+            "bits_ref": ray.put(bits),
             "n": n,
             "k": k,
             "m_bits": m_bits,
@@ -1046,7 +1026,6 @@ def bloom_decontaminate(
             "text_col": text_col,
         },
         batch_format="pandas",
-        concurrency=_util.pool_size(concurrency),
     )
 
     def bench_ngrams(df: pd.DataFrame) -> pd.DataFrame:
@@ -1120,7 +1099,6 @@ def minhash_decontaminate(
     bands: int | None = None,
     shingle_n: int = 3,
     threshold: float = 0.7,
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """NEAR-duplicate cross-corpus decontamination: flag candidate docs
     whose MinHash signature collides with any benchmark/eval doc in an LSH
@@ -1142,8 +1120,7 @@ def minhash_decontaminate(
     def sided(ds: ray.data.Dataset, side: int) -> ray.data.Dataset:
         rows = _lsh_band_rows(
             ds, _minhash_signatures, text_col=text_col, id_col=id_col,
-            keys=keys, concurrency=concurrency, num_perm=num_perm,
-            shingle_n=shingle_n,
+            keys=keys, num_perm=num_perm, shingle_n=shingle_n,
         )
         return rows.map_batches(
             lambda b: b.append_column(
@@ -1242,7 +1219,6 @@ def exact_substr(
     span_tokens: int = 20,
     min_count: int = 2,
     num_buckets: int = 64,
-    concurrency: int = 4,
     broadcast_threshold: int | None = 2_000_000,
     id_col: str = "doc_id",
     text_col: str = "text",
@@ -1331,11 +1307,7 @@ def exact_substr(
 
     spans = (
         docs.select_columns([id_col, text_col])
-        .map_batches(
-            span_rows,
-            batch_format="pandas",
-            concurrency=concurrency,
-        )
+        .map_batches(span_rows, batch_format="pandas")
         .materialize()
     )
 

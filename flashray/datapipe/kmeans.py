@@ -32,7 +32,6 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from flashray.datapipe import _util
 from flashray.datapipe.similarity import _stack
 from flashray.ids import _splitmix64
 
@@ -72,45 +71,64 @@ def _seed_rows(
     return np.stack([np.asarray(v, dtype=np.float64) for v in parts["vec"]])
 
 
-class _PartialSums:
-    """Actor: assigns a batch to the broadcast centroids and emits k
-    partial rows (cluster, count, sumvec)."""
+def _assign(x: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cluster, squared distance) per row: vectorized argmin ||x−c||² with
+    ties to the smaller cluster id (np.argmin takes the first minimum).
+    Exact Σ(x−c)² — matches the SQL oracle's list_distance ordering
+    bit-for-bit on equal centroids."""
+    d2 = ((x[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+    a = np.argmin(d2, axis=1).astype(np.int64)
+    return a, d2[np.arange(len(a)), a]
 
-    def __init__(self, cents_ref):
-        self.c = ray.get(cents_ref)  # (k, d) float64
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        k, dim0 = self.c.shape
-        if len(batch) == 0:
-            return pa.table(
-                {
-                    "cluster": pa.array([], type=pa.int64()),
-                    "count": pa.array([], type=pa.int64()),
-                    "sumvec": pa.array([], type=pa.list_(pa.float64())),
-                }
-            )
-        x = _stack(batch[self._vec_col]).astype(np.float64)
-        d2 = ((x[:, None, :] - self.c[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)
-        k, dim = self.c.shape
-        counts = np.bincount(assign, minlength=k)
-        sums = np.zeros((k, dim))
-        np.add.at(sums, assign, x)
+def _partial_sums(batch: pa.Table, *, cents_ref, vec_col: str) -> pa.Table:
+    """Assigns a batch to the broadcast (k, d) float64 centroids and emits
+    k partial rows (cluster, count, sumvec)."""
+    if len(batch) == 0:
         return pa.table(
             {
-                "cluster": pa.array(np.arange(k, dtype=np.int64)),
-                "count": pa.array(counts.astype(np.int64)),
-                "sumvec": pa.array(list(sums)),
+                "cluster": pa.array([], type=pa.int64()),
+                "count": pa.array([], type=pa.int64()),
+                "sumvec": pa.array([], type=pa.list_(pa.float64())),
             }
         )
+    cents = ray.get(cents_ref)
+    k, dim = cents.shape
+    x = _stack(batch[vec_col]).astype(np.float64)
+    assign, _ = _assign(x, cents)
+    counts = np.bincount(assign, minlength=k)
+    sums = np.zeros((k, dim))
+    np.add.at(sums, assign, x)
+    return pa.table(
+        {
+            "cluster": pa.array(np.arange(k, dtype=np.int64)),
+            "count": pa.array(counts.astype(np.int64)),
+            "sumvec": pa.array(list(sums)),
+        }
+    )
 
 
-def _assign_batch(x: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """Vectorized argmin ||x−c||² with ties to the smaller cluster id
-    (np.argmin takes the first minimum). Exact Σ(x−c)² — matches the SQL
-    oracle's list_distance ordering bit-for-bit on equal centroids."""
-    d2 = ((x[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1).astype(np.int64)
+def _assign_rows(
+    batch: pa.Table, *, cents_ref, vec_col: str, id_col: str
+) -> pa.Table:
+    """(id_col, cluster, dist) of each row against the broadcast centroids."""
+    if len(batch) == 0:
+        return pa.table(
+            {
+                id_col: pa.array([], type=pa.int64()),
+                "cluster": pa.array([], type=pa.int64()),
+                "dist": pa.array([], type=pa.float64()),
+            }
+        )
+    x = _stack(batch[vec_col]).astype(np.float64)
+    a, d2 = _assign(x, ray.get(cents_ref))
+    return pa.table(
+        {
+            id_col: batch[id_col].cast(pa.int64()),
+            "cluster": pa.array(a),
+            "dist": pa.array(np.sqrt(d2)),
+        }
+    )
 
 
 def kmeans(
@@ -122,7 +140,6 @@ def kmeans(
     vec_col: str = "embedding",
     id_col: str = "vec_id",
     init: str = "hash",
-    concurrency: int = 4,
     batch_size: int = 4096,
 ):
     """Lloyd iterations until the max centroid shift < ``tol`` or
@@ -137,19 +154,11 @@ def kmeans(
         raise ValueError(f"k={k} but only {k_eff} rows")
     shifts, counts_hist = [], []
     for _ in range(max_iters):
-        ref = ray.put(cents)
-
-        class Partial(_PartialSums):
-            _vec_col = vec_col
-
-            def __init__(self):
-                super().__init__(ref)
-
         parts = ds.map_batches(
-            Partial,
+            _partial_sums,
+            fn_kwargs={"cents_ref": ray.put(cents), "vec_col": vec_col},
             batch_format="pyarrow",
             batch_size=batch_size,
-            concurrency=_util.pool_size(concurrency),
         ).to_pandas()
         # tiny: (num_blocks × k) rows — combine on the driver
         counts = np.zeros(k, dtype=np.int64)
@@ -181,42 +190,17 @@ def kmeans_assign(
     *,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
     batch_size: int = 4096,
 ) -> ray.data.Dataset:
     """Stream the corpus against broadcast centroids → Dataset
     (id_col, cluster, dist)."""
-    ref = ray.put(np.asarray(centroids, dtype=np.float64))
-
-    class Assign:
-        def __init__(self):
-            self.c = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table(
-                    {
-                        id_col: pa.array([], type=pa.int64()),
-                        "cluster": pa.array([], type=pa.int64()),
-                        "dist": pa.array([], type=pa.float64()),
-                    }
-                )
-            x = _stack(batch[vec_col]).astype(np.float64)
-            d2 = ((x[:, None, :] - self.c[None, :, :]) ** 2).sum(axis=2)
-            a = np.argmin(d2, axis=1)
-            return pa.table(
-                {
-                    id_col: batch[id_col].cast(pa.int64()),
-                    "cluster": pa.array(a.astype(np.int64)),
-                    "dist": pa.array(
-                        np.sqrt(d2[np.arange(len(a)), a])
-                    ),
-                }
-            )
-
     return ds.map_batches(
-        Assign,
+        _assign_rows,
+        fn_kwargs={
+            "cents_ref": ray.put(np.asarray(centroids, dtype=np.float64)),
+            "vec_col": vec_col,
+            "id_col": id_col,
+        },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
     )

@@ -497,7 +497,6 @@ def dsir_weights(
     salt: str = "dsir",
     id_col: str = "doc_id",
     text_col: str = "text",
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """DSIR-style importance weights (Xie et al., "Data Selection for
     Language Models via Importance Resampling", NeurIPS 2023 — public
@@ -528,32 +527,21 @@ def dsir_weights(
     lr = np.log((tvec + 1.0) / (T + d)) - np.log((rvec + 1.0) / (R + d))
     lref = ray.put(lr)
 
-    class _Score:
-        def __init__(self):
-            self.lr = ray.get(lref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            ids = df[id_col].to_numpy().astype(np.int64)
-            rid, cell, cnt = _doc_ngram_cells(
-                df, id_col=id_col, text_col=text_col, n=n, d=d, salt=salt
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        ids = df[id_col].to_numpy().astype(np.int64)
+        rid, cell, cnt = _doc_ngram_cells(
+            df, id_col=id_col, text_col=text_col, n=n, d=d, salt=salt
+        )
+        w = np.zeros(len(ids))
+        if len(rid):
+            pos = {int(v): i for i, v in enumerate(ids)}
+            idx = np.fromiter(
+                (pos[int(v)] for v in rid), dtype=np.int64, count=len(rid)
             )
-            w = np.zeros(len(ids))
-            if len(rid):
-                pos = {int(v): i for i, v in enumerate(ids)}
-                idx = np.fromiter(
-                    (pos[int(v)] for v in rid), dtype=np.int64,
-                    count=len(rid),
-                )
-                np.add.at(w, idx, cnt * self.lr[cell])
-            return pd.DataFrame({id_col: ids, "logweight": w})
+            np.add.at(w, idx, cnt * ray.get(lref)[cell])
+        return pd.DataFrame({id_col: ids, "logweight": w})
 
-    from flashray.datapipe import _util
-
-    return raw.map_batches(
-        _Score,
-        batch_format="pandas",
-        concurrency=_util.pool_size(concurrency),
-    )
+    return raw.map_batches(score, batch_format="pandas")
 
 
 def rrf_fuse(

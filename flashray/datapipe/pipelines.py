@@ -26,7 +26,6 @@ def pretrain_corpus(
     max_tokens: int = 100_000,
     max_dup_word_frac: float = 0.55,
     max_top_2gram_frac: float = 0.1,
-    concurrency: int = 4,
     num_buckets: int = 64,
     id_col: str = "doc_id",
     text_col: str = "text",
@@ -36,13 +35,13 @@ def pretrain_corpus(
     (1) the lowest-id copy of its exact text (`dedup.exact_dedup`'s keep
     rule), (2) quality-kept (`textstats.quality_filter`: token band +
     duplicate-word + top-2-gram caps, 6-dp-rounded comparisons), and
-    (3) language-identified into ``langs`` (`textstats.LangId` stopword
+    (3) language-identified into ``langs`` (`textstats.lang_id_batch` stopword
     profiles). Returns a Dataset (doc_id, lang_pred) of survivors.
 
     All three predicates are defined over the ORIGINAL corpus (the
     dedup winner is the global lowest id among copies, kept or not), so
     the three passes run independently — one content-hash bucket
-    shuffle (dedup), two stateless actor-pool passes (quality, langid)
+    shuffle (dedup), two stateless task passes (quality, langid)
     — and intersect through two id semi-joins (streamed corpora) or a
     broadcast map-side id intersection (pinned-size corpora — the id
     sets are O(docs) int64s, so below ``materialize_threshold`` they
@@ -56,9 +55,8 @@ def pretrain_corpus(
     the threshold each pass streams its own column-pruned scan instead
     of forcing the full corpus through the object store + spill —
     pass ``None`` to always stream, ``sys.maxsize`` to always pin."""
-    from flashray.datapipe import _util
     from flashray.datapipe.dedup import exact_dedup
-    from flashray.datapipe.textstats import LangId, quality_filter
+    from flashray.datapipe.textstats import lang_id_batch, quality_filter
     from flashray.joins import bucket_semi_join
 
     base = docs.select_columns([id_col, text_col])
@@ -69,9 +67,7 @@ def pretrain_corpus(
     if small:
         base = base.materialize()
 
-    keep_ids = exact_dedup(
-        base, text_col=text_col, id_col=id_col, concurrency=concurrency
-    ).map_batches(
+    keep_ids = exact_dedup(base, text_col=text_col, id_col=id_col).map_batches(
         lambda b: pa.table({id_col: b["keep_id"].cast(pa.int64())}),
         batch_format="pyarrow",
     )
@@ -82,7 +78,6 @@ def pretrain_corpus(
         max_tokens=max_tokens,
         max_dup_word_frac=max_dup_word_frac,
         max_top_2gram_frac=max_top_2gram_frac,
-        concurrency=concurrency,
         id_col=id_col,
         text_col=text_col,
     ).map_batches(
@@ -102,10 +97,7 @@ def pretrain_corpus(
         )
 
     lang = base.map_batches(
-        LangId,
-        fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pandas",
-        concurrency=_util.pool_size(concurrency),
+        lang_id_batch, fn_kwargs={"text_col": text_col}, batch_format="pandas"
     ).map_batches(lang_gate, batch_format="pandas")
 
     if small:

@@ -36,7 +36,6 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from flashray.datapipe import _util
 from flashray.datapipe.kmeans import _seed_rows
 from flashray.datapipe.similarity import _local_topk, _stack
 from flashray.joins import topk_per_group
@@ -60,6 +59,123 @@ def _assign_sub(xs: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=2).astype(np.int64)
 
 
+def _pq_partials(batch: pa.Table, *, cb_ref, vec_col: str) -> pa.Table:
+    """(subspace, cluster, count, sumvec) partial rows of a batch assigned
+    to the broadcast (m, k, sub) codebooks."""
+    if len(batch) == 0:
+        return pa.table(
+            {
+                "sspace": pa.array([], type=pa.int64()),
+                "cluster": pa.array([], type=pa.int64()),
+                "count": pa.array([], type=pa.int64()),
+                "sumvec": pa.array([], type=pa.list_(pa.float64())),
+            }
+        )
+    cb = ray.get(cb_ref)
+    mm, kk, ss = cb.shape
+    x = _stack(batch[vec_col]).astype(np.float64)
+    xs = _subspace_view(x, mm)
+    a = _assign_sub(xs, cb)  # (n, m)
+    counts = np.zeros((mm, kk), dtype=np.int64)
+    sums = np.zeros((mm, kk, ss))
+    for s in range(mm):
+        counts[s] = np.bincount(a[:, s], minlength=kk)
+        np.add.at(sums[s], a[:, s], xs[:, s, :])
+    si = np.repeat(np.arange(mm, dtype=np.int64), kk)
+    ci = np.tile(np.arange(kk, dtype=np.int64), mm)
+    return pa.table(
+        {
+            "sspace": pa.array(si),
+            "cluster": pa.array(ci),
+            "count": pa.array(counts.ravel()),
+            "sumvec": pa.array(list(sums.reshape(mm * kk, ss))),
+        }
+    )
+
+
+def _pq_encode_rows(
+    batch: pa.Table, *, cb_ref, vec_col: str, id_col: str
+) -> pa.Table:
+    """(id_col, pq_code) of each row against the broadcast codebooks."""
+    if len(batch) == 0:
+        return pa.table(
+            {
+                id_col: pa.array([], type=pa.int64()),
+                "pq_code": pa.array([], type=pa.int64()),
+            }
+        )
+    cb = ray.get(cb_ref)
+    m, k, _ = cb.shape
+    weights = (k ** np.arange(m)).astype(np.int64)
+    x = _stack(batch[vec_col]).astype(np.float64)
+    a = _assign_sub(_subspace_view(x, m), cb)
+    return pa.table(
+        {
+            id_col: batch[id_col].cast(pa.int64()),
+            "pq_code": pa.array(a @ weights),
+        }
+    )
+
+
+def _adc_topk(
+    batch: pa.Table, *, lut_ref, k_neighbors: int, id_col: str
+) -> pa.Table:
+    """Local top-k of a batch of codes by ADC against the broadcast
+    (nq, m, k) lookup tables; scores are negated squared distances."""
+    if len(batch) == 0:
+        return pa.table(
+            {
+                "query_id": pa.array([], type=pa.int64()),
+                id_col: pa.array([], type=pa.int64()),
+                "score": pa.array([], type=pa.float64()),
+            }
+        )
+    lut = ray.get(lut_ref)
+    nq, m, k = lut.shape
+    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    a = pq_decode_codes(batch["pq_code"].to_numpy(zero_copy_only=False), m, k)
+    d2 = np.zeros((nq, len(ids)))
+    for s in range(m):
+        d2 += lut[:, s, :][:, a[:, s]]
+    kk = min(k_neighbors, d2.shape[1])
+    qid, vid, sc = _local_topk(-d2, ids, kk)
+    return pa.table({"query_id": qid, id_col: vid, "score": sc})
+
+
+def _exact_rows(
+    batch: pa.Table, *, shortlist_ref, vec_col: str, id_col: str
+) -> pa.Table:
+    """Exact (query_id, id_col, dist) of the batch rows on the broadcast
+    shortlist: (vec_id, query_id) pairs sorted by vec_id, and the (nq, d)
+    query matrix."""
+    cv, cq, q = ray.get(shortlist_ref)
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    lo = np.searchsorted(cv, ids, side="left")
+    hi = np.searchsorted(cv, ids, side="right")
+    n_pairs = hi - lo
+    rows = np.repeat(np.arange(len(ids)), n_pairs)
+    if not len(rows):
+        return pa.table(
+            {
+                "query_id": pa.array([], type=pa.int64()),
+                id_col: pa.array([], type=pa.int64()),
+                "dist": pa.array([], type=pa.float64()),
+            }
+        )
+    # flat indices into the sorted pair list for each (row, match)
+    flat = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi) if b > a])
+    qi = cq[flat]
+    x = _stack(batch[vec_col]).astype(np.float64)[rows]
+    d = np.sqrt(((x - q[qi]) ** 2).sum(axis=1))
+    return pa.table(
+        {
+            "query_id": pa.array(qi),
+            id_col: pa.array(ids[rows]),
+            "dist": pa.array(d),
+        }
+    )
+
+
 def pq_train(
     ds: ray.data.Dataset,
     *,
@@ -69,7 +185,6 @@ def pq_train(
     vec_col: str = "embedding",
     id_col: str = "vec_id",
     init: str = "lowest_ids",
-    concurrency: int = 4,
     batch_size: int = 4096,
 ) -> np.ndarray:
     """Train per-subspace codebooks: returns (m, k, d/m) float64.
@@ -86,49 +201,11 @@ def pq_train(
     )  # (m, k, sub)
     sub = cb.shape[2]
     for _ in range(iters):
-        ref = ray.put(cb)
-
-        class _Partials:
-            def __init__(self):
-                self.cb = ray.get(ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                mm, kk, ss = self.cb.shape
-                if len(batch) == 0:
-                    return pa.table(
-                        {
-                            "sspace": pa.array([], type=pa.int64()),
-                            "cluster": pa.array([], type=pa.int64()),
-                            "count": pa.array([], type=pa.int64()),
-                            "sumvec": pa.array(
-                                [], type=pa.list_(pa.float64())
-                            ),
-                        }
-                    )
-                x = _stack(batch[vec_col]).astype(np.float64)
-                xs = _subspace_view(x, mm)
-                a = _assign_sub(xs, self.cb)  # (n, m)
-                counts = np.zeros((mm, kk), dtype=np.int64)
-                sums = np.zeros((mm, kk, ss))
-                for s in range(mm):
-                    counts[s] = np.bincount(a[:, s], minlength=kk)
-                    np.add.at(sums[s], a[:, s], xs[:, s, :])
-                si = np.repeat(np.arange(mm, dtype=np.int64), kk)
-                ci = np.tile(np.arange(kk, dtype=np.int64), mm)
-                return pa.table(
-                    {
-                        "sspace": pa.array(si),
-                        "cluster": pa.array(ci),
-                        "count": pa.array(counts.ravel()),
-                        "sumvec": pa.array(list(sums.reshape(mm * kk, ss))),
-                    }
-                )
-
         parts = ds.select_columns([id_col, vec_col]).map_batches(
-            _Partials,
+            _pq_partials,
+            fn_kwargs={"cb_ref": ray.put(cb), "vec_col": vec_col},
             batch_format="pyarrow",
             batch_size=batch_size,
-            concurrency=_util.pool_size(concurrency),
         ).to_pandas()
         counts = np.zeros((m, k), dtype=np.int64)
         sums = np.zeros((m, k, sub))
@@ -153,7 +230,6 @@ def pq_encode(
     *,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
     batch_size: int = 4096,
 ) -> ray.data.Dataset:
     """Stream the corpus against broadcast codebooks → Dataset
@@ -163,35 +239,13 @@ def pq_encode(
     m, k, _ = cb.shape
     if k ** m > 2 ** 62:
         raise ValueError(f"k={k}, m={m}: packed code exceeds int64")
-    ref = ray.put(cb)
-    weights = (k ** np.arange(m)).astype(np.int64)
-
-    class _Encode:
-        def __init__(self):
-            self.cb = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table(
-                    {
-                        id_col: pa.array([], type=pa.int64()),
-                        "pq_code": pa.array([], type=pa.int64()),
-                    }
-                )
-            x = _stack(batch[vec_col]).astype(np.float64)
-            a = _assign_sub(_subspace_view(x, m), self.cb)
-            return pa.table(
-                {
-                    id_col: batch[id_col].cast(pa.int64()),
-                    "pq_code": pa.array(a @ weights),
-                }
-            )
-
     return ds.select_columns([id_col, vec_col]).map_batches(
-        _Encode,
+        _pq_encode_rows,
+        fn_kwargs={
+            "cb_ref": ray.put(cb), "vec_col": vec_col, "id_col": id_col
+        },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
     )
 
 
@@ -213,7 +267,6 @@ def pq_knn(
     *,
     k_neighbors: int = 10,
     id_col: str = "vec_id",
-    concurrency: int = 4,
     batch_size: int = 65536,
 ) -> pd.DataFrame:
     """Approximate top-k by ADC over the COMPRESSED codes: per query,
@@ -224,43 +277,20 @@ def pq_knn(
     (the similarity.knn_brute_force fold, distances negated into its
     score-descending convention)."""
     cb = np.asarray(codebooks, dtype=np.float64)
-    m, k, sub = cb.shape
+    m = cb.shape[0]
     q = np.asarray(queries, dtype=np.float64)
     qs = _subspace_view(q, m)  # (nq, m, sub)
     # lut[qi, s, j] = ||q_s − c_{s,j}||²
     lut = ((qs[:, :, None, :] - cb[None, :, :, :]) ** 2).sum(axis=3)
-    lref = ray.put(lut)
-
-    class _ADC:
-        def __init__(self):
-            self.lut = ray.get(lref)  # (nq, m, k)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], type=pa.int64()),
-                        id_col: pa.array([], type=pa.int64()),
-                        "score": pa.array([], type=pa.float64()),
-                    }
-                )
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            a = pq_decode_codes(
-                batch["pq_code"].to_numpy(zero_copy_only=False), m, k
-            )
-            nq = self.lut.shape[0]
-            d2 = np.zeros((nq, len(ids)))
-            for s in range(m):
-                d2 += self.lut[:, s, :][:, a[:, s]]
-            kk = min(k_neighbors, d2.shape[1])
-            qid, vid, sc = _local_topk(-d2, ids, kk)
-            return pa.table({"query_id": qid, id_col: vid, "score": sc})
-
     local = codes.map_batches(
-        _ADC,
+        _adc_topk,
+        fn_kwargs={
+            "lut_ref": ray.put(lut),
+            "k_neighbors": k_neighbors,
+            "id_col": id_col,
+        },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
     )
 
     out = topk_per_group(
@@ -290,7 +320,6 @@ def pq_knn_rerank(
     shortlist: int = 100,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
 ) -> pd.DataFrame:
     """The production two-stage shape: ADC over the compressed codes
     generates a per-query ``shortlist`` (cheap, whole-corpus scan of
@@ -301,12 +330,7 @@ def pq_knn_rerank(
     (query_id, vec_id, dist) exact over the shortlist. PQ recall@R
     controls result quality; pick shortlist ≫ k_neighbors."""
     cand = pq_knn(
-        codes,
-        queries,
-        codebooks,
-        k_neighbors=shortlist,
-        id_col=id_col,
-        concurrency=concurrency,
+        codes, queries, codebooks, k_neighbors=shortlist, id_col=id_col
     )
     # the shortlist is tiny BY CONSTRUCTION (nq × shortlist rows, already
     # on the driver as pq_knn's fold output) — broadcast it and stream
@@ -316,52 +340,16 @@ def pq_knn_rerank(
     cv = cand[id_col].to_numpy().astype(np.int64)
     cq = cand["query_id"].to_numpy().astype(np.int64)
     order = np.argsort(cv, kind="stable")
-    pref = ray.put((cv[order], cq[order]))
-    q = np.asarray(queries, dtype=np.float64)
-    qref = ray.put(q)
-
-    class _Exact:
-        def __init__(self):
-            self.cv, self.cq = ray.get(pref)
-            self.q = ray.get(qref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = (
-                batch[id_col]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            lo = np.searchsorted(self.cv, ids, side="left")
-            hi = np.searchsorted(self.cv, ids, side="right")
-            n_pairs = hi - lo
-            rows = np.repeat(np.arange(len(ids)), n_pairs)
-            if not len(rows):
-                return pa.table(
-                    {
-                        "query_id": pa.array([], type=pa.int64()),
-                        id_col: pa.array([], type=pa.int64()),
-                        "dist": pa.array([], type=pa.float64()),
-                    }
-                )
-            # flat indices into the sorted pair list for each (row, match)
-            flat = np.concatenate(
-                [np.arange(a, b) for a, b in zip(lo, hi) if b > a]
-            )
-            qi = self.cq[flat]
-            x = _stack(batch[vec_col]).astype(np.float64)[rows]
-            d = np.sqrt(((x - self.q[qi]) ** 2).sum(axis=1))
-            return pa.table(
-                {
-                    "query_id": pa.array(qi),
-                    id_col: pa.array(ids[rows]),
-                    "dist": pa.array(d),
-                }
-            )
-
     scored = ds.select_columns([id_col, vec_col]).map_batches(
-        _Exact,
+        _exact_rows,
+        fn_kwargs={
+            "shortlist_ref": ray.put(
+                (cv[order], cq[order], np.asarray(queries, dtype=np.float64))
+            ),
+            "vec_col": vec_col,
+            "id_col": id_col,
+        },
         batch_format="pyarrow",
-        concurrency=_util.pool_size(concurrency),
     )
 
     return (

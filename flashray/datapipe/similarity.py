@@ -1,7 +1,7 @@
 """Similarity search over an embedding column (``list<float>``).
 
 - :func:`knn_brute_force` — exact cosine top-k: each batch computes a numpy
-  matmul against a broadcast query matrix (``ray.put`` once, read per actor),
+  matmul against a broadcast query matrix (``ray.put`` once, read per task),
   emits its local top-k, and a tiny global reduce merges per-batch winners.
   This is the scale baseline: one streaming pass, no shuffle of the corpus.
 - :func:`knn_ivf` — IVF-style scale path: seeded k-means coarse centroids
@@ -40,23 +40,16 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(n, 1e-12)
 
 
-class _BruteForceScorer:
-    """Actor: holds the normalized query matrix; per batch emits local
-    top-k (query_id, vec_id, score) rows."""
-
-    def __init__(self, queries_ref, k: int, vec_col: str, id_col: str):
-        self.q = _normalize(ray.get(queries_ref))  # (nq, d)
-        self.k = k
-        self.vec_col = vec_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vecs = _normalize(_stack(batch[self.vec_col]))  # (n, d)
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        scores = self.q @ vecs.T  # (nq, n)
-        k = min(self.k, scores.shape[1])
-        qid, vid, sc = _local_topk(scores, ids, k)
-        return pa.table({"query_id": qid, "vec_id": vid, "score": sc})
+def _brute_force_topk(
+    batch: pa.Table, *, queries_ref, k: int, vec_col: str, id_col: str
+) -> pa.Table:
+    """Local top-k (query_id, vec_id, score) rows of a batch against the
+    broadcast normalized (nq, d) query matrix."""
+    vecs = _normalize(_stack(batch[vec_col]))  # (n, d)
+    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    scores = ray.get(queries_ref) @ vecs.T  # (nq, n)
+    qid, vid, sc = _local_topk(scores, ids, min(k, scores.shape[1]))
+    return pa.table({"query_id": qid, "vec_id": vid, "score": sc})
 
 
 def _local_topk(scores: np.ndarray, ids: np.ndarray, k: int):
@@ -90,20 +83,22 @@ def knn_brute_force(
     k: int = 10,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
     batch_size: int = 4096,
 ) -> pd.DataFrame:
     """Exact cosine top-k for each query row. Returns (query_id, vec_id,
     score) sorted by (query_id, -score, vec_id); deterministic tie-break."""
-    qref = ray.put(np.asarray(queries, dtype=np.float32))
-    from flashray.datapipe._util import pool_size
-
     local = ds.select_columns([id_col, vec_col]).map_batches(
-        _BruteForceScorer,
-        fn_constructor_args=(qref, k, vec_col, id_col),
+        _brute_force_topk,
+        fn_kwargs={
+            "queries_ref": ray.put(
+                _normalize(np.asarray(queries, dtype=np.float32))
+            ),
+            "k": k,
+            "vec_col": vec_col,
+            "id_col": id_col,
+        },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=pool_size(concurrency),
     )
 
     out = topk_per_group(
@@ -193,6 +188,24 @@ def build_ivf_index(
     return cent
 
 
+def _ivf_topk(
+    batch: pa.Table, *, index_ref, k: int, vec_col: str, id_col: str
+) -> pa.Table:
+    """Local top-k of a batch of probed-bucket rows: each row's bucket is
+    re-derived from the broadcast centroids, and a query scores only the
+    rows of the buckets it probes."""
+    cent, q, allowed = ray.get(index_ref)
+    vecs = _normalize(_stack(batch[vec_col]))
+    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    bucket = np.argmax(vecs @ cent.T, axis=1)  # (n,)
+    scores = np.where(allowed[:, bucket], q @ vecs.T, -np.inf)  # (nq, n)
+    qid, vid, sc = _local_topk(scores, ids, min(k, scores.shape[1]))
+    keep = np.isfinite(sc)
+    return pa.table(
+        {"query_id": qid[keep], "vec_id": vid[keep], "score": sc[keep]}
+    )
+
+
 def knn_ivf(
     ds: ray.data.Dataset | None,
     queries: np.ndarray,
@@ -203,7 +216,6 @@ def knn_ivf(
     num_centroids: int = 16,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
     seed: int = 42,
 ) -> pd.DataFrame:
     """IVF top-k over a disk-bucketed index (built from ``ds`` on first
@@ -248,42 +260,18 @@ def knn_ivf(
         )
     sub = ray.data.read_parquet(dirs)
 
-    cent_ref = ray.put(cent)
-    probe_ref = ray.put(probe)
-    qref = ray.put(q)
-
-    class Scorer:
-        def __init__(self):
-            self.cent = ray.get(cent_ref)
-            self.q = ray.get(qref)
-            pr = ray.get(probe_ref)
-            allowed = np.zeros((len(self.q), len(self.cent)), dtype=bool)
-            for i, row in enumerate(pr):
-                allowed[i, row] = True
-            self.allowed = allowed
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = _normalize(_stack(batch[vec_col]))
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            bucket = np.argmax(vecs @ self.cent.T, axis=1)  # (n,)
-            scores = self.q @ vecs.T  # (nq, n)
-            mask = self.allowed[:, bucket]  # (nq, n)
-            scores = np.where(mask, scores, -np.inf)
-            kk = min(k, scores.shape[1])
-            qid, vid, sc = _local_topk(scores, ids, kk)
-            keep = np.isfinite(sc)
-            return pa.table(
-                {
-                    "query_id": qid[keep],
-                    "vec_id": vid[keep],
-                    "score": sc[keep],
-                }
-            )
-
-    from flashray.datapipe._util import pool_size
-
+    # allowed[q, c]: query q probes bucket c
+    allowed = np.zeros((len(q), len(cent)), dtype=bool)
+    allowed[np.arange(len(q))[:, None], probe] = True
     local = sub.map_batches(
-        Scorer, batch_format="pyarrow", concurrency=pool_size(concurrency)
+        _ivf_topk,
+        fn_kwargs={
+            "index_ref": ray.put((cent, q, allowed)),
+            "k": k,
+            "vec_col": vec_col,
+            "id_col": id_col,
+        },
+        batch_format="pyarrow",
     )
 
     out = topk_per_group(
@@ -331,7 +319,9 @@ def _cosine_band_rows(
     carries the item's per-table keys, then its unit vector as float64
     bits, for :func:`_carried_keys` and :func:`_cosine`. The planes come
     from the width of the batch's own vectors; an empty batch yields no
-    rows."""
+    rows. The signature is a ``list<uint64>``, not a fixed-size list, so
+    an empty batch (whose vector width is unknown) has the same schema as
+    every other."""
     if batch.num_rows:
         vecs = _normalize(_stack(batch[vec_col]))
     else:
@@ -344,7 +334,8 @@ def _cosine_band_rows(
     sigs = np.column_stack(
         [((table_id << num_planes) | sig).T, vecs.astype(np.float64).view(np.int64)]
     ).view(np.uint64)
-    sig_col = pa.FixedSizeListArray.from_arrays(pa.array(sigs.ravel()), sigs.shape[1])
+    offsets = np.arange(len(sigs) + 1, dtype=np.int32) * sigs.shape[1]
+    sig_col = pa.ListArray.from_arrays(pa.array(offsets), pa.array(sigs.ravel()))
     return _band_rows(
         pa.table({"doc_id": batch[id_col], "signature": sig_col}),
         id_col="doc_id",
@@ -588,7 +579,6 @@ def semdedup(
     init: str = "hash",
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
     num_buckets: int | None = None,
     chunk_rows: int = 2048,
     round_dp: int = 6,
@@ -629,7 +619,6 @@ def semdedup(
             vec_col=vec_col,
             id_col=id_col,
             init=init,
-            concurrency=concurrency,
         )
     cents = np.asarray(centroids, dtype=np.float64)
     nb = int(num_buckets) if num_buckets else min(len(cents), 64)
@@ -644,10 +633,8 @@ def semdedup(
                     "vec": pa.array([], type=pa.list_(pa.float64())),
                 }
             )
-        c = ray.get(ref)
         x = _stack(batch[vec_col]).astype(np.float64)
-        d2 = ((x[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        cl = np.argmin(d2, axis=1).astype(np.int64)
+        cl, _ = km._assign(x, ray.get(ref))
         xn = _normalize(x)
         return pa.table(
             {
@@ -942,40 +929,42 @@ def embedding_diversity(
     )
 
 
-class _SignProject:
-    """Actor-pool stage: Achlioptas/JL sign random projection. The ±1
-    matrix is rebuilt per actor from the sha256 convention (deterministic
-    in (seed, j, k) — no RNG state to ship, SQL-replayable by hash
-    parity) and applied as one matmul per batch."""
+@functools.lru_cache(maxsize=None)
+def _sign_matrix(in_dim: int, out_dim: int, seed: int) -> np.ndarray:
+    """The (in_dim, out_dim) ±1/√m Achlioptas matrix of
+    :func:`random_projection`, rebuilt once per worker process from the
+    sha256 convention (deterministic in (seed, j, k) — no RNG state to
+    ship, SQL-replayable by hash parity)."""
+    from flashray.datapipe.sketches import _sha_u64
 
-    def __init__(self, *, in_dim, out_dim, seed, vec_col, id_col):
-        from flashray.datapipe.sketches import _sha_u64
+    bits = _sha_u64(
+        [f"rp|{seed}|{j}|{k}" for j in range(in_dim) for k in range(out_dim)]
+    ) & np.uint64(1)
+    return (
+        bits.astype(np.float64).reshape(in_dim, out_dim) * 2.0 - 1.0
+    ) / np.sqrt(out_dim)
 
-        bits = _sha_u64(
-            [f"rp|{seed}|{j}|{k}" for j in range(in_dim)
-             for k in range(out_dim)]
-        ) & np.uint64(1)
-        self.R = (
-            bits.astype(np.float64).reshape(in_dim, out_dim) * 2.0 - 1.0
-        ) / np.sqrt(out_dim)
-        self.vec_col, self.id_col = vec_col, id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        X = np.stack(
-            [np.asarray(v, dtype=np.float64)
-             for v in batch[self.vec_col].to_numpy(zero_copy_only=False)]
-        ) if len(ids) else np.zeros((0, self.R.shape[0]))
-        Y = X @ self.R
-        m = self.R.shape[1]
-        return pa.table(
-            {
-                "vec_id": pa.array(np.repeat(ids, m).astype(np.int64)),
-                "k": pa.array(np.tile(np.arange(m, dtype=np.int64),
-                                      len(ids))),
-                "v": pa.array(Y.reshape(-1)),
-            }
-        )
+def _sign_project(
+    batch: pa.Table, *, in_dim: int, out_dim: int, seed: int, vec_col: str,
+    id_col: str,
+) -> pa.Table:
+    """Long-form (vec_id, k, v) sign random projection of a batch: one
+    matmul against :func:`_sign_matrix`."""
+    R = _sign_matrix(in_dim, out_dim, seed)
+    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    X = np.stack(
+        [np.asarray(v, dtype=np.float64)
+         for v in batch[vec_col].to_numpy(zero_copy_only=False)]
+    ) if len(ids) else np.zeros((0, in_dim))
+    Y = X @ R
+    return pa.table(
+        {
+            "vec_id": pa.array(np.repeat(ids, out_dim).astype(np.int64)),
+            "k": pa.array(np.tile(np.arange(out_dim, dtype=np.int64), len(ids))),
+            "v": pa.array(Y.reshape(-1)),
+        }
+    )
 
 
 def random_projection(
@@ -986,7 +975,6 @@ def random_projection(
     vec_col: str = "embedding",
     id_col: str = "vec_id",
     seed: int = 0,
-    concurrency: int = 4,
 ):
     """Johnson–Lindenstrauss sign random projection (Achlioptas 2003,
     *Database-friendly random projections*): project ``in_dim`` vectors
@@ -997,11 +985,9 @@ def random_projection(
     is deterministic in (seed, j, k) via the repo's sha256 convention, so
     a DuckDB oracle replays every output value by hash parity. Returns
     LONG form (vec_id, k, v) — one row per output coordinate."""
-    from flashray.datapipe import _util
-
     return ds.select_columns([id_col, vec_col]).map_batches(
-        _SignProject,
-        fn_constructor_kwargs={
+        _sign_project,
+        fn_kwargs={
             "in_dim": in_dim,
             "out_dim": out_dim,
             "seed": seed,
@@ -1010,49 +996,40 @@ def random_projection(
         },
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=_util.pool_size(concurrency),
     )
 
 
-class _HardNegScorer:
-    """Actor: broadcast anchor matrix + labels; per batch, cosine scores
-    with same-label candidates (and the anchor itself) masked to -inf,
-    then the deterministic local top-k."""
-
-    def __init__(self, anchors_ref, k, vec_col, id_col, label_col):
-        aid, Q, albl = ray.get(anchors_ref)
-        self.aid = aid
-        self.q = _normalize(Q)
-        self.albl = albl
-        self.k = k
-        self.vec_col, self.id_col, self.label_col = (
-            vec_col, id_col, label_col,
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        if not len(ids):
-            return pa.table(
-                {"anchor_id": pa.array([], pa.int64()),
-                 "vec_id": pa.array([], pa.int64()),
-                 "score": pa.array([], pa.float64())}
-            )
-        lbls = batch[self.label_col].to_numpy(zero_copy_only=False)
-        vecs = _normalize(_stack(batch[self.vec_col]))
-        scores = self.q @ vecs.T
-        scores[self.albl[:, None] == lbls[None, :]] = -np.inf
-        scores[self.aid[:, None] == ids[None, :]] = -np.inf
-        k = min(self.k, scores.shape[1])
-        qidx, vid, sc = _local_topk(scores, ids, k)
-        keep = np.isfinite(sc)  # batches dominated by one label can
-        # yield fewer than k valid candidates — drop the -inf fill
+def _hard_negative_topk(
+    batch: pa.Table, *, anchors_ref, k: int, vec_col: str, id_col: str,
+    label_col: str,
+) -> pa.Table:
+    """Cosine scores of a batch against the broadcast (anchor ids,
+    normalized anchor matrix, anchor labels), with same-label candidates
+    (and the anchor itself) masked to -inf, then the deterministic local
+    top-k."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    if not len(ids):
         return pa.table(
-            {
-                "anchor_id": pa.array(self.aid[qidx[keep]].astype(np.int64)),
-                "vec_id": pa.array(vid[keep].astype(np.int64)),
-                "score": pa.array(sc[keep]),
-            }
+            {"anchor_id": pa.array([], pa.int64()),
+             "vec_id": pa.array([], pa.int64()),
+             "score": pa.array([], pa.float64())}
         )
+    aid, q, albl = ray.get(anchors_ref)
+    lbls = batch[label_col].to_numpy(zero_copy_only=False)
+    vecs = _normalize(_stack(batch[vec_col]))
+    scores = q @ vecs.T
+    scores[albl[:, None] == lbls[None, :]] = -np.inf
+    scores[aid[:, None] == ids[None, :]] = -np.inf
+    qidx, vid, sc = _local_topk(scores, ids, min(k, scores.shape[1]))
+    keep = np.isfinite(sc)  # batches dominated by one label can
+    # yield fewer than k valid candidates — drop the -inf fill
+    return pa.table(
+        {
+            "anchor_id": pa.array(aid[qidx[keep]].astype(np.int64)),
+            "vec_id": pa.array(vid[keep].astype(np.int64)),
+            "score": pa.array(sc[keep]),
+        }
+    )
 
 
 def hard_negatives(
@@ -1063,35 +1040,39 @@ def hard_negatives(
     vec_col: str = "embedding",
     id_col: str = "vec_id",
     label_col: str = "label",
-    concurrency: int = 4,
     batch_size: int = 4096,
 ) -> pd.DataFrame:
     """Hard-negative mining for contrastive training pairs: for each
     anchor, the exact cosine top-k candidates with a DIFFERENT label
     (the anchor itself excluded). Anchors (a DataFrame with id/vec/label
     columns, typically a per-class sample) broadcast once via
-    ``ray.put``; candidates stream through the scorer pool — one pass,
+    ``ray.put``; candidates stream through scorer tasks — one pass,
     no shuffle except the tiny per-anchor reduce. Same deterministic
     (score desc, vec_id asc) tie-break as :func:`knn_brute_force`; at
     corpus scale swap the scorer's full pass for the IVF/PQ shortlist.
     Returns (anchor_id, vec_id, score) rows, k per anchor."""
-    from flashray.datapipe._util import pool_size
-
     aref = ray.put(
         (
             anchors[id_col].to_numpy(dtype=np.int64),
-            np.stack(
-                [np.asarray(v, dtype=np.float32) for v in anchors[vec_col]]
+            _normalize(
+                np.stack(
+                    [np.asarray(v, dtype=np.float32) for v in anchors[vec_col]]
+                )
             ),
             anchors[label_col].to_numpy(),
         )
     )
     local = ds.select_columns([id_col, vec_col, label_col]).map_batches(
-        _HardNegScorer,
-        fn_constructor_args=(aref, k, vec_col, id_col, label_col),
+        _hard_negative_topk,
+        fn_kwargs={
+            "anchors_ref": aref,
+            "k": k,
+            "vec_col": vec_col,
+            "id_col": id_col,
+            "label_col": label_col,
+        },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=pool_size(concurrency),
     )
 
     out = topk_per_group(

@@ -1,16 +1,13 @@
 """Text analysis over a document table: token counts, quality scores,
-language ID, fingerprints.
+language ID, fingerprints, chunking and redaction.
 
-Stages that compile something (regexes, language profiles) are stateful
-actor-pool ``map_batches`` classes that compile it once per actor in
-``__init__`` (never per batch); work is vectorized per batch. Apply with::
+Every stage is a plain ``map_batches`` function run as a Ray task. What a
+stage needs beyond its batch (compiled regexes, stopword profiles,
+redaction patterns) is a module constant, built once per worker process
+at import; work is vectorized per batch. Apply with::
 
-    docs.map_batches(TextStats, batch_format="pandas", batch_size=4096,
-                     concurrency=N)
-
-Fingerprinting builds nothing, so ``add_fingerprint`` runs
-:func:`fingerprint_batch` as a stateless task on Ray's pooled workers
-(no actor pool to start per call).
+    docs.map_batches(text_stats_batch, batch_format="pandas",
+                     batch_size=4096)
 
 Token counting is intentionally SQL-reproducible (DuckDB oracle):
 ``token_count`` = number of ``\\S+`` runs; ``word_chars`` = total length of
@@ -22,8 +19,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-
-from flashray.datapipe import _util
 import pandas as pd
 
 # tiny public stopword seeds per language (language-ID heuristic only)
@@ -35,42 +30,48 @@ _LANG_STOPWORDS = {
     "it": {"il", "la", "e", "che", "un", "una", "di", "per", "non", "sono"},
     "pt": {"o", "a", "os", "e", "que", "um", "uma", "de", "para", "por"},
 }
+_LANGS = np.array(list(_LANG_STOPWORDS), dtype=object)
+
+_TOKEN = re.compile(r"\S+")
+_PUNCT = re.compile(r"[^\w\s]")
+_DIGIT = re.compile(r"\d")
+_WORD = re.compile(r"[a-zA-ZÀ-ÿ]+")
+
+# (pattern, replacement) pairs applied in order by `redact_batch`; each is
+# plain-regex (no lookarounds) so a DuckDB regexp_replace(..., 'g') oracle
+# replays it exactly
+REDACT_PATTERNS = [
+    (r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "<EMAIL>"),
+    (r"[0-9][0-9 ()+.-]{7,}[0-9]", "<PHONE>"),
+]
+_REDACT = [(re.compile(p), r) for p, r in REDACT_PATTERNS]
 
 
-class TextStats:
+def text_stats_batch(batch: pd.DataFrame, *, text_col: str = "text") -> pd.DataFrame:
     """Quality metrics per document: token_count, word_chars, avg_token_len,
-    punct_ratio, digit_ratio, upper_ratio, stopword_ratio (en)."""
-
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-        self.tok = re.compile(r"\S+")
-        self.punct = re.compile(r"[^\w\s]")
-        self.digit = re.compile(r"\d")
-        self.stop = _LANG_STOPWORDS["en"]
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].fillna("")
-        toks = s.str.findall(self.tok)
-        n_tok = toks.str.len().astype("int64")
-        n_char = s.str.len().astype("int64")
-        word_chars = toks.map(lambda ws: sum(len(w) for w in ws)).astype("int64")
-        batch["token_count"] = n_tok
-        batch["word_chars"] = word_chars
-        batch["avg_token_len"] = (word_chars / n_tok.clip(lower=1)).astype("float64")
-        batch["punct_ratio"] = (
-            s.str.count(self.punct) / n_char.clip(lower=1)
-        ).astype("float64")
-        batch["digit_ratio"] = (
-            s.str.count(self.digit) / n_char.clip(lower=1)
-        ).astype("float64")
-        batch["stopword_ratio"] = toks.map(
-            lambda ws: sum(1 for w in ws if w.lower() in self.stop)
-            / max(1, len(ws))
-        ).astype("float64")
-        return batch
+    punct_ratio, digit_ratio, stopword_ratio (en)."""
+    stop = _LANG_STOPWORDS["en"]
+    s = batch[text_col].fillna("")
+    toks = s.str.findall(_TOKEN)
+    n_tok = toks.str.len().astype("int64")
+    n_char = s.str.len().astype("int64")
+    word_chars = toks.map(lambda ws: sum(len(w) for w in ws)).astype("int64")
+    batch["token_count"] = n_tok
+    batch["word_chars"] = word_chars
+    batch["avg_token_len"] = (word_chars / n_tok.clip(lower=1)).astype("float64")
+    batch["punct_ratio"] = (
+        s.str.count(_PUNCT) / n_char.clip(lower=1)
+    ).astype("float64")
+    batch["digit_ratio"] = (
+        s.str.count(_DIGIT) / n_char.clip(lower=1)
+    ).astype("float64")
+    batch["stopword_ratio"] = toks.map(
+        lambda ws: sum(1 for w in ws if w.lower() in stop) / max(1, len(ws))
+    ).astype("float64")
+    return batch
 
 
-class LangId:
+def lang_id_batch(batch: pd.DataFrame, *, text_col: str = "text") -> pd.DataFrame:
     """Stopword-profile language ID (n-gram-free heuristic): argmax language
     by stopword count; ties break to profile order (np.argmax = first max,
     exactly the old per-row rule and the SQL oracle's CASE order); 'und'
@@ -79,35 +80,25 @@ class LangId:
     Vectorized across the batch: all words flatten into one array with a
     doc index, each language scores via one C-level ``isin`` + bincount —
     never a per-document Python loop."""
-
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-        self.word = re.compile(r"[a-zA-ZÀ-ÿ]+")
-        self.profiles = {k: frozenset(v) for k, v in _LANG_STOPWORDS.items()}
-        self.langs = np.array(list(self.profiles), dtype=object)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].fillna("")
-        toks = s.str.findall(self.word)
-        n = toks.str.len().to_numpy(dtype=np.int64)
-        nrows = len(s)
-        if int(n.sum()) == 0:
-            batch["lang_pred"] = np.full(nrows, "und", dtype=object)
-            return batch
-        flat = pd.Series(
-            np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        ).str.lower()
-        doc = np.repeat(np.arange(nrows, dtype=np.int64), n)
-        scores = np.zeros((nrows, len(self.langs)), dtype=np.int64)
-        for j, lang in enumerate(self.langs):
-            hit = flat.isin(self.profiles[lang]).to_numpy()
-            scores[:, j] = np.bincount(doc[hit], minlength=nrows)
-        best_j = np.argmax(scores, axis=1)
-        best_score = scores[np.arange(nrows), best_j]
-        batch["lang_pred"] = np.where(
-            best_score > 0, self.langs[best_j], "und"
-        )
+    s = batch[text_col].fillna("")
+    toks = s.str.findall(_WORD)
+    n = toks.str.len().to_numpy(dtype=np.int64)
+    nrows = len(s)
+    if int(n.sum()) == 0:
+        batch["lang_pred"] = np.full(nrows, "und", dtype=object)
         return batch
+    flat = pd.Series(
+        np.concatenate([np.asarray(t, dtype=object) for t in toks])
+    ).str.lower()
+    doc = np.repeat(np.arange(nrows, dtype=np.int64), n)
+    scores = np.zeros((nrows, len(_LANGS)), dtype=np.int64)
+    for j, words in enumerate(_LANG_STOPWORDS.values()):
+        hit = flat.isin(words).to_numpy()
+        scores[:, j] = np.bincount(doc[hit], minlength=nrows)
+    best_j = np.argmax(scores, axis=1)
+    best_score = scores[np.arange(nrows), best_j]
+    batch["lang_pred"] = np.where(best_score > 0, _LANGS[best_j], "und")
+    return batch
 
 
 _FP_BASE = np.uint64(1099511628211)
@@ -146,7 +137,9 @@ def fingerprint_batch(batch: pd.DataFrame, *, text_col: str = "text") -> pd.Data
     return batch
 
 
-class RepetitionStats:
+def repetition_stats_batch(
+    batch: pd.DataFrame, *, text_col: str = "text"
+) -> pd.DataFrame:
     """Gopher-style repetition signals per document (Rae et al. 2021,
     *Scaling Language Models* — the duplicate-text quality filters used by
     large-scale LLM data pipelines): fraction of duplicated words and the
@@ -157,112 +150,98 @@ class RepetitionStats:
     ``docs_repetition``). Vectorized across the whole batch: all tokens
     flatten into one array with a doc index, counts come from pandas
     C-level groupbys — never a per-document Python loop."""
+    s = batch[text_col].fillna("")
+    toks = s.str.findall(_TOKEN)
+    n = toks.str.len().to_numpy(dtype=np.int64)
+    flat = (
+        np.concatenate([np.asarray(t, dtype=object) for t in toks])
+        if int(n.sum())
+        else np.empty(0, dtype=object)
+    )
+    doc = np.repeat(np.arange(len(s), dtype=np.int64), n)
 
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-        self.tok = re.compile(r"\S+")
+    def top_and_distinct(keys, docs, nrows):
+        """(max multiplicity per doc, distinct count per doc) of the
+        tuple keys — one pandas C-level groupby."""
+        if not len(docs):
+            z = np.zeros(nrows, dtype=np.int64)
+            return z, z.copy()
+        df = pd.DataFrame({"d": docs})
+        for i, k in enumerate(keys):
+            df[f"k{i}"] = k
+        c = df.groupby(["d"] + [f"k{i}" for i in range(len(keys))],
+                       sort=False).size()
+        per_doc = c.groupby(level=0).agg(["max", "count"])
+        top = np.zeros(nrows, dtype=np.int64)
+        nd = np.zeros(nrows, dtype=np.int64)
+        idx = per_doc.index.to_numpy()
+        top[idx] = per_doc["max"].to_numpy()
+        nd[idx] = per_doc["count"].to_numpy()
+        return top, nd
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].fillna("")
-        toks = s.str.findall(self.tok)
-        n = toks.str.len().to_numpy(dtype=np.int64)
-        flat = (
-            np.concatenate([np.asarray(t, dtype=object) for t in toks])
-            if int(n.sum())
-            else np.empty(0, dtype=object)
-        )
-        doc = np.repeat(np.arange(len(s), dtype=np.int64), n)
+    nrows = len(s)
+    topw, ndist = top_and_distinct([flat], doc, nrows)
+    # adjacent n-grams: consecutive positions whose doc index matches
+    same2 = doc[:-1] == doc[1:] if len(doc) else np.zeros(0, dtype=bool)
+    top2, _ = top_and_distinct(
+        [flat[:-1][same2], flat[1:][same2]], doc[:-1][same2], nrows
+    )
+    same3 = (
+        (doc[:-2] == doc[1:-1]) & (doc[1:-1] == doc[2:])
+        if len(doc) > 1
+        else np.zeros(0, dtype=bool)
+    )
+    top3, _ = top_and_distinct(
+        [flat[:-2][same3], flat[1:-1][same3], flat[2:][same3]],
+        doc[:-2][same3],
+        nrows,
+    )
 
-        def top_and_distinct(keys, docs, nrows):
-            """(max multiplicity per doc, distinct count per doc) of the
-            tuple keys — one pandas C-level groupby."""
-            if not len(docs):
-                z = np.zeros(nrows, dtype=np.int64)
-                return z, z.copy()
-            df = pd.DataFrame({"d": docs})
-            for i, k in enumerate(keys):
-                df[f"k{i}"] = k
-            c = df.groupby(["d"] + [f"k{i}" for i in range(len(keys))],
-                           sort=False).size()
-            per_doc = c.groupby(level=0).agg(["max", "count"])
-            top = np.zeros(nrows, dtype=np.int64)
-            nd = np.zeros(nrows, dtype=np.int64)
-            idx = per_doc.index.to_numpy()
-            top[idx] = per_doc["max"].to_numpy()
-            nd[idx] = per_doc["count"].to_numpy()
-            return top, nd
-
-        nrows = len(s)
-        topw, ndist = top_and_distinct([flat], doc, nrows)
-        # adjacent n-grams: consecutive positions whose doc index matches
-        same2 = doc[:-1] == doc[1:] if len(doc) else np.zeros(0, dtype=bool)
-        top2, _ = top_and_distinct(
-            [flat[:-1][same2], flat[1:][same2]], doc[:-1][same2], nrows
-        )
-        same3 = (
-            (doc[:-2] == doc[1:-1]) & (doc[1:-1] == doc[2:])
-            if len(doc) > 1
-            else np.zeros(0, dtype=bool)
-        )
-        top3, _ = top_and_distinct(
-            [flat[:-2][same3], flat[1:-1][same3], flat[2:][same3]],
-            doc[:-2][same3],
-            nrows,
-        )
-
-        nf = n.astype(np.float64)
-        batch["dup_word_frac"] = np.where(n > 0, (n - ndist) / np.maximum(nf, 1), 0.0)
-        batch["top_word_frac"] = np.where(n > 0, topw / np.maximum(nf, 1), 0.0)
-        batch["top_2gram_frac"] = np.where(
-            n > 1, top2 / np.maximum(nf - 1, 1), 0.0
-        )
-        batch["top_3gram_frac"] = np.where(
-            n > 2, top3 / np.maximum(nf - 2, 1), 0.0
-        )
-        return batch
+    nf = n.astype(np.float64)
+    batch["dup_word_frac"] = np.where(n > 0, (n - ndist) / np.maximum(nf, 1), 0.0)
+    batch["top_word_frac"] = np.where(n > 0, topw / np.maximum(nf, 1), 0.0)
+    batch["top_2gram_frac"] = np.where(
+        n > 1, top2 / np.maximum(nf - 1, 1), 0.0
+    )
+    batch["top_3gram_frac"] = np.where(
+        n > 2, top3 / np.maximum(nf - 2, 1), 0.0
+    )
+    return batch
 
 
-def add_repetition_stats(ds, *, text_col: str = "text", concurrency: int = 4,
-                         batch_size: int = 4096):
+def add_repetition_stats(ds, *, text_col: str = "text", batch_size: int = 4096):
     return ds.map_batches(
-        RepetitionStats,
-        fn_constructor_kwargs={"text_col": text_col},
+        repetition_stats_batch,
+        fn_kwargs={"text_col": text_col},
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
     )
 
 
-def add_text_stats(ds, *, text_col: str = "text", concurrency: int = 4,
-                   batch_size: int = 4096):
+def add_text_stats(ds, *, text_col: str = "text", batch_size: int = 4096):
     return ds.map_batches(
-        TextStats,
-        fn_constructor_kwargs={"text_col": text_col},
+        text_stats_batch,
+        fn_kwargs={"text_col": text_col},
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
     )
 
 
-def add_lang_id(ds, *, text_col: str = "text", concurrency: int = 4,
-                batch_size: int = 4096):
+def add_lang_id(ds, *, text_col: str = "text", batch_size: int = 4096):
     return ds.map_batches(
-        LangId,
-        fn_constructor_kwargs={"text_col": text_col},
+        lang_id_batch,
+        fn_kwargs={"text_col": text_col},
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
     )
 
 
-def add_fingerprint(ds, *, text_col: str = "text", concurrency: int = 4,
-                    batch_size: int = 4096):
+def add_fingerprint(ds, *, text_col: str = "text", batch_size: int = 4096):
     return ds.map_batches(
         fingerprint_batch,
         fn_kwargs={"text_col": text_col},
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -352,18 +331,6 @@ def tfidf_top_terms(
     )
 
 
-class _FusedQualityStats:
-    """TextStats + RepetitionStats applied by ONE actor (regexes compiled
-    once in __init__) — half the actors, no chained-pool CPU starvation."""
-
-    def __init__(self, text_col: str = "text"):
-        self.ts = TextStats(text_col)
-        self.rs = RepetitionStats(text_col)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return self.rs(self.ts(batch))
-
-
 def quality_filter(
     docs,
     *,
@@ -371,26 +338,21 @@ def quality_filter(
     max_tokens: int = 100_000,
     max_dup_word_frac: float = 0.6,
     max_top_2gram_frac: float = 0.35,
-    concurrency: int = 4,
     id_col: str = "doc_id",
     text_col: str = "text",
 ):
     """Composed Gopher/C4-style document quality filter (Rae et al. 2021
     table A1 shape): token-count band, duplicate-word fraction cap, and
     top-2-gram share cap, evaluated in a fixed order — ``reason`` names
-    the FIRST failing rule ('' = kept). One stateless pass chaining the
-    existing TextStats + RepetitionStats actor pools; decisions compare
-    6-dp-ROUNDED fractions so a SQL replay agrees bit-for-bit. Returns a
-    Dataset of (doc_id, keep 0/1, reason)."""
-    # ONE fused actor pool: chaining two pools of pool_size() actors can
-    # reserve every session CPU and starve the upstream read (deadlock
-    # observed at num_cpus=8 with 4+4 actors)
+    the FIRST failing rule ('' = kept). One pass chaining the
+    `text_stats_batch` and `repetition_stats_batch` tasks (Ray fuses the
+    chain into one task); decisions compare 6-dp-ROUNDED fractions so a
+    SQL replay agrees bit-for-bit. Returns a Dataset of (doc_id, keep 0/1,
+    reason)."""
+    kw = {"text_col": text_col}
     stats = docs.map_batches(
-        _FusedQualityStats,
-        fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pandas",
-        concurrency=_util.pool_size(concurrency),
-    )
+        text_stats_batch, fn_kwargs=kw, batch_format="pandas"
+    ).map_batches(repetition_stats_batch, fn_kwargs=kw, batch_format="pandas")
 
     def decide(df: pd.DataFrame) -> pd.DataFrame:
         n = df["token_count"].to_numpy(dtype=np.int64)
@@ -418,7 +380,14 @@ def quality_filter(
     return stats.map_batches(decide, batch_format="pandas")
 
 
-class Chunker:
+def chunk_batch(
+    df: pd.DataFrame,
+    *,
+    chunk_tokens: int,
+    overlap: int,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+) -> pd.DataFrame:
     """Token-window document chunking — the context-window prep step of an
     LLM training pipeline. Splits each document's \\S+ token stream into
     windows of ``chunk_tokens`` advancing by ``chunk_tokens - overlap``;
@@ -430,78 +399,69 @@ class Chunker:
     Per batch the token streams are flattened once and chunk assembly is
     one pandas groupby-join over (doc, chunk) codes — work is O(total
     tokens), never a Python loop over raw rows."""
-
-    def __init__(self, chunk_tokens: int = 64, overlap: int = 0,
-                 text_col: str = "text", id_col: str = "doc_id"):
-        if not 0 <= overlap < chunk_tokens:
-            raise ValueError("need 0 <= overlap < chunk_tokens")
-        self.chunk = chunk_tokens
-        self.stride = chunk_tokens - overlap
-        self.text_col = text_col
-        self.id_col = id_col
-        self.tok = re.compile(r"\S+")
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        toks = [self.tok.findall(t) for t in df[self.text_col]]
-        counts = np.fromiter((len(t) for t in toks), dtype=np.int64,
-                             count=len(toks))
-        if counts.sum() == 0:
-            return pd.DataFrame(
-                {
-                    "doc_id": np.array([], dtype=np.int64),
-                    "chunk_idx": np.array([], dtype=np.int64),
-                    "n_tokens": np.array([], dtype=np.int64),
-                    "text": np.array([], dtype=object),
-                }
-            )
-        ids = df[self.id_col].to_numpy()
-        # flat token table with per-token (doc, position)
-        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
-        doc_of = np.repeat(np.arange(len(toks)), counts)
-        pos = np.arange(len(flat)) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        # overlap duplicates a token into ceil((pos+1 - chunk)/stride)+1
-        # windows; expand token -> (window, token) pairs vectorized
-        first_w = np.maximum(
-            0, (pos - self.chunk + self.stride) // self.stride
-        )
-        last_w = pos // self.stride
-        reps = last_w - first_w + 1
-        tok_rep = np.repeat(flat, reps)
-        doc_rep = np.repeat(doc_of, reps)
-        off = np.arange(len(tok_rep)) - np.repeat(
-            np.cumsum(reps) - reps, reps
-        )
-        win = np.repeat(first_w, reps) + off
-        # windows starting past the last token of a doc are phantoms
-        # (overlap tails); keep only windows whose start < doc length
-        valid = win * self.stride < np.repeat(counts[doc_of], reps)
-        tok_rep, doc_rep, win = tok_rep[valid], doc_rep[valid], win[valid]
-        t = pd.DataFrame({"d": doc_rep, "w": win, "tok": tok_rep})
-        g = t.groupby(["d", "w"], sort=True)
-        joined = g["tok"].agg(" ".join)
-        ntok = g.size()
-        d_idx = joined.index.get_level_values(0).to_numpy()
+    stride = chunk_tokens - overlap
+    toks = [_TOKEN.findall(t) for t in df[text_col]]
+    counts = np.fromiter((len(t) for t in toks), dtype=np.int64,
+                         count=len(toks))
+    if counts.sum() == 0:
         return pd.DataFrame(
             {
-                "doc_id": ids[d_idx].astype(np.int64),
-                "chunk_idx": joined.index.get_level_values(1).to_numpy(
-                    dtype=np.int64
-                ),
-                "n_tokens": ntok.to_numpy(dtype=np.int64),
-                "text": joined.to_numpy(dtype=object),
+                "doc_id": np.array([], dtype=np.int64),
+                "chunk_idx": np.array([], dtype=np.int64),
+                "n_tokens": np.array([], dtype=np.int64),
+                "text": np.array([], dtype=object),
             }
         )
+    ids = df[id_col].to_numpy()
+    # flat token table with per-token (doc, position)
+    flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
+    doc_of = np.repeat(np.arange(len(toks)), counts)
+    pos = np.arange(len(flat)) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    # overlap duplicates a token into ceil((pos+1 - chunk)/stride)+1
+    # windows; expand token -> (window, token) pairs vectorized
+    first_w = np.maximum(
+        0, (pos - chunk_tokens + stride) // stride
+    )
+    last_w = pos // stride
+    reps = last_w - first_w + 1
+    tok_rep = np.repeat(flat, reps)
+    doc_rep = np.repeat(doc_of, reps)
+    off = np.arange(len(tok_rep)) - np.repeat(
+        np.cumsum(reps) - reps, reps
+    )
+    win = np.repeat(first_w, reps) + off
+    # windows starting past the last token of a doc are phantoms
+    # (overlap tails); keep only windows whose start < doc length
+    valid = win * stride < np.repeat(counts[doc_of], reps)
+    tok_rep, doc_rep, win = tok_rep[valid], doc_rep[valid], win[valid]
+    t = pd.DataFrame({"d": doc_rep, "w": win, "tok": tok_rep})
+    g = t.groupby(["d", "w"], sort=True)
+    joined = g["tok"].agg(" ".join)
+    ntok = g.size()
+    d_idx = joined.index.get_level_values(0).to_numpy()
+    return pd.DataFrame(
+        {
+            "doc_id": ids[d_idx].astype(np.int64),
+            "chunk_idx": joined.index.get_level_values(1).to_numpy(
+                dtype=np.int64
+            ),
+            "n_tokens": ntok.to_numpy(dtype=np.int64),
+            "text": joined.to_numpy(dtype=object),
+        }
+    )
 
 
 def chunk_documents(ds, *, chunk_tokens: int = 64, overlap: int = 0,
                     text_col: str = "text", id_col: str = "doc_id",
-                    concurrency: int = 4, batch_size: int = 1024):
-    """Actor-pool token-window chunking (see Chunker)."""
+                    batch_size: int = 1024):
+    """Token-window chunking task (see `chunk_batch`)."""
+    if not 0 <= overlap < chunk_tokens:
+        raise ValueError("need 0 <= overlap < chunk_tokens")
     return ds.map_batches(
-        Chunker,
-        fn_constructor_kwargs={
+        chunk_batch,
+        fn_kwargs={
             "chunk_tokens": chunk_tokens,
             "overlap": overlap,
             "text_col": text_col,
@@ -509,46 +469,31 @@ def chunk_documents(ds, *, chunk_tokens: int = 64, overlap: int = 0,
         },
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
     )
 
 
-class Redactor:
-    """Regex PII-style redaction (emails, long digit runs) — patterns
-    compiled once per actor, applied with vectorized pandas str.replace;
-    each pattern is plain-regex (no lookarounds) so a DuckDB
-    regexp_replace(..., 'g') oracle replays it exactly."""
-
-    PATTERNS = [
-        (r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "<EMAIL>"),
-        (r"[0-9][0-9 ()+.-]{7,}[0-9]", "<PHONE>"),
-    ]
-
-    def __init__(self, text_col: str = "text"):
-        self.text_col = text_col
-        self.compiled = [(re.compile(p), r) for p, r in self.PATTERNS]
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        s = out[self.text_col]
-        n_hits = np.zeros(len(df), dtype=np.int64)
-        for pat, rep in self.compiled:
-            n_hits += s.str.count(pat).to_numpy(dtype=np.int64)
-            s = s.str.replace(pat, rep, regex=True)
-        out[self.text_col] = s
-        out["n_redactions"] = n_hits
-        return out
+def redact_batch(df: pd.DataFrame, *, text_col: str = "text") -> pd.DataFrame:
+    """Regex PII-style redaction (emails, long digit runs): the
+    `REDACT_PATTERNS` in order, applied with vectorized pandas
+    str.replace, plus a per-document ``n_redactions`` count."""
+    out = df.copy()
+    s = out[text_col]
+    n_hits = np.zeros(len(df), dtype=np.int64)
+    for pat, rep in _REDACT:
+        n_hits += s.str.count(pat).to_numpy(dtype=np.int64)
+        s = s.str.replace(pat, rep, regex=True)
+    out[text_col] = s
+    out["n_redactions"] = n_hits
+    return out
 
 
-def redact(ds, *, text_col: str = "text", concurrency: int = 4,
-           batch_size: int = 4096):
-    """Actor-pool PII-style redaction (see Redactor)."""
+def redact(ds, *, text_col: str = "text", batch_size: int = 4096):
+    """PII-style redaction task (see `redact_batch`)."""
     return ds.map_batches(
-        Redactor,
-        fn_constructor_kwargs={"text_col": text_col},
+        redact_batch,
+        fn_kwargs={"text_col": text_col},
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=_util.pool_size(concurrency),
     )
 
 
@@ -1289,17 +1234,13 @@ def percentile_gate_by_group(
     cuts = exact_group_quantile(ds, group_col, value_col, q)
     cut_ref = _ray.put(dict(zip(cuts[group_col], cuts["cut"])))
 
-    class _Gate:
-        def __init__(self):
-            self.cuts = _ray.get(cut_ref)
+    def gate(df: pd.DataFrame) -> pd.DataFrame:
+        c = df[group_col].map(_ray.get(cut_ref)).to_numpy(dtype=np.float64)
+        v = df[value_col].to_numpy(dtype=np.float64)
+        m = (v >= c) if keep == "ge" else (v < c)
+        # rows whose group never produced a cut (absent from the
+        # count fold ⇒ impossible here, but NaN-safe) are dropped
+        m &= ~np.isnan(c)
+        return df[m]
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            c = df[group_col].map(self.cuts).to_numpy(dtype=np.float64)
-            v = df[value_col].to_numpy(dtype=np.float64)
-            m = (v >= c) if keep == "ge" else (v < c)
-            # rows whose group never produced a cut (absent from the
-            # count fold ⇒ impossible here, but NaN-safe) are dropped
-            m &= ~np.isnan(c)
-            return df[m]
-
-    return ds.map_batches(_Gate, batch_format="pandas", concurrency=_util.pool_size(4))
+    return ds.map_batches(gate, batch_format="pandas")

@@ -47,7 +47,7 @@ def test_exact_dedup():
 def test_minhash_near_dups():
     df = _docs_with_dups()
     pairs = dedup.candidate_pairs_minhash(
-        rd.from_pandas(df), threshold=0.5, concurrency=2
+        rd.from_pandas(df), threshold=0.5
     ).to_pandas()
     got = set(zip(pairs["a"].astype(int), pairs["b"].astype(int)))
     # exact dups must be found; near-dups (one word changed) should be too
@@ -421,7 +421,7 @@ def _emb_table(n=64, d=16, seed=1):
 def test_knn_brute_force_matches_numpy():
     t, V = _emb_table()
     Q = V[:3] + 0.01
-    got = similarity.knn_brute_force(rd.from_arrow(t), Q, k=5, concurrency=2)
+    got = similarity.knn_brute_force(rd.from_arrow(t), Q, k=5)
     Vn = V / np.linalg.norm(V, axis=1, keepdims=True)
     Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
     S = Qn @ Vn.T
@@ -498,6 +498,22 @@ def test_embedding_near_dups():
     assert (4, 10) in got
 
 
+def test_embedding_near_dups_empty_block_keeps_one_schema():
+    rng = np.random.default_rng(3)
+    V = rng.standard_normal((40, 16)).astype(np.float32)
+    V[30:35] = V[:5]  # planted exact copies
+    t = pa.table({"vec_id": np.arange(40, dtype=np.int64), "embedding": list(V)})
+    kw = dict(seed=42, num_tables=16, num_planes=8, vec_col="embedding", id_col="vec_id")
+    full, empty = (similarity._cosine_band_rows(b, **kw) for b in (t, t.slice(0, 0)))
+    assert empty.num_rows == 0 and empty.schema.equals(full.schema)
+    want = similarity.embedding_near_dups(rd.from_arrow(t)).to_pandas()
+    got = similarity.embedding_near_dups(
+        rd.from_arrow(t).union(rd.from_arrow(t.slice(0, 0)))
+    ).to_pandas()
+    assert len(want) >= 5
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
+
+
 def test_textstats_and_langid():
     df = pd.DataFrame(
         {
@@ -509,16 +525,16 @@ def test_textstats_and_langid():
             ],
         }
     )
-    out = textstats.add_text_stats(rd.from_pandas(df), concurrency=1).to_pandas()
+    out = textstats.add_text_stats(rd.from_pandas(df)).to_pandas()
     assert out["token_count"].tolist() == [12, 12, 2]
     assert out.loc[2, "digit_ratio"] > 0.5
-    lang = textstats.add_lang_id(rd.from_pandas(df), concurrency=1).to_pandas()
+    lang = textstats.add_lang_id(rd.from_pandas(df)).to_pandas()
     assert lang["lang_pred"].tolist() == ["en", "de", "und"]
 
 
 def test_fingerprint_deterministic():
     df = pd.DataFrame({"doc_id": [0, 1, 2], "text": ["abc", "abc", "abd"]})
-    out = textstats.add_fingerprint(rd.from_pandas(df), concurrency=1).to_pandas()
+    out = textstats.add_fingerprint(rd.from_pandas(df)).to_pandas()
     f = out["fingerprint"].tolist()
     assert f[0] == f[1] != f[2]
 
@@ -621,7 +637,7 @@ def test_image_resize():
     assert n_img > 0
 
     out = multimodal.resize_images(
-        rd.from_arrow(media), out_h=4, out_w=4, concurrency=1
+        rd.from_arrow(media), out_h=4, out_w=4
     ).to_pandas()
     assert len(out) == n_img  # only image rows survive
     assert (out["width"] == 4).all() and (out["height"] == 4).all()
@@ -639,7 +655,7 @@ def test_image_resize():
 
     # upsampling repeats source pixels (nearest-neighbor), stays exact
     up = multimodal.resize_images(
-        rd.from_arrow(media), out_h=16, out_w=16, concurrency=1
+        rd.from_arrow(media), out_h=16, out_w=16
     ).to_pandas()
     src = codecs.decode_bmp(by_id.loc[up.iloc[0]["media_id"], "payload"])
     got = codecs.decode_bmp(up.iloc[0]["payload"])
@@ -660,7 +676,7 @@ def test_audio_resample():
     assert n_aud > 0
 
     out = multimodal.resample_audio(
-        rd.from_arrow(media), factor=4, concurrency=1
+        rd.from_arrow(media), factor=4
     ).to_pandas()
     assert len(out) == n_aud  # only audio rows survive
     assert (out["rate"] == multimodal.AUDIO_RATE // 4).all()
@@ -691,7 +707,7 @@ def test_repetition_stats():
         pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
     )
     out = (
-        textstats.add_repetition_stats(ds, concurrency=2, batch_size=3)
+        textstats.add_repetition_stats(ds, batch_size=3)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -1925,7 +1941,7 @@ def test_minhash_decontaminate_cross_corpus():
     ev = df[df["doc_id"].isin(eval_ids)]
     tr = df[~df["doc_id"].isin(eval_ids)]
     flagged = dedup.minhash_decontaminate(
-        rd.from_pandas(tr), rd.from_pandas(ev), threshold=0.5, concurrency=2
+        rd.from_pandas(tr), rd.from_pandas(ev), threshold=0.5
     ).to_pandas()
     got = set(zip(flagged["doc_id"].astype(int), flagged["eval_id"].astype(int)))
     # doc 0 (exact copy of eval 1) and doc 2 (near-dup) must be flagged
@@ -1946,7 +1962,7 @@ def test_minhash_decontaminate_no_collisions():
     ev = df[df["doc_id"] >= 12]  # unrelated docs only
     tr = df[df["doc_id"] < 4]
     flagged = dedup.minhash_decontaminate(
-        rd.from_pandas(tr), rd.from_pandas(ev), threshold=0.5, concurrency=2
+        rd.from_pandas(tr), rd.from_pandas(ev), threshold=0.5
     ).to_pandas()
     assert len(flagged) == 0
 
@@ -1971,7 +1987,6 @@ def test_dsir_weights_prefer_target_like_docs():
             rd.from_pandas(tgt),
             n=2,
             d=512,
-            concurrency=2,
         )
         .to_pandas()
         .set_index("doc_id")["logweight"]

@@ -35,8 +35,8 @@ def test_pq_encode_exact_on_prototype_data():
         }
     )
     ds = rd.from_pandas(df)
-    cb = pq.pq_train(ds, m=2, k=4, iters=2, concurrency=2)
-    codes = pq.pq_encode(ds, cb, concurrency=2).to_pandas()
+    cb = pq.pq_train(ds, m=2, k=4, iters=2)
+    codes = pq.pq_encode(ds, cb).to_pandas()
     assert len(codes) == 40
     # all copies of the same prototype share one code
     code_of = {}
@@ -46,11 +46,10 @@ def test_pq_encode_exact_on_prototype_data():
     assert len({next(iter(s)) for s in code_of.values()}) == 4
     # ADC distance from a prototype query to its own copies is ~0
     out = pq.pq_knn(
-        pq.pq_encode(ds, cb, concurrency=2),
+        pq.pq_encode(ds, cb),
         protos[0:1].astype(np.float32),
         cb,
         k_neighbors=10,
-        concurrency=2,
     )
     assert len(out) == 10
     assert np.allclose(out["approx_dist"], 0.0, atol=1e-6)
@@ -65,11 +64,11 @@ def test_pq_knn_recall_at_r_vs_brute_force():
     # the true neighbors
     df, vecs, protos = _clustered()
     ds = rd.from_pandas(df)
-    cb = pq.pq_train(ds, m=4, k=8, iters=3, init="hash", concurrency=2)
-    codes = pq.pq_encode(ds, cb, concurrency=2)
+    cb = pq.pq_train(ds, m=4, k=8, iters=3, init="hash")
+    codes = pq.pq_encode(ds, cb)
     queries = protos.astype(np.float32)
-    approx = pq.pq_knn(codes, queries, cb, k_neighbors=50, concurrency=2)
-    exact = similarity.knn_brute_force(ds, queries, k=10, concurrency=2)
+    approx = pq.pq_knn(codes, queries, cb, k_neighbors=50)
+    exact = similarity.knn_brute_force(ds, queries, k=10)
     recalls = []
     for qi in range(len(queries)):
         a = set(approx[approx["query_id"] == qi]["vec_id"].astype(int))
@@ -83,11 +82,11 @@ def test_pq_knn_rerank_matches_exact_l2():
     # whenever the shortlist contains it (verified recall above)
     df, vecs, protos = _clustered()
     ds = rd.from_pandas(df)
-    cb = pq.pq_train(ds, m=4, k=8, iters=3, init="hash", concurrency=2)
-    codes = pq.pq_encode(ds, cb, concurrency=2).materialize()
+    cb = pq.pq_train(ds, m=4, k=8, iters=3, init="hash")
+    codes = pq.pq_encode(ds, cb).materialize()
     queries = protos.astype(np.float32)
     out = pq.pq_knn_rerank(
-        ds, codes, queries, cb, k_neighbors=10, shortlist=60, concurrency=2
+        ds, codes, queries, cb, k_neighbors=10, shortlist=60
     )
     # exact L2 oracle in numpy over the raw vectors
     q64 = queries.astype(np.float64)
@@ -118,8 +117,8 @@ def test_pq_train_seed_protocol_matches_kmeans():
 
     df, vecs, _ = _clustered(n_per=25, centers=3, d=8, seed=9)
     ds = rd.from_pandas(df)
-    cb = pq.pq_train(ds, m=1, k=3, iters=1, init="lowest_ids", concurrency=2)
+    cb = pq.pq_train(ds, m=1, k=3, iters=1, init="lowest_ids")
     cents, _info = kmeans.kmeans(
-        ds, k=3, max_iters=1, tol=0.0, init="lowest_ids", concurrency=2
+        ds, k=3, max_iters=1, tol=0.0, init="lowest_ids"
     )
     assert np.allclose(cb[0], cents, atol=1e-9)

@@ -8,7 +8,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from flashray.datapipe.textstats import Redactor, chunk_documents, redact
+from flashray.datapipe.textstats import REDACT_PATTERNS, chunk_documents, redact
 
 DOCS = "/root/testdata/sf0.001/documents.parquet"
 
@@ -36,7 +36,6 @@ def test_chunker_matches_python(chunk, overlap):
     df = pd.DataFrame({"doc_id": np.arange(40, dtype="int64"), "text": texts})
     got = chunk_documents(
         rd.from_pandas(df).repartition(5), chunk_tokens=chunk, overlap=overlap,
-        concurrency=2,
     ).to_pandas()
     want = _chunk_oracle(texts, df["doc_id"], chunk, overlap)
     cols = ["doc_id", "chunk_idx", "n_tokens", "text"]
@@ -49,7 +48,7 @@ def test_chunker_matches_python(chunk, overlap):
 def test_chunker_vs_duckdb():
     got = chunk_documents(
         rd.read_parquet(DOCS, columns=["doc_id", "text"]),
-        chunk_tokens=16, overlap=0, concurrency=2,
+        chunk_tokens=16, overlap=0,
     ).to_pandas()
     want = duckdb.sql(
         f"""
@@ -81,9 +80,9 @@ def test_redactor_matches_duckdb():
         "",
     ]
     df = pd.DataFrame({"doc_id": np.arange(5, dtype="int64"), "text": texts})
-    got = redact(rd.from_pandas(df), concurrency=2).to_pandas()
-    p1, r1 = Redactor.PATTERNS[0]
-    p2, r2 = Redactor.PATTERNS[1]
+    got = redact(rd.from_pandas(df)).to_pandas()
+    p1, r1 = REDACT_PATTERNS[0]
+    p2, r2 = REDACT_PATTERNS[1]
     con = duckdb.connect()
     con.register("t", df)
     want = con.execute(

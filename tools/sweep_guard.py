@@ -75,9 +75,10 @@ def main() -> int:
         from ray.data import DataContext
 
         if not ray.is_initialized():
+            # the host's CPUs, at least the 4 every query family is tested at
             ray.init(
-                address="local", num_cpus=16, include_dashboard=False,
-                logging_level="ERROR",
+                address="local", num_cpus=max(4, os.cpu_count() or 1),
+                include_dashboard=False, logging_level="ERROR",
             )
         DataContext.get_current().enable_progress_bars = False
 
