@@ -339,7 +339,7 @@ def _datapipe_bench(queries: dict, extra: dict) -> None:
 
     t0 = time.perf_counter()
     docs = rd.read_parquet(docs_path, columns=["doc_id", "text"])
-    pairs = dedup.candidate_pairs_minhash(docs, threshold=0.8, concurrency=4)
+    pairs = dedup.candidate_pairs_minhash(docs, threshold=0.8)
     groups = dedup.duplicate_groups(pairs)
     extra["minhash_groups"] = int(len(groups))
     queries["minhash_dedup"] = time.perf_counter() - t0
@@ -359,14 +359,14 @@ def _datapipe_bench(queries: dict, extra: dict) -> None:
 
     t0 = time.perf_counter()
     docs = rd.read_parquet(docs_path, columns=["doc_id", "text"])
-    surv = pretrain_corpus(docs, langs=("en",), concurrency=8).count()
+    surv = pretrain_corpus(docs, langs=("en",)).count()
     queries["pretrain_corpus"] = time.perf_counter() - t0
     extra["pretrain_survivors"] = int(surv)
 
     # round-5 additions: substring-level exact dedup + corpus-trained BPE
     t0 = time.perf_counter()
     docs = rd.read_parquet(docs_path, columns=["doc_id", "text"])
-    es = dedup.exact_substr(docs, span_tokens=8, concurrency=8)
+    es = dedup.exact_substr(docs, span_tokens=8)
     removed = int(
         es.map_batches(
             lambda df: df[["n_removed"]], batch_format="pandas"
@@ -399,7 +399,7 @@ def _datapipe_bench(queries: dict, extra: dict) -> None:
         break
     t0 = time.perf_counter()
     similarity.knn_brute_force(
-        rd.read_parquet(emb_path), qvecs, k=10, concurrency=4
+        rd.read_parquet(emb_path), qvecs, k=10
     )
     queries["knn_brute"] = time.perf_counter() - t0
 
@@ -444,18 +444,18 @@ def _datapipe_bench(queries: dict, extra: dict) -> None:
     t0 = time.perf_counter()
     cb = _pq.pq_train(
         rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
-        m=8, k=16, iters=2, init="hash", concurrency=8,
+        m=8, k=16, iters=2, init="hash",
     )
     codes = _pq.pq_encode(
         rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
-        cb, concurrency=8,
+        cb,
     ).materialize()
     extra["pq_code_rows"] = int(codes.count())
     queries["pq_build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     _pq.pq_knn_rerank(
         rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
-        codes, qvecs, cb, k_neighbors=10, shortlist=100, concurrency=8,
+        codes, qvecs, cb, k_neighbors=10, shortlist=100,
     )
     queries["pq_knn_rerank"] = time.perf_counter() - t0
 
@@ -464,7 +464,7 @@ def _datapipe_bench(queries: dict, extra: dict) -> None:
     t0 = time.perf_counter()
     dall = rd.read_parquet(docs_path, columns=["doc_id", "text", "lang"])
     w = dsir_weights(
-        dall, dall.filter(expr="lang == 'en'"), n=2, d=4096, concurrency=8
+        dall, dall.filter(expr="lang == 'en'"), n=2, d=4096
     )
     extra["dsir_rows"] = int(w.count())
     queries["dsir_weights"] = time.perf_counter() - t0

@@ -186,12 +186,14 @@ def _band_rows(batch: pa.Table, *, id_col: str, keys) -> pa.Table:
 
     Fully vectorized over Arrow: the signature column (a list of one
     width) is viewed zero-copy as (n, width) and ``keys`` maps it to its
-    (n, bands) LSH bucket keys. Output rows are row-major (row, band)
-    order."""
+    (n, bands) LSH bucket keys. A fixed-size list gives its width even
+    on an empty batch, so ``keys`` always sees the width it expects.
+    Output rows are row-major (row, band) order."""
     n = batch.num_rows
     sig_col = batch["signature"].combine_chunks()
     flat = sig_col.flatten().to_numpy(zero_copy_only=False)
-    sigs = flat.astype(np.uint64, copy=False).reshape(n, len(flat) // max(n, 1))
+    width = getattr(sig_col.type, "list_size", len(flat) // max(n, 1))
+    sigs = flat.astype(np.uint64, copy=False).reshape(n, width)
     buckets = keys(sigs)
     bands = buckets.shape[1]
     ids = batch[id_col].to_numpy(zero_copy_only=False)

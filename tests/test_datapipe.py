@@ -90,6 +90,22 @@ def test_simhash_pairs():
         assert (b, b + 1) in got  # identical text -> hamming 0
 
 
+@pytest.mark.parametrize(
+    "signatures, keys",
+    [
+        (dedup._simhash_signatures, dedup._simhash_keys),
+        (dedup._minhash_signatures, dedup._minhash_keys(128, None, 0.5)),
+    ],
+)
+def test_band_rows_of_an_empty_batch_keep_one_schema(signatures, keys):
+    t = pa.Table.from_pandas(_docs_with_dups(), preserve_index=False)
+    full, empty = (
+        dedup._band_rows(signatures(b), id_col="doc_id", keys=keys)
+        for b in (t, t.slice(0, 0))
+    )
+    assert empty.num_rows == 0 and empty.schema.equals(full.schema)
+
+
 def test_ngram_jaccard_exact_values():
     df = pd.DataFrame(
         {

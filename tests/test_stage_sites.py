@@ -3,19 +3,24 @@ plain function run as a Ray task. No stage is a callable class (which
 starts an actor pool on every call) or an instance of one, and nothing
 sizes a stage: no ``concurrency=`` keyword and no ``concurrency``
 parameter. Per-worker state lives in module constants, ``ray.put`` refs
-read inside the batch, or a ``functools.lru_cache`` keyed by arguments."""
+read inside the batch, or a ``functools.lru_cache`` keyed by arguments.
+The knob check also covers every caller in the repo (``bench.py``, the
+driver, ``tools/``, the tests), so none passes a keyword that is gone."""
 
 import ast
 import pathlib
 
 import flashray
 
+_PKG = pathlib.Path(flashray.__file__).parent
+_REPO = _PKG.parent
 
-def _modules():
-    pkg = pathlib.Path(flashray.__file__).parent
-    for path in sorted(pkg.rglob("*.py")):
-        mod = path.relative_to(pkg.parent).as_posix()
-        yield mod, ast.parse(path.read_text(), filename=str(path))
+
+def _modules(root: pathlib.Path = _PKG):
+    for path in sorted(root.rglob("*.py")):
+        mod = path.relative_to(_REPO).as_posix()
+        if not any(part.startswith(".") for part in pathlib.PurePath(mod).parts):
+            yield mod, ast.parse(path.read_text(), filename=str(path))
 
 
 def _stage_fn(call: ast.Call):
@@ -46,7 +51,7 @@ def test_no_class_stage_in_map_batches():
 
 def test_no_concurrency_knob():
     stray = []
-    for mod, tree in _modules():
+    for mod, tree in _modules(_REPO):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 stray += [
