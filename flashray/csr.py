@@ -61,6 +61,7 @@ class ShardData:
             if self.ne:
                 eg[self.group_starts[1:]] = 1
                 np.cumsum(eg, out=eg)
+            eg.flags.writeable = False  # shared by every later run of the shard
             self._edge_group = eg
         return self._edge_group
 

@@ -47,19 +47,29 @@ in fixed sender-partition order (p = 0..P-1) regardless of how partitions
 are packed onto actors — results are bit-identical across parallelism
 levels, actor counts, and checkpoint/resume.
 
-Actor lifecycle: the reference starts its worker threads once and runs one
-vertex program after another on them. Here shard actors live as long as the
-Ray session. An ``Engine`` takes A idle actors from a per-session pool and
-``load``s its partitions and program onto each, spawning actors only when
-the pool is short; ``close`` drains in-flight rounds, has each actor drop
-its shard data, and returns it to the pool. So a session's first Engine
-pays the actor start-up (a Ray worker process plus this module's imports,
-``ray.data`` included) and later Engines only re-read and re-build their
-CSR shards. Pooled actors reserve no logical CPU (``num_cpus=0``, SPREAD
-scheduling): they outlive every Engine, and CPU shares held by idle actors
-would starve the Dataset tasks that run between queries. Actors pinned to
-a caller's placement group keep their CPU request and are killed at close,
-because the caller removes the group; so are actors given an explicit
+Actor lifecycle: the reference starts its worker threads once, loads the
+graph index into RAM once, and runs one vertex program after another on
+them ([FAST15] §3). Here shard actors live as long as the Ray session. An
+``Engine`` takes A idle actors from a per-session pool and ``load``s its
+partitions and program onto each, spawning actors only when the pool is
+short; ``close`` drains in-flight rounds, has each actor drop its per-run
+state, and returns it to the pool, which hands it back to the same slot of
+the next Engine. Each actor keeps the CSR shards it built, and the exchange
+topology of its last handshake, resident between Engines: a partition is
+read and built again only when its files changed (a file signature per
+partition, taken by the driver), and the handshake runs again only when
+some actor's topology was not resident. Resident graphs are evicted least
+recently used first past a byte budget derived from the node's memory, and
+their arrays are read-only, so a program writing into a shard raises
+instead of corrupting the next query. So a session's first Engine on a
+graph pays the actor start-up (a Ray worker process plus this module's
+imports, ``ray.data`` included), the partition read, the CSR build and the
+handshake; a repeat query on the same graph pays none of them. Pooled
+actors reserve no logical CPU (``num_cpus=0``, SPREAD scheduling): they
+outlive every Engine, and CPU shares held by idle actors would starve the
+Dataset tasks that run between queries. Actors pinned to a caller's
+placement group keep their CPU request and are killed at close, because
+the caller removes the group; so are actors given an explicit
 ``actor_cpus``.
 
 Why raw actors and not ``Dataset.map_batches`` here: the inner loop mutates
@@ -75,9 +85,11 @@ Algorithms open, drive, collect and close their Engine through
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
+from collections import OrderedDict, deque
 
 import numpy as np
 import pyarrow as pa
@@ -95,6 +107,138 @@ def _read_part(base: str, part: int, columns: list[str]) -> pa.Table:
     if not os.path.isdir(path):
         return pa.table({c: pa.array([], type=pa.int64()) for c in columns})
     return pq.read_table(path, columns=columns)
+
+
+def _part_signature(graph_path: str, part: int) -> tuple:
+    """Sorted (name, size, mtime_ns) of every file under one partition's
+    ``vertices/part=p`` and ``edges/part=p``. Every graph writer goes through
+    ``write_parquet``, which names its files anew, so a rebuild or an
+    ``add_edges`` rewrite changes exactly the signatures of the partitions
+    it wrote."""
+    sig = []
+    for kind in ("vertices", "edges"):
+        for root, _, files in os.walk(os.path.join(graph_path, kind, f"part={part}")):
+            for f in files:
+                path = os.path.join(root, f)
+                st = os.stat(path)
+                sig.append(
+                    (os.path.relpath(path, graph_path), st.st_size, st.st_mtime_ns)
+                )
+    return tuple(sorted(sig))
+
+
+def _shard_arrays(shard: csr.ShardData) -> list[np.ndarray]:
+    return [
+        v
+        for v in (getattr(shard, f.name) for f in dataclasses.fields(shard))
+        if isinstance(v, np.ndarray)
+    ]
+
+
+def _read_shard(
+    graph_path: str, p: int, P: int, program: VertexProgram
+) -> csr.ShardData:
+    """Read partition ``p`` of the graph and build its CSR shard, with every
+    array read-only: resident shards outlive the run, so a program that
+    writes into one must raise rather than corrupt the next query."""
+    vcols = ["vertex_id", "out_degree", "in_degree"]
+    vdir = os.path.join(graph_path, "vertices")
+    try:
+        vt = _read_part(vdir, p, vcols + ["w_out_degree"])
+        w_out = vt["w_out_degree"].to_numpy(zero_copy_only=False).astype(np.float64)
+    except (KeyError, pa.lib.ArrowInvalid):
+        # graphs built before weighted degrees existed
+        vt = _read_part(vdir, p, vcols)
+        w_out = None
+    ecols = ["src", "dst", "weight"]
+    uses_channels = getattr(program, "uses_channels", False)
+    if uses_channels:
+        ecols.append("etype")
+    et = _read_part(os.path.join(graph_path, "edges"), p, ecols)
+    channel = None
+    if uses_channels and et.num_rows:
+        cmap = program.channel_map
+        ety = et["etype"].to_numpy(zero_copy_only=False)
+        uniq, inv = np.unique(ety, return_inverse=True)
+        codes = np.asarray([cmap[u] for u in uniq], dtype=np.int8)
+        channel = codes[inv]
+    shard = csr.build_shard(
+        p,
+        P,
+        vt["vertex_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+        vt["out_degree"].to_numpy(zero_copy_only=False).astype(np.int64),
+        vt["in_degree"].to_numpy(zero_copy_only=False).astype(np.int64),
+        et["src"].to_numpy(zero_copy_only=False).astype(np.int64),
+        et["dst"].to_numpy(zero_copy_only=False).astype(np.int64),
+        et["weight"].to_numpy(zero_copy_only=False).astype(np.float64)
+        if et.num_rows
+        else None,
+        w_out_degree=w_out,
+        channel=channel,
+    )
+    for a in _shard_arrays(shard):
+        a.flags.writeable = False
+    return shard
+
+
+def _node_budget() -> int:
+    """Bytes of resident graphs one shard actor may keep: a quarter of the
+    node's memory per CPU on the node. The CPU count is the larger of the
+    node's cores and the logical CPUs Ray schedules there (a session may
+    declare more than the cores), so the node's pooled actors, about one
+    per CPU, keep at most about a quarter of its memory between them."""
+    node = ray.get_runtime_context().get_node_id()
+    logical = max(
+        (n["Resources"].get("CPU", 0) for n in ray.nodes() if n["NodeID"] == node),
+        default=0,
+    )
+    cpus = max(os.cpu_count() or 1, int(logical), 1)
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // (4 * cpus)
+
+
+class _ResidentGraph:
+    """The part of one graph a shard actor keeps between Engines: its CSR
+    shards, each with the file signature it was built from, and the exchange
+    topology of its last handshake, keyed by (whole-graph signature, A,
+    the actor's partitions)."""
+
+    def __init__(self):
+        self.shards: dict[int, tuple[tuple, csr.ShardData]] = {}
+        self.topology: tuple | None = None  # (key, incoming_idx, incoming_slice)
+
+    def nbytes(self) -> int:
+        n = sum(a.nbytes for _, sh in self.shards.values() for a in _shard_arrays(sh))
+        if self.topology is not None:
+            n += sum(i.nbytes for idx in self.topology[1].values() for i in idx)
+        return n
+
+
+class _Resident:
+    """A shard actor's resident graphs, least recently used first. Their
+    bytes stay within ``budget``: keeping one graph evicts the oldest others
+    until the total fits, and a graph larger than the whole budget is not
+    kept at all (it runs, and is dropped when its run releases it)."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._graphs: OrderedDict = OrderedDict()
+
+    def get(self, key) -> _ResidentGraph | None:
+        return self._graphs.get(key)
+
+    def put(self, key, graph: _ResidentGraph) -> bool:
+        """Keep ``graph`` under ``key`` as the most recently used entry;
+        returns whether it fits the budget and was kept."""
+        self._graphs.pop(key, None)
+        size = graph.nbytes()
+        if size > self.budget:
+            return False
+        total = size + sum(g.nbytes() for g in self._graphs.values())
+        while total > self.budget:
+            _, old = self._graphs.popitem(last=False)
+            total -= old.nbytes()
+        self._graphs[key] = graph
+        return True
 
 
 def _part_file(d: str, part: int) -> str:
@@ -126,17 +270,20 @@ class ShardActor:
     Reference analogue: one ``worker_thread`` + its slice of the
     ``NUMA_graph_index`` vertex-state array (flash-graph/graph_index.h).
     Like the reference thread, the actor outlives a single run: ``load``
-    installs one Engine's partitions and program, ``release`` drops them
-    before the actor goes back to the pool."""
+    installs one Engine's partitions and program, ``release`` drops the
+    per-run state before the actor goes back to the pool. The CSR shards and
+    the exchange topology stay resident (:class:`_Resident`) for the next
+    Engine on the same graph."""
 
     def __init__(self):
         self.pool = None
+        self._resident = _Resident(_node_budget())
         self.release()
 
     def release(self) -> bool:
-        """Drop every per-run field (shards, program state, exchange
-        topology, signal memo, thread pool): an idle pooled actor keeps only
-        its process."""
+        """Drop every per-run field (program state, signal memo, thread pool
+        and this run's references to shards and topology): what stays is
+        the process and its resident graphs."""
         if self.pool is not None:
             self.pool.shutdown()
         self.pool = None
@@ -150,9 +297,13 @@ class ShardActor:
         # incoming_idx[q][p] = local positions in q's vertex array for the
         # dst ids announced by sender partition p; incoming_slice[q][p] =
         # (lo, hi) bounds into sender p's contiguous partial array
-        # (static topology, exchanged once at handshake)
+        # (static topology, exchanged at handshake)
         self.incoming_idx: dict[int, list[np.ndarray]] = {}
         self.incoming_slice: dict[int, list[tuple[int, int]]] = {}
+        # this run's resident entry, its key and its topology key: the
+        # handshake stores its topology there
+        self._graph: _ResidentGraph | None = None
+        self._graph_key = self._topology_key = None
         self.last_messages = 0
         self.last_exchanged = 0  # partial entries shipped by the last scatter
         # per-state-version memo of the frontier-masked signal: the scatter
@@ -173,10 +324,15 @@ class ShardActor:
         program: VertexProgram,
         N: int,
         split_ids: np.ndarray,
+        sigs: list[tuple],
         num_threads: int = 1,
-    ) -> bool:
-        """Read and build this actor's CSR shards and initial program state
-        for one Engine run, replacing whatever the last run left."""
+    ) -> tuple[int, bool]:
+        """Install this actor's CSR shards and initial program state for one
+        Engine run, replacing whatever the last run left. A partition whose
+        files still match ``sigs[p]`` (see :func:`_part_signature`) reuses
+        its resident shard; any other is read and built. ``graph_path`` is
+        the graph's real path. Returns (partitions read, whether the
+        exchange topology was resident)."""
         self.release()
         self.parts = list(parts)
         self.P = P
@@ -194,47 +350,37 @@ class ShardActor:
 
             self.pool = ThreadPoolExecutor(max_workers=num_threads)
 
+        # edge channels are part of a shard: a program reading them gets
+        # its own entry
+        channels = (
+            tuple(sorted(program.channel_map.items()))
+            if getattr(program, "uses_channels", False)
+            else None
+        )
+        key = (graph_path, P, channels)
+        graph = self._resident.get(key) or _ResidentGraph()
+        shards, read = {}, 0
         for p in self.parts:
-            vcols = ["vertex_id", "out_degree", "in_degree"]
-            vdir = os.path.join(graph_path, "vertices")
-            try:
-                vt = _read_part(vdir, p, vcols + ["w_out_degree"])
-                w_out = (
-                    vt["w_out_degree"].to_numpy(zero_copy_only=False)
-                    .astype(np.float64)
-                )
-            except (KeyError, pa.lib.ArrowInvalid):
-                # graphs built before weighted degrees existed
-                vt = _read_part(vdir, p, vcols)
-                w_out = None
-            ecols = ["src", "dst", "weight"]
-            uses_channels = getattr(program, "uses_channels", False)
-            if uses_channels:
-                ecols.append("etype")
-            et = _read_part(
-                os.path.join(graph_path, "edges"), p, ecols
-            )
-            channel = None
-            if uses_channels and et.num_rows:
-                cmap = program.channel_map
-                ety = et["etype"].to_numpy(zero_copy_only=False)
-                uniq, inv = np.unique(ety, return_inverse=True)
-                codes = np.asarray([cmap[u] for u in uniq], dtype=np.int8)
-                channel = codes[inv]
-            shard = csr.build_shard(
-                p,
-                P,
-                vt["vertex_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-                vt["out_degree"].to_numpy(zero_copy_only=False).astype(np.int64),
-                vt["in_degree"].to_numpy(zero_copy_only=False).astype(np.int64),
-                et["src"].to_numpy(zero_copy_only=False).astype(np.int64),
-                et["dst"].to_numpy(zero_copy_only=False).astype(np.int64),
-                et["weight"].to_numpy(zero_copy_only=False).astype(np.float64)
-                if et.num_rows
-                else None,
-                w_out_degree=w_out,
-                channel=channel,
-            )
+            hit = graph.shards.get(p)
+            if hit is None or hit[0] != sigs[p]:
+                hit = (sigs[p], _read_shard(graph_path, p, P, program))
+                read += 1
+            shards[p] = hit
+        graph.shards = shards
+        topology_key = (tuple(sigs), A, tuple(self.parts))
+        resident_topology = (
+            graph.topology is not None and graph.topology[0] == topology_key
+        )
+        if resident_topology:
+            _, self.incoming_idx, self.incoming_slice = graph.topology
+        else:
+            graph.topology = None
+        self._resident.put(key, graph)
+        self._graph, self._graph_key = graph, key
+        self._topology_key = topology_key
+
+        for p in self.parts:
+            shard = shards[p][1]
             self.shards[p] = shard
             self.states[p] = program.init_state(shard, N)
             mm = np.searchsorted(self.split_ids, shard.mirror_ids)
@@ -250,7 +396,7 @@ class ShardActor:
             owned_splits = self.split_ids[self.split_ids % P == p]
             self.split_pos[p] = np.searchsorted(self.split_ids, owned_splits)
             self.split_idx[p] = np.searchsorted(shard.vertex_ids, owned_splits)
-        return True
+        return read, resident_topology
 
     def ready(self) -> bool:
         return True
@@ -263,7 +409,10 @@ class ShardActor:
     def set_incoming(self, *actor_outgoing) -> bool:
         """actor_outgoing: A dicts {sender_part: [dst_ids per dest part]}.
         Also derives, per (sender part, own part), the slice bounds into the
-        sender's contiguous partial array (= cumulative group counts)."""
+        sender's contiguous partial array (= cumulative group counts). The
+        result stays resident with this run's shards."""
+        # new dicts: a resident topology from the last run may share the old
+        self.incoming_idx, self.incoming_slice = {}, {}
         for q in self.parts:
             per_sender = []
             per_slice = []
@@ -278,11 +427,17 @@ class ShardActor:
                     raise AssertionError(f"part {q}: unknown incoming dst")
                 # keep intp: numpy fancy indexing converts (and copies)
                 # any other integer dtype on every use
-                per_sender.append(idx.astype(np.intp))
+                idx = idx.astype(np.intp)
+                idx.flags.writeable = False
+                per_sender.append(idx)
                 lo = sum(len(out_p[qq]) for qq in range(q))
                 per_slice.append((lo, lo + len(arr)))
             self.incoming_idx[q] = per_sender
             self.incoming_slice[q] = per_slice
+        self._graph.topology = (
+            self._topology_key, self.incoming_idx, self.incoming_slice
+        )
+        self._resident.put(self._graph_key, self._graph)
         return True
 
     # -- superstep ----------------------------------------------------------
@@ -662,6 +817,11 @@ class _ActorPool:
     """Idle shard actors of the current Ray session, shared by every Engine
     the process opens.
 
+    Actors come back out in the order they were given, the most recently
+    given first: an Engine returns its actors in slot order, so the next
+    Engine's slot ``a`` gets the actor that held partitions ``p % A == a``,
+    with those partitions' shards resident.
+
     Keyed by the caller's (node id, job id): a local ``ray.init`` after
     ``ray.shutdown`` starts a new node but reuses job id ``01000000``, and a
     new connection to a long-running cluster gets a new job id. Either way
@@ -670,24 +830,25 @@ class _ActorPool:
     def __init__(self):
         self._lock = threading.Lock()
         self._key = None
-        self._idle: list = []
+        self._idle: deque = deque()
 
-    def _session(self) -> list:
+    def _session(self) -> deque:
         ctx = ray.get_runtime_context()
         key = (ctx.get_node_id(), ctx.get_job_id())
         if key != self._key:
-            self._key, self._idle = key, []
+            self._key, self._idle = key, deque()
         return self._idle
 
     def take(self):
-        """An idle actor, or None when the pool is empty."""
+        """The next idle actor, or None when the pool is empty."""
         with self._lock:
             idle = self._session()
-            return idle.pop() if idle else None
+            return idle.popleft() if idle else None
 
     def give(self, actors: list) -> None:
+        """Put ``actors`` in front of the idle ones, in their given order."""
         with self._lock:
-            self._session().extend(actors)
+            self._session().extendleft(reversed(actors))
 
 
 _POOL = _ActorPool()
@@ -751,9 +912,13 @@ class Engine:
         self._threads_per_actor = threads_per_actor
         self._pg = placement_group
         self._parts_of = [[p for p in range(P) if p % A == a] for a in range(A)]
+        self._path = os.path.realpath(graph.path)
+        self._sigs = [_part_signature(self._path, p) for p in range(P)]
+        self.shards_read = 0  # partitions read and built by this Engine
+        self.handshake = False  # whether this Engine ran a topology handshake
         self.actors: list = [None] * A
-        self._acquire(range(A))
-        self._handshake()
+        if not self._acquire(range(A)):
+            self._handshake()
         self.recoveries = 0  # actor losses recovered from (see recover)
         self.iteration = 0  # supersteps whose metrics have been collected
         self.submitted = 0  # supersteps submitted to the pipeline
@@ -791,20 +956,23 @@ class Engine:
 
     def _load(self, a: int):
         return self.actors[a].load.remote(
-            self.graph.path,
+            self._path,
             self._parts_of[a],
             self.P,
             self.A,
             self.program,
             self.graph.meta.num_vertices,
             self.split_ids,
+            self._sigs,
             num_threads=self._threads_per_actor,
         )
 
-    def _acquire(self, slots) -> None:
+    def _acquire(self, slots) -> bool:
         """Fill each actor slot with a loaded actor: an idle pooled one when
         there is one, else a new one. A pooled actor that died while idle
-        fails its load with RayActorError and is replaced by a new actor."""
+        fails its load with RayActorError and is replaced by a new actor.
+        Adds the partitions read to :attr:`shards_read`; returns whether
+        every slot's exchange topology was resident."""
         spawned = set()
         for a in slots:
             h = _POOL.take() if self._pooled else None
@@ -812,21 +980,24 @@ class Engine:
                 h = self._spawn_actor(a)
                 spawned.add(a)
             self.actors[a] = h
-        dead = []
+        loaded, dead = [], []
         for a, ref in [(a, self._load(a)) for a in slots]:
             try:
-                ray.get(ref)
+                loaded.append(ray.get(ref))
             except ray.exceptions.RayActorError:
                 if a in spawned:
                     raise
                 dead.append(a)
         for a in dead:
             self.actors[a] = self._spawn_actor(a)
-        ray.get([self._load(a) for a in dead])
+        loaded += ray.get([self._load(a) for a in dead])
+        self.shards_read += sum(read for read, _ in loaded)
+        return all(resident for _, resident in loaded)
 
     def _handshake(self) -> None:
         out_refs = [a.outgoing_ids.remote() for a in self.actors]
         ray.get([a.set_incoming.remote(*out_refs) for a in self.actors])
+        self.handshake = True
 
     def _probe_dead(self) -> list[int]:
         """Indices of actors that no longer answer (process died / node
@@ -849,7 +1020,8 @@ class Engine:
         supersteps. Recovery is partition-grained: surviving actors keep
         their loaded CSR shards (the expensive part) and only re-load
         *state* from the checkpoint; dead actors rebuild both from the
-        partitioned parquet graph. Because the combine order is
+        partitioned parquet graph, and the topology handshake always runs
+        again. Because the combine order is
         deterministic, a recovered run is bit-identical to an
         uninterrupted one. Returns the iteration resumed from, and counts
         one more :attr:`recoveries`."""
@@ -1121,8 +1293,9 @@ class Engine:
         return ray.data.read_parquet(out_dir)
 
     def close(self):
-        """Return pooled actors to the session's pool, once their in-flight
-        rounds have drained and they have dropped their shard data. An actor
+        """Return pooled actors to the session's pool in slot order, once
+        their in-flight rounds have drained and they have dropped their
+        per-run state (their shards stay resident). An actor
         whose drain fails is killed rather than pooled. Actors this Engine
         started for itself (placement group, explicit ``actor_cpus``) are
         killed."""
@@ -1188,9 +1361,13 @@ def run_program(
 
     Without ``out_dir`` the result is the (vertex_id, value, ...) frame
     sorted by vertex_id, passed through ``postprocess`` when given, with
-    ``attrs`` ``lineage`` (per-superstep metrics), ``engine_init_sec`` and
-    ``superstep_wall_sec`` (the drive's elapsed time; per-superstep
-    ``wall_sec`` values overlap in the pipelined runner). With ``out_dir``
+    ``attrs`` ``lineage`` (per-superstep metrics), ``engine_init_sec``,
+    ``shards_read`` (the partitions this run read and built; 0 when every
+    shard was resident from an earlier run on the same graph files),
+    ``handshake`` (whether this run exchanged the partition topology; False
+    when every actor's was resident) and ``superstep_wall_sec`` (the
+    drive's elapsed time; per-superstep ``wall_sec`` values overlap in the
+    pipelined runner). With ``out_dir``
     each partition's values are written to ``out_dir/part-*.parquet``,
     ``postprocess`` rewrites each file after close (so it must be
     row-local), and the path is returned."""
@@ -1219,6 +1396,7 @@ def run_program(
         else:
             eng.write_values(out_dir)
         lineage = list(eng.lineage)
+        shards_read, handshake = eng.shards_read, eng.handshake
     if out_dir is not None:
         if postprocess is not None:
             ray.get(
@@ -1232,6 +1410,10 @@ def run_program(
     if postprocess is not None:
         result = postprocess(result)
     result.attrs.update(
-        lineage=lineage, engine_init_sec=t_init, superstep_wall_sec=t_steps
+        lineage=lineage,
+        engine_init_sec=t_init,
+        shards_read=shards_read,
+        handshake=handshake,
+        superstep_wall_sec=t_steps,
     )
     return result

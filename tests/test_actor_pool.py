@@ -108,7 +108,7 @@ def _kill(actor):
 def test_dead_idle_actor_replaced(graphs, closed_actor_ids):
     directed = graphs[0]
     want = algorithms.pagerank(directed, eps=1e-10)
-    victim = engine._POOL._idle[-1]  # the next one taken
+    victim = engine._POOL._idle[0]  # the next one taken
     _kill(victim)
     _assert_identical(algorithms.pagerank(directed, eps=1e-10), want)
     first, second = closed_actor_ids
