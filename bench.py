@@ -605,8 +605,9 @@ def _measure_placement_scaling(
     """Bundle-node scaling: same job with shard actors pinned round-robin
     to ``lo_nodes`` vs ``hi_nodes`` STRICT_PACK placement-group bundles of
     ``cpus_per_node`` CPUs each — the one-bundle-per-node layout a real
-    cluster uses. Fresh subprocess Ray sessions; best of ``trials``; each
-    trial averages 2 timed runs after a warmup run."""
+    cluster uses; the Engine starts one 1-CPU actor per bundle CPU. Fresh
+    subprocess Ray sessions; best of ``trials``; each trial averages 2
+    timed runs after a warmup run."""
     runner = f"""
 import sys, time, json, ray
 nodes = int(sys.argv[1])
@@ -623,8 +624,7 @@ pg = placement_group([{{"CPU": {cpus_per_node}}}] * nodes,
                      strategy="STRICT_PACK")
 ray.get(pg.ready())
 g = Graph.load({gpath!r})
-eng = Engine(g, PageRank(), num_actors=nodes * {cpus_per_node},
-             actor_cpus=1.0, threads_per_actor=1, placement_group=pg)
+eng = Engine(g, PageRank(), placement_group=pg)
 eng.run(lambda m: False, max_iters=4)   # warmup: fault in CSR + state
 msgs = 0.0; wall = 0.0
 for _ in range(2):

@@ -72,7 +72,6 @@ def pagerank(
     checkpoint_dir: str | None = None,
     checkpoint_interval: int = 5,
     resume: bool = False,
-    actor_cpus: float | None = None,
     warm_start=None,
 ):
     """A1/A2. ``mode='pull'`` = dense power iteration (compute_pagerank);
@@ -99,7 +98,6 @@ def pagerank(
         graph, prog, lambda m: m["delta"] < eps, max_iters=max_iters,
         out_dir=out_dir, checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval, resume=resume,
-        actor_cpus=actor_cpus,
     )
 
 
@@ -114,7 +112,6 @@ def personalized_pagerank(
     checkpoint_dir: str | None = None,
     checkpoint_interval: int = 5,
     resume: bool = False,
-    actor_cpus: float | None = None,
 ):
     """A1 variant: PageRank with the teleport restricted to ``seeds``
     (random-walk-with-restart relevance to the seed set)."""
@@ -123,7 +120,6 @@ def personalized_pagerank(
         lambda m: m["delta"] < eps, max_iters=max_iters, out_dir=out_dir,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval, resume=resume,
-        actor_cpus=actor_cpus,
     )
 
 
@@ -136,7 +132,6 @@ def katz(
     eps: float = 1e-9,
     max_iters: int = 100,
     out_dir: str | None = None,
-    actor_cpus: float | None = None,
 ):
     """Katz centrality (prestige) by power iteration on the superstep
     engine: ``x = beta + alpha * A^T x``. Fixed-iteration runs (``eps=0.0``,
@@ -148,7 +143,7 @@ def katz(
     prog = Katz(alpha, beta, weighted=weighted, exact_iterations=(eps == 0.0))
     return run_program(
         graph, prog, lambda m: m["delta"] < eps, max_iters=max_iters,
-        out_dir=out_dir, actor_cpus=actor_cpus,
+        out_dir=out_dir,
     )
 
 
@@ -159,7 +154,6 @@ def eigenvector_centrality(
     weighted: bool = False,
     normalize: bool = True,
     out_dir: str | None = None,
-    actor_cpus: float | None = None,
 ):
     """Eigenvector centrality by fixed-T unnormalized power iteration on
     the superstep engine (``x = Aᵀx`` from x=1; see
@@ -173,7 +167,6 @@ def eigenvector_centrality(
     prog = PowerIteration(weighted=weighted, exact_iterations=True)
     result = run_program(
         graph, prog, lambda m: False, max_iters=int(iters), out_dir=out_dir,
-        actor_cpus=actor_cpus,
     )
     if not normalize:
         return result
@@ -204,7 +197,6 @@ def mis(
     hash_fn: str = "splitmix",
     max_iters: int = 400,
     out_dir: str | None = None,
-    actor_cpus: float | None = None,
 ):
     """Deterministic Luby maximal independent set (see
     programs.MaxIndependentSet). Requires a symmetrized graph (scatter
@@ -215,7 +207,6 @@ def mis(
     return run_program(
         graph, MaxIndependentSet(salt, hash_fn),
         lambda m: m["undecided"] == 0, max_iters=max_iters, out_dir=out_dir,
-        actor_cpus=actor_cpus,
     )
 
 
@@ -226,7 +217,6 @@ def greedy_color(
     hash_fn: str = "splitmix",
     max_iters: int = 2000,
     out_dir: str | None = None,
-    actor_cpus: float | None = None,
 ):
     """Deterministic greedy coloring (see programs.GreedyColor): color =
     peel depth under hash-priority order; adjacent vertices always differ
@@ -236,13 +226,12 @@ def greedy_color(
         raise ValueError("greedy_color() needs a symmetrized graph")
     return run_program(
         graph, GreedyColor(salt, hash_fn), lambda m: m["uncolored"] == 0,
-        max_iters=max_iters, out_dir=out_dir, actor_cpus=actor_cpus,
+        max_iters=max_iters, out_dir=out_dir,
     )
 
 
 def wcc(graph: Graph, *, max_iters: int = 200, out_dir=None, checkpoint_dir=None,
-        checkpoint_interval: int = 5, resume: bool = False, actor_cpus=None,
-        warm_start=None):
+        checkpoint_interval: int = 5, resume: bool = False, warm_start=None):
     """A3: weakly connected components (hash-min label propagation);
     ``value`` = min vertex id of the component. Expects a symmetrized graph
     for the undirected-WCC semantics (libgraph-algs/wcc.cpp).
@@ -259,13 +248,12 @@ def wcc(graph: Graph, *, max_iters: int = 200, out_dir=None, checkpoint_dir=None
         graph, prog, _no_change, max_iters=max_iters, out_dir=out_dir,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval, resume=resume,
-        actor_cpus=actor_cpus,
     )
 
 
 def label_propagation(graph: Graph, seeds: dict, *, max_iters: int = 200,
                       out_dir=None, checkpoint_dir=None, checkpoint_interval: int = 5,
-                      resume: bool = False, actor_cpus=None):
+                      resume: bool = False):
     """A4: min-semiring label propagation from seed labels; unreached
     vertices keep the INT_IDENTITY sentinel (mapped to -1 in the output)."""
     return run_program(
@@ -273,25 +261,22 @@ def label_propagation(graph: Graph, seeds: dict, *, max_iters: int = 200,
         out_dir=out_dir, postprocess=_unreached_to_minus1,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval, resume=resume,
-        actor_cpus=actor_cpus,
     )
 
 
 def bfs(graph: Graph, seeds, *, max_iters: int = 10_000, out_dir=None,
-        checkpoint_dir=None, checkpoint_interval: int = 10, resume: bool = False,
-        actor_cpus=None):
+        checkpoint_dir=None, checkpoint_interval: int = 10, resume: bool = False):
     """A10: hop distance from the seed set (-1 = unreachable)."""
     return run_program(
         graph, BFS(seeds), _no_change, max_iters=max_iters, out_dir=out_dir,
         postprocess=_unreached_to_minus1, checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval, resume=resume,
-        actor_cpus=actor_cpus,
     )
 
 
 def sssp(graph: Graph, seeds, *, max_iters: int = 10_000, out_dir=None,
          checkpoint_dir=None, checkpoint_interval: int = 10,
-         resume: bool = False, actor_cpus=None):
+         resume: bool = False):
     """Weighted shortest distance from the seed set (frontier Bellman-Ford
     in the (min, +) semiring; non-negative weights; -1 = unreachable)."""
     from flashray.programs import SSSP
@@ -304,12 +289,11 @@ def sssp(graph: Graph, seeds, *, max_iters: int = 10_000, out_dir=None,
         graph, SSSP(seeds), _no_change, max_iters=max_iters, out_dir=out_dir,
         postprocess=clean, checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval, resume=resume,
-        actor_cpus=actor_cpus,
     )
 
 
 def landmark_distances(graph: Graph, landmarks, *, weighted: bool = False,
-                       max_iters: int = 10_000, actor_cpus=None):
+                       max_iters: int = 10_000):
     """Per-landmark distances in ONE sweep: K simultaneous BFS floods
     as vector-valued vertex state (:class:`programs.MultiSourceBFS`,
     ``value_dim = K``) — the standard landmark/pivot distance
@@ -334,12 +318,11 @@ def landmark_distances(graph: Graph, landmarks, *, weighted: bool = False,
 
     return run_program(
         graph, prog, _no_change, max_iters=max_iters, postprocess=widen,
-        actor_cpus=actor_cpus,
     )
 
 
 def multi_ppr(graph: Graph, seeds, *, damping: float = 0.85,
-              eps: float = 1e-6, max_iters: int = 200, actor_cpus=None):
+              eps: float = 1e-6, max_iters: int = 200):
     """K personalized PageRanks in ONE sweep
     (:class:`programs.MultiSourcePPR`, ``value_dim = K``): per-seed
     random-walk-with-restart proximity — the PPR feature/embedding
@@ -371,13 +354,13 @@ def multi_ppr(graph: Graph, seeds, *, damping: float = 0.85,
 
     return run_program(
         graph, prog, lambda m: m["delta"] < eps, max_iters=max_iters,
-        postprocess=to_long, actor_cpus=actor_cpus,
+        postprocess=to_long,
     )
 
 
 def closeness_centrality(graph: Graph, *, landmarks=None, k: int = 8,
                          weighted: bool = False, out_dir: str | None = None,
-                         actor_cpus=None, max_iters: int = 10_000):
+                         max_iters: int = 10_000):
     """Sampled closeness + harmonic centrality (Eppstein–Wang style
     estimation over a landmark sample, Boldi–Vigna's harmonic variant
     included): ONE :class:`programs.MultiSourceBFS` sweep floods hop (or
@@ -440,7 +423,7 @@ def closeness_centrality(graph: Graph, *, landmarks=None, k: int = 8,
 
     result = run_program(
         graph, prog, _no_change, max_iters=max_iters, out_dir=out_dir,
-        postprocess=fold, actor_cpus=actor_cpus,
+        postprocess=fold,
     )
     if out_dir is None:
         return result
@@ -475,7 +458,7 @@ def _peel(eng, max_supersteps: int, checkpoint_dir=None,
 
 
 def kcore(graph: Graph, *, out_dir=None, checkpoint_dir=None,
-          checkpoint_interval: int = 10, resume: bool = False, actor_cpus=None,
+          checkpoint_interval: int = 10, resume: bool = False,
           max_supersteps: int = 100_000):
     """A9: full k-core decomposition (coreness per vertex) by iterative
     peeling on a symmetrized graph. The driver raises k when a phase
@@ -486,12 +469,10 @@ def kcore(graph: Graph, *, out_dir=None, checkpoint_dir=None,
             eng, max_supersteps, checkpoint_dir, checkpoint_interval
         ),
         out_dir=out_dir, checkpoint_dir=checkpoint_dir, resume=resume,
-        actor_cpus=actor_cpus,
     )
 
 
-def onion_layers(graph: Graph, *, actor_cpus=None,
-                 max_supersteps: int = 100_000):
+def onion_layers(graph: Graph, *, max_supersteps: int = 100_000):
     """Onion decomposition (Hébert-Dufresne, Grochow & Allard 2016): the
     k-core peel of :func:`kcore` with the synchronous removal ROUND of
     each vertex recorded — layer 1 peels first, the innermost layer last.
@@ -518,7 +499,7 @@ def onion_layers(graph: Graph, *, actor_cpus=None,
 
     return run_program(
         graph, OnionPeel(), drive=lambda eng: _peel(eng, max_supersteps),
-        postprocess=decode, actor_cpus=actor_cpus,
+        postprocess=decode,
     )
 
 
@@ -618,8 +599,7 @@ def attribute_assortativity(mixing: "pd.DataFrame") -> float:
     return (tr - ab) / (1.0 - ab)
 
 
-def pseudo_diameter(graph: Graph, *, sweeps: int = 4, start_vertex=None,
-                    actor_cpus=None) -> int:
+def pseudo_diameter(graph: Graph, *, sweeps: int = 4, start_vertex=None) -> int:
     """A11 (libgraph-algs/diameter_graph.cpp — estimate_diameter): repeated
     BFS sweeps, restarting from the farthest vertex found."""
     if start_vertex is None:
@@ -629,7 +609,7 @@ def pseudo_diameter(graph: Graph, *, sweeps: int = 4, start_vertex=None,
     best = 0
     seed = start_vertex
     for _ in range(sweeps):
-        df = bfs(graph, [seed], actor_cpus=actor_cpus)
+        df = bfs(graph, [seed])
         reached = df[df["value"] >= 0]
         far = reached.loc[reached["value"].idxmax()]
         if far["value"] <= best and int(far["vertex_id"]) == seed:
@@ -1485,7 +1465,7 @@ def percolation_curve(
 
 def dag_levels(graph: Graph, *, max_iters: int = 10_000, out_dir=None,
                checkpoint_dir=None, checkpoint_interval: int = 10,
-               resume: bool = False, actor_cpus=None):
+               resume: bool = False):
     """Topological level (longest-path depth from the sources) per
     vertex of a DAG: (vertex_id, value). Raises ValueError when the
     iteration cap is hit without convergence — the monotone max-combine
@@ -1509,13 +1489,13 @@ def dag_levels(graph: Graph, *, max_iters: int = 10_000, out_dir=None,
 
     return run_program(
         graph, DAGLevels(), drive=drive, out_dir=out_dir,
-        checkpoint_dir=checkpoint_dir, resume=resume, actor_cpus=actor_cpus,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )
 
 
 def local_cluster(graph: Graph, seed: int, *, damping: float = 0.85,
                   iters: int = 12, max_size: int | None = None,
-                  key_decimals: int | None = None, actor_cpus=None):
+                  key_decimals: int | None = None):
     """PageRank-Nibble local clustering (Andersen, Chung & Lang, FOCS
     2006 — the sweep-cut formulation): run personalized PageRank from
     ``seed`` (the engine's A1-variant kernel, fixed supersteps so the
@@ -1532,7 +1512,6 @@ def local_cluster(graph: Graph, seed: int, *, damping: float = 0.85,
 
     ppr = personalized_pagerank(
         graph, [int(seed)], damping=damping, eps=0.0, max_iters=iters,
-        actor_cpus=actor_cpus,
     )
     touched = ppr[ppr["value"] > 0.0].copy()
     if not len(touched):

@@ -48,9 +48,7 @@ def induced_subgraph(
     return build_graph(subgraph_edges(graph, vertex_ids), path, **build_kwargs)
 
 
-def egonet_edges(
-    graph: Graph, seeds, hops: int, *, actor_cpus=None
-) -> ray.data.Dataset:
+def egonet_edges(graph: Graph, seeds, hops: int) -> ray.data.Dataset:
     """Induced subgraph on every vertex within ``hops`` out-steps of any
     seed (ego-net sampling — the neighborhood-extraction primitive for
     graph ML minibatching). One multi-source BFS sweep
@@ -78,7 +76,6 @@ def egonet_edges(
     # "reached" is the whole membership test
     df = run_program(
         graph, prog, lambda m: m["changed"] == 0, max_iters=int(hops),
-        actor_cpus=actor_cpus,
     )
     mat = np.stack(df["value"].to_numpy())
     verts = df.loc[(mat < INT_IDENTITY).any(axis=1), "vertex_id"].to_numpy()

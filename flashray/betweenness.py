@@ -268,7 +268,6 @@ def betweenness(
     sources: int | list | None = 16,
     seed: int = 42,
     normalize: bool = True,
-    actor_cpus: float | None = None,
     batch: int | None = None,
 ):
     """Approximate (sampled) or exact betweenness. ``sources`` is a count
@@ -319,7 +318,7 @@ def betweenness(
             eng.broadcast_event({"phase": "accumulate", **srcs})
 
     prog = BrandesBatchProgram(batch) if batch else BrandesProgram()
-    df = run_program(bi, prog, drive=drive, actor_cpus=actor_cpus)
+    df = run_program(bi, prog, drive=drive)
     if normalize and not isinstance(sources, list):
         df["value"] = df["value"] * (n_all / max(len(src_list), 1))
     return df

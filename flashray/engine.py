@@ -67,10 +67,11 @@ imports, ``ray.data`` included), the partition read, the CSR build and the
 handshake; a repeat query on the same graph pays none of them. Pooled
 actors reserve no logical CPU (``num_cpus=0``, SPREAD scheduling): they
 outlive every Engine, and CPU shares held by idle actors would starve the
-Dataset tasks that run between queries. Actors pinned to a caller's
-placement group keep their CPU request and are killed at close, because
-the caller removes the group; so are actors given an explicit
-``actor_cpus``.
+Dataset tasks that run between queries. The Engine sizes its actors from
+what it observes, with no knob: the session's CPUs, or the bundles of a
+caller's placement group. Placement-group actors, one per whole CPU of the
+group, each request one CPU and are killed at close, because the caller
+removes the group; they are the only actors never pooled.
 
 Why raw actors and not ``Dataset.map_batches`` here: the inner loop mutates
 per-partition vertex state across iterations and must route each
@@ -95,7 +96,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
-import ray.data
 
 from flashray import csr
 from flashray.build import Graph
@@ -141,15 +141,11 @@ def _read_shard(
     """Read partition ``p`` of the graph and build its CSR shard, with every
     array read-only: resident shards outlive the run, so a program that
     writes into one must raise rather than corrupt the next query."""
-    vcols = ["vertex_id", "out_degree", "in_degree"]
-    vdir = os.path.join(graph_path, "vertices")
-    try:
-        vt = _read_part(vdir, p, vcols + ["w_out_degree"])
-        w_out = vt["w_out_degree"].to_numpy(zero_copy_only=False).astype(np.float64)
-    except (KeyError, pa.lib.ArrowInvalid):
-        # graphs built before weighted degrees existed
-        vt = _read_part(vdir, p, vcols)
-        w_out = None
+    vt = _read_part(
+        os.path.join(graph_path, "vertices"),
+        p,
+        ["vertex_id", "out_degree", "in_degree", "w_out_degree"],
+    )
     ecols = ["src", "dst", "weight"]
     uses_channels = getattr(program, "uses_channels", False)
     if uses_channels:
@@ -173,7 +169,9 @@ def _read_shard(
         et["weight"].to_numpy(zero_copy_only=False).astype(np.float64)
         if et.num_rows
         else None,
-        w_out_degree=w_out,
+        w_out_degree=vt["w_out_degree"]
+        .to_numpy(zero_copy_only=False)
+        .astype(np.float64),
         channel=channel,
     )
     for a in _shard_arrays(shard):
@@ -859,30 +857,23 @@ class Engine:
     policy; the engine owns actors, the fused exchange, metrics,
     checkpoints."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        program: VertexProgram,
-        *,
-        num_actors: int | None = None,
-        actor_cpus: float | None = None,
-        threads_per_actor: int | None = None,
-        placement_group=None,
-    ):
-        """``placement_group``: optional ray PlacementGroup; shard actor
-        ``a`` is pinned to bundle ``a % len(bundles)`` (round-robin), the
-        layout a multi-node cluster would use — one bundle per node, each
-        node owning an equal slice of the CSR shards. The exchange path is
-        bundle-agnostic (object-store refs), so this only constrains
-        scheduling (see tools/placement_scaling.py for the two-"node"
-        scaling evidence).
+    def __init__(self, graph: Graph, program: VertexProgram, *, placement_group=None):
+        """Shard actors are laid out from what the Engine observes, with no
+        knob. Without a ``placement_group`` they come from the session's pool
+        (see :meth:`close`) and reserve no logical CPU, since idle actors
+        holding CPU shares would starve every later Dataset task. There are
+        ``max(1, min(P, CPUs // threads))`` of them, with 2 threads each
+        from 16 session CPUs up, else 1: Ray-task overhead (~0.5 ms per task)
+        grows with the actor count, and the in-actor thread pool loses ~20%
+        to the GIL-held combine loop.
 
-        Without a placement group or an explicit ``actor_cpus`` the actors
-        come from the session's pool (see :meth:`close`) and reserve no
-        logical CPU: they outlive the Engine, and idle actors holding CPU
-        shares would starve every later Dataset task. Actors in a
-        placement group, or with an explicit CPU request, are started for
-        this Engine and killed at close."""
+        With a ray ``placement_group`` the Engine starts one 1-CPU, 1-thread
+        actor per whole CPU of its bundles, at most P, dealt round-robin
+        (equal bundles: actor ``a`` on bundle ``a % len(bundles)``), and
+        kills them at close. That is the multi-node layout, one bundle per
+        node, each owning an equal slice of the CSR shards; the exchange is
+        bundle-agnostic (object-store refs), so pinning only constrains
+        scheduling (see tools/placement_scaling.py)."""
         self.graph = graph
         self.program = program
         P = graph.num_partitions
@@ -890,27 +881,24 @@ class Engine:
         self.split_ids = np.asarray(
             sorted(graph.meta.split_vertices), dtype=np.int64
         )
-        total = ray.cluster_resources().get("CPU", P)
-        if threads_per_actor is None:
-            # measured trade-off on this hardware: Ray-task overhead is
-            # ~0.5 ms/task (scales with actor count), the in-actor thread
-            # pool loses ~20% to the GIL-held Python in the combine loop.
-            # 2 threads/actor wins at >=16 cores; plain 1:1 below that.
-            threads_per_actor = 2 if total >= 16 else 1
-        if num_actors is None:
-            num_actors = max(1, min(P, int(total) // threads_per_actor))
-        A = num_actors
-        self.A = A
-        self._pooled = placement_group is None and actor_cpus is None
-        if self._pooled:
-            actor_cpus = 0.0
-        elif actor_cpus is None:
-            actor_cpus = max(
-                0.05, min(float(threads_per_actor), total / max(A, 1) * 0.8)
-            )
-        self._actor_cpus = actor_cpus
-        self._threads_per_actor = threads_per_actor
         self._pg = placement_group
+        if placement_group is None:
+            total = int(ray.cluster_resources().get("CPU", P))
+            self._threads_per_actor = 2 if total >= 16 else 1
+            A = max(1, min(P, total // self._threads_per_actor))
+            self._actor_cpus = 0.0
+        else:
+            # one slot per whole bundle CPU, dealt round-robin over bundles
+            cpus = [int(b.get("CPU", 0)) for b in placement_group.bundle_specs]
+            self._bundles = [
+                i for c in range(max(cpus)) for i, n in enumerate(cpus) if n > c
+            ]
+            if not self._bundles:
+                raise ValueError("placement group has no whole CPU")
+            A = min(P, len(self._bundles))
+            self._threads_per_actor = 1
+            self._actor_cpus = 1.0
+        self.A = A
         self._parts_of = [[p for p in range(P) if p % A == a] for a in range(A)]
         self._path = os.path.realpath(graph.path)
         self._sigs = [_part_signature(self._path, p) for p in range(P)]
@@ -947,9 +935,9 @@ class Engine:
 
             opts["scheduling_strategy"] = PlacementGroupSchedulingStrategy(
                 placement_group=self._pg,
-                placement_group_bundle_index=a % len(self._pg.bundle_specs),
+                placement_group_bundle_index=self._bundles[a],
             )
-        elif self._pooled:
+        else:
             # the default policy packs zero-CPU actors onto one node
             opts["scheduling_strategy"] = "SPREAD"
         return ShardActor.options(**opts).remote()
@@ -975,7 +963,7 @@ class Engine:
         every slot's exchange topology was resident."""
         spawned = set()
         for a in slots:
-            h = _POOL.take() if self._pooled else None
+            h = _POOL.take() if self._pg is None else None
             if h is None:
                 h = self._spawn_actor(a)
                 spawned.add(a)
@@ -1282,37 +1270,29 @@ class Engine:
         ray.get([a.write_values.remote(out_dir) for a in self.actors])
         return out_dir
 
-    def values_dataset(self, out_dir: str):
-        """Write the values and return them as a Dataset. Pooled shard
-        actors reserve no CPU, so read_parquet's metadata-fetch tasks
-        schedule while the engine is open. Actors with a CPU reservation
-        (placement group or explicit ``actor_cpus``) can still hold every
-        CPU of a small cluster and deadlock those tasks: then call
-        ``write_values`` and read the directory after :meth:`close`."""
-        self.write_values(out_dir)
-        return ray.data.read_parquet(out_dir)
-
     def close(self):
         """Return pooled actors to the session's pool in slot order, once
-        their in-flight rounds have drained and they have dropped their
-        per-run state (their shards stay resident). An actor
-        whose drain fails is killed rather than pooled. Actors this Engine
-        started for itself (placement group, explicit ``actor_cpus``) are
-        killed."""
+        their in-flight rounds have finished and they have dropped their
+        per-run state (their shards stay resident). A round that raised has
+        already raised in :meth:`run`; the shards are read-only, so the
+        actor stays sound and is pooled exactly when its own ``release``
+        succeeds. An actor lost mid-round fails that call and is killed.
+        Placement-group actors are killed."""
         actors, self.actors = self.actors, []
-        pending = [refs for refs, _ in self._pending]
+        pending = [r for refs, _ in self._pending for r in refs]
         self._pending = []
         self._meta_refs = self._partial_refs = self._prev_meta_refs = None
-        if not self._pooled:
+        if self._pg is not None:
             for a in actors:
                 ray.kill(a)
             return
+        ray.wait(pending, num_returns=len(pending), fetch_local=False)
         # release queues behind every round already submitted to the actor
         released = [a.release.remote() for a in actors]
         idle = []
-        for i, a in enumerate(actors):
+        for a, ref in zip(actors, released):
             try:
-                ray.get([refs[i] for refs in pending] + [released[i]])
+                ray.get(ref)
             except ray.exceptions.RayError:
                 ray.kill(a)
             else:
@@ -1344,7 +1324,6 @@ def run_program(
     checkpoint_dir: str | None = None,
     checkpoint_interval: int = 0,
     resume: bool = False,
-    actor_cpus: float | None = None,
 ):
     """Run one vertex program over ``graph``: the lifecycle of an FGlib
     call (create ``graph_engine`` → ``start`` → ``wait4complete`` → read
@@ -1370,11 +1349,13 @@ def run_program(
     pipelined runner). With ``out_dir``
     each partition's values are written to ``out_dir/part-*.parquet``,
     ``postprocess`` rewrites each file after close (so it must be
-    row-local), and the path is returned."""
+    row-local), and the path is returned. The Engine takes its actors from
+    the session's pool, laid out from the session's CPUs (see
+    :class:`Engine`)."""
     from flashray.checkpoint import has_checkpoint
 
     t0 = time.perf_counter()
-    with Engine(graph, program, actor_cpus=actor_cpus) as eng:
+    with Engine(graph, program) as eng:
         t_init = time.perf_counter() - t0
         if resume and checkpoint_dir is not None and has_checkpoint(checkpoint_dir):
             eng.restore(checkpoint_dir)

@@ -153,7 +153,6 @@ def hits_engine(
     iters: int = 3,
     weighted: bool = False,
     normalize: bool = True,
-    actor_cpus: float | None = None,
 ) -> pd.DataFrame:
     """HITS hubs & authorities (Kleinberg 1999, the link-analysis sibling
     of PageRank; SURVEY.md §2.2 A1/A2 family) by fixed-T alternating power
@@ -254,7 +253,7 @@ def hits_engine(
 
     return run_program(
         bi, _Hits(), lambda m: False, max_iters=2 * int(iters),
-        postprocess=finish, actor_cpus=actor_cpus,
+        postprocess=finish,
     )
 
 

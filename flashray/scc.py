@@ -201,7 +201,6 @@ def scc(
     *,
     scratch_dir: str,
     max_rounds: int = 10_000,
-    actor_cpus: float | None = None,
     out_dir: str | None = None,
 ):
     """SCC labels for a *directed* graph handle. Returns (vertex_id, value)
@@ -244,9 +243,7 @@ def scc(
             ev("trim_fwd"); eng.step()
             ev("trim_bwd"); eng.step()
 
-    return run_program(
-        bi, SCCProgram(), drive=drive, out_dir=out_dir, actor_cpus=actor_cpus
-    )
+    return run_program(bi, SCCProgram(), drive=drive, out_dir=out_dir)
 
 
 def condensation(
@@ -254,7 +251,6 @@ def condensation(
     *,
     scratch_dir: str,
     num_buckets: int = 16,
-    actor_cpus: float | None = None,
 ) -> ray.data.Dataset:
     """Condensation DAG of a directed graph: one node per SCC (labeled
     by its min member id), one edge per DISTINCT cross-SCC (src-SCC,
@@ -274,8 +270,7 @@ def condensation(
     from flashray.joins import bucket_group_agg, bucket_hash_join
 
     lab_dir = os.path.join(scratch_dir, "scc_labels")
-    scc(graph, scratch_dir=scratch_dir, out_dir=lab_dir,
-        actor_cpus=actor_cpus)
+    scc(graph, scratch_dir=scratch_dir, out_dir=lab_dir)
     labels = ray.data.read_parquet(lab_dir).map_batches(
         lambda b: pa.table(
             {

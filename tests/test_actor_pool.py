@@ -130,6 +130,27 @@ def test_close_does_not_pool_actor_lost_mid_round(graphs):
     _assert_identical(algorithms.pagerank(directed, eps=1e-10), want)
 
 
+def test_close_pools_actors_after_program_error(graphs):
+    """An error raised in ``apply`` is the program's, not the actors': the
+    Engine returns every actor to the pool, shards resident."""
+
+    class FailsApply(PageRank):  # local: pickled by value to the actors
+        def apply(self, shard, state, agg, N):
+            raise ValueError("apply failed")
+
+    directed = graphs[0]
+    _empty_pool()
+    fresh = algorithms.pagerank(directed, eps=1e-10)
+    pooled = [a._actor_id for a in engine._POOL._idle]
+    with pytest.raises(ValueError, match="apply failed"):
+        engine.run_program(directed, FailsApply(), lambda m: m["delta"] < 1e-10)
+    assert [a._actor_id for a in engine._POOL._idle] == pooled
+    got = algorithms.pagerank(directed, eps=1e-10)
+    assert got.attrs["shards_read"] == 0
+    assert got.attrs["handshake"] is False
+    _assert_identical(got, fresh)
+
+
 def test_pool_take_give_from_many_threads():
     """No handle is handed to two takers, and every one given back is kept."""
     pool = engine._ActorPool()

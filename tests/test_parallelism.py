@@ -98,10 +98,7 @@ def test_placement_group_pinning_bit_identical(tmp_path):
     pg = placement_group([{"CPU": 1}] * 2, strategy="STRICT_PACK")
     ray.get(pg.ready())
     try:
-        with Engine(
-            g, PageRank(), num_actors=2, actor_cpus=1.0,
-            threads_per_actor=1, placement_group=pg,
-        ) as eng:
+        with Engine(g, PageRank(), placement_group=pg) as eng:
             eng.run(lambda m: m["delta"] < 1e-10)
             pinned = eng.values_pandas().sort_values("vertex_id")
     finally:
@@ -114,6 +111,35 @@ def test_placement_group_pinning_bit_identical(tmp_path):
     assert np.array_equal(
         base["value"].to_numpy(), pinned["value"].to_numpy()
     )
+
+
+def test_placement_group_layout(tmp_path):
+    """A placement group sizes the Engine: one 1-CPU actor per whole bundle
+    CPU, dealt round-robin over the bundles, killed at close rather than
+    pooled."""
+    import ray
+    from ray.util.placement_group import placement_group, remove_placement_group
+
+    from flashray import engine, fixtures
+    from flashray.build import build_graph_from_arrays
+    from flashray.programs import PageRank
+
+    src, dst = fixtures.er_edges()
+    g = build_graph_from_arrays(src, dst, str(tmp_path / "er"), num_partitions=4)
+    layouts = [([{"CPU": 1}] * 2, [0, 1]), ([{"CPU": 2}, {"CPU": 1}], [0, 1, 0])]
+    for bundles, want in layouts:
+        pg = placement_group(bundles, strategy="STRICT_PACK")
+        ray.get(pg.ready())
+        try:
+            with engine.Engine(g, PageRank(), placement_group=pg) as eng:
+                assert eng.A == len(want)
+                assert eng._actor_cpus == 1.0
+                assert eng._bundles == want
+                ids = {a._actor_id for a in eng.actors}
+                eng.step()
+        finally:
+            remove_placement_group(pg)
+        assert ids.isdisjoint(a._actor_id for a in engine._POOL._idle)
 
 
 SCRIPT_R5 = """

@@ -5,7 +5,10 @@ sizes a stage: no ``concurrency=`` keyword and no ``concurrency``
 parameter. Per-worker state lives in module constants, ``ray.put`` refs
 read inside the batch, or a ``functools.lru_cache`` keyed by arguments.
 The knob check also covers every caller in the repo (``bench.py``, the
-driver, ``tools/``, the tests), so none passes a keyword that is gone."""
+driver, ``tools/``, the tests), so none passes a keyword that is gone. The
+same check keeps the shard-actor layout knobs (``actor_cpus``,
+``num_actors``, ``threads_per_actor``) out of the repo: the Engine sizes its
+actors itself."""
 
 import ast
 import pathlib
@@ -49,22 +52,36 @@ def test_no_class_stage_in_map_batches():
     assert stray == [], "run map_batches stages as plain functions"
 
 
-def test_no_concurrency_knob():
+def _knob_sites(names: set[str]) -> list[str]:
+    """Every call in the repo passing one of ``names`` as a keyword, and
+    every function taking one as a parameter."""
     stray = []
     for mod, tree in _modules(_REPO):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 stray += [
-                    f"{mod}:{node.lineno} concurrency= keyword"
+                    f"{mod}:{node.lineno} {k.arg}= keyword"
                     for k in node.keywords
-                    if k.arg == "concurrency"
+                    if k.arg in names
                 ]
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
                 params = a.posonlyargs + a.args + a.kwonlyargs
                 stray += [
-                    f"{mod}:{node.lineno} concurrency parameter"
+                    f"{mod}:{node.lineno} {p.arg} parameter"
                     for p in params
-                    if p.arg == "concurrency"
+                    if p.arg in names
                 ]
+    return stray
+
+
+def test_no_concurrency_knob():
+    stray = _knob_sites({"concurrency"})
     assert stray == [], "let Ray size task stages; take no concurrency knob"
+
+
+def test_no_actor_layout_knob():
+    """The Engine sizes its shard actors from the session's CPUs or the
+    placement group's bundles; nothing passes or takes a layout knob."""
+    stray = _knob_sites({"actor_cpus", "num_actors", "threads_per_actor"})
+    assert stray == [], "let the Engine size its actors; take no layout knob"

@@ -13,7 +13,11 @@ scheduling domains (no co-residency assumptions anywhere in the exchange
 path), and adding bundle-"nodes" with their own CPU budget scales
 throughput, not just adding cores to one pool.
 
+The measurement is ``bench._measure_placement_scaling``; this script builds
+(or reuses) the graph and prints its result.
+
 Usage: python tools/placement_scaling.py [--cpus-per-node 2] [--iters 12]
+(``FLASHRAY_SCALE_TIER`` picks the transcript tier, default xxl).
 Prints one JSON line: throughput at 1 node and 4 nodes + efficiency.
 """
 
@@ -22,46 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
-_RUNNER = """
-import sys, time, json, ray
-nodes, cpus, gpath, iters = (
-    int(sys.argv[1]), int(sys.argv[2]), sys.argv[3], int(sys.argv[4])
-)
-ray.init(address="local", num_cpus=nodes * cpus + 1,
-         include_dashboard=False, logging_level="ERROR")
-from ray.data import DataContext
-DataContext.get_current().enable_progress_bars = False
-sys.path.insert(0, {repo!r})
-from ray.util.placement_group import placement_group
-from flashray.build import Graph
-from flashray.engine import Engine
-from flashray.programs import PageRank
-
-pg = placement_group([{{"CPU": cpus}}] * nodes, strategy="STRICT_PACK")
-ray.get(pg.ready())
-g = Graph.load(gpath)
-eng = Engine(
-    g, PageRank(),
-    num_actors=nodes * cpus, actor_cpus=1.0, threads_per_actor=1,
-    placement_group=pg,
-)
-eng.run(lambda m: False, max_iters=4)  # warmup
-msgs = 0.0; wall = 0.0
-for _ in range(2):
-    eng.reset()
-    t0 = time.perf_counter()
-    eng.run(lambda m: False, max_iters=iters)
-    wall += time.perf_counter() - t0
-    msgs += sum(r["messages"] for r in eng.lineage)
-print(json.dumps({{"tput": msgs / wall}}))
-eng.close()
-ray.shutdown()
-"""
 
 
 def main() -> int:
@@ -70,13 +37,11 @@ def main() -> int:
     ap.add_argument("--iters", type=int, default=12)
     args = ap.parse_args()
 
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    # build (or reuse) the 61M-edge xxl graph via bench's cache
     import ray
 
-    sys.path.insert(0, repo)
     import bench
 
+    # build (or reuse) the 61M-edge xxl graph via bench's cache
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
@@ -85,32 +50,19 @@ def main() -> int:
     gpath = bench._xxl_graph_path(sym=True)
     ray.shutdown()
 
-    runner = _RUNNER.format(repo=repo)
-
-    def run(nodes: int) -> float:
-        best = 0.0
-        for _ in range(2):
-            out = subprocess.run(
-                [sys.executable, "-c", runner, str(nodes),
-                 str(args.cpus_per_node), gpath, str(args.iters)],
-                capture_output=True, text=True, check=True, cwd=repo,
-            ).stdout
-            best = max(best, json.loads(out.strip().splitlines()[-1])["tput"])
-        return best
-
-    lo, hi = run(1), run(4)
-    result = {
+    scaling = bench._measure_placement_scaling(
+        gpath, 1, 4, cpus_per_node=args.cpus_per_node, fixed_iters=args.iters
+    )
+    tier = os.environ.get("FLASHRAY_SCALE_TIER", "xxl")
+    print(json.dumps({
         "metric": (
             "placement-pinned scaling: PageRank throughput, 1 vs 4 "
             f"placement-group bundle-nodes x {args.cpus_per_node} CPUs, "
-            f"{args.iters} fixed supersteps, 61M-edge xxl graph"
+            f"{args.iters} fixed supersteps, symmetrized {tier} graph"
         ),
-        "throughput_nodes1": round(lo, 1),
-        "throughput_nodes4": round(hi, 1),
-        "scaling_efficiency": round((hi / lo) / 4.0, 3),
+        **scaling,
         "graph": gpath,
-    }
-    print(json.dumps(result))
+    }))
     return 0
 
 
