@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
+from flashray import routing
 from flashray.build import Graph
 from flashray.csr import INT_IDENTITY
 from flashray.engine import _part_file, _postprocess_part, run_program
@@ -792,7 +793,6 @@ def modularity(
     labels,
     *,
     allow_partial: bool = False,
-    local_threshold: int | None = 200_000,
 ) -> float:
     """Newman modularity Q of ANY vertex labeling over the undirected
     (canonical, cross-etype-deduped) edge set:
@@ -810,8 +810,9 @@ def modularity(
 
     Distributed shape: two bucket joins attach both endpoint labels to
     each edge; e_c and deg_c reduce through bucketed sums; the final fold
-    over communities streams one partial row per block. The quality
-    metric for any community detection / partitioning output."""
+    over communities streams one partial row per block (the local route
+    runs it in-process). The quality metric for any community detection
+    / partitioning output."""
     import pyarrow as pa
 
     from flashray.joins import bucket_group_agg, bucket_hash_join
@@ -821,7 +822,7 @@ def modularity(
     m = und.count()
     if m == 0:
         return 0.0
-    if local_threshold and m <= local_threshold:
+    if routing.choose("algorithms.modularity", 16 * m) == "local":
         jl, dl = _local_partition_prep(und.to_pandas(), labels,
                                        allow_partial)
         e_in = int(
@@ -864,7 +865,6 @@ def conductance(
     labels,
     *,
     allow_partial: bool = False,
-    local_threshold: int | None = 200_000,
 ):
     """Per-community conductance over the canonical undirected edge set:
     ``φ(c) = cut_c / min(vol_c, 2m − vol_c)`` with cut_c = edges with
@@ -885,8 +885,9 @@ def conductance(
     labeled endpoint's cut exactly as documented. Per-batch pandas
     ``value_counts`` pre-aggregates within partials map-side, one bucket
     aggregate per (within, vol) table, one bucket join aligns them —
-    never a driver-side community table. Returns a Dataset
-    (label, cut_edges, volume, conductance)."""
+    never a driver-side community table (the local route runs it
+    in-process). Returns a Dataset (label, cut_edges, volume,
+    conductance)."""
     import pandas as pd
     import pyarrow as pa
 
@@ -895,7 +896,7 @@ def conductance(
 
     und = _canonical_undirected(graph).materialize()
     m = und.count()
-    if local_threshold and 0 < m <= local_threshold:
+    if m and routing.choose("algorithms.conductance", 16 * m) == "local":
         import ray.data as rd
 
         jl, dl = _local_partition_prep(und.to_pandas(), labels,
@@ -1326,7 +1327,6 @@ def percolation_curve(
     fractions=(0.0, 0.05, 0.1, 0.2),
     *,
     num_buckets: int | None = None,
-    local_threshold: int | None = 500_000,
 ):
     """Targeted-attack robustness curve (Albert–Barabási attack
     tolerance): for each fraction f, remove the highest-degree hubs and
@@ -1347,17 +1347,16 @@ def percolation_curve(
     import pandas as pd
     import pyarrow as pa
 
-    from flashray.cc_mapreduce import star_forest
+    from flashray.cc_mapreduce import _local_star_forest, star_forest
     from flashray.datapipe.sketches import exact_quantiles
     from flashray.joins import bucket_group_agg, bucket_semi_join
     from flashray.triangles import _canonical_undirected, _deg_from_und
 
     B = num_buckets or max(16, graph.num_partitions)
     und = _canonical_undirected(graph).materialize()
-    if local_threshold and und.count() <= local_threshold:
+    if routing.choose("algorithms.percolation_curve", 16 * und.count()) == "local":
         # full in-process mirror (identical quantile_disc threshold rule,
-        # strict-above removal, union-find giant): the per-fraction
-        # anti-join + sort machinery amortizes only past the threshold
+        # strict-above removal, union-find giant)
         import math
 
         upd = und.to_pandas()
@@ -1377,27 +1376,14 @@ def percolation_curve(
             n_removed = int(nv - alive.sum())
             n_rem = nv - n_removed
             em = alive[li] & alive[hi_i]
-            parent = np.arange(nv, dtype=np.int64)
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b2 in zip(li[em], hi_i[em]):
-                ra, rb = find(int(a)), find(int(b2))
-                if ra != rb:
-                    parent[ra] = rb
-            if em.any():
-                roots = np.fromiter(
-                    (find(int(i)) for i in range(nv)),
-                    dtype=np.int64, count=nv,
-                )
-                sizes = np.bincount(roots[alive], minlength=nv)
-                giant = int(sizes.max())
-            else:
-                giant = 1 if n_rem > 0 else 0
+            # one row per non-root member, labelled with its root
+            forest = _local_star_forest(
+                pd.DataFrame({"a": hi_i[em], "b": li[em]})
+            )
+            giant = (
+                int(np.bincount(forest["b"]).max()) + 1 if len(forest)
+                else int(n_rem > 0)
+            )
             rows.append((float(f), thr, n_removed, int(n_rem), giant))
         return pd.DataFrame(
             rows,
@@ -1440,9 +1426,7 @@ def percolation_curve(
         if filt.count() == 0:
             giant = 1 if n_rem > 0 else 0
         else:
-            forest = star_forest(
-                filt, num_buckets=B, local_threshold=local_threshold
-            )
+            forest = star_forest(filt, num_buckets=B)
             counts = bucket_group_agg(
                 forest, ["b"], {"c": ("a", "size")}, num_buckets=B,
             )

@@ -31,6 +31,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count, Min, Sum
 
+from flashray import routing
 from flashray.build import Graph
 from flashray.ids import _splitmix64
 from flashray.joins import bucket_group_agg, bucket_map, coalesce
@@ -160,16 +161,19 @@ def star_forest(
     *,
     num_buckets: int = 16,
     max_rounds: int = 64,
-    local_threshold: int | None = 500_000,
 ) -> ray.data.Dataset:
     """Large/small-star rounds to the fixed point over an (a, b) a>b
     deduped edge Dataset — the reusable core of :func:`wcc_mapreduce`
     (also consumed by ``algorithms.percolation_curve`` on filtered edge
     sets). Returns the star forest: (a = non-root member, b = its
-    component's min id); roots label themselves implicitly."""
+    component's min id); roots label themselves implicitly. Each round
+    is routed on its live edge set: a star round is ~4 all-to-alls of
+    pure latency once the set is small, so the local route finishes
+    with the in-process union-find (the same fixed point)."""
+    edges = edges.materialize()
     prev = None
     for _ in range(max_rounds):
-        if local_threshold and edges.count() <= local_threshold:
+        if routing.choose("cc.star_forest", 16 * edges.count()) == "local":
             pdf = edges.to_pandas()
             forest = _local_star_forest(pdf)
             if len(forest):
@@ -203,7 +207,6 @@ def wcc_mapreduce(
     num_buckets: int | None = None,
     max_rounds: int = 64,
     out_dir: str | None = None,
-    local_threshold: int | None = 500_000,
 ):
     """WCC labels (min member id per component) in O(log n) rounds,
     matching ``algorithms.wcc`` semantics. The finish is a distributed
@@ -212,20 +215,13 @@ def wcc_mapreduce(
     end-to-end (a pandas left-join would float 63-bit labels through NaN).
     Returns a sorted pandas DataFrame by default; pass ``out_dir=`` to
     write partitioned parquet and get a Dataset back (the path for huge
-    graphs).
-
-    ``local_threshold``: hybrid tail (the duplicate_groups pattern).
-    Each star round is ~4 all-to-alls of pure latency once the live edge
-    set is small; when the current set fits one worker the remaining
-    rounds collapse into an in-process min-root union-find producing the
-    same star-forest fixed point, which the distributed finish stage
-    consumes unchanged. 0/None forces star rounds all the way down."""
+    graphs). :func:`star_forest` routes each round; its forest feeds the
+    distributed finish stage unchanged on either route."""
     B = num_buckets or max(16, graph.num_partitions)
     edges = star_forest(
         _canonical_edges(graph).materialize(),
         num_buckets=B,
         max_rounds=max_rounds,
-        local_threshold=local_threshold,
     )
 
     labels = bucket_group_agg(edges, ["a"], {"value": ("b", "min")})

@@ -29,6 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from flashray import routing
 from flashray.joins import bucket_group_agg, bucket_hash_join
 
 NEW_ID_BASE = 2_000_000  # > 0x10FFFF, the top unicode codepoint
@@ -153,7 +154,6 @@ def bpe_train(
     num_merges: int = 8,
     text_col: str = "text",
     num_buckets: int = 64,
-    local_threshold: int | None = 2_000_000,
 ) -> dict:
     """Train codepoint-level BPE on the whitespace-token vocabulary of
     ``docs``. Returns ``{"merges": pd.DataFrame(rank, left_id, right_id,
@@ -163,12 +163,10 @@ def bpe_train(
     early when no pair occurs twice.
 
     The corpus collapses ONCE (distributed) to the (word, wcount)
-    vocabulary; when that vocab is <= ``local_threshold`` rows the merge
-    rounds run in-process on the driver (the repo-wide hybrid policy —
-    the vocab of even a web-scale corpus is millions of rows, not
+    vocabulary; on the local route the merge rounds run in-process on
+    the driver (the vocab of even a web-scale corpus is millions of rows, not
     billions, and each distributed round otherwise pays a fixed bucket
-    shuffle), bit-identical to the distributed rounds; 0/None forces the
-    per-round distributed dataflow."""
+    shuffle), bit-identical to the distributed rounds."""
 
     def word_partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = df[text_col].fillna("").astype(str).str.split()
@@ -194,7 +192,7 @@ def bpe_train(
         batch_format="pandas",
     ).materialize()
 
-    if local_threshold and vocab.count() <= local_threshold:
+    if routing.choose("bpe.bpe_train", vocab.size_bytes()) == "local":
         return _bpe_train_local(vocab.to_pandas(), num_merges)
 
     merges = []

@@ -37,6 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from flashray import routing
 from flashray.ids import _splitmix64
 from flashray.joins import (
     bucket_group_agg,
@@ -376,26 +377,16 @@ def candidate_pairs_minhash(
     return bucket_map(rows, ["bucket"], verify, num_buckets=64)
 
 
-def duplicate_groups(
-    pairs: ray.data.Dataset,
-    *,
-    scratch_dir: str | None = None,
-    engine_pair_threshold: int = 5_000_000,
-) -> pd.DataFrame:
+def duplicate_groups(pairs: ray.data.Dataset) -> pd.DataFrame:
     """Connected components of the verified pair graph → (doc_id, group)
-    with group = min doc_id of the component. Driver union-find for small
-    pair sets; above ``engine_pair_threshold`` pairs the repo's own WCC
-    engine runs over the pair edges AUTOMATICALLY (under a temp dir unless
-    ``scratch_dir`` names one) — at 100-TB dedup the pair set can itself be
-    huge, so the driver path must not be the silent default there."""
+    with group = min doc_id of the component: a driver union-find on the
+    local route, else the repo's own WCC engine over the pair edges in a
+    temp dir (at 100-TB dedup the pair set can itself be huge)."""
     pairs = pairs.materialize()
-    own_scratch = False
-    if scratch_dir is None and pairs.count() > engine_pair_threshold:
+    if routing.choose("dedup.duplicate_groups", pairs.size_bytes()) != "local":
+        import shutil
         import tempfile
 
-        scratch_dir = tempfile.mkdtemp(prefix="flashray_dupgroups_")
-        own_scratch = True
-    if scratch_dir is not None:
         from flashray import algorithms
         from flashray.build import build_graph
         from flashray.fixtures import edges_table
@@ -407,6 +398,7 @@ def duplicate_groups(
                 np.concatenate([a, bb]), np.concatenate([bb, a])
             )
 
+        scratch_dir = tempfile.mkdtemp(prefix="flashray_dupgroups_")
         try:
             g = build_graph(
                 pairs.map_batches(
@@ -417,28 +409,18 @@ def duplicate_groups(
             )
             df = algorithms.wcc(g)
         finally:
-            if own_scratch:
-                # auto-created temp dir: don't leak graph-build artifacts
-                import shutil
-
-                shutil.rmtree(scratch_dir, ignore_errors=True)
+            shutil.rmtree(scratch_dir, ignore_errors=True)
         return df.rename(columns={"vertex_id": "doc_id", "value": "group"})
 
+    from flashray.cc_mapreduce import _local_star_forest
+
     pdf = pairs.to_pandas()
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(pdf["a"].astype(int), pdf["b"].astype(int)):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    rows = sorted((doc, find(doc)) for doc in parent)
-    return pd.DataFrame(rows, columns=["doc_id", "group"]).astype("int64")
+    forest = _local_star_forest(pdf)  # the same min-root union-find
+    group = dict(zip(forest["a"], forest["b"]))
+    docs = np.unique(pdf[["a", "b"]].to_numpy(dtype=np.int64))
+    return pd.DataFrame(
+        {"doc_id": docs, "group": [group.get(d, d) for d in docs]}
+    ).astype("int64")
 
 
 def exact_dedup(
@@ -1221,7 +1203,6 @@ def exact_substr(
     span_tokens: int = 20,
     min_count: int = 2,
     num_buckets: int = 64,
-    broadcast_threshold: int | None = 2_000_000,
     id_col: str = "doc_id",
     text_col: str = "text",
 ) -> ray.data.Dataset:
@@ -1235,13 +1216,14 @@ def exact_substr(
     units miss. Returns one row per input document:
     (doc_id, n_tokens, n_removed, text_clean).
 
-    No suffix array is materialized. Below ``broadcast_threshold`` rows
-    the duplicated-key set and the merged-run table are BROADCAST via
-    ``ray.put`` (they are O(repeated spans) / O(boilerplate regions),
-    tiny next to the corpus), cutting the dataflow to 2 bucket shuffles
-    (span-stats aggregate + per-doc run grouping) with a shuffle-free
-    streaming rewrite; above it the full join dataflow runs (4 bucket
-    shuffles, all O(total tokens) rows):
+    No suffix array is materialized. On the broadcast route
+    (:func:`flashray.routing.choose`) the duplicated-key set and the
+    merged-run table go out via ``ray.put`` (they are O(repeated spans) /
+    O(boilerplate regions), tiny next to the corpus), cutting the
+    dataflow to 2 bucket shuffles (span-stats aggregate + per-doc run
+    grouping) with a shuffle-free streaming rewrite; on the distributed
+    route the full join dataflow runs (4 bucket shuffles, all O(total
+    tokens) rows):
       1. span hashes: per-batch flat token array + doc index, window
          hash = the MinHash shingle chain (``sm(...sm(sm(c_0)^c_1)...``)
          over sha-derived word codes — L vectorized passes, never a
@@ -1329,11 +1311,11 @@ def exact_substr(
     )
 
     # the duplicated-span key set is usually TINY relative to the corpus
-    # (only spans repeated >= min_count ship a key): below the threshold,
-    # broadcast it via ray.put and filter map-side — one shuffle saved;
-    # above it, the bucketed semi-join (boilerplate-saturated corpora)
+    # (only spans repeated >= min_count ship a key): broadcast it via
+    # ray.put (8 B per key) and filter map-side — one shuffle saved; or
+    # the bucketed semi-join (boilerplate-saturated corpora)
     dup = dup.materialize()
-    if broadcast_threshold and dup.count() <= broadcast_threshold:
+    if routing.choose("dedup.exact_substr.keys", None, 8 * dup.count()) == "broadcast":
         dk = np.sort(dup.to_pandas()["ghash"].to_numpy(dtype=np.int64))
         dref = ray.put(dk)
 
@@ -1400,10 +1382,10 @@ def exact_substr(
 
     base = docs.select_columns([id_col, text_col])
     # the merged-run table is O(distinct boilerplate regions), usually
-    # far smaller than the corpus: below the threshold broadcast it and
+    # far smaller than the corpus: broadcast it (three int64 columns) and
     # rewrite docs in ONE shuffle-free streaming pass (saves the text
     # re-attach join + the per-doc grouping shuffle)
-    if broadcast_threshold and runs.count() <= broadcast_threshold:
+    if routing.choose("dedup.exact_substr.runs", None, 24 * runs.count()) == "broadcast":
         rp = runs.to_pandas().sort_values(
             [id_col, "run_s"], kind="mergesort"
         )

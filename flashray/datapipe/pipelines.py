@@ -17,6 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from flashray import routing
+
 
 def pretrain_corpus(
     docs: ray.data.Dataset,
@@ -29,7 +31,6 @@ def pretrain_corpus(
     num_buckets: int = 64,
     id_col: str = "doc_id",
     text_col: str = "text",
-    materialize_threshold: int | None = 2_000_000,
 ) -> ray.data.Dataset:
     """Pretraining-corpus cleaning: a document survives iff it is
     (1) the lowest-id copy of its exact text (`dedup.exact_dedup`'s keep
@@ -42,29 +43,19 @@ def pretrain_corpus(
     dedup winner is the global lowest id among copies, kept or not), so
     the three passes run independently — one content-hash bucket
     shuffle (dedup), two stateless task passes (quality, langid)
-    — and intersect through two id semi-joins (streamed corpora) or a
-    broadcast map-side id intersection (pinned-size corpora — the id
-    sets are O(docs) int64s, so below ``materialize_threshold`` they
-    ship once via ray.put and the two shuffles disappear). Nothing
+    — and intersect through two id semi-joins (the distributed route) or,
+    on the broadcast route, map-side against the two survivor id sets
+    (16 B per document) sent once via ray.put, over an (id, text)
+    projection pinned in the object store for all three passes. Nothing
     re-reads text after its pass and no stage depends on another's
-    output order.
-
-    The (id, text) projection is pinned in the object store ONLY below
-    ``materialize_threshold`` rows (the repo-wide hybrid idiom): small
-    corpora reuse one materialized copy across the three passes; above
-    the threshold each pass streams its own column-pruned scan instead
-    of forcing the full corpus through the object store + spill —
-    pass ``None`` to always stream, ``sys.maxsize`` to always pin."""
+    output order."""
     from flashray.datapipe.dedup import exact_dedup
     from flashray.datapipe.textstats import lang_id_batch, quality_filter
     from flashray.joins import bucket_semi_join
 
     base = docs.select_columns([id_col, text_col])
-    small = (
-        materialize_threshold is not None
-        and base.count() <= materialize_threshold
-    )
-    if small:
+    route = routing.choose("pipelines.pretrain_corpus", None, 16 * base.count())
+    if route == "broadcast":
         base = base.materialize()
 
     keep_ids = exact_dedup(base, text_col=text_col, id_col=id_col).map_batches(
@@ -100,7 +91,7 @@ def pretrain_corpus(
         lang_id_batch, fn_kwargs={"text_col": text_col}, batch_format="pandas"
     ).map_batches(lang_gate, batch_format="pandas")
 
-    if small:
+    if route == "broadcast":
         # the survivor id sets are O(docs) int64s: on a pinned-size corpus
         # broadcast them via ray.put and intersect map-side — the two
         # bucket semi-joins disappear (same keep rule, agreement via the

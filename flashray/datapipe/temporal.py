@@ -27,6 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from flashray import routing
 from flashray.joins import _map_buckets, _tagged_union, bucket_map
 
 
@@ -726,7 +727,6 @@ def temporal_reachability(
     t_col: str = "t",
     max_rounds: int = 50,
     num_buckets: int = 64,
-    local_threshold: int | None = 2_000_000,
 ) -> ray.data.Dataset:
     """Time-respecting reachability (foremost-journey arrival times) over
     a TEMPORAL edge table (src, dst, t): starting from ``seeds`` at time
@@ -745,24 +745,28 @@ def temporal_reachability(
     diameter (capped by ``max_rounds``). Arrivals are exact integer
     mins — deterministic under any partitioning, recursive-CTE
     SQL-replayable. Label correction can take many short rounds, each
-    paying fixed shuffle setup — below ``local_threshold`` edges the
-    loop runs in-process on the collected (src, dst, t) arrays with the
-    IDENTICAL rule (the repo-wide hybrid routing policy; 0/None forces
-    the distributed loop; an agreement test covers both)."""
+    paying fixed shuffle setup — on the local route
+    (:func:`flashray.routing.choose`, 24 B per edge) the loop runs
+    in-process on the collected (src, dst, t) arrays with the IDENTICAL
+    rule (an agreement test covers both). The (src, dst, t) projection is
+    materialized once and sized from its blocks, so the input plan runs
+    once on either route."""
     from flashray.joins import bucket_group_agg, bucket_hash_join
 
-    I64_ = pa.int64()
-    if local_threshold and edges.count() <= local_threshold:
-        epd = edges.map_batches(
-            lambda b: pa.table(
-                {
-                    "src": b[src_col].cast(I64_),
-                    "dst": b[dst_col].cast(I64_),
-                    "t": b[t_col].cast(I64_),
-                }
-            ),
-            batch_format="pyarrow",
-        ).to_pandas()
+    I64 = pa.int64()
+    e_proj = edges.map_batches(
+        lambda b: pa.table(
+            {
+                "src": b[src_col].cast(I64),
+                "dst": b[dst_col].cast(I64),
+                "t": b[t_col].cast(I64),
+            }
+        ),
+        batch_format="pyarrow",
+    ).materialize()
+    local = 24 * e_proj.count()
+    if routing.choose("temporal.temporal_reachability", local) == "local":
+        epd = e_proj.to_pandas()
         s = epd["src"].to_numpy()
         d = epd["dst"].to_numpy()
         t = epd["t"].to_numpy()
@@ -787,17 +791,6 @@ def temporal_reachability(
             pd.DataFrame({"vertex_id": verts[m], "arrival": arr[m]})
         )
 
-    I64 = pa.int64()
-    e_proj = edges.map_batches(
-        lambda b: pa.table(
-            {
-                "src": b[src_col].cast(I64),
-                "dst": b[dst_col].cast(I64),
-                "t": b[t_col].cast(I64),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
     esch = pa.schema([("src", I64), ("dst", I64), ("t", I64)])
     ssch = pa.schema([("vertex_id", I64), ("arrival", I64)])
 

@@ -100,6 +100,7 @@ import ray
 from flashray import csr
 from flashray.build import Graph
 from flashray.programs import VertexProgram
+from flashray.routing import node_memory, node_resources
 
 
 def _read_part(base: str, part: int, columns: list[str]) -> pa.Table:
@@ -185,13 +186,9 @@ def _node_budget() -> int:
     node's cores and the logical CPUs Ray schedules there (a session may
     declare more than the cores), so the node's pooled actors, about one
     per CPU, keep at most about a quarter of its memory between them."""
-    node = ray.get_runtime_context().get_node_id()
-    logical = max(
-        (n["Resources"].get("CPU", 0) for n in ray.nodes() if n["NodeID"] == node),
-        default=0,
-    )
+    logical = node_resources().get("CPU", 0)
     cpus = max(os.cpu_count() or 1, int(logical), 1)
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // (4 * cpus)
+    return node_memory() // (4 * cpus)
 
 
 class _ResidentGraph:

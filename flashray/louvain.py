@@ -7,10 +7,10 @@ Why not the superstep engine (the lpa.py rationale): the local-move
 update — argmax over per-neighbor-community modularity GAINS — needs a
 variable-width per-community partial map, not an elementwise semiring
 combine. Each level sorts its edges by source once (ONE sort shuffle;
-every block then holds all the rows of its sources). Below
-``broadcast_threshold`` vertices a sweep is one map over those blocks
-against the broadcast O(V) vertex state — no shuffle per sweep; above
-it a sweep pays 7 bucket shuffles (one edge-label join, four bounded
+every block then holds all the rows of its sources). On the broadcast
+route a sweep is one map over those blocks against the broadcast O(V)
+vertex state — no shuffle per sweep; on the distributed route a sweep
+pays 7 bucket shuffles (one edge-label join, four bounded
 aggregates/joins, one candidate join, one argmax), never per community.
 One numpy sweep kernel serves the in-process and broadcast executors,
 one pick rule all three.
@@ -52,6 +52,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from flashray import routing
 from flashray.joins import (
     bucket_group_agg,
     bucket_hash_join,
@@ -445,8 +446,7 @@ def louvain_communities(
     src_col: str = "src",
     dst_col: str = "dst",
     weight_col: str | None = None,
-    local_threshold: int | None = 200_000,
-    broadcast_threshold: int | None = 5_000_000,
+    local_threshold: int | None | str = routing.AUTO,
     refine: bool = False,
 ) -> ray.data.Dataset:
     """Run ``levels`` Louvain levels of ``sweeps`` synchronous local-move
@@ -456,16 +456,13 @@ def louvain_communities(
     feed it to :func:`flashray.algorithms.modularity` to score. Fixed
     (sweeps, levels) budgets make the run deterministic and exactly
     replayable in round-unrolled SQL (driver oracle ``louvain_user``,
-    levels=1). Below ``local_threshold`` edge rows the IDENTICAL rule
-    runs as one in-process vectorized kernel (the repo-wide hybrid
-    policy); 0/None forces the distributed dataflow. There each level
-    sorts its edges by source once (one sort shuffle). While the level
-    has <= ``broadcast_threshold`` vertices, each sweep broadcasts the
-    O(V) vertex state via ``ray.put`` and runs the same kernel as one
-    map over the sorted blocks (no shuffle per sweep); above it the
-    sweep switches to the all-join dataflow (7 shuffles per sweep, no
-    driver-resident state) — the same rule, agreement-tested. An
-    empty edge Dataset yields an empty (vertex_id, label) Dataset.
+    levels=1). The local route runs the IDENTICAL rule as one in-process
+    vectorized kernel; ``local_threshold`` pins it
+    (:func:`flashray.routing.local_pin`). Otherwise each level sorts its
+    edges by source once and is routed again: broadcast sweeps (one map
+    each) or all-join sweeps (7 shuffles each) — the same rule,
+    agreement-tested. An empty edge Dataset yields an empty
+    (vertex_id, label) Dataset.
     ``refine=True`` applies the
     Leiden connectivity refinement (:func:`leiden_refine`) to the final
     labels: each community is split into its intra-community connected
@@ -475,12 +472,15 @@ def louvain_communities(
     n_rows = e.count()
     if not n_rows:
         return ray.data.from_arrow(_empty("vertex_id", "label"))
-    if local_threshold and n_rows <= local_threshold:
+    route = routing.choose(
+        "louvain", routing.local_pin(local_threshold, n_rows, 24 * n_rows)
+    )
+    if route == "local":
         out = ray.data.from_pandas(
             _local_louvain(e.to_pandas(), sweeps, levels)
         )
         if refine:
-            out = _refine_labels(e, out, num_buckets, local_threshold)
+            out = _refine_labels(e, out, num_buckets, route)
         return out
     tm = None
     mapping = None  # original vertex -> current-level community
@@ -492,7 +492,9 @@ def louvain_communities(
         deg = e.map_batches(
             _block_degrees, batch_format="pyarrow", batch_size=None
         ).materialize()
-        if broadcast_threshold and deg.count() <= broadcast_threshold:
+        # the broadcast sweep state holds four int64 arrays per vertex
+        level = routing.choose("louvain.level", None, 32 * deg.count())
+        if level == "broadcast":
             # broadcast the O(V) vertex state: no shuffle per sweep
             labels, tm_lvl = _broadcast_sweeps(e, deg, sweeps)
         else:
@@ -542,7 +544,7 @@ def louvain_communities(
     if refine:
         # refine over the ORIGINAL (level-0) edges: the guarantee is
         # about connectivity in the input graph, not the coarse one
-        mapping = _refine_labels(e0, mapping, num_buckets, local_threshold)
+        mapping = _refine_labels(e0, mapping, num_buckets, route)
     return mapping
 
 
@@ -594,9 +596,9 @@ def _local_refine(epdf: pd.DataFrame, lpdf: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"vertex_id": out, "label": lab})
 
 
-def _refine_labels(e, labels, num_buckets, local_threshold):
+def _refine_labels(e, labels, num_buckets, route):
     """Core of :func:`leiden_refine` over an already-projected symmetric
-    (s, d[, w]) edge table."""
+    (s, d[, w]) edge table, in process on the ``"local"`` route."""
     lsch = pa.schema([("vertex_id", _I64), ("label", _I64)])
 
     def lproj(b: pa.Table) -> pa.Table:
@@ -608,7 +610,7 @@ def _refine_labels(e, labels, num_buckets, local_threshold):
         )
 
     lab = labels.map_batches(lproj, batch_format="pyarrow").materialize()
-    if local_threshold and e.count() <= local_threshold:
+    if route == "local":
         return ray.data.from_pandas(
             _local_refine(e.to_pandas(), lab.to_pandas())
         )
@@ -647,9 +649,7 @@ def _refine_labels(e, labels, num_buckets, local_threshold):
         j2.map_batches(intra, batch_format="pyarrow"),
         ["a", "b"], None, num_buckets=num_buckets,
     )
-    forest = star_forest(
-        ie, num_buckets=num_buckets, local_threshold=local_threshold
-    )
+    forest = star_forest(ie, num_buckets=num_buckets)
 
     # int64-exact finish (no null-padded left join): forest rows are the
     # non-roots; every other labeled vertex is its component's min.
@@ -680,7 +680,6 @@ def leiden_refine(
     num_buckets: int = 64,
     src_col: str = "src",
     dst_col: str = "dst",
-    local_threshold: int | None = 200_000,
 ) -> ray.data.Dataset:
     """Leiden-style connectivity refinement (the refinement-phase
     guarantee of Traag/Waltman/van Eck 2019, *From Louvain to Leiden*):
@@ -697,9 +696,9 @@ def leiden_refine(
     the :func:`flashray.cc_mapreduce.star_forest` large/small-star
     rounds + one left join back — O(edges) rows per stage, never a
     per-community task. Edges with an endpoint missing from ``labels``
-    cannot be intra-community and are excluded. Below
-    ``local_threshold`` edge rows the IDENTICAL rule runs in-process
-    (the repo-wide hybrid policy). Returns (vertex_id, label), one row
-    per ``labels`` row."""
+    cannot be intra-community and are excluded. The local route runs the
+    IDENTICAL rule in-process. Returns (vertex_id, label), one row per
+    ``labels`` row."""
     e = _edge_table(edges, src_col, dst_col, None)
-    return _refine_labels(e, labels, num_buckets, local_threshold)
+    route = routing.choose("louvain.leiden_refine", 24 * e.count())
+    return _refine_labels(e, labels, num_buckets, route)

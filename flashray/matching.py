@@ -12,9 +12,9 @@ O(log n)-ish expected round count instead of id-order chains.
 
 Priorities are ``sha256('mat:' + id) >> 1`` (the repo's SQL-replayable
 convention), so a round-unrolled DuckDB oracle replays every proposal,
-every match, and the final matching exactly. Hybrid routing per the
-repo's idiom: below ``local_threshold`` edges the rounds run in-process
-on numpy arrays; above, each round is two bucket shuffles (per-vertex
+every match, and the final matching exactly. On the local route the
+rounds run in-process on numpy arrays; otherwise each round is two
+bucket shuffles (per-vertex
 lexicographic-min proposal, mutual-proposal join) plus a broadcast
 newly-matched filter — agreement-tested against the local path.
 """
@@ -27,6 +27,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from flashray import routing
 from flashray.build import Graph
 
 
@@ -96,7 +97,6 @@ def maximal_matching(
     weighted: bool = False,
     max_rounds: int = 64,
     num_buckets: int = 64,
-    local_threshold: int = 500_000,
 ) -> pd.DataFrame:
     """Maximal matching of the SYMMETRIZED graph; returns matched edges
     (u, v) with u < v, sorted. Every vertex appears at most once
@@ -110,23 +110,24 @@ def maximal_matching(
     deterministic and path-identical (agreement-tested)."""
     cols = ["src", "dst", "weight"] if weighted else ["src", "dst"]
     edges = graph.edges_dataset(columns=cols)
-    if graph.meta.num_edges <= local_threshold:
-        e = edges.to_pandas()
-        return _local_match(
-            e["src"].to_numpy(np.int64), e["dst"].to_numpy(np.int64),
-            max_rounds,
-            weight=e["weight"].to_numpy(np.float64) if weighted else None,
-        )
-    return _distributed_match(
-        edges, max_rounds, num_buckets, weighted=weighted,
-        tail_threshold=local_threshold,
+    local = 8 * len(cols) * graph.meta.num_edges
+    if routing.choose("matching.maximal_matching", local) == "local":
+        return _collected_match(edges, max_rounds, weighted)
+    return _distributed_match(edges, max_rounds, num_buckets, weighted)
+
+
+def _collected_match(edges: ray.data.Dataset, max_rounds: int,
+                     weighted: bool) -> pd.DataFrame:
+    """:func:`_local_match` over the collected (src, dst[, weight]) rows."""
+    e = edges.to_pandas()
+    return _local_match(
+        e["src"].to_numpy(np.int64), e["dst"].to_numpy(np.int64), max_rounds,
+        weight=e["weight"].to_numpy(np.float64) if weighted else None,
     )
 
 
 def _distributed_match(edges: ray.data.Dataset, max_rounds: int,
-                       num_buckets: int,
-                       weighted: bool = False,
-                       tail_threshold: int = 0) -> pd.DataFrame:
+                       num_buckets: int, weighted: bool) -> pd.DataFrame:
     from flashray.joins import bucket_hash_join, bucket_map
 
     I64 = pa.int64()
@@ -151,20 +152,17 @@ def _distributed_match(edges: ray.data.Dataset, max_rounds: int,
         n_alive = cur.count()
         if n_alive == 0:
             break
-        if rounds_done > 0 and n_alive <= tail_threshold:
+        if rounds_done > 0 and routing.choose(
+            "matching.tail", 8 * len(keep_cols) * n_alive
+        ) == "local":
             # hybrid tail (the peel-family idiom): most vertices match in
-            # the first rounds; once the alive edge set fits the local
-            # threshold, finish the remaining rounds in-process — the
+            # the first rounds; once the alive edge set routes local,
+            # finish the remaining rounds in-process — the
             # rule is identical, so the result is path-identical, and the
             # long shrinking tail stops paying per-round shuffle latency
-            e = cur.to_pandas()
-            tail = _local_match(
-                e["src"].to_numpy(np.int64), e["dst"].to_numpy(np.int64),
-                max_rounds - rounds_done,
-                weight=(e["weight"].to_numpy(np.float64)
-                        if weighted else None),
+            matched.append(
+                _collected_match(cur, max_rounds - rounds_done, weighted)
             )
-            matched.append(tail)
             break
         # proposal: per src, the best partner — (prio, id)-minimal, or
         # in weighted mode (weight desc, global edge order) — bucket by

@@ -28,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from flashray import routing
 from flashray.build import Graph
 from flashray.joins import bucket_group_agg, bucket_hash_join, coalesce
 
@@ -278,7 +279,6 @@ def nmf(
     num_buckets: int | None = None,
     seed: int = 0,
     collect: bool = True,
-    local_threshold: int = 200_000,
 ):
     """Nonnegative matrix factorization of the adjacency, A ≈ W·Hᵀ, by
     Lee & Seung's multiplicative updates (NIPS 2000) — the FlashMatrix-
@@ -300,10 +300,9 @@ def nmf(
     returns the factor DATASETS instead — the scale path: V×r factor
     tables stay in the object store / parquet, never on the driver.
 
-    Hybrid routing (the repo idiom): below ``local_threshold`` edges the
-    update loop runs in-process on numpy arrays (same formulas, same
-    init — values agree with the distributed path to float round-off,
-    allclose-tested); ``local_threshold=0`` forces the dataflow."""
+    On the local route the update loop runs in-process on numpy arrays
+    (same formulas, same init — values agree with the distributed path
+    to float round-off, allclose-tested)."""
     import pandas as pd
 
     B = num_buckets or max(16, graph.num_partitions)
@@ -359,8 +358,9 @@ def nmf(
         return coalesce(j.map_batches(upd, batch_format="pandas"), B)
 
     verts = graph.vertices_dataset(columns=["vertex_id"])
-    if local_threshold and graph.meta.num_edges <= local_threshold:
-        cols = ["src", "dst"] + (["weight"] if weighted else [])
+    cols = ["src", "dst"] + (["weight"] if weighted else [])
+    local = 8 * (len(cols) * graph.meta.num_edges + graph.meta.num_vertices)
+    if routing.choose("matrix.nmf", local) == "local":
         e = graph.edges_dataset(columns=cols).to_pandas()
         vid = np.sort(
             verts.to_pandas()["vertex_id"].to_numpy(dtype=np.int64)

@@ -20,14 +20,14 @@ neighborhood-intersection is restructured as a join (SURVEY.md §2.1 E9):
    is one triangle, counted exactly once (the center is the
    (deg,id)-smallest member).
 
-Three executors run that one kernel. The local one (below
-``LOCAL_EDGE_THRESHOLD`` edges) calls it once over all edges in process;
-the broadcast one (below ``BROADCAST_CSR_EDGE_LIMIT``) ``ray.put``s the
-CSR once and maps the same call over the oriented blocks. Both close
-wedges by a sorted-key probe (:func:`_lookup`). The bucket executor (above
-the limit) runs the kernel per center bucket on that bucket's own CSR and
-closes wedges by a bucketed hash join, since the closing edges are not in
-the bucket. :func:`_closed_wedges` is the one broadcast/bucket choice.
+Three executors run that one kernel, picked per call by
+:func:`flashray.routing.choose` (:func:`_route`). The local one calls it
+once over all edges in process; the broadcast one ``ray.put``s the
+degree table and the CSR once and maps the same call over the oriented
+blocks. Both close wedges by a sorted-key probe (:func:`_lookup`). The
+bucket (distributed) executor orients edges by join, runs the kernel per
+center bucket on that bucket's own CSR and closes wedges by a bucketed
+hash join, since the closing edges are not in the bucket.
 
 Joins use flashray.joins.bucket_hash_join (single groupby shuffle per join,
 vectorized pandas merge per bucket) — Ray 2.49's Dataset.join aggregator
@@ -47,6 +47,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from flashray import routing
 from flashray.build import Graph
 from flashray.joins import (
     bucket_group_agg,
@@ -154,9 +155,6 @@ def _degree_table(graph: Graph, und: ray.data.Dataset) -> ray.data.Dataset:
     return _deg_from_und(und)
 
 
-BROADCAST_VERTEX_LIMIT = 20_000_000  # ~240 MB of (id, deg) arrays
-
-
 def _degree_lookup(deg: ray.data.Dataset):
     """Broadcast the degree table once as sorted (ids, deg) arrays. The
     returned ``lookup(*id_arrays) -> degree arrays`` runs inside
@@ -181,7 +179,7 @@ def _orient(
     return np.where(lo_first, lo, hi), np.where(lo_first, hi, lo)
 
 
-def _oriented_edges(graph: Graph, num_buckets: int) -> ray.data.Dataset:
+def _oriented_edges(graph: Graph, route: str, num_buckets: int) -> ray.data.Dataset:
     """Degree-oriented canonical edges (a, b), materialized: they feed
     both the wedge listing and the closing step, so the canonical-dedup
     shuffle (+ orientation joins on the huge-graph path) runs once, not
@@ -193,25 +191,22 @@ def _oriented_edges(graph: Graph, num_buckets: int) -> ray.data.Dataset:
         # pin the dedup-shuffle output so it executes once
         und = und.materialize()
     deg = _degree_table(graph, und)
-    return _orient_und(
-        und, deg, graph.meta.num_vertices, num_buckets
-    ).materialize()
+    return _orient_und(und, deg, route, num_buckets).materialize()
 
 
 def _orient_und(
     und: ray.data.Dataset,
     deg: ray.data.Dataset,
-    num_vertices: int,
+    route: str,
     num_buckets: int,
 ) -> ray.data.Dataset:
     """Orientation core, graph-independent (k-truss re-runs it per peel
     round on a shrinking edge set).
 
-    Small-side optimization: when the vertex table fits comfortably in the
-    object store, broadcast (sorted ids, degrees) once and orient with a
-    vectorized searchsorted per batch — no join shuffles. The partitioned
-    hash-join path remains for vertex tables beyond the broadcast limit."""
-    if num_vertices <= BROADCAST_VERTEX_LIMIT:
+    On the broadcast route (sorted ids, degrees) go out once and each
+    batch orients with a vectorized searchsorted — no join shuffles. The
+    distributed route attaches both degrees by partitioned hash joins."""
+    if route == "broadcast":
         degree = _degree_lookup(deg)
 
         def orient_bcast(b: pa.Table) -> pa.Table:
@@ -339,14 +334,6 @@ def _pair_keys(ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.searchsorted(ids, x) * len(ids) + np.searchsorted(ids, y)
 
 
-# Hybrid routing (the duplicate_groups/broadcast-orientation pattern): the
-# distributed executors cost a fixed 2–4 all-to-alls regardless of size,
-# pure latency on small graphs; below this edge count the SAME kernel runs
-# once over all edges in process (the local executor).
-# graph.meta.num_edges (>= canonical rows) gates it without extra passes.
-LOCAL_EDGE_THRESHOLD = 200_000
-
-
 def _both_directions(b: pa.Table) -> pa.Table:
     """Canonical (lo, hi) edges as (center, nbr) rows in both directions:
     the full adjacency that wedges centred on each vertex are listed from."""
@@ -357,8 +344,17 @@ def _both_directions(b: pa.Table) -> pa.Table:
     )
 
 
-def _is_local(graph: Graph, local_threshold: int | None) -> bool:
-    return bool(local_threshold) and graph.meta.num_edges <= local_threshold
+def _route(op: str, graph: Graph, pin=routing.AUTO, num_edges=None) -> str:
+    """The executor of one call over ``num_edges`` (default: the graph's)
+    edges: the local kernel gathers (lo, hi) int64 pairs, 16 B per edge;
+    the broadcast one ships the wedge state (~40 B per edge) and the
+    (id, degree) table (16 B per vertex). ``pin=None`` refuses local."""
+    n = graph.meta.num_edges if num_edges is None else num_edges
+    return routing.choose(
+        f"triangles.{op}",
+        routing.local_pin(pin, n, 16 * n),
+        40 * n + 16 * graph.meta.num_vertices,
+    )
 
 
 def _local_closed_wedges(
@@ -417,23 +413,16 @@ def _local_support(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return support
 
 
-# Below this many EDGES the broadcast executor runs: the wedge state (ids,
-# CSR offsets, adjacency, edge and closing keys — ~40 B/edge) goes out once
-# via ray.put and the kernel maps over the oriented blocks SHUFFLE-FREE
-# (the walks.py CSR-broadcast idiom), keeping the O(Σ deg²)-bounded wedge
-# work distributed across the actor pool — unlike LOCAL_EDGE_THRESHOLD's
-# single-threaded call. Above the limit the bucket executor runs the same
-# kernel per center bucket and closes wedges by join (two all-to-alls).
-BROADCAST_CSR_EDGE_LIMIT = 20_000_000
-
-
 def _closed_wedges(
-    oriented: ray.data.Dataset, num_edges: int, num_buckets: int
+    oriented: ray.data.Dataset, route: str, num_buckets: int
 ) -> ray.data.Dataset:
-    """Closed wedges (w1, w2, center) of a materialized oriented edge set
-    of ``num_edges`` edges: the broadcast executor up to
-    BROADCAST_CSR_EDGE_LIMIT, the bucket executor above."""
-    if num_edges <= BROADCAST_CSR_EDGE_LIMIT:
+    """Closed wedges (w1, w2, center) of a materialized oriented edge set.
+    The broadcast route sends the wedge state out once via ray.put and maps
+    the kernel over the oriented blocks SHUFFLE-FREE (the walks.py
+    CSR-broadcast idiom), keeping the O(Σ deg²)-bounded wedge work spread
+    over the workers; the distributed route runs the bucket executor (two
+    all-to-alls)."""
+    if route == "broadcast":
         return _closed_from_oriented_broadcast(oriented)
     return _closed_from_oriented(oriented, num_buckets)
 
@@ -493,17 +482,16 @@ def triangles(
     graph: Graph,
     *,
     num_buckets: int | None = None,
-    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
 ) -> ray.data.Dataset:
     """Per-vertex triangle counts: Dataset (vertex_id, triangles). Vertices
     in no triangle are absent (left-join the vertex table for zeros).
-    Below ``local_threshold`` edges the wedge pass runs in-process
-    (see LOCAL_EDGE_THRESHOLD); 0/None forces the distributed dataflow."""
-    if _is_local(graph, local_threshold):
+    The executor is :func:`_route`'s."""
+    route = _route("triangles", graph)
+    if route == "local":
         closed = _local_closed_wedges(*_local_und(graph))
         return _table_ds(_TRIANGLES, *_vertex_counts(*closed))
     B = num_buckets or max(16, graph.num_partitions)
-    closed = _closed_wedges(_oriented_edges(graph, B), graph.meta.num_edges, B)
+    closed = _closed_wedges(_oriented_edges(graph, route, B), route, B)
 
     def to_members(b: pa.Table) -> pa.Table:
         w1 = b["w1"].to_numpy(zero_copy_only=False)
@@ -533,21 +521,20 @@ def edge_support(
     *,
     num_buckets: int | None = None,
     include_zero: bool = True,
-    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
 ) -> ray.data.Dataset:
     """Per-EDGE triangle support (the k-truss quantity): for every
     undirected edge (lo, hi), the number of triangles containing it.
     Each closed wedge contributes its three member edges; one bucketed
     sum. ``include_zero`` left-joins the canonical edge set so
-    triangle-free edges appear with support 0. Below ``local_threshold``
-    edges the pass runs in-process (see LOCAL_EDGE_THRESHOLD)."""
-    if _is_local(graph, local_threshold):
+    triangle-free edges appear with support 0."""
+    route = _route("edge_support", graph)
+    if route == "local":
         lo, hi = _local_und(graph)
         sup = _local_support(lo, hi)
         keep = slice(None) if include_zero else sup > 0
         return _table_ds(_SUPPORT, lo[keep], hi[keep], sup[keep])
     B = num_buckets or max(16, graph.num_partitions)
-    closed = _closed_wedges(_oriented_edges(graph, B), graph.meta.num_edges, B)
+    closed = _closed_wedges(_oriented_edges(graph, route, B), route, B)
     sup = _support_from_closed(closed, B)
     if include_zero:
         sup = _support_with_zeros(_canonical_undirected(graph), sup, B)
@@ -619,7 +606,6 @@ def k_truss(
     *,
     num_buckets: int | None = None,
     max_rounds: int | None = None,
-    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
 ) -> ray.data.Dataset:
     """The k-truss: the maximal subgraph in which every edge participates
     in at least k−2 triangles (support counted WITHIN the subgraph).
@@ -635,33 +621,31 @@ def k_truss(
     result is then a truss SUPERSET, support values still exact for the
     returned edge set's last round).
 
-    ``local_threshold``: peel-tail hybrid. Peeling is O(peel-depth)
-    ROUNDS of multi-stage shuffles — pure round-trip latency once the
-    survivor set is small — and at scale the set shrinks monotonically,
-    so once the current edge count fits one worker the remaining rounds
-    run as one vectorized in-process peel (:func:`_k_truss_local`, the
-    exact same per-round rule) instead of paying
-    O(stages × remaining_rounds) in shuffle latency. Set ``None`` (or 0)
-    to force the distributed loop for every round."""
+    Peel-tail hybrid: each round is routed on its current edge set, and
+    once the shrinking set routes local the remaining rounds run as one
+    vectorized in-process peel (:func:`_k_truss_local`, the same
+    per-round rule) instead of paying shuffle latency per round. Under a
+    ``max_rounds`` cap every round stays off the local route."""
     if k < 3:
         raise ValueError("k-truss requires k >= 3")
     B = num_buckets or max(16, graph.num_partitions)
-    nv = graph.meta.num_vertices
     thr = k - 2
     und = _canonical_undirected(graph).materialize()
     n = und.count()
     rounds = 0
     while True:
-        if local_threshold and n <= local_threshold and max_rounds is None:
+        pin = routing.AUTO if max_rounds is None else None
+        route = _route("k_truss", graph, pin, n)
+        if route == "local":
             return _table_ds(
                 _SUPPORT, *_k_truss_local(*_columns(und, ["lo", "hi"]), thr)
             )
-        oriented = _orient_und(und, _deg_from_und(und), nv, B).materialize()
+        oriented = _orient_und(und, _deg_from_und(und), route, B).materialize()
         # NO zero-fill join here (unlike edge_support): thr = k-2 >= 1, so
         # an edge absent from the support table (support 0) is dropped by
         # the filter either way — skipping _support_with_zeros saves one
         # all-to-all per peel round
-        supz = _support_from_closed(_closed_wedges(oriented, n, B), B)
+        supz = _support_from_closed(_closed_wedges(oriented, route, B), B)
 
         def keep(b: pa.Table) -> pa.Table:
             return b.filter(
@@ -686,15 +670,16 @@ def triangle_count(
     graph: Graph,
     *,
     num_buckets: int | None = None,
-    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
+    local_threshold: int | None | str = routing.AUTO,
 ) -> int:
-    """Global triangle count (each triangle once). Below
-    ``local_threshold`` edges the wedge pass runs in-process."""
-    if _is_local(graph, local_threshold):
+    """Global triangle count (each triangle once). ``local_threshold``
+    pins the route (:func:`flashray.routing.local_pin`)."""
+    route = _route("triangle_count", graph, local_threshold)
+    if route == "local":
         return int(len(_local_closed_wedges(*_local_und(graph))[0]))
     B = num_buckets or max(16, graph.num_partitions)
     return _closed_wedges(
-        _oriented_edges(graph, B), graph.meta.num_edges, B
+        _oriented_edges(graph, route, B), route, B
     ).count()
 
 
@@ -759,23 +744,23 @@ def directed_triangle_count(
 
 
 def _with_triangles(
+    op: str,
     graph: Graph,
     num_buckets: int | None,
-    local_threshold: int | None,
     finish,
     schema: pa.Schema,
 ) -> ray.data.Dataset:
     """``finish`` applied to the (vertex_id, deg, triangles) frame — the
     degree table left-joined with the per-vertex triangle counts, NaN
-    where a vertex is in no triangle — built on the chosen executor."""
-    if _is_local(graph, local_threshold):
+    where a vertex is in no triangle — built on the routed executor."""
+    if _route(op, graph) == "local":
         lo, hi = _local_und(graph)
         vt = _local_deg(graph, lo, hi).merge(
             _local_tri_counts(lo, hi), on="vertex_id", how="left"
         )
         return _frame_ds(finish(vt), schema)
     B = num_buckets or max(16, graph.num_partitions)
-    tri = triangles(graph, num_buckets=B, local_threshold=local_threshold)
+    tri = triangles(graph, num_buckets=B)
     deg = _degree_table(graph, _canonical_undirected(graph))
     j = bucket_hash_join(
         deg, tri, ["vertex_id"], how="left", num_buckets=B,
@@ -809,12 +794,10 @@ def scan_statistic(
     graph: Graph,
     *,
     num_buckets: int | None = None,
-    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
 ) -> ray.data.Dataset:
-    """A7: scan1(v) = deg(v) + triangles(v). Returns (vertex_id, scan).
-    Below ``local_threshold`` edges the pass runs in-process."""
+    """A7: scan1(v) = deg(v) + triangles(v). Returns (vertex_id, scan)."""
     return _with_triangles(
-        graph, num_buckets, local_threshold, _scan,
+        "scan_statistic", graph, num_buckets, _scan,
         pa.schema([("vertex_id", I64), ("scan", I64)]),
     )
 
@@ -830,7 +813,6 @@ def clustering_coefficient(
     graph: Graph,
     *,
     num_buckets: int | None = None,
-    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
 ) -> ray.data.Dataset:
     """Local clustering coefficient per vertex:
     ``cc(v) = 2·triangles(v) / (deg(v)·(deg(v)−1))`` over the undirected
@@ -839,10 +821,9 @@ def clustering_coefficient(
     Derived from the same wedge-join dataflow as :func:`triangles` (A5) —
     no new shuffle shape; one extra left join of the degree table against
     the per-vertex triangle counts. Returns (vertex_id, deg, triangles,
-    cc); every vertex with at least one undirected edge appears. Below
-    ``local_threshold`` edges the pass runs in-process."""
+    cc); every vertex with at least one undirected edge appears."""
     return _with_triangles(
-        graph, num_buckets, local_threshold, _clustering,
+        "clustering_coefficient", graph, num_buckets, _clustering,
         pa.schema(
             [("vertex_id", I64), ("deg", I64), ("triangles", I64),
              ("cc", pa.float64())]
@@ -998,7 +979,8 @@ def link_prediction(
 
         pairs = pairs.map_batches(drop_edges, batch_format="pandas")
 
-    if graph.meta.num_vertices <= BROADCAST_VERTEX_LIMIT:
+    deg_bytes = 16 * graph.meta.num_vertices  # the (id, degree) table
+    if routing.choose("triangles.link_prediction", None, deg_bytes) == "broadcast":
         degree = _degree_lookup(deg)
 
         def jac_bcast(b: pa.Table) -> pa.Table:
@@ -1064,8 +1046,9 @@ def transitivity(graph: Graph, *, num_buckets: int | None = None) -> float:
     )
     if not wedges:
         return 0.0
+    route = _route("transitivity", graph, None)
     tri3 = 3 * _closed_wedges(
-        _oriented_edges(graph, B), graph.meta.num_edges, B
+        _oriented_edges(graph, route, B), route, B
     ).count()
     return tri3 / wedges
 
@@ -1100,7 +1083,6 @@ def two_hop_sizes(
     graph: Graph,
     *,
     num_buckets: int | None = None,
-    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
 ) -> ray.data.Dataset:
     """Distinct 2-hop neighborhood size per vertex: ``n1`` = |N(v)| and
     ``n2`` = |{u ≠ v : dist(v,u) ≤ 2}| on the undirected (canonical,
@@ -1113,11 +1095,12 @@ def two_hop_sizes(
     direct edges union in; ONE bucket dedup on (lo, hi) makes pairs
     distinct; per-vertex counts fold both endpoints. Pair volume is
     Σ_m deg(m)², so super-hub centers dominate — the same split/salt
-    limits as the wedge family apply (SURVEY §2.2 A7). Below
-    ``local_threshold`` edges the identical wedge pass runs in-process
-    (the wedge-family hybrid rule)."""
+    limits as the wedge family apply (SURVEY §2.2 A7). On the local
+    route the identical wedge pass runs in-process (it has no broadcast
+    route)."""
     schema = pa.schema([("vertex_id", I64), ("n2", I64), ("n1", I64)])
-    if _is_local(graph, local_threshold):
+    n = graph.meta.num_edges
+    if routing.choose("triangles.two_hop_sizes", 16 * n) == "local":
         return _frame_ds(_local_two_hop(*_local_und(graph)), schema)
     B = num_buckets or max(16, graph.num_partitions)
     und = _canonical_undirected(graph).materialize()
@@ -1341,10 +1324,9 @@ def triangle_count_sampled(
     s = und.map_batches(
         samp, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    oriented = _orient_und(
-        s, _deg_from_und(s), graph.meta.num_vertices, B
-    ).materialize()
-    cnt = int(_closed_wedges(oriented, s.count(), B).count())
+    route = _route("triangle_count_sampled", graph, None, s.count())
+    oriented = _orient_und(s, _deg_from_und(s), route, B).materialize()
+    cnt = int(_closed_wedges(oriented, route, B).count())
     return {
         "estimate": cnt / (p ** 3),
         "sampled_triangles": cnt,
@@ -1418,7 +1400,6 @@ def four_cliques(
     graph: Graph,
     *,
     num_buckets: int | None = None,
-    local_threshold: int | None = LOCAL_EDGE_THRESHOLD,
 ) -> ray.data.Dataset:
     """Per-vertex 4-clique participation counts: Dataset
     (vertex_id, cliques4); vertices in no 4-clique are absent.
@@ -1432,13 +1413,14 @@ def four_cliques(
     are a flat member expansion + bucketed sum. Cost beyond triangles:
     one groupby shuffle of the triangle list + one bucket join — both
     O(#triangles), the standard k-clique-counting lower envelope."""
-    if _is_local(graph, local_threshold):
+    route = _route("four_cliques", graph)
+    if route == "local":
         return _table_ds(
             _CLIQUES, *_local_four_clique_counts(*_local_und(graph))
         )
     B = num_buckets or max(16, graph.num_partitions)
-    oriented = _oriented_edges(graph, B)
-    closed = _closed_wedges(oriented, graph.meta.num_edges, B)
+    oriented = _oriented_edges(graph, route, B)
+    closed = _closed_wedges(oriented, route, B)
 
     def center_pairs(g: pd.DataFrame) -> pd.DataFrame:
         return _center_pair_codes(

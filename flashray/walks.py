@@ -46,6 +46,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from flashray import routing
 from flashray.ids import _splitmix64
 from flashray.joins import (
     bucket_group_agg,
@@ -223,7 +224,6 @@ def random_walks(
     src_col: str = "src",
     dst_col: str = "dst",
     out_dir: str | None = None,
-    csr_threshold: int | None = 20_000_000,
 ) -> ray.data.Dataset:
     """Generate ``walks_per_vertex`` deterministic walks of up to
     ``walk_len`` steps from every vertex. Returns a Dataset of rows
@@ -234,14 +234,13 @@ def random_walks(
     ``out_dir/step_t/`` parquet instead of holding them in the object
     store.
 
-    Below ``csr_threshold`` edge rows the adjacency is broadcast ONCE
-    as CSR arrays via ``ray.put`` (workers read it zero-copy from the
-    object store — the FlashGraph CSR-residency idea on the Dataset
-    path) and every step is a single shuffle-free ``map_batches`` over
-    the frontier: each walk's argmin-(priority, dst) choice is local to
-    its row. Above the threshold each step pays the bucket join + the
-    per-walk grouping shuffle (the adjacency no longer fits a
-    broadcast). Both paths compute the IDENTICAL next vertex
+    On the broadcast route the adjacency goes out ONCE as CSR arrays via
+    ``ray.put`` (workers read it zero-copy from the object store — the
+    FlashGraph CSR-residency idea on the Dataset path) and every step is
+    a single shuffle-free ``map_batches`` over the frontier: each walk's
+    argmin-(priority, dst) choice is local to its row. On the
+    distributed route each step pays the bucket join + the per-walk
+    grouping shuffle. Both paths compute the IDENTICAL next vertex
     (agreement-tested)."""
     e = _edges_i64(edges, src_col, dst_col)
     wpv = int(walks_per_vertex)
@@ -252,7 +251,7 @@ def random_walks(
     fr_schema = pa.schema([("walk_id", _I64), ("v", _I64)])
     e_schema = pa.schema([("src", _I64), ("dst", _I64)])
 
-    if csr_threshold and e.count() <= csr_threshold:
+    if routing.choose("walks.random_walks", None, 16 * e.count()) == "broadcast":
         import ray as _ray
 
         ref = _ray.put(_csr_arrays(e))

@@ -812,7 +812,7 @@ def test_conductance_allow_partial_counts_unlabeled_as_cut(tmp_graphs):
         assert abs(row["conductance"] - want) < 1e-12, c
 
 
-def test_partition_metrics_local_distributed_agree(tmp_graphs):
+def test_partition_metrics_local_distributed_agree(tmp_graphs, pin_route):
     """modularity/conductance hybrid: the in-process kernel and the
     distributed dataflow produce identical scores and identical
     validation errors."""
@@ -827,29 +827,29 @@ def test_partition_metrics_local_distributed_agree(tmp_graphs):
         }
     )
     q_loc = algorithms.modularity(graph, labels)
-    q_dist = algorithms.modularity(graph, labels, local_threshold=0)
-    assert abs(q_loc - q_dist) < 1e-12
     c_loc = (
         algorithms.conductance(graph, labels)
         .to_pandas().sort_values("label").reset_index(drop=True)
     )
+    pin_route("distributed")
+    q_dist = algorithms.modularity(graph, labels)
+    assert abs(q_loc - q_dist) < 1e-12
     c_dist = (
-        algorithms.conductance(graph, labels, local_threshold=0)
+        algorithms.conductance(graph, labels)
         .to_pandas().sort_values("label").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(c_loc, c_dist)
     # identical validation on both paths: duplicates and partial coverage
     dup = pd.concat([labels, labels.head(1)], ignore_index=True)
-    for thr in (200_000, 0):
+    for route in ("local", "distributed"):
+        pin_route(route)
         with pytest.raises(ValueError, match="duplicate vertex_id"):
-            algorithms.modularity(graph, dup, local_threshold=thr)
+            algorithms.modularity(graph, dup)
         with pytest.raises(ValueError, match="labels cover"):
-            algorithms.conductance(
-                graph, labels.head(10), local_threshold=thr
-            )
+            algorithms.conductance(graph, labels.head(10))
 
 
-def test_percolation_curve_matches_bruteforce(tmp_path):
+def test_percolation_curve_matches_bruteforce(tmp_path, pin_route):
     """Hub removal by quantile-threshold rule vs a python union-find."""
     import math
 
@@ -905,9 +905,8 @@ def test_percolation_curve_matches_bruteforce(tmp_path):
     # the curve actually bites: removing 30% of hub-degree mass shrinks
     assert got.iloc[2]["giant_size"] < got.iloc[0]["giant_size"]
     # distributed dataflow (hybrid local path disabled) agrees exactly
-    dist = algorithms.percolation_curve(
-        g, fracs, num_buckets=8, local_threshold=0
-    )
+    pin_route("distributed")
+    dist = algorithms.percolation_curve(g, fracs, num_buckets=8)
     pd.testing.assert_frame_equal(got, dist)
 
 

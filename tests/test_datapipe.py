@@ -68,14 +68,18 @@ def test_duplicate_groups_union_find():
         assert gmap[b] == b and gmap[b + 1] == b and gmap[b + 2] == b
 
 
-def test_duplicate_groups_wcc_engine(tmp_path):
+def test_duplicate_groups_wcc_engine(monkeypatch, pin_route):
+    from flashray import routing
+
     df = _docs_with_dups()
     pairs = dedup.candidate_pairs_minhash(rd.from_pandas(df), threshold=0.5)
     via_uf = dedup.duplicate_groups(pairs)
-    via_wcc = dedup.duplicate_groups(pairs, scratch_dir=str(tmp_path / "pairg"))
-    # threshold 0 forces the auto-route onto the engine backend with no
-    # scratch_dir given (the scale default above 5M pairs)
-    via_auto = dedup.duplicate_groups(pairs, engine_pair_threshold=0)
+    # a pair set over the local limit routes onto the engine backend (the
+    # scale default)
+    monkeypatch.setattr(routing, "LOCAL_BYTES", 0)
+    via_auto = dedup.duplicate_groups(pairs)
+    pin_route("distributed")
+    via_wcc = dedup.duplicate_groups(pairs)
     a = dict(zip(via_uf["doc_id"].astype(int), via_uf["group"].astype(int)))
     b = dict(zip(via_wcc["doc_id"].astype(int), via_wcc["group"].astype(int)))
     c = dict(zip(via_auto["doc_id"].astype(int), via_auto["group"].astype(int)))
@@ -1387,7 +1391,7 @@ def test_pretrain_corpus_three_predicates():
     assert (got["lang_pred"] == "en").all()
 
 
-def test_pretrain_corpus_partition_invariant():
+def test_pretrain_corpus_partition_invariant(pin_route):
     from flashray.datapipe.pipelines import pretrain_corpus
 
     rng = np.random.default_rng(41)
@@ -1412,11 +1416,11 @@ def test_pretrain_corpus_partition_invariant():
     )
     pd.testing.assert_frame_equal(a, b)
     assert len(a) > 0
-    # hybrid materialization: the streaming path (threshold 0 -> every
-    # pass re-scans) must agree with the pinned path (default)
+    # hybrid materialization: the streaming path (distributed route ->
+    # every pass re-scans) must agree with the pinned path (default)
+    pin_route("distributed")
     c = (
-        pretrain_corpus(rd.from_pandas(docs), num_buckets=4,
-                        materialize_threshold=0, **kw)
+        pretrain_corpus(rd.from_pandas(docs), num_buckets=4, **kw)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, c)
@@ -1719,7 +1723,9 @@ def test_exact_substr_removes_planted_boilerplate():
     assert got.loc[3, "text_clean"] == "totally unrelated short document"
 
 
-def test_exact_substr_random_matches_replay_and_partition_invariant():
+def test_exact_substr_random_matches_replay_and_partition_invariant(
+    pin_route,
+):
     rng = np.random.default_rng(77)
     words = np.array("a b c d e f g h".split())
     texts = [
@@ -1747,9 +1753,10 @@ def test_exact_substr_random_matches_replay_and_partition_invariant():
     )
     pd.testing.assert_frame_equal(a, b)
     # the all-join fallback (broadcast disabled) agrees bit-exactly
+    pin_route("distributed")
     c = (
         dedup.exact_substr(rd.from_pandas(docs), span_tokens=4,
-                           num_buckets=4, broadcast_threshold=0)
+                           num_buckets=4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, c)
@@ -1790,7 +1797,7 @@ def _bpe_replay(texts, rounds):
     return merges, vocab
 
 
-def test_bpe_train_matches_replay_and_partition_invariant():
+def test_bpe_train_matches_replay_and_partition_invariant(pin_route):
     from flashray.datapipe import bpe
 
     rng = np.random.default_rng(13)
@@ -1818,10 +1825,8 @@ def test_bpe_train_matches_replay_and_partition_invariant():
     )
     pd.testing.assert_frame_equal(m["merges"], m2["merges"])
     # the per-round distributed dataflow (local path disabled) agrees
-    m3 = bpe.bpe_train(
-        rd.from_pandas(docs), num_merges=8, num_buckets=4,
-        local_threshold=0,
-    )
+    pin_route("distributed")
+    m3 = bpe.bpe_train(rd.from_pandas(docs), num_merges=8, num_buckets=4)
     pd.testing.assert_frame_equal(m["merges"], m3["merges"])
     wt3 = m3["word_tokens"].to_pandas().sort_values("word").reset_index(
         drop=True

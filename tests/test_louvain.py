@@ -123,7 +123,7 @@ def test_louvain_two_cliques_finds_communities_and_beats_lpa(tmp_path):
     assert q_louvain > 0.3
 
 
-def test_louvain_random_matches_replay_and_partition_invariant():
+def test_louvain_random_matches_replay_and_partition_invariant(pin_route):
     rng = np.random.default_rng(29)
     src = rng.integers(0, 40, 160).astype(np.int64)
     dst = rng.integers(0, 40, 160).astype(np.int64)
@@ -138,26 +138,24 @@ def test_louvain_random_matches_replay_and_partition_invariant():
     assert got == want
     # the distributed BROADCAST sweep path (hybrid local path disabled)
     # agrees bit-exactly, under a different input partitioning
+    pin_route("broadcast")
     b = (
         louvain_communities(
             _sym_ds(src, dst).repartition(7), sweeps=3, num_buckets=16,
-            local_threshold=0,
         )
         .to_pandas().sort_values("vertex_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, b)
     # and the all-JOIN sweep path (broadcast also disabled) agrees too
+    pin_route("distributed")
     c = (
-        louvain_communities(
-            _sym_ds(src, dst), sweeps=3, num_buckets=4,
-            local_threshold=0, broadcast_threshold=0,
-        )
+        louvain_communities(_sym_ds(src, dst), sweeps=3, num_buckets=4)
         .to_pandas().sort_values("vertex_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, c)
 
 
-def test_louvain_two_levels_contraction_matches_replay():
+def test_louvain_two_levels_contraction_matches_replay(pin_route):
     rng = np.random.default_rng(31)
     # planted partition: 3 dense blocks of 8, sparse cross edges
     src, dst = [], []
@@ -187,10 +185,10 @@ def test_louvain_two_levels_contraction_matches_replay():
     )
     assert got == want
     # distributed contraction path agrees with the local kernel
+    pin_route("broadcast")
     dist = (
         louvain_communities(
             _sym_ds(src, dst), sweeps=2, levels=2, num_buckets=4,
-            local_threshold=0,
         )
         .to_pandas().sort_values("vertex_id").reset_index(drop=True)
     )
@@ -249,7 +247,7 @@ def test_leiden_refine_splits_disconnected_community():
     assert got["label"].tolist() == [1, 1, 3, 3]
 
 
-def test_leiden_refine_distributed_matches_local_and_replay():
+def test_leiden_refine_distributed_matches_local_and_replay(pin_route):
     from flashray.louvain import leiden_refine
 
     rng = np.random.RandomState(11)
@@ -267,14 +265,10 @@ def test_leiden_refine_distributed_matches_local_and_replay():
         + list(zip(dst.tolist(), src.tolist())),
         lmap,
     )
-    for thr in (200_000, None):  # local kernel vs distributed dataflow
+    for route in ("local", "distributed"):  # local kernel vs dataflow
+        pin_route(route)
         got = (
-            leiden_refine(
-                ds,
-                rd.from_pandas(lab_pdf),
-                num_buckets=4,
-                local_threshold=thr,
-            )
+            leiden_refine(ds, rd.from_pandas(lab_pdf), num_buckets=4)
             .to_pandas().sort_values("vertex_id").reset_index(drop=True)
         )
         assert dict(
@@ -330,16 +324,12 @@ def test_leiden_refine_ignores_unlabeled_endpoints():
     assert got["label"].tolist() == [1, 1]
 
 
-_PATHS = {
-    "local": {},
-    "broadcast": {"local_threshold": 0},
-    "join": {"local_threshold": 0, "broadcast_threshold": 0},
-}
+_PATHS = {"local": "local", "broadcast": "broadcast", "join": "distributed"}
 
 
 @pytest.mark.parametrize("path", list(_PATHS))
-def test_louvain_empty_and_self_loop_only_inputs(path):
-    kw = _PATHS[path]
+def test_louvain_empty_and_self_loop_only_inputs(pin_route, path):
+    pin_route(_PATHS[path])
     empty = rd.from_pandas(
         pd.DataFrame(
             {
@@ -348,7 +338,7 @@ def test_louvain_empty_and_self_loop_only_inputs(path):
             }
         )
     )
-    out = louvain_communities(empty, sweeps=2, num_buckets=4, **kw)
+    out = louvain_communities(empty, sweeps=2, num_buckets=4)
     sch = out.schema()
     assert list(sch.names) == ["vertex_id", "label"]
     assert [str(t) for t in sch.types] == ["int64", "int64"]
@@ -358,7 +348,7 @@ def test_louvain_empty_and_self_loop_only_inputs(path):
     got = (
         louvain_communities(
             rd.from_pandas(pd.DataFrame({"src": loops, "dst": loops})),
-            sweeps=2, num_buckets=4, **kw,
+            sweeps=2, num_buckets=4,
         )
         .to_pandas().sort_values("vertex_id").reset_index(drop=True)
     )
@@ -366,7 +356,9 @@ def test_louvain_empty_and_self_loop_only_inputs(path):
     assert got["label"].tolist() == loops.tolist()
 
 
-def test_louvain_broadcast_path_sorts_once_and_never_groups(monkeypatch):
+def test_louvain_broadcast_path_sorts_once_and_never_groups(
+    monkeypatch, pin_route
+):
     calls = {"sort": 0, "groupby": 0}
 
     def counted(name):
@@ -383,10 +375,9 @@ def test_louvain_broadcast_path_sorts_once_and_never_groups(monkeypatch):
     rng = np.random.default_rng(37)
     src = rng.integers(0, 30, 120).astype(np.int64)
     dst = rng.integers(0, 30, 120).astype(np.int64)
+    pin_route("broadcast")
     got = (
-        louvain_communities(
-            _sym_ds(src, dst), sweeps=3, num_buckets=4, local_threshold=0
-        )
+        louvain_communities(_sym_ds(src, dst), sweeps=3, num_buckets=4)
         .to_pandas().sort_values("vertex_id").reset_index(drop=True)
     )
     assert calls == {"sort": 1, "groupby": 0}
@@ -396,7 +387,7 @@ def test_louvain_broadcast_path_sorts_once_and_never_groups(monkeypatch):
     ) == want
 
 
-def test_louvain_broadcast_hub_larger_than_a_block():
+def test_louvain_broadcast_hub_larger_than_a_block(pin_route):
     from ray.data import DataContext
 
     rng = np.random.default_rng(41)
@@ -434,10 +425,10 @@ def test_louvain_broadcast_hub_larger_than_a_block():
         # the premise: many blocks, and no source split across two
         assert blocks["blk"].nunique() > 4
         assert not blocks["src"].duplicated().any()
+        pin_route("broadcast")
         got = (
             louvain_communities(
                 _sym_ds(src, dst), sweeps=3, num_buckets=4,
-                local_threshold=0,
             )
             .to_pandas().sort_values("vertex_id").reset_index(drop=True)
         )

@@ -40,14 +40,15 @@ def test_maximal_matching_valid(tmp_path, name, fn):
     assert pairs.equals(again)  # deterministic
 
 
-def test_maximal_matching_paths_agree(tmp_path):
+def test_maximal_matching_paths_agree(tmp_path, pin_route):
     """Distributed rounds == local numpy rounds (same proposals, same
     priorities) on a graph forced down both routes."""
     src, dst = fixtures.er_edges(60, 0.08, seed=9)
     g = build_graph_from_arrays(src, dst, str(tmp_path / "agree"),
                                 num_partitions=4)
     local = matching.maximal_matching(g)
-    dist = matching.maximal_matching(g, local_threshold=0)
+    pin_route("distributed")
+    dist = matching.maximal_matching(g)
     pd.testing.assert_frame_equal(local, dist)
     _check(local, src, dst)
 
@@ -118,7 +119,7 @@ def test_local_match_properties(edges, perm_seed):
     assert pairs.equals(again)
 
 
-def test_weighted_matching_paths_agree(tmp_path):
+def test_weighted_matching_paths_agree(tmp_path, pin_route):
     """Weighted distributed rounds == weighted local kernel (same
     proposal order: weight desc, global edge tie-break)."""
     rng = np.random.default_rng(31)
@@ -133,5 +134,6 @@ def test_weighted_matching_paths_agree(tmp_path):
         weight=np.concatenate([w, w]),
     )
     local = matching.maximal_matching(g, weighted=True)
-    dist = matching.maximal_matching(g, weighted=True, local_threshold=0)
+    pin_route("distributed")
+    dist = matching.maximal_matching(g, weighted=True)
     pd.testing.assert_frame_equal(local, dist)

@@ -192,7 +192,7 @@ def test_hits_engine_weighted_agrees(er, tmp_path):
     )
 
 
-def test_nmf_objective_decreases_and_deterministic(tmp_path):
+def test_nmf_objective_decreases_and_deterministic(tmp_path, pin_route):
     """Lee-Seung updates never increase ||A - W.H^T||_F^2; runs are
     bit-identical; factors are nonnegative; collect=False returns
     Datasets with the same rows."""
@@ -231,8 +231,9 @@ def test_nmf_objective_decreases_and_deterministic(tmp_path):
     W2, H2 = matrix.nmf(g, rank=3, iters=4)
     pd.testing.assert_frame_equal(W1, W2)  # deterministic
     # distributed dataflow agrees with the local loop to float round-off
-    Wd, Hd = matrix.nmf(g, rank=3, iters=2, local_threshold=0)
     Wl, Hl = matrix.nmf(g, rank=3, iters=2)
+    pin_route("distributed")
+    Wd, Hd = matrix.nmf(g, rank=3, iters=2)
     fc = [c for c in Wl.columns if c.startswith("f")]
     assert np.allclose(Wd[fc].to_numpy(), Wl[fc].to_numpy(), atol=1e-9)
     assert np.allclose(Hd[fc].to_numpy(), Hl[fc].to_numpy(), atol=1e-9)

@@ -160,7 +160,11 @@ out = sys.argv[2]
 shutil.rmtree(out, ignore_errors=True)
 src, dst = fixtures.er_edges(80, 0.07, seed=3)
 g = build_graph_from_arrays(src, dst, out, num_partitions=8)
-m = matching.maximal_matching(g, local_threshold=0)  # force distributed
+from flashray import routing
+sys.path.insert(0, "tests")
+from conftest import pinned_choose
+routing.choose = pinned_choose("distributed")  # force distributed
+m = matching.maximal_matching(g)
 ne = negative_edges(g, 30, seed=1)
 rng = np.random.default_rng(4)
 vocab = ["aa", "bb", "cc", "dd"]

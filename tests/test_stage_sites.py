@@ -85,3 +85,49 @@ def test_no_actor_layout_knob():
     placement group's bundles; nothing passes or takes a layout knob."""
     stray = _knob_sites({"actor_cpus", "num_actors", "threads_per_actor"})
     assert stray == [], "let the Engine size its actors; take no layout knob"
+
+
+_ROUTE_KNOBS = {
+    "local_threshold", "broadcast_threshold", "engine_pair_threshold",
+    "csr_threshold", "materialize_threshold", "tail_threshold",
+}
+# the two operators whose local_threshold keyword the benchmark passes
+_KEPT_ROUTE_KNOB = {
+    "flashray/triangles.py triangle_count",
+    "flashray/louvain.py louvain_communities",
+}
+
+
+def test_no_route_knob():
+    """One routing rule (``flashray.routing.choose``) picks every
+    executor: no per-operator route threshold as a parameter, a keyword or
+    a module constant. Only ``triangle_count`` and ``louvain_communities``
+    keep ``local_threshold``, for the benchmark's calls under
+    ``perfbench/``."""
+    import fnmatch
+
+    kept = {
+        f"{mod}:{node.lineno} local_threshold parameter"
+        for mod, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and f"{mod} {node.name}" in _KEPT_ROUTE_KNOB
+    }
+    stray = [
+        s for s in _knob_sites(_ROUTE_KNOBS)
+        if s not in kept and not s.startswith("perfbench/")
+    ]
+    for mod, tree in _modules(_REPO):
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            )
+            stray += [
+                f"{mod}:{node.lineno} {t.id} constant"
+                for t in targets
+                if isinstance(t, ast.Name) and (
+                    fnmatch.fnmatchcase(t.id, "*_EDGE_THRESHOLD")
+                    or fnmatch.fnmatchcase(t.id, "BROADCAST_*_LIMIT")
+                )
+            ]
+    assert stray == [], "route through flashray.routing; take no route knob"

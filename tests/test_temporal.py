@@ -577,7 +577,7 @@ def test_temporal_reachability_matches_replay_and_invariance():
     pd.testing.assert_frame_equal(got, got2)
 
 
-def test_temporal_reachability_local_distributed_agree():
+def test_temporal_reachability_local_distributed_agree(pin_route):
     from flashray.datapipe.temporal import temporal_reachability
 
     rng = np.random.default_rng(53)
@@ -593,17 +593,15 @@ def test_temporal_reachability_local_distributed_agree():
         temporal_reachability(rd.from_pandas(edges), [3], t0=1)
         .to_pandas().sort_values("vertex_id").reset_index(drop=True)
     )
+    pin_route("distributed")
     dist = (
-        temporal_reachability(
-            rd.from_pandas(edges), [3], t0=1,
-            num_buckets=4, local_threshold=0,
-        )
+        temporal_reachability(rd.from_pandas(edges), [3], t0=1, num_buckets=4)
         .to_pandas().sort_values("vertex_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(loc, dist)
 
 
-def test_temporal_reachability_int64_exact_above_2_53():
+def test_temporal_reachability_int64_exact_above_2_53(pin_route):
     """Arrival times above 2^53 must survive the distributed merge
     bit-exactly (a float64 round-trip would corrupt them)."""
     from flashray.datapipe.temporal import temporal_reachability
@@ -618,7 +616,8 @@ def test_temporal_reachability_int64_exact_above_2_53():
         }
     )
     want = {1: int(base), 2: int(base) + 3, 3: int(base) + 5}
-    for kw in ({}, {"local_threshold": 0, "num_buckets": 3}):
+    for route, kw in (("local", {}), ("distributed", {"num_buckets": 3})):
+        pin_route(route)
         out = (
             temporal_reachability(
                 rd.from_pandas(edges), [1], t0=int(base), **kw

@@ -280,17 +280,19 @@ def test_ktruss_er(graphs, k):
         assert want[(int(row.lo), int(row.hi))] == int(row.support)
 
 
-def test_ktruss_distributed_matches_local_tail(graphs):
-    # local_threshold=0 forces the pure-distributed peel; the default
-    # takes the vectorized local tail — identical results required
+def test_ktruss_distributed_matches_local_tail(graphs, pin_route):
+    # the default route takes the vectorized local tail; pinning the
+    # broadcast route keeps every round off it (the pure-distributed
+    # peel) — identical results required
     graph, _ = graphs("er100", fixtures.er_edges)
-    dist = (
-        triangles.k_truss(graph, 3, local_threshold=0)
+    loc = (
+        triangles.k_truss(graph, 3)
         .to_pandas()
         .sort_values(["lo", "hi"])
         .reset_index(drop=True)
     )
-    loc = (
+    pin_route("broadcast")
+    dist = (
         triangles.k_truss(graph, 3)
         .to_pandas()
         .sort_values(["lo", "hi"])
@@ -302,10 +304,10 @@ def test_ktruss_distributed_matches_local_tail(graphs):
     pd.testing.assert_frame_equal(dist, loc, check_dtype=False)
 
 
-def test_wedge_family_distributed_matches_local(graphs):
-    """local_threshold=0 forces the distributed wedge dataflow; default
-    routes small graphs through the vectorized in-process kernel —
-    identical outputs required across the whole family."""
+def test_wedge_family_distributed_matches_local(graphs, pin_route):
+    """A pinned broadcast route runs the distributed wedge dataflow; the
+    default routes small graphs through the vectorized in-process kernel
+    — identical outputs required across the whole family."""
     import pandas as pd
 
     graph, _ = graphs("er100", fixtures.er_edges)
@@ -318,18 +320,19 @@ def test_wedge_family_distributed_matches_local(graphs):
             .astype({c: "int64" for c in cols})
         )
 
-    for fn, cols in [
+    family = [
         (triangles.triangles, ["vertex_id"]),
         (triangles.edge_support, ["lo", "hi"]),
         (triangles.scan_statistic, ["vertex_id"]),
         (triangles.clustering_coefficient, ["vertex_id"]),
-    ]:
-        dist = norm(fn(graph, local_threshold=0), cols)
-        loc = norm(fn(graph), cols)
-        pd.testing.assert_frame_equal(dist, loc, check_dtype=False)
-    assert triangles.triangle_count(
-        graph, local_threshold=0
-    ) == triangles.triangle_count(graph)
+    ]
+    loc = [norm(fn(graph), cols) for fn, cols in family]
+    loc_count = triangles.triangle_count(graph)
+    pin_route("broadcast")
+    for (fn, cols), want in zip(family, loc):
+        dist = norm(fn(graph), cols)
+        pd.testing.assert_frame_equal(dist, want, check_dtype=False)
+    assert triangles.triangle_count(graph) == loc_count
 
 
 def test_ktruss_k3_and_star(graphs):
@@ -399,7 +402,7 @@ def test_butterfly_count(graphs):
         ("er100", fixtures.er_edges),
     ],
 )
-def test_two_hop_sizes(graphs, name, fn):
+def test_two_hop_sizes(graphs, pin_route, name, fn):
     graph, (src, dst) = graphs(name, fn)
     got_df = triangles.two_hop_sizes(graph).to_pandas()
     got = {
@@ -422,7 +425,8 @@ def test_two_hop_sizes(graphs, name, fn):
         want[v] = (len(nb), len(ball))
     assert got == want
     # the distributed dataflow (hybrid local path disabled) agrees
-    dist_df = triangles.two_hop_sizes(graph, local_threshold=0).to_pandas()
+    pin_route("distributed")
+    dist_df = triangles.two_hop_sizes(graph).to_pandas()
     dist = {
         int(r.vertex_id): (int(r.n1), int(r.n2))
         for r in dist_df.itertuples()
@@ -545,7 +549,7 @@ def _tri_brute(pairs):
     return n // 3
 
 
-def test_triangle_count_sampled_p1_exact_and_replay(tmp_path):
+def test_triangle_count_sampled_p1_exact_and_replay(tmp_path, pin_route):
     import hashlib
 
     rng = np.random.default_rng(19)
@@ -554,7 +558,8 @@ def test_triangle_count_sampled_p1_exact_and_replay(tmp_path):
     g = build_graph_from_arrays(
         src, dst, str(tmp_path / "doulion"), num_partitions=4
     )
-    exact = triangles.triangle_count(g, local_threshold=0)
+    pin_route("broadcast")
+    exact = triangles.triangle_count(g)
     full = triangles.triangle_count_sampled(g, p=1.0)
     assert full["sampled_triangles"] == exact
     assert full["estimate"] == float(exact)
@@ -668,7 +673,7 @@ def test_four_cliques_k5_planted(graphs):
     assert triangles.four_clique_count(graph) == 5
 
 
-def test_four_cliques_distributed_matches_local(graphs):
+def test_four_cliques_distributed_matches_local(graphs, pin_route):
     graph, _ = graphs("er40dense", _dense_er_edges)
 
     def norm(ds):
@@ -679,9 +684,9 @@ def test_four_cliques_distributed_matches_local(graphs):
             zip(df["vertex_id"].astype(int), df["cliques4"].astype(int))
         )
 
-    assert norm(
-        triangles.four_cliques(graph, local_threshold=0)
-    ) == norm(triangles.four_cliques(graph))
+    loc = norm(triangles.four_cliques(graph))
+    pin_route("broadcast")
+    assert norm(triangles.four_cliques(graph)) == loc
 
 
 def _dense_er_big_ids():
@@ -691,14 +696,14 @@ def _dense_er_big_ids():
     return src + (1 << 62), dst + (1 << 62)
 
 
-def test_closed_wedges_broadcast_matches_join_path(graphs, monkeypatch):
+def test_closed_wedges_broadcast_matches_join_path(graphs, pin_route):
     """Three-way agreement: local kernel == broadcast shuffle-free pass ==
     bucket join dataflow, across the whole wedge family."""
     for name, fn in [
         ("er40dense", _dense_er_edges),
         ("er40big", _dense_er_big_ids),
     ]:
-        _check_three_executors(graphs(name, fn)[0], monkeypatch)
+        _check_three_executors(graphs(name, fn)[0], pin_route)
 
 
 def _rows(ds):
@@ -706,31 +711,29 @@ def _rows(ds):
     return sorted(map(tuple, df.itertuples(index=False))) if len(df) else []
 
 
-def _check_three_executors(graph, monkeypatch):
-    def family(lt):
+def _check_three_executors(graph, pin_route):
+    def family():
         return {
-            "tri": _rows(triangles.triangles(graph, local_threshold=lt)),
-            "sup": _rows(triangles.edge_support(graph, local_threshold=lt)),
-            "fc": _rows(triangles.four_cliques(graph, local_threshold=lt)),
+            "tri": _rows(triangles.triangles(graph)),
+            "sup": _rows(triangles.edge_support(graph)),
+            "fc": _rows(triangles.four_cliques(graph)),
             # the 4-truss peel takes 11 rounds (195 -> 73 edges); the first
             # three (195, 136, 103 edges) run on the executor under test,
-            # the rest in the local tail, which keeps the test short
-            "kt4": _rows(
-                triangles.k_truss(graph, 4, local_threshold=lt or 100)
-            ),
-            "scan": _rows(triangles.scan_statistic(graph, local_threshold=lt)),
-            "cc": _rows(
-                triangles.clustering_coefficient(graph, local_threshold=lt)
-            ),
+            # the rest in the local tail (at most 100 edges of 16 B), which
+            # keeps the test short
+            "kt4": _rows(triangles.k_truss(graph, 4)),
+            "scan": _rows(triangles.scan_statistic(graph)),
+            "cc": _rows(triangles.clustering_coefficient(graph)),
         }
 
     results = {}
-    for mode, limit in [("broadcast", 10**9), ("join", 0)]:
-        monkeypatch.setattr(triangles, "BROADCAST_CSR_EDGE_LIMIT", limit)
-        results[mode] = family(0)
+    for mode, route in [("broadcast", "broadcast"), ("join", "distributed")]:
+        pin_route(route, local_bytes=16 * 100)
+        results[mode] = family()
         sampled = triangles.triangle_count_sampled(graph, p=1.0)
         results[mode]["sampled"] = sampled["sampled_triangles"]
-    local = family(triangles.LOCAL_EDGE_THRESHOLD)
+    pin_route("local")
+    local = family()
     local["sampled"] = triangles.triangle_count(graph)
     assert local["fc"] and local["kt4"]  # the fixture has 4-cliques
     assert len(local["sup"]) > 100  # so k_truss runs distributed rounds
@@ -751,38 +754,34 @@ def _one_edge():
     "name,fn", [("self_loops", _self_loops_only), ("one_edge", _one_edge)]
 )
 def test_degenerate_graphs_typed_on_every_executor(
-    graphs, monkeypatch, name, fn, mode
+    graphs, pin_route, name, fn, mode
 ):
     """A graph with no canonical edge (only self-loops) or no triangle
     (one edge): every executor returns the same typed schema and rows."""
     graph, _ = graphs(name, fn)
-    lt = triangles.LOCAL_EDGE_THRESHOLD if mode == "local" else 0
-    monkeypatch.setattr(
-        triangles, "BROADCAST_CSR_EDGE_LIMIT", 0 if mode == "bucket" else 10**9
-    )
+    pin_route("distributed" if mode == "bucket" else mode)
     one = name == "one_edge"
-    kw = {"local_threshold": lt}
     want = [
-        (triangles.triangles(graph, **kw), "vertex_id triangles", []),
+        (triangles.triangles(graph), "vertex_id triangles", []),
         (
-            triangles.edge_support(graph, **kw),
+            triangles.edge_support(graph),
             "lo hi support",
             [(1, 2, 0)] if one else [],
         ),
         (
-            triangles.scan_statistic(graph, **kw),
+            triangles.scan_statistic(graph),
             "vertex_id scan",
             [(1, 1), (2, 1)] if one else [],
         ),
         (
-            triangles.clustering_coefficient(graph, **kw),
+            triangles.clustering_coefficient(graph),
             "vertex_id deg triangles cc:double",
             [(1, 1, 0, 0.0), (2, 1, 0, 0.0)] if one else [],
         ),
-        (triangles.four_cliques(graph, **kw), "vertex_id cliques4", []),
-        (triangles.k_truss(graph, 3, **kw), "lo hi support", []),
+        (triangles.four_cliques(graph), "vertex_id cliques4", []),
+        (triangles.k_truss(graph, 3), "lo hi support", []),
         (
-            triangles.two_hop_sizes(graph, **kw),
+            triangles.two_hop_sizes(graph),
             "vertex_id n2 n1",
             [(1, 1, 1), (2, 1, 1)] if one else [],
         ),
@@ -798,7 +797,7 @@ def test_degenerate_graphs_typed_on_every_executor(
         want_cols = [c if ":" in c else c + ":int64" for c in cols.split()]
         assert [f"{n}:{t}" for n, t in zip(sch.names, types)] == want_cols
         assert _rows(ds) == want_rows, cols
-    assert triangles.triangle_count(graph, **kw) == 0
+    assert triangles.triangle_count(graph) == 0
 
 
 def test_incremental_triangle_count(tmp_path):

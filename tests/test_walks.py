@@ -71,7 +71,7 @@ def test_walks_dead_end_terminates():
     assert got == {0: [0, 1, 2], 1: [1, 2], 2: [2]}
 
 
-def test_walks_partition_invariant_and_multiwalk():
+def test_walks_partition_invariant_and_multiwalk(pin_route):
     df = pd.DataFrame({"src": [0, 0, 1, 2, 2], "dst": [1, 2, 2, 0, 1]})
     a = walks.corpus_pandas(walks.random_walks(
         rd.from_pandas(df).repartition(1), walk_len=6, walks_per_vertex=3
@@ -86,9 +86,9 @@ def test_walks_partition_invariant_and_multiwalk():
     w1 = list(a[a["walk_id"] == 1]["vertex_id"])
     assert w0[0] == w1[0] == 0
     # the per-step join dataflow (broadcast-CSR path disabled) agrees
+    pin_route("distributed")
     c = walks.corpus_pandas(walks.random_walks(
         rd.from_pandas(df), walk_len=6, walks_per_vertex=3,
-        csr_threshold=0,
     ))
     pd.testing.assert_frame_equal(a, c)
 
