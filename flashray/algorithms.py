@@ -822,7 +822,7 @@ def modularity(
     m = und.count()
     if m == 0:
         return 0.0
-    if routing.choose("algorithms.modularity", 16 * m) == "local":
+    if routing.choose("algorithms.modularity", 400 * m) == "local":
         jl, dl = _local_partition_prep(und.to_pandas(), labels,
                                        allow_partial)
         e_in = int(
@@ -896,7 +896,7 @@ def conductance(
 
     und = _canonical_undirected(graph).materialize()
     m = und.count()
-    if m and routing.choose("algorithms.conductance", 16 * m) == "local":
+    if m and routing.choose("algorithms.conductance", 400 * m) == "local":
         import ray.data as rd
 
         jl, dl = _local_partition_prep(und.to_pandas(), labels,
@@ -1354,7 +1354,7 @@ def percolation_curve(
 
     B = num_buckets or max(16, graph.num_partitions)
     und = _canonical_undirected(graph).materialize()
-    if routing.choose("algorithms.percolation_curve", 16 * und.count()) == "local":
+    if routing.choose("algorithms.percolation_curve", 160 * und.count()) == "local":
         # full in-process mirror (identical quantile_disc threshold rule,
         # strict-above removal, union-find giant)
         import math

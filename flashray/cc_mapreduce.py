@@ -173,7 +173,7 @@ def star_forest(
     edges = edges.materialize()
     prev = None
     for _ in range(max_rounds):
-        if routing.choose("cc.star_forest", 16 * edges.count()) == "local":
+        if routing.choose("cc.star_forest", 160 * edges.count()) == "local":
             pdf = edges.to_pandas()
             forest = _local_star_forest(pdf)
             if len(forest):

@@ -192,7 +192,7 @@ def bpe_train(
         batch_format="pandas",
     ).materialize()
 
-    if routing.choose("bpe.bpe_train", vocab.size_bytes()) == "local":
+    if routing.choose("bpe.bpe_train", 40 * vocab.count()) == "local":
         return _bpe_train_local(vocab.to_pandas(), num_merges)
 
     merges = []

@@ -383,7 +383,7 @@ def duplicate_groups(pairs: ray.data.Dataset) -> pd.DataFrame:
     local route, else the repo's own WCC engine over the pair edges in a
     temp dir (at 100-TB dedup the pair set can itself be huge)."""
     pairs = pairs.materialize()
-    if routing.choose("dedup.duplicate_groups", pairs.size_bytes()) != "local":
+    if routing.choose("dedup.duplicate_groups", 16 * pairs.count()) != "local":
         import shutil
         import tempfile
 

@@ -45,23 +45,26 @@ def pretrain_corpus(
     shuffle (dedup), two stateless task passes (quality, langid)
     — and intersect through two id semi-joins (the distributed route) or,
     on the broadcast route, map-side against the two survivor id sets
-    (16 B per document) sent once via ray.put, over an (id, text)
-    projection pinned in the object store for all three passes. Nothing
-    re-reads text after its pass and no stage depends on another's
-    output order."""
+    sent once via ray.put, a route sized from the materialized id sets.
+    The (id, text) projection is pinned in the object store for all three
+    passes only when its plan knows the input's bytes without a run (a
+    read's file metadata, a materialized Dataset) and they fit the
+    broadcast budget; otherwise each pass streams its own column-pruned
+    scan. Nothing re-reads text after its pass and no stage depends on
+    another's output order."""
     from flashray.datapipe.dedup import exact_dedup
     from flashray.datapipe.textstats import lang_id_batch, quality_filter
     from flashray.joins import bucket_semi_join
 
     base = docs.select_columns([id_col, text_col])
-    route = routing.choose("pipelines.pretrain_corpus", None, 16 * base.count())
-    if route == "broadcast":
+    text_bytes = docs._logical_plan.dag.infer_metadata().size_bytes
+    if routing.choose("pipelines.pretrain_corpus.pin", None, text_bytes) == "broadcast":
         base = base.materialize()
 
     keep_ids = exact_dedup(base, text_col=text_col, id_col=id_col).map_batches(
         lambda b: pa.table({id_col: b["keep_id"].cast(pa.int64())}),
         batch_format="pyarrow",
-    )
+    ).materialize()
 
     q_ids = quality_filter(
         base,
@@ -74,7 +77,7 @@ def pretrain_corpus(
     ).map_batches(
         lambda b: b.filter(b["keep"].to_numpy() == 1).select([id_col]),
         batch_format="pyarrow",
-    )
+    ).materialize()
 
     lang_set = frozenset(langs)
 
@@ -91,29 +94,22 @@ def pretrain_corpus(
         lang_id_batch, fn_kwargs={"text_col": text_col}, batch_format="pandas"
     ).map_batches(lang_gate, batch_format="pandas")
 
-    if route == "broadcast":
-        # the survivor id sets are O(docs) int64s: on a pinned-size corpus
-        # broadcast them via ray.put and intersect map-side — the two
+    id_bytes = 8 * (keep_ids.count() + q_ids.count())
+    if routing.choose("pipelines.pretrain_corpus.ids", None, id_bytes) == "broadcast":
+        # the survivor id sets are O(docs) int64s: when they fit the
+        # budget broadcast them via ray.put and intersect map-side — the two
         # bucket semi-joins disappear (same keep rule, agreement via the
         # docs_pretrain_corpus oracle + pipeline tests)
-        import ray as _ray
+        from flashray.triangles import _lookup
 
         kset = np.sort(keep_ids.to_pandas()[id_col].to_numpy(np.int64))
         qset = np.sort(q_ids.to_pandas()[id_col].to_numpy(np.int64))
-        ref = _ray.put((kset, qset))
-
-        def _in_sorted(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
-            if not len(keys):
-                return np.zeros(len(ids), dtype=bool)
-            p = np.searchsorted(keys, ids)
-            return (p < len(keys)) & (
-                keys[np.minimum(p, len(keys) - 1)] == ids
-            )
+        ref = ray.put((kset, qset))
 
         def gate_ids(df: pd.DataFrame) -> pd.DataFrame:
-            ks, qs = _ray.get(ref)
+            ks, qs = ray.get(ref)
             ids = df[id_col].to_numpy(dtype=np.int64)
-            return df[_in_sorted(ks, ids) & _in_sorted(qs, ids)]
+            return df[_lookup(ks, ids)[1] & _lookup(qs, ids)[1]]
 
         return lang.map_batches(gate_ids, batch_format="pandas")
 

@@ -746,7 +746,7 @@ def temporal_reachability(
     mins — deterministic under any partitioning, recursive-CTE
     SQL-replayable. Label correction can take many short rounds, each
     paying fixed shuffle setup — on the local route
-    (:func:`flashray.routing.choose`, 24 B per edge) the loop runs
+    (:func:`flashray.routing.choose`, 40 B per edge) the loop runs
     in-process on the collected (src, dst, t) arrays with the IDENTICAL
     rule (an agreement test covers both). The (src, dst, t) projection is
     materialized once and sized from its blocks, so the input plan runs
@@ -764,7 +764,7 @@ def temporal_reachability(
         ),
         batch_format="pyarrow",
     ).materialize()
-    local = 24 * e_proj.count()
+    local = 40 * e_proj.count()
     if routing.choose("temporal.temporal_reachability", local) == "local":
         epd = e_proj.to_pandas()
         s = epd["src"].to_numpy()

@@ -473,7 +473,7 @@ def louvain_communities(
     if not n_rows:
         return ray.data.from_arrow(_empty("vertex_id", "label"))
     route = routing.choose(
-        "louvain", routing.local_pin(local_threshold, n_rows, 24 * n_rows)
+        "louvain", routing.local_pin(local_threshold, n_rows, 400 * n_rows)
     )
     if route == "local":
         out = ray.data.from_pandas(
@@ -700,5 +700,5 @@ def leiden_refine(
     IDENTICAL rule in-process. Returns (vertex_id, label), one row per
     ``labels`` row."""
     e = _edge_table(edges, src_col, dst_col, None)
-    route = routing.choose("louvain.leiden_refine", 24 * e.count())
+    route = routing.choose("louvain.leiden_refine", 400 * e.count())
     return _refine_labels(e, labels, num_buckets, route)

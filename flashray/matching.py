@@ -110,7 +110,7 @@ def maximal_matching(
     deterministic and path-identical (agreement-tested)."""
     cols = ["src", "dst", "weight"] if weighted else ["src", "dst"]
     edges = graph.edges_dataset(columns=cols)
-    local = 8 * len(cols) * graph.meta.num_edges
+    local = 160 * graph.meta.num_edges
     if routing.choose("matching.maximal_matching", local) == "local":
         return _collected_match(edges, max_rounds, weighted)
     return _distributed_match(edges, max_rounds, num_buckets, weighted)
@@ -153,7 +153,7 @@ def _distributed_match(edges: ray.data.Dataset, max_rounds: int,
         if n_alive == 0:
             break
         if rounds_done > 0 and routing.choose(
-            "matching.tail", 8 * len(keep_cols) * n_alive
+            "matching.tail", 160 * n_alive
         ) == "local":
             # hybrid tail (the peel-family idiom): most vertices match in
             # the first rounds; once the alive edge set routes local,

@@ -359,8 +359,7 @@ def nmf(
 
     verts = graph.vertices_dataset(columns=["vertex_id"])
     cols = ["src", "dst"] + (["weight"] if weighted else [])
-    local = 8 * (len(cols) * graph.meta.num_edges + graph.meta.num_vertices)
-    if routing.choose("matrix.nmf", local) == "local":
+    if routing.choose("matrix.nmf", 400 * graph.meta.num_edges) == "local":
         e = graph.edges_dataset(columns=cols).to_pandas()
         vid = np.sort(
             verts.to_pandas()["vertex_id"].to_numpy(dtype=np.int64)

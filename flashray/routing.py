@@ -1,12 +1,11 @@
 """One routing rule for every operator with more than one executor.
 
-:func:`choose` gets the bytes each route would hold and returns
-``"local"`` when the in-process kernel would gather at most
-:data:`LOCAL_BYTES` on the driver, ``"broadcast"`` when the state it would
-``ray.put`` fits :func:`broadcast_budget`, else ``"distributed"`` (the
-route that gathers nothing). Callers size routes from graph metadata or
-materialized Datasets, never from a count that reruns a lazy plan. Each
-decision is one INFO line on the ``flashray.routing`` logger.
+:func:`choose` returns ``"local"`` when the in-process kernel's working
+bytes fit :data:`LOCAL_BYTES`, ``"broadcast"`` when the state it would
+``ray.put`` fits :func:`broadcast_budget`, else ``"distributed"``, and logs
+each decision as one INFO line on the ``flashray.routing`` logger. Callers
+size routes from graph metadata, from Datasets they have materialized or
+from a read's file metadata, never by running a lazy plan twice.
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ import ray
 
 log = logging.getLogger(__name__)
 
-# The most bytes an in-process kernel gathers on the driver: at 16 B per
-# edge, 1M edges, about a second of numpy, where each distributed round
-# pays a fixed shuffle latency.
-LOCAL_BYTES = 16 << 20
+# Each caller weighs its rows by its local kernel's working bytes per row,
+# from 16 B per pair (duplicate_groups' union-find) to 400 B per edge (the
+# wedge family's Σdeg² wedges), so that each local limit stays at the row
+# count it was tuned to (200k, 500k, 2M or 5M rows).
+LOCAL_BYTES = 80_000_000
 
 AUTO = "auto"
 
@@ -40,16 +40,19 @@ def node_resources() -> dict:
 
 
 def broadcast_budget() -> int:
-    """The most bytes one broadcast may ``ray.put``: a quarter of the node's
-    object store, and of its memory (the driver builds the state first)."""
+    """The most bytes one broadcast may ``ray.put``: twice the object store
+    (Ray puts a larger state in its disk fallback, still far cheaper than
+    the distributed shuffles: with an 80 MiB store triangle_count broadcast
+    151 MB in 27 s, and its bucket executor ran over 600 s on half that
+    graph) and an eighth of the node's memory (the driver holds the state)."""
     store = node_resources().get("object_store_memory", 0)
-    return int(min(store, node_memory()) // 4)
+    return int(min(2 * store, node_memory() // 8))
 
 
 def choose(op: str, local_bytes: int | None,
            broadcast_bytes: int | None = None) -> str:
     """The route of one ``op`` call. ``None`` for either size means the
-    operator has no such route."""
+    operator has no such route, or its size is unknown."""
     budget = None
     if local_bytes is not None and local_bytes <= LOCAL_BYTES:
         route = "local"
@@ -67,10 +70,9 @@ def choose(op: str, local_bytes: int | None,
 
 
 def local_pin(pin, rows: int, local_bytes: int) -> int | None:
-    """The local size for :func:`choose` from a ``local_threshold`` keyword
-    (``pin``): ``AUTO`` keeps ``local_bytes``; a row count pins the local
-    route at or below it (0 bytes) and refuses it above (``None``), as do
-    ``0`` and ``None``."""
+    """:func:`choose`'s local size under a ``local_threshold`` pin: ``AUTO``
+    keeps ``local_bytes``; a row count pins local at or below it (0 bytes)
+    and, like ``0`` and ``None``, refuses it above (``None``)."""
     if pin == AUTO:
         return local_bytes
     return 0 if pin and rows <= pin else None

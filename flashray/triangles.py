@@ -22,12 +22,13 @@ neighborhood-intersection is restructured as a join (SURVEY.md §2.1 E9):
 
 Three executors run that one kernel, picked per call by
 :func:`flashray.routing.choose` (:func:`_route`). The local one calls it
-once over all edges in process; the broadcast one ``ray.put``s the
-degree table and the CSR once and maps the same call over the oriented
-blocks. Both close wedges by a sorted-key probe (:func:`_lookup`). The
-bucket (distributed) executor orients edges by join, runs the kernel per
-center bucket on that bucket's own CSR and closes wedges by a bucketed
-hash join, since the closing edges are not in the bucket.
+once over all edges in process; the broadcast one ``ray.put``s the CSR
+once and maps the same call over the oriented blocks. Both close wedges
+by a sorted-key probe (:func:`_lookup`). The bucket (distributed)
+executor runs the kernel per center bucket on that bucket's own CSR and
+closes wedges by a bucketed hash join, since the closing edges are not
+in the bucket. Orientation (:func:`_orient_und`) is routed on its own,
+from the degree table's size.
 
 Joins use flashray.joins.bucket_hash_join (single groupby shuffle per join,
 vectorized pandas merge per bucket) — Ray 2.49's Dataset.join aggregator
@@ -179,7 +180,7 @@ def _orient(
     return np.where(lo_first, lo, hi), np.where(lo_first, hi, lo)
 
 
-def _oriented_edges(graph: Graph, route: str, num_buckets: int) -> ray.data.Dataset:
+def _oriented_edges(graph: Graph, num_buckets: int) -> ray.data.Dataset:
     """Degree-oriented canonical edges (a, b), materialized: they feed
     both the wedge listing and the closing step, so the canonical-dedup
     shuffle (+ orientation joins on the huge-graph path) runs once, not
@@ -191,22 +192,25 @@ def _oriented_edges(graph: Graph, route: str, num_buckets: int) -> ray.data.Data
         # pin the dedup-shuffle output so it executes once
         und = und.materialize()
     deg = _degree_table(graph, und)
-    return _orient_und(und, deg, route, num_buckets).materialize()
+    return _orient_und(
+        und, deg, graph.meta.num_vertices, num_buckets
+    ).materialize()
 
 
 def _orient_und(
     und: ray.data.Dataset,
     deg: ray.data.Dataset,
-    route: str,
+    num_vertices: int,
     num_buckets: int,
 ) -> ray.data.Dataset:
     """Orientation core, graph-independent (k-truss re-runs it per peel
     round on a shrinking edge set).
 
-    On the broadcast route (sorted ids, degrees) go out once and each
-    batch orients with a vectorized searchsorted — no join shuffles. The
-    distributed route attaches both degrees by partitioned hash joins."""
-    if route == "broadcast":
+    Routed on its own: on the broadcast route the (id, degree) table
+    (16 B per vertex) goes out once and each batch orients with a
+    vectorized searchsorted — no join shuffles. The distributed route
+    attaches both degrees by partitioned hash joins."""
+    if routing.choose("triangles.orient", None, 16 * num_vertices) == "broadcast":
         degree = _degree_lookup(deg)
 
         def orient_bcast(b: pa.Table) -> pa.Table:
@@ -346,13 +350,13 @@ def _both_directions(b: pa.Table) -> pa.Table:
 
 def _route(op: str, graph: Graph, pin=routing.AUTO, num_edges=None) -> str:
     """The executor of one call over ``num_edges`` (default: the graph's)
-    edges: the local kernel gathers (lo, hi) int64 pairs, 16 B per edge;
-    the broadcast one ships the wedge state (~40 B per edge) and the
-    (id, degree) table (16 B per vertex). ``pin=None`` refuses local."""
+    edges: the local kernel's Σdeg² wedges weigh 400 B per edge (200k
+    edges fit), the broadcast wedge state ~40 B per edge plus vertex ids
+    and CSR offsets (16 B per vertex). ``pin=None`` refuses local."""
     n = graph.meta.num_edges if num_edges is None else num_edges
     return routing.choose(
         f"triangles.{op}",
-        routing.local_pin(pin, n, 16 * n),
+        routing.local_pin(pin, n, 400 * n),
         40 * n + 16 * graph.meta.num_vertices,
     )
 
@@ -491,7 +495,7 @@ def triangles(
         closed = _local_closed_wedges(*_local_und(graph))
         return _table_ds(_TRIANGLES, *_vertex_counts(*closed))
     B = num_buckets or max(16, graph.num_partitions)
-    closed = _closed_wedges(_oriented_edges(graph, route, B), route, B)
+    closed = _closed_wedges(_oriented_edges(graph, B), route, B)
 
     def to_members(b: pa.Table) -> pa.Table:
         w1 = b["w1"].to_numpy(zero_copy_only=False)
@@ -534,7 +538,7 @@ def edge_support(
         keep = slice(None) if include_zero else sup > 0
         return _table_ds(_SUPPORT, lo[keep], hi[keep], sup[keep])
     B = num_buckets or max(16, graph.num_partitions)
-    closed = _closed_wedges(_oriented_edges(graph, route, B), route, B)
+    closed = _closed_wedges(_oriented_edges(graph, B), route, B)
     sup = _support_from_closed(closed, B)
     if include_zero:
         sup = _support_with_zeros(_canonical_undirected(graph), sup, B)
@@ -629,6 +633,7 @@ def k_truss(
     if k < 3:
         raise ValueError("k-truss requires k >= 3")
     B = num_buckets or max(16, graph.num_partitions)
+    nv = graph.meta.num_vertices
     thr = k - 2
     und = _canonical_undirected(graph).materialize()
     n = und.count()
@@ -640,7 +645,7 @@ def k_truss(
             return _table_ds(
                 _SUPPORT, *_k_truss_local(*_columns(und, ["lo", "hi"]), thr)
             )
-        oriented = _orient_und(und, _deg_from_und(und), route, B).materialize()
+        oriented = _orient_und(und, _deg_from_und(und), nv, B).materialize()
         # NO zero-fill join here (unlike edge_support): thr = k-2 >= 1, so
         # an edge absent from the support table (support 0) is dropped by
         # the filter either way — skipping _support_with_zeros saves one
@@ -679,7 +684,7 @@ def triangle_count(
         return int(len(_local_closed_wedges(*_local_und(graph))[0]))
     B = num_buckets or max(16, graph.num_partitions)
     return _closed_wedges(
-        _oriented_edges(graph, route, B), route, B
+        _oriented_edges(graph, B), route, B
     ).count()
 
 
@@ -1048,7 +1053,7 @@ def transitivity(graph: Graph, *, num_buckets: int | None = None) -> float:
         return 0.0
     route = _route("transitivity", graph, None)
     tri3 = 3 * _closed_wedges(
-        _oriented_edges(graph, route, B), route, B
+        _oriented_edges(graph, B), route, B
     ).count()
     return tri3 / wedges
 
@@ -1100,7 +1105,7 @@ def two_hop_sizes(
     route)."""
     schema = pa.schema([("vertex_id", I64), ("n2", I64), ("n1", I64)])
     n = graph.meta.num_edges
-    if routing.choose("triangles.two_hop_sizes", 16 * n) == "local":
+    if routing.choose("triangles.two_hop_sizes", 400 * n) == "local":
         return _frame_ds(_local_two_hop(*_local_und(graph)), schema)
     B = num_buckets or max(16, graph.num_partitions)
     und = _canonical_undirected(graph).materialize()
@@ -1325,7 +1330,9 @@ def triangle_count_sampled(
         samp, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
     route = _route("triangle_count_sampled", graph, None, s.count())
-    oriented = _orient_und(s, _deg_from_und(s), route, B).materialize()
+    oriented = _orient_und(
+        s, _deg_from_und(s), graph.meta.num_vertices, B
+    ).materialize()
     cnt = int(_closed_wedges(oriented, route, B).count())
     return {
         "estimate": cnt / (p ** 3),
@@ -1419,7 +1426,7 @@ def four_cliques(
             _CLIQUES, *_local_four_clique_counts(*_local_und(graph))
         )
     B = num_buckets or max(16, graph.num_partitions)
-    oriented = _oriented_edges(graph, route, B)
+    oriented = _oriented_edges(graph, B)
     closed = _closed_wedges(oriented, route, B)
 
     def center_pairs(g: pd.DataFrame) -> pd.DataFrame:

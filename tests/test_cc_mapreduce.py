@@ -71,23 +71,28 @@ def _rows_seen(tmp_path):
     return sorted(int(p.suffix[1:]) for p in tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("op", ["star_forest", "temporal_reachability"])
+@pytest.mark.parametrize(
+    "op", ["star_forest", "temporal_reachability", "duplicate_groups"]
+)
 def test_lazy_input_runs_once(tmp_path, op):
     """A lazy input's plan runs once: the operator sizes its route from the
     materialized input, not from a count that runs the plan again."""
     import pandas as pd
     import ray.data as rd
 
+    from flashray.datapipe.dedup import duplicate_groups
     from flashray.datapipe.temporal import temporal_reachability
 
     src, dst = fixtures.er_edges(60, 0.05, seed=2)
     keep = src > dst
     df = pd.DataFrame({"a": src[keep], "b": dst[keep], "t": src[keep] % 5})
-    if op == "star_forest":
+    if op != "temporal_reachability":
         df = df[["a", "b"]]
     lazy = _counted(rd.from_pandas(df).repartition(3), tmp_path)
     if op == "star_forest":
         cc_mapreduce.star_forest(lazy, num_buckets=4).materialize()
+    elif op == "duplicate_groups":
+        duplicate_groups(lazy)
     else:
         temporal_reachability(
             lazy, [int(df["a"].iloc[0])], t0=0, src_col="a", dst_col="b"

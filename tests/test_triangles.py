@@ -719,7 +719,7 @@ def _check_three_executors(graph, pin_route):
             "fc": _rows(triangles.four_cliques(graph)),
             # the 4-truss peel takes 11 rounds (195 -> 73 edges); the first
             # three (195, 136, 103 edges) run on the executor under test,
-            # the rest in the local tail (at most 100 edges of 16 B), which
+            # the rest in the local tail (at most 100 edges of 400 B), which
             # keeps the test short
             "kt4": _rows(triangles.k_truss(graph, 4)),
             "scan": _rows(triangles.scan_statistic(graph)),
@@ -728,7 +728,7 @@ def _check_three_executors(graph, pin_route):
 
     results = {}
     for mode, route in [("broadcast", "broadcast"), ("join", "distributed")]:
-        pin_route(route, local_bytes=16 * 100)
+        pin_route(route, local_bytes=400 * 100)
         results[mode] = family()
         sampled = triangles.triangle_count_sampled(graph, p=1.0)
         results[mode]["sampled"] = sampled["sampled_triangles"]
